@@ -31,8 +31,9 @@ pub type Res<T> = Result<T, BoxError>;
 
 /// Problem sizes: `Full` is what the benchmark measures. `Tiny` is a
 /// sub-second variant that the self-tests run and every set-up solves once
-/// as its warm-up (about 0.1 s of work, long enough that set-up time is not
-/// dominated by scheduling noise).
+/// as its warm-up. Building the inputs alone takes microseconds, and timings
+/// that short moved by a quarter between identical sets of runs on a shared
+/// VM; with the warm-up, set-up time moves with the solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// The sizes the benchmark reports.

@@ -19,6 +19,17 @@ use crate::{sub_seed, Res, Scale, WARM_UP_SEED};
 
 /// Shots `QuditQaoa::optimize` samples at its optimum.
 const OPTIMIZE_SHOTS: usize = 64;
+/// Seed of the coloring instance (a 6-node graph with 9 edges, optimum 9).
+/// The instance is fixed and `--seed` draws the solver's randomness, so the
+/// seed changes the solver's path but not the problem's size. When seeds
+/// 401–410 drew the graph too, solve times ranged from 0.6 to 1.0 of the
+/// slowest seed's.
+const GRAPH_SEED: u64 = 11;
+/// Edges the best colouring may fall short of the brute-force optimum.
+/// Seeds 1–40 all reached the optimum at the full size; at the tiny size 14
+/// of them fell one edge short. A uniformly random colouring is expected to
+/// fall a third of the edges short.
+const MAX_SHORTFALL: usize = 1;
 
 /// Generated inputs of one `ndar_coloring` run.
 #[derive(Debug, Clone)]
@@ -34,7 +45,7 @@ impl Ndar {
             Scale::Full => (6, 20, 8, 3, 12),
             Scale::Tiny => (6, 4, 1, 1, 4),
         };
-        let problem = bench::table1_coloring_problem(nodes, sub_seed(seed, 0));
+        let problem = bench::table1_coloring_problem(nodes, GRAPH_SEED);
         let qaoa = QaoaConfig {
             layers: 1,
             trajectories,
@@ -182,8 +193,11 @@ impl SolveWorkload for Ndar {
             ));
         }
         let optimum = self.optimum();
-        if out.best_value > optimum {
-            failures.push(format!("best_value {} above the optimum {optimum}", out.best_value));
+        if out.best_value + MAX_SHORTFALL < optimum {
+            failures.push(format!(
+                "best_value {} is more than {MAX_SHORTFALL} short of the optimum {optimum}",
+                out.best_value
+            ));
         }
         if out.best_value_per_round.windows(2).any(|w| w[1] < w[0]) {
             failures.push("best value decreased between rounds".into());
