@@ -6,8 +6,10 @@
 //! * **Untraced** (`--trace 0`): set up, run one solve whose output is
 //!   checked against independent references, then solve repeatedly for
 //!   `--seconds`, each output compared bitwise with the checked one. A fresh
-//!   set-up precedes every timed solve (at least [`SETUPS`] in all), and
-//!   `setup_s` is their median.
+//!   set-up precedes every timed solve (at least [`SETUPS`] in all).
+//!   Calibration units run before and after every set-up and solve, and
+//!   each time is rescaled to the reference host ([`crate::calib`]);
+//!   `setup_s` and `solve_s` are the medians of the rescaled times.
 //! * **Traced** (`--trace 1`): after the checked solve, half the budget runs
 //!   untraced solves and half runs the workload's layer-by-layer replay
 //!   under a [`Tracer`]. Each replay must reproduce the entry point's output
@@ -16,6 +18,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use crate::calib::Calibrator;
 use crate::report::{median, peak_rss_mb, quantile, Checks, Metric, Report};
 use crate::trace::Tracer;
 use crate::{Res, Scale};
@@ -175,10 +178,11 @@ fn bitwise(out: &impl std::fmt::Debug) -> String {
 /// # Errors
 /// Returns an error if set-up fails.
 pub fn run_solve<W: SolveWorkload>(opts: &Options, trace_path: Option<&Path>) -> Res<Report> {
+    let cal = Calibrator::new();
     let setup = |times: &mut Vec<f64>| -> Res<W> {
-        let t = Instant::now();
-        let w = W::setup(opts.seed, opts.scale)?;
-        times.push(t.elapsed().as_secs_f64());
+        let (w, t) = cal.timed(|| W::setup(opts.seed, opts.scale));
+        let w = w?;
+        times.push(t);
         Ok(w)
     };
     let mut setup_times = Vec::with_capacity(SETUPS);
@@ -219,9 +223,7 @@ pub fn run_solve<W: SolveWorkload>(opts: &Options, trace_path: Option<&Path>) ->
             if let Err(e) = setup(&mut setup_times) {
                 checks.record(false, || format!("set-up errored: {e}"));
             }
-            let t = Instant::now();
-            let result = w.solve();
-            let dt = t.elapsed().as_secs_f64();
+            let (result, dt) = cal.timed(|| w.solve());
             verify(&mut checks, result, "solve");
             dt
         });

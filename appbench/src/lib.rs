@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod calib;
 pub mod harness;
 pub mod ndar;
 pub mod plans;

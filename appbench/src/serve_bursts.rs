@@ -14,9 +14,14 @@
 //! untimed, so each job's payload is checked the moment it arrives and then
 //! dropped: the client holds no payloads, and `peak_rss_mb` tracks the
 //! engine.
+//!
+//! In the untraced run the sender also runs one calibration unit per period
+//! while no burst is in flight, and the end-to-end times are rescaled to the
+//! reference host by the median unit ([`crate::calib`]).
 
 use std::path::Path;
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -28,6 +33,7 @@ use qudit_serve::{
     Backpressure, JobHandle, JobOutcome, JobSpec, ServeConfig, ServeEngine, ServeStats,
 };
 
+use crate::calib::{rescale, Calibrator};
 use crate::harness::{per_layer, Options, SOLVE_SPAN};
 use crate::plans::PlanCounts;
 use crate::qrc_forecast::reservoir_segment;
@@ -47,9 +53,9 @@ const QUEUE_CAPACITY: usize = 64;
 const MODEL_SEED: u64 = 11;
 /// Latency limit behind `limit_miss_frac`.
 const LATENCY_LIMIT: Duration = Duration::from_millis(100);
-/// Client threads blocked on job handles; more than the jobs in flight at
-/// any time well below saturation.
-const WAITERS: usize = 48;
+/// Least idle time before the next due job in which the sender runs a
+/// calibration unit.
+const CALIBRATION_GAP: Duration = Duration::from_millis(15);
 /// Largest accepted deviation of a payload from the direct simulator call.
 const PAYLOAD_TOL: f64 = 1e-12;
 
@@ -219,19 +225,25 @@ fn deviation(payload: &[f64], reference: &[f64]) -> f64 {
 struct Phase {
     seen: Vec<Seen>,
     lags_ms: Vec<f64>,
+    /// Calibration units the sender ran, in s.
+    calibrations: Vec<f64>,
 }
 
-/// Sends `jobs` on schedule from this thread. Blocked waiter threads, one
-/// per in-flight job, stamp each completion the moment the engine resolves
-/// it, so the sender never polls and the timestamps do not depend on
-/// completion order. The waiter then checks the payload against its
-/// reference in `refs` and drops it.
+/// Sends `jobs` on schedule from this thread. One waiter thread per stream
+/// blocks on that stream's handles in submission order and stamps each
+/// completion, so the sender never polls. Within a stream the engine
+/// finishes jobs in that order (a burst as one coalesced batch), so a job is
+/// stamped as soon as it resolves. The waiter then checks the payload
+/// against its reference in `refs` and drops it. With `cal`, the sender runs
+/// one calibration unit per period, in a gap of at least
+/// [`CALIBRATION_GAP`] while no burst job is in flight.
 fn open_loop(
     engine: &ServeEngine,
     inputs: &Inputs,
     refs: &[Vec<f64>],
     jobs: &[Job],
     tr: Option<&Tracer>,
+    cal: Option<&Calibrator>,
 ) -> Phase {
     let spanned = |name: &'static str, f: &mut dyn FnMut()| match tr {
         Some(tr) => tr.span(name, f),
@@ -239,27 +251,34 @@ fn open_loop(
     };
     let mut seen: Vec<Option<Seen>> = vec![None; jobs.len()];
     let mut lags_ms = Vec::with_capacity(jobs.len());
-    let (handle_tx, handle_rx) = mpsc::channel::<(usize, JobHandle)>();
-    let handle_rx = Mutex::new(handle_rx);
+    let mut calibrations = Vec::new();
+    let mut calibrated_period = None;
+    let mut bursts_sent = 0;
+    let bursts_done = AtomicUsize::new(0);
+    let (burst_tx, burst_rx) = mpsc::channel::<(usize, JobHandle)>();
+    let (trickle_tx, trickle_rx) = mpsc::channel::<(usize, JobHandle)>();
     let (done_tx, done_rx) = mpsc::channel::<(usize, Instant, Result<f64, String>)>();
     let start = Instant::now();
     thread::scope(|scope| {
-        for _ in 0..WAITERS {
+        for (stream, handle_rx) in [(Stream::Burst, burst_rx), (Stream::Trickle, trickle_rx)] {
             let done_tx = done_tx.clone();
-            let handle_rx = &handle_rx;
-            scope.spawn(move || loop {
-                let next = handle_rx.lock().expect("waiter queue lock poisoned").recv();
-                let Ok((index, handle)) = next else { return };
-                let outcome = handle.wait();
-                let at = Instant::now();
-                let verdict = match outcome {
-                    JobOutcome::Completed(payload) => {
-                        Ok(deviation(&payload, &refs[jobs[index].binding]))
+            let bursts_done = &bursts_done;
+            scope.spawn(move || {
+                for (index, handle) in handle_rx {
+                    let outcome = handle.wait();
+                    let at = Instant::now();
+                    let verdict = match outcome {
+                        JobOutcome::Completed(payload) => {
+                            Ok(deviation(&payload, &refs[jobs[index].binding]))
+                        }
+                        other => Err(format!("{other:?}")),
+                    };
+                    if stream == Stream::Burst {
+                        bursts_done.fetch_add(1, Ordering::Release);
                     }
-                    other => Err(format!("{other:?}")),
-                };
-                if done_tx.send((index, at, verdict)).is_err() {
-                    return;
+                    if done_tx.send((index, at, verdict)).is_err() {
+                        return;
+                    }
                 }
             });
         }
@@ -267,7 +286,18 @@ fn open_loop(
         let mut index = 0;
         while index < jobs.len() {
             let due = jobs[index].due;
-            let now = start.elapsed();
+            let mut now = start.elapsed();
+            if let Some(cal) = cal {
+                let period = jobs[index].period;
+                if calibrated_period != Some(period)
+                    && due.saturating_sub(now) >= CALIBRATION_GAP
+                    && bursts_done.load(Ordering::Acquire) == bursts_sent
+                {
+                    calibrations.push(cal.unit());
+                    calibrated_period = Some(period);
+                    now = start.elapsed();
+                }
+            }
             if due > now {
                 spanned("harness.idle", &mut || thread::sleep(due - now));
             }
@@ -296,8 +326,17 @@ fn open_loop(
                 spanned("qudit-serve.submit", &mut || {
                     submitted = spec.take().map(|s| engine.submit(s));
                 });
+                let handle_tx = match job.stream {
+                    Stream::Burst => &burst_tx,
+                    Stream::Trickle => &trickle_tx,
+                };
                 match submitted.expect("submit ran") {
-                    Ok(handle) => handle_tx.send((i, handle)).expect("waiters outlive the sender"),
+                    Ok(handle) => {
+                        if job.stream == Stream::Burst {
+                            bursts_sent += 1;
+                        }
+                        handle_tx.send((i, handle)).expect("waiters outlive the sender");
+                    }
                     Err(e) => seen[i] = Some(Seen::Rejected(e.to_string())),
                 }
             }
@@ -306,7 +345,7 @@ fn open_loop(
             }
             index = end;
         }
-        drop(handle_tx);
+        drop((burst_tx, trickle_tx));
         spanned("harness.collect", &mut || {
             for (index, at, verdict) in done_rx.iter() {
                 seen[index] = Some(Seen::Resolved(at - start, verdict));
@@ -314,7 +353,7 @@ fn open_loop(
         });
     });
     let seen = seen.into_iter().map(|s| s.expect("every job resolved or rejected")).collect();
-    Phase { seen, lags_ms }
+    Phase { seen, lags_ms, calibrations }
 }
 
 /// Latency of every resolved job in ms, split by stream, and per-period
@@ -389,13 +428,17 @@ fn check_payloads(jobs: &[Job], phase: &Phase, checks: &mut Checks) {
 /// Returns an error if set-up or a reference computation fails.
 pub fn run(opts: &Options, trace_path: Option<&Path>) -> Res<Report> {
     let periods = ((opts.seconds / PERIOD.as_secs_f64()).ceil() as usize).max(4);
+    let cal = Calibrator::new();
     let mut setup_times = Vec::with_capacity(SETUPS);
     let mut ready = None;
     for _ in 0..SETUPS {
-        let t = Instant::now();
-        let inputs = Inputs::generate(opts.seed, opts.scale, periods)?;
-        let engine = start_engine(&inputs)?;
-        setup_times.push(t.elapsed().as_secs_f64());
+        let (started, t) = cal.timed(|| -> Res<_> {
+            let inputs = Inputs::generate(opts.seed, opts.scale, periods)?;
+            let engine = start_engine(&inputs)?;
+            Ok((inputs, engine))
+        });
+        let (inputs, engine) = started?;
+        setup_times.push(t);
         if let Some((_, old)) = ready.replace((inputs, engine)) {
             old.join();
         }
@@ -405,14 +448,18 @@ pub fn run(opts: &Options, trace_path: Option<&Path>) -> Res<Report> {
     let mut checks = Checks::default();
 
     let Some(trace_path) = trace_path else {
-        let phase = open_loop(&engine, &inputs, &refs, &inputs.jobs, None);
+        let mut phase = open_loop(&engine, &inputs, &refs, &inputs.jobs, None, Some(&cal));
         engine.join();
         check_payloads(&inputs.jobs, &phase, &mut checks);
+        if phase.calibrations.is_empty() {
+            phase.calibrations.push(cal.unit());
+        }
+        let host = median(&phase.calibrations);
         let lat = latencies(&inputs.jobs, &phase, periods);
         let metrics = vec![
             Metric::new("setup_s", median(&setup_times), "s"),
-            Metric::new("solve_s", median(&lat.makespans_s), "s"),
-            Metric::new("job_latency_p50_ms", median(&lat.all_ms), "ms"),
+            Metric::new("solve_s", rescale(median(&lat.makespans_s), host), "s"),
+            Metric::new("job_latency_p50_ms", rescale(median(&lat.all_ms), host), "ms"),
             Metric::new("peak_rss_mb", peak_rss_mb(), "MB"),
         ];
         return Ok(Report { checks, metrics });
@@ -423,13 +470,14 @@ pub fn run(opts: &Options, trace_path: Option<&Path>) -> Res<Report> {
     let half = periods / 2;
     let split = inputs.jobs.iter().position(|j| j.period >= half).unwrap_or(inputs.jobs.len());
     let (first, second) = inputs.jobs.split_at(split);
-    let untraced = open_loop(&engine, &inputs, &refs, first, None);
+    let untraced = open_loop(&engine, &inputs, &refs, first, None, None);
     // Re-base the second half's due times on its own loop start.
     let offset = PERIOD * half as u32;
     let second: Vec<Job> =
         second.iter().map(|j| Job { due: j.due - offset, ..j.clone() }).collect();
     let tr = Tracer::new();
-    let traced = tr.span(SOLVE_SPAN, || open_loop(&engine, &inputs, &refs, &second, Some(&tr)));
+    let traced =
+        tr.span(SOLVE_SPAN, || open_loop(&engine, &inputs, &refs, &second, Some(&tr), None));
     let stats = engine.stats();
     engine.join();
     tr.write_jsonl(trace_path)?;
