@@ -44,7 +44,9 @@ use qudit_core::Radix;
 
 use crate::error::{CircuitError, Result};
 use crate::sim::apply_readout_flip;
-use crate::sim::kernels::{BindBuffers, ChannelKernel, CircuitKernels, ExecStep, RunScratch};
+use crate::sim::kernels::{
+    rescale_branch, BindBuffers, ChannelKernel, CircuitKernels, ExecStep, RunScratch,
+};
 use crate::sim::statevector::{power_of_shift, RunOutput};
 
 /// A realized population of parameter bindings for one compiled plan: one
@@ -436,9 +438,10 @@ fn apply_col(
 }
 
 /// [`crate::sim::apply_channel_prepared`] restricted to one ensemble column:
-/// identical branch-probability math (per-column panel reductions are
-/// bitwise-equal to the contiguous kernels), identical draw-before-probs RNG
-/// consumption, identical selection scan, identical normalisation.
+/// the same draw-before-probabilities RNG consumption and the same
+/// [`ChannelKernel::select_branches`] call (at panel stride, which leaves
+/// its accumulation order unchanged), then the selected operator through the
+/// serial kernel ([`apply_col`]) and the same `1/√p_k` rescale.
 fn apply_channel_col(
     ens: &mut EnsembleState,
     kernel: &ChannelKernel,
@@ -448,43 +451,18 @@ fn apply_channel_col(
 ) -> Result<usize> {
     let core = CircuitError::Core;
     let ops = kernel.channel.operators();
-    let width = ens.width();
     // Fast path: unitary channel (single Kraus operator) — no draw, no
     // renormalisation, exactly like the serial fast path.
     if ops.len() == 1 {
         apply_col(&kernel.plan, &kernel.kinds[0], &ops[0], ens, col, scratch).map_err(core)?;
         return Ok(0);
     }
-    let mut r: f64 = rng.gen::<f64>();
-    scratch.branch_probs.clear();
-    for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
-        let p = kernel
-            .plan
-            .norm_sqr_after_col(kind, op, ens.data(), width, col, &mut scratch.block)
-            .map_err(core)?;
-        scratch.branch_probs.push(p);
-    }
-    let total: f64 = scratch.branch_probs.iter().sum();
-    if total <= 0.0 || total.is_nan() {
-        return Err(core(CoreError::InvalidProbability(
-            "channel branch probabilities carry no mass (zero state)".into(),
-        )));
-    }
-    r *= total;
-    let mut selected = None;
-    for (k, &p) in scratch.branch_probs.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        selected = Some(k);
-        if r < p {
-            break;
-        }
-        r -= p;
-    }
-    let k = selected.expect("a positive total implies a positive branch");
+    let r: f64 = rng.gen::<f64>();
+    kernel.select_branches(ens.data(), ens.width(), col, [r], scratch)?;
+    let k = scratch.choices[0];
     apply_col(&kernel.plan, &kernel.kinds[k], &ops[k], ens, col, scratch).map_err(core)?;
-    ens.normalize_col(col).map_err(core)?;
+    let width = ens.width();
+    rescale_branch(ens.data_mut(), width, col, scratch.branch_probs[k]);
     Ok(k)
 }
 
@@ -686,9 +664,11 @@ fn split_group(
     Ok(())
 }
 
-/// A Kraus channel event over every live group: probabilities once per
-/// group, one draw per member (stream-aligned with the serial loop), lazy
-/// panel splits at divergence.
+/// A Kraus channel event over every live group: one
+/// [`ChannelKernel::select_branches`] call per group (probabilities once,
+/// one draw per member, stream-aligned with the serial loop), lazy panel
+/// splits at divergence, and each branch column rescaled by its known
+/// `1/√p_k` exactly as the serial path rescales.
 fn channel_event(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
@@ -710,48 +690,20 @@ fn channel_event(
     }
     let n_groups = groups.len();
     for gi in 0..n_groups {
-        let col = groups[gi].col;
-        let w = ens.width();
-        scratch.branch_probs.clear();
-        for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
-            let p = kernel
-                .plan
-                .norm_sqr_after_col(kind, op, ens.data(), w, col, &mut scratch.block)
-                .map_err(core)?;
-            scratch.branch_probs.push(p);
-        }
-        let total: f64 = scratch.branch_probs.iter().sum();
-        if total <= 0.0 || total.is_nan() {
-            return Err(core(CoreError::InvalidProbability(
-                "channel branch probabilities carry no mass (zero state)".into(),
-            )));
-        }
-        let mut choices = Vec::with_capacity(groups[gi].members.len());
-        for &m in &groups[gi].members {
-            // One `gen::<f64>()` per member, exactly as the serial channel
-            // unravelling draws it; the scan below replicates the serial
-            // selection (zero-probability branches skipped, top-edge
-            // rounding falls back to the last positive branch).
-            let mut r: f64 = rngs[m].gen::<f64>();
-            r *= total;
-            let mut selected = None;
-            for (k, &p) in scratch.branch_probs.iter().enumerate() {
-                if p <= 0.0 {
-                    continue;
-                }
-                selected = Some(k);
-                if r < p {
-                    break;
-                }
-                r -= p;
-            }
-            choices.push(selected.expect("a positive total implies a positive branch"));
-        }
+        // One `gen::<f64>()` per member, exactly as the serial channel
+        // unravelling draws it, mapped to branches against probabilities
+        // computed once for the whole group.
+        let draws = groups[gi].members.iter().map(|&m| rngs[m].gen::<f64>());
+        kernel.select_branches(ens.data(), ens.width(), groups[gi].col, draws, scratch)?;
+        let choices = std::mem::take(&mut scratch.choices);
         split_group(ens, groups, gi, &choices, ops.len(), |ens, bc, k| {
             apply_col(&kernel.plan, &kernel.kinds[k], &ops[k], ens, bc, &mut *scratch)
                 .map_err(core)?;
-            ens.normalize_col(bc).map_err(core)
+            let w = ens.width();
+            rescale_branch(ens.data_mut(), w, bc, scratch.branch_probs[k]);
+            Ok(())
         })?;
+        scratch.choices = choices;
     }
     Ok(())
 }
@@ -839,4 +791,61 @@ fn trajectory_reset_event(
         })?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::noise::KrausChannel;
+    use crate::sim::apply_channel_prepared;
+    use crate::sim::kernels::tests::{merge_channel, random_dense_channel};
+    use qudit_core::random::haar_state;
+
+    #[test]
+    fn column_channel_events_are_bitwise_serial_and_stay_normalised() {
+        // Repeated events on every column of a panel: the panel path draws,
+        // selects, applies and rescales exactly like the serial path, and the
+        // `1/√p_k` rescale leaves unit norm without re-summing it.
+        let mut rng = StdRng::seed_from_u64(5151);
+        let dims = vec![3, 2, 4];
+        let radix = Radix::new(dims.clone()).unwrap();
+        let channels = [
+            (KrausChannel::photon_loss(3, 0.3).unwrap(), vec![0]),
+            (KrausChannel::dephasing(4, 0.2).unwrap(), vec![2]),
+            (KrausChannel::depolarizing(2, 0.4).unwrap(), vec![1]),
+            (KrausChannel::two_qudit_depolarizing(4, 3, 0.3).unwrap(), vec![2, 0]),
+            (KrausChannel::thermal_excitation(4, 0.25).unwrap(), vec![2]),
+            (merge_channel(3), vec![0]),
+            (random_dense_channel(&mut rng, 4, 3), vec![2]),
+        ];
+        let kernels: Vec<ChannelKernel> = channels
+            .into_iter()
+            .map(|(ch, t)| ChannelKernel::new(&radix, ch, t).unwrap())
+            .collect();
+        let mut states: Vec<QuditState> =
+            (0..4).map(|_| haar_state(&mut rng, dims.clone()).unwrap()).collect();
+        let mut ens = EnsembleState::from_states(&states).unwrap();
+        let mut serial_rngs: Vec<StdRng> = (0..4).map(|b| StdRng::seed_from_u64(70 + b)).collect();
+        let mut panel_rngs = serial_rngs.clone();
+        let (mut s1, mut s2) = (RunScratch::default(), RunScratch::default());
+        for round in 0..12 {
+            for kernel in &kernels {
+                for (b, state) in states.iter_mut().enumerate() {
+                    let k1 = apply_channel_prepared(state, kernel, &mut serial_rngs[b], &mut s1)
+                        .unwrap();
+                    let k2 = apply_channel_col(&mut ens, kernel, b, &mut panel_rngs[b], &mut s2)
+                        .unwrap();
+                    assert_eq!(k1, k2, "round {round}, column {b}");
+                    assert!((state.norm() - 1.0).abs() < 1e-14, "norm {}", state.norm());
+                    assert!((ens.norm_sqr_col(b).sqrt() - 1.0).abs() < 1e-14);
+                }
+            }
+        }
+        for (b, state) in states.iter().enumerate() {
+            let col = ens.column_amplitudes(b);
+            for (x, y) in state.amplitudes().iter().zip(&col) {
+                assert_eq!((x.re.to_bits(), x.im.to_bits()), (y.re.to_bits(), y.im.to_bits()));
+            }
+        }
+    }
 }

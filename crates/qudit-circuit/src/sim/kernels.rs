@@ -160,6 +160,44 @@ pub(crate) struct ChannelKernel {
     pub kinds: Vec<OpKind>,
     /// The qudits the channel acts on (in operator index order).
     pub targets: Vec<usize>,
+    /// `true` when every Kraus operator is diagonal or an injective
+    /// monomial, so [`ChannelKernel::select_branches`] derives all branch
+    /// norms from one marginal sweep (see [`marginal_weights`]).
+    one_sweep: bool,
+}
+
+/// The per-column weights `coeff_c` of an operator whose branch norm is a
+/// weighted marginal, `‖K ψ‖² = Σ_c |coeff_c|² · m_c` with `m` the target
+/// marginal of `ψ`. That identity holds exactly when no two columns of `K`
+/// land on the same row: diagonal and injective monomial operators. Photon
+/// loss, dephasing and Weyl depolarizing — every channel a
+/// [`NoiseModel`] inserts — consist of such operators only.
+fn marginal_weights(kind: &OpKind) -> Option<&[Complex64]> {
+    match kind {
+        OpKind::Diagonal(diag) => Some(diag),
+        OpKind::Monomial { coeffs, injective: true, .. } => Some(coeffs),
+        _ => None,
+    }
+}
+
+/// The Kraus branch a uniform draw lands on, given the branch probabilities
+/// and `r` already scaled by their total: a linear CDF scan matching the
+/// `Cdf` contract. Zero-probability branches are never selected, and
+/// rounding at the top edge (`r` within one ulp of the total) falls back to
+/// the last *positive* branch. A positive total guarantees one exists.
+fn select_branch(probs: &[f64], mut r: f64) -> usize {
+    let mut selected = 0;
+    for (k, &p) in probs.iter().enumerate() {
+        if p <= 0.0 {
+            continue;
+        }
+        selected = k;
+        if r < p {
+            break;
+        }
+        r -= p;
+    }
+    selected
 }
 
 impl ChannelKernel {
@@ -169,8 +207,93 @@ impl ChannelKernel {
         targets: Vec<usize>,
     ) -> Result<Self> {
         let plan = ApplyPlan::new(radix, &targets).map_err(CircuitError::Core)?;
-        let kinds = channel.operators().iter().map(OpKind::classify).collect();
-        Ok(Self { channel, plan, kinds, targets })
+        if let Some(op) = channel.operators().first() {
+            if op.rows() != plan.sub_dim() {
+                return Err(CircuitError::Core(qudit_core::error::CoreError::ShapeMismatch {
+                    expected: format!("{0}x{0} Kraus operators", plan.sub_dim()),
+                    found: format!("{}x{}", op.rows(), op.cols()),
+                }));
+            }
+        }
+        let kinds: Vec<OpKind> = channel.operators().iter().map(OpKind::classify).collect();
+        let one_sweep = kinds.iter().all(|k| marginal_weights(k).is_some());
+        Ok(Self { channel, plan, kinds, targets, one_sweep })
+    }
+
+    /// Branch probabilities and selection for one stochastic event of this
+    /// channel on the state stored at `data[offset + stride * i]` — a
+    /// `QuditState` at `stride = 1`, an ensemble column at
+    /// `(stride, offset) = (width, col)`. Leaves `p_k = ‖K_k ψ‖²` in
+    /// `scratch.branch_probs` and, in `scratch.choices`, the branch each
+    /// uniform draw of `draws` selects (in draw order). The caller applies
+    /// `K_k` and rescales by `1/√p_k` ([`rescale_branch`]).
+    ///
+    /// All-diagonal/injective-monomial channels take one strided marginal
+    /// sweep for every branch; others take one [`ApplyPlan::norm_sqr_after`]
+    /// sweep per branch on the contiguous state (gathered first when
+    /// strided). Either way the accumulation order does not depend on
+    /// `stride`, so a serial state and the same state as an ensemble column
+    /// get bitwise-equal probabilities and choices.
+    ///
+    /// # Errors
+    /// A zero-mass (or non-finite) state has no branch to select and returns
+    /// `InvalidProbability`; `draws` is then left unconsumed.
+    pub(crate) fn select_branches(
+        &self,
+        data: &[Complex64],
+        stride: usize,
+        offset: usize,
+        draws: impl IntoIterator<Item = f64>,
+        scratch: &mut RunScratch,
+    ) -> Result<()> {
+        let core = CircuitError::Core;
+        let probs = &mut scratch.branch_probs;
+        probs.clear();
+        if self.one_sweep {
+            let marginal = &mut scratch.marginal;
+            self.plan.marginal_probabilities_into(data, stride, offset, |z| z.norm_sqr(), marginal);
+            for weights in self.kinds.iter().filter_map(marginal_weights) {
+                probs
+                    .push(weights.iter().zip(marginal.iter()).map(|(w, m)| w.norm_sqr() * m).sum());
+            }
+        } else {
+            let amps: &[Complex64] = if stride == 1 {
+                &data[offset..]
+            } else {
+                scratch.col.clear();
+                scratch.col.extend(data[offset..].iter().step_by(stride));
+                &scratch.col
+            };
+            for (op, kind) in self.channel.operators().iter().zip(self.kinds.iter()) {
+                probs.push(
+                    self.plan.norm_sqr_after(kind, op, amps, &mut scratch.block).map_err(core)?,
+                );
+            }
+        }
+        let total: f64 = probs.iter().sum();
+        if total <= 0.0 || total.is_nan() {
+            // All branch norms vanish only for a zero state (Kraus channels
+            // are trace-preserving).
+            return Err(core(qudit_core::error::CoreError::InvalidProbability(
+                "channel branch probabilities carry no mass (zero state)".into(),
+            )));
+        }
+        scratch.choices.clear();
+        scratch.choices.extend(draws.into_iter().map(|r| select_branch(probs, r * total)));
+        Ok(())
+    }
+}
+
+/// Renormalises the state at `data[offset + stride * i]` after Kraus branch
+/// `K_k` was applied to it, where `p = ‖K_k ψ‖²` is the branch probability
+/// [`ChannelKernel::select_branches`] selected it with: the norm is already
+/// known, so one scaling sweep by `1/√p` replaces re-summing it. Same
+/// reciprocal-then-`scale` arithmetic as `QuditState::normalize`, and the
+/// same per-element operation at every stride.
+pub(crate) fn rescale_branch(data: &mut [Complex64], stride: usize, offset: usize, p: f64) {
+    let inv = 1.0 / p.sqrt();
+    for a in data[offset..].iter_mut().step_by(stride) {
+        *a = a.scale(inv);
     }
 }
 
@@ -479,10 +602,15 @@ impl BindBuffers {
 pub(crate) struct RunScratch {
     /// Gather/apply scratch sized to the largest operator block.
     pub block: Vec<Complex64>,
-    /// Kraus branch probabilities.
+    /// Kraus branch probabilities of the latest channel event.
     pub branch_probs: Vec<f64>,
+    /// Target marginal behind one-sweep branch probabilities.
+    pub marginal: Vec<f64>,
+    /// Selected Kraus branch per draw of the latest channel event.
+    pub choices: Vec<usize>,
     /// Contiguous single-column buffer for the ensemble executors' gathered
-    /// per-column applies (see `sim::ensemble::apply_col`).
+    /// per-column applies (see `sim::ensemble::apply_col`) and for the
+    /// per-branch fallback of [`ChannelKernel::select_branches`].
     pub col: Vec<Complex64>,
 }
 
@@ -1302,4 +1430,158 @@ pub(crate) fn reset_channel(d: usize) -> Vec<CMatrix> {
             k
         })
         .collect()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use qudit_core::complex::c64;
+    use qudit_core::ensemble::EnsembleState;
+    use qudit_core::random::{haar_state, haar_unitary};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random dense CPTP channel on dimension `d` with `m` Kraus operators:
+    /// the first `d` columns of a Haar unitary, cut into `m` row blocks.
+    pub(crate) fn random_dense_channel(rng: &mut StdRng, d: usize, m: usize) -> KrausChannel {
+        let u = haar_unitary(rng, d * m).unwrap();
+        let ops = (0..m).map(|k| CMatrix::from_fn(d, d, |i, j| u.get(k * d + i, j))).collect();
+        KrausChannel::new("dense", vec![d], ops).unwrap()
+    }
+
+    /// A CPTP channel of two *non-injective* monomial operators: levels 0
+    /// and 1 both land on `|0⟩` (with opposite relative sign), every other
+    /// level keeps its place. The `K_±†K_±` sum to the identity.
+    pub(crate) fn merge_channel(d: usize) -> KrausChannel {
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        let ops = [1.0, -1.0]
+            .iter()
+            .map(|&sign| {
+                CMatrix::from_fn(d, d, |i, j| match (i, j) {
+                    (0, 0) => c64(h, 0.0),
+                    (0, 1) => c64(sign * h, 0.0),
+                    (i, j) if i == j && i >= 2 => c64(h, 0.0),
+                    _ => Complex64::ZERO,
+                })
+            })
+            .collect();
+        KrausChannel::new("merge", vec![d], ops).unwrap()
+    }
+
+    /// The channels trajectory unravelling meets, on single, two-qudit
+    /// (adjacent, reversed and non-contiguous) targets of `dims`.
+    fn channel_cases(rng: &mut StdRng, dims: &[usize]) -> Vec<(KrausChannel, Vec<usize>, bool)> {
+        let n = dims.len();
+        let mut cases = Vec::new();
+        for q in 0..n {
+            let d = dims[q];
+            let g = 0.05 + 0.4 * rng.gen::<f64>();
+            cases.push((KrausChannel::photon_loss(d, g).unwrap(), vec![q], true));
+            cases.push((KrausChannel::dephasing(d, g).unwrap(), vec![q], true));
+            cases.push((KrausChannel::depolarizing(d, g).unwrap(), vec![q], true));
+            cases.push((KrausChannel::thermal_excitation(d, g).unwrap(), vec![q], true));
+            cases.push((merge_channel(d), vec![q], false));
+            cases.push((random_dense_channel(rng, d, 3), vec![q], false));
+        }
+        for (a, b) in [(0, 1), (1, 0), (0, n - 1), (n - 1, 0)] {
+            let p = 0.05 + 0.3 * rng.gen::<f64>();
+            let ch = KrausChannel::two_qudit_depolarizing(dims[a], dims[b], p).unwrap();
+            cases.push((ch, vec![a, b], true));
+        }
+        cases
+    }
+
+    fn random_dims(rng: &mut StdRng) -> Vec<usize> {
+        let n = rng.gen_range(3..=4);
+        (0..n).map(|_| rng.gen_range(2..=4)).collect()
+    }
+
+    #[test]
+    fn one_sweep_branch_probabilities_match_per_branch_oracle() {
+        let mut rng = StdRng::seed_from_u64(1313);
+        let mut scratch = RunScratch::default();
+        let mut oracle_scratch = Vec::new();
+        for _ in 0..8 {
+            let dims = random_dims(&mut rng);
+            let radix = Radix::new(dims.clone()).unwrap();
+            let state = haar_state(&mut rng, dims.clone()).unwrap();
+            for (channel, targets, one_sweep) in channel_cases(&mut rng, &dims) {
+                let kernel = ChannelKernel::new(&radix, channel, targets.clone()).unwrap();
+                assert_eq!(kernel.one_sweep, one_sweep, "{} on {targets:?}", kernel.channel.name());
+                kernel.select_branches(state.amplitudes(), 1, 0, [0.5], &mut scratch).unwrap();
+                let ops = kernel.channel.operators();
+                assert_eq!(scratch.branch_probs.len(), ops.len());
+                for ((op, kind), &p) in ops.iter().zip(&kernel.kinds).zip(&scratch.branch_probs) {
+                    let oracle = kernel
+                        .plan
+                        .norm_sqr_after(kind, op, state.amplitudes(), &mut oracle_scratch)
+                        .unwrap();
+                    assert!(
+                        (p - oracle).abs() < 1e-12,
+                        "{} on {dims:?}/{targets:?}: {p} vs oracle {oracle}",
+                        kernel.channel.name()
+                    );
+                }
+                let total: f64 = scratch.branch_probs.iter().sum();
+                assert!((total - 1.0).abs() < 1e-12, "trace preservation: {total}");
+            }
+        }
+    }
+
+    #[test]
+    fn strided_column_selection_is_bitwise_identical_to_unit_stride() {
+        let mut rng = StdRng::seed_from_u64(2424);
+        let mut serial = RunScratch::default();
+        let mut strided = RunScratch::default();
+        for _ in 0..6 {
+            let dims = random_dims(&mut rng);
+            let radix = Radix::new(dims.clone()).unwrap();
+            let states: Vec<_> =
+                (0..3).map(|_| haar_state(&mut rng, dims.clone()).unwrap()).collect();
+            let ens = EnsembleState::from_states(&states).unwrap();
+            let draws: Vec<f64> = (0..16).map(|_| rng.gen::<f64>()).collect();
+            for (channel, targets, _) in channel_cases(&mut rng, &dims) {
+                let kernel = ChannelKernel::new(&radix, channel, targets).unwrap();
+                for (b, state) in states.iter().enumerate() {
+                    let amps = state.amplitudes();
+                    kernel.select_branches(amps, 1, 0, draws.clone(), &mut serial).unwrap();
+                    kernel.select_branches(ens.data(), 3, b, draws.clone(), &mut strided).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&serial.branch_probs), bits(&strided.branch_probs));
+                    assert_eq!(serial.choices, strided.choices);
+                    assert_eq!(serial.choices.len(), draws.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_skips_zero_branches_and_rejects_zero_mass() {
+        // |0⟩ under photon loss: only the no-jump branch carries mass, so no
+        // draw — not even one at the top edge — may select a jump branch.
+        let radix = Radix::new(vec![3, 2]).unwrap();
+        let kernel =
+            ChannelKernel::new(&radix, KrausChannel::photon_loss(3, 0.3).unwrap(), vec![0])
+                .unwrap();
+        let mut amps = vec![Complex64::ZERO; 6];
+        amps[1] = Complex64::ONE;
+        let mut scratch = RunScratch::default();
+        let edge = 1.0 - f64::EPSILON / 2.0;
+        kernel.select_branches(&amps, 1, 0, [0.0, 0.5, edge], &mut scratch).unwrap();
+        assert_eq!(scratch.choices, vec![0, 0, 0]);
+        assert_eq!(select_branch(&[0.25, 0.0, 0.75, 0.0], 1.0), 2);
+        let zero = vec![Complex64::ZERO; 6];
+        let err = kernel.select_branches(&zero, 1, 0, [0.5], &mut scratch).unwrap_err();
+        assert!(
+            matches!(err, CircuitError::Core(qudit_core::error::CoreError::InvalidProbability(_))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn mismatched_kraus_dimension_is_rejected_at_build() {
+        let radix = Radix::new(vec![4, 4]).unwrap();
+        let loss = KrausChannel::photon_loss(3, 0.2).unwrap();
+        assert!(ChannelKernel::new(&radix, loss, vec![0]).is_err());
+    }
 }

@@ -56,7 +56,7 @@ use qudit_core::state::QuditState;
 
 use crate::error::Result;
 use crate::noise::KrausChannel;
-use kernels::{ChannelKernel, RunScratch};
+use kernels::{rescale_branch, ChannelKernel, RunScratch};
 
 /// Applies a Kraus channel to a pure state stochastically (quantum-trajectory
 /// unraveling): Kraus operator `K_k` is selected with probability
@@ -77,8 +77,13 @@ pub fn apply_channel_stochastic<R: Rng + ?Sized>(
 }
 
 /// [`apply_channel_stochastic`] through a precompiled [`ChannelKernel`]:
-/// branch probabilities `‖K_k|ψ⟩‖²` are computed in place (no per-branch
-/// state clones), and only the selected operator is applied.
+/// one uniform draw, then [`ChannelKernel::select_branches`] computes the
+/// branch probabilities `‖K_k|ψ⟩‖²` in place (one marginal sweep for
+/// diagonal/monomial channels, one sweep per branch otherwise) and picks
+/// the branch. Only the selected operator is applied, and the state is
+/// rescaled by the already-known `1/√p_k` instead of re-summing its norm.
+/// The batched executors in `sim::ensemble` run the same two calls per
+/// column, which is what keeps them bitwise equal to this path.
 pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
     state: &mut QuditState,
     kernel: &ChannelKernel,
@@ -94,45 +99,13 @@ pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
             .map_err(core)?;
         return Ok(0);
     }
-    let mut r: f64 = rng.gen::<f64>();
-    scratch.branch_probs.clear();
-    for (op, kind) in ops.iter().zip(kernel.kinds.iter()) {
-        let p = kernel
-            .plan
-            .norm_sqr_after(kind, op, state.amplitudes(), &mut scratch.block)
-            .map_err(core)?;
-        scratch.branch_probs.push(p);
-    }
-    let total: f64 = scratch.branch_probs.iter().sum();
-    if total <= 0.0 || total.is_nan() {
-        // All branch norms vanish only for a zero state (Kraus channels are
-        // trace-preserving); selecting the last branch regardless — the old
-        // behaviour — applied a zero-probability operator.
-        return Err(core(qudit_core::error::CoreError::InvalidProbability(
-            "channel branch probabilities carry no mass (zero state)".into(),
-        )));
-    }
-    r *= total;
-    // Linear scan matching the Cdf contract: zero-probability branches are
-    // never selected, and rounding at the top edge (r within one ulp of the
-    // total) falls back to the last *positive* branch rather than the last
-    // branch unconditionally.
-    let mut selected = None;
-    for (k, &p) in scratch.branch_probs.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        selected = Some(k);
-        if r < p {
-            break;
-        }
-        r -= p;
-    }
-    let k = selected.expect("a positive total implies a positive branch");
+    let r: f64 = rng.gen::<f64>();
+    kernel.select_branches(state.amplitudes(), 1, 0, [r], scratch)?;
+    let k = scratch.choices[0];
     state
         .apply_prepared(&kernel.plan, &kernel.kinds[k], &ops[k], &mut scratch.block)
         .map_err(core)?;
-    state.normalize().map_err(core)?;
+    rescale_branch(state.amplitudes_mut(), 1, 0, scratch.branch_probs[k]);
     Ok(k)
 }
 
@@ -162,7 +135,9 @@ pub fn apply_readout_flip<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CircuitError;
     use crate::noise::KrausChannel;
+    use qudit_core::error::CoreError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -194,6 +169,23 @@ mod tests {
         }
         let mean = acc / n_traj as f64;
         assert!((mean - 3.0 * (1.0 - gamma)).abs() < 0.1);
+    }
+
+    #[test]
+    fn channel_event_draws_once_and_rejects_a_zero_state() {
+        // One uniform draw per event, whatever the branch count, so RNG
+        // streams stay aligned across the serial and batched executors.
+        let ch = KrausChannel::depolarizing(3, 0.4).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut twin = rng.clone();
+        let mut state = QuditState::basis(vec![3, 2], &[1, 1]).unwrap();
+        apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
+        let _: f64 = twin.gen();
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+
+        state.amplitudes_mut().iter_mut().for_each(|a| *a = qudit_core::Complex64::ZERO);
+        let err = apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap_err();
+        assert!(matches!(err, CircuitError::Core(CoreError::InvalidProbability(_))), "{err:?}");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use qudit_circuit::sim::{
 use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
+use qudit_core::random::haar_unitary;
 use qudit_core::Complex64;
 
 const TOL: f64 = 1e-12;
@@ -98,6 +99,43 @@ fn push_random_const_gate(c: &mut Circuit, dims: &[usize], rng: &mut StdRng) {
     }
 }
 
+const CHANNEL_SHAPES: usize = 5;
+
+/// One of the channel shapes trajectory unravelling distinguishes: photon
+/// loss and depolarizing (diagonal and injective-monomial operators, the
+/// one-sweep branch path), thermal excitation (a monomial whose top column
+/// is zero), a two-operator channel whose monomials send levels 0 and 1 to
+/// the same row (non-injective), and a random dense CPTP channel — the last
+/// two take the per-branch fallback.
+fn channel_shape(rng: &mut StdRng, d: usize, shape: usize) -> KrausChannel {
+    match shape {
+        0 => KrausChannel::photon_loss(d, 0.2).unwrap(),
+        1 => KrausChannel::depolarizing(d, 0.15).unwrap(),
+        2 => KrausChannel::thermal_excitation(d, 0.2).unwrap(),
+        3 => {
+            let h = std::f64::consts::FRAC_1_SQRT_2;
+            let ops = [1.0, -1.0]
+                .iter()
+                .map(|&sign| {
+                    CMatrix::from_fn(d, d, |i, j| match (i, j) {
+                        (0, 0) => Complex64::new(h, 0.0),
+                        (0, 1) => Complex64::new(sign * h, 0.0),
+                        (i, j) if i == j && i >= 2 => Complex64::new(h, 0.0),
+                        _ => Complex64::ZERO,
+                    })
+                })
+                .collect();
+            KrausChannel::new("merge", vec![d], ops).unwrap()
+        }
+        _ => {
+            // First `d` columns of a Haar unitary, cut into three row blocks.
+            let u = haar_unitary(rng, 3 * d).unwrap();
+            let ops = (0..3).map(|k| CMatrix::from_fn(d, d, |i, j| u.get(k * d + i, j))).collect();
+            KrausChannel::new("dense", vec![d], ops).unwrap()
+        }
+    }
+}
+
 /// A randomized parameterized circuit with `num_params` free angles; with
 /// `stochastic` it mixes in mid-circuit measurements, resets and explicit
 /// Kraus channels, the ingredients that force branch handling in the
@@ -128,12 +166,8 @@ fn random_param_circuit(
             c.reset(q).unwrap();
         } else {
             let q = rng.gen_range(0..n);
-            let ch = if rng.gen::<bool>() {
-                KrausChannel::photon_loss(dims[q], 0.2).unwrap()
-            } else {
-                KrausChannel::depolarizing(dims[q], 0.15).unwrap()
-            };
-            c.push_channel(ch, &[q]).unwrap();
+            let shape = rng.gen_range(0..CHANNEL_SHAPES);
+            c.push_channel(channel_shape(rng, dims[q], shape), &[q]).unwrap();
         }
     }
     for idx in 0..num_params {
@@ -269,6 +303,44 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
         let dist_serial = sim.outcome_distribution(&c).unwrap();
         let dist_batched = sim.outcome_distribution_batched(&c).unwrap();
         assert_eq!(dist_batched, dist_serial, "trial {trial}: distributions must be bitwise equal");
+    }
+}
+
+#[test]
+fn every_channel_shape_stays_bitwise_in_both_executors() {
+    // The random corpus draws channel shapes at random; this pins each shape
+    // — one-sweep (loss, depolarizing, thermal excitation) and per-branch
+    // fallback (non-injective monomial, dense) — into both ensemble
+    // executors: explicit channels on every qudit between two random
+    // parameterized segments.
+    for shape in 0..CHANNEL_SHAPES {
+        let mut rng = StdRng::seed_from_u64(47_000 + shape as u64);
+        let (mut c, dims) = random_param_circuit(&mut rng, 2, false);
+        for (q, &d) in dims.iter().enumerate() {
+            c.push_channel(channel_shape(&mut rng, d, shape), &[q]).unwrap();
+        }
+        c.push(Gate::fourier(dims[0]), &[0]).unwrap();
+        for (q, &d) in dims.iter().enumerate().rev() {
+            c.push_channel(channel_shape(&mut rng, d, shape), &[q]).unwrap();
+        }
+        let noise = NoiseModel::cavity(0.05, 0.1, 0.0);
+        let obs = Observable::number(0, dims[0]);
+        let traj =
+            TrajectorySimulator::new(70).with_seed(31 + shape as u64).with_noise(noise.clone());
+        let serial = traj.expectation(&c, &obs).unwrap();
+        let batched = traj.expectation_batched(&c, &obs).unwrap();
+        assert_eq!(batched.mean, serial.mean, "shape {shape}");
+        assert_eq!(batched.std_error, serial.std_error, "shape {shape}");
+
+        let sim = StatevectorSimulator::with_seed(77).with_noise(noise);
+        let plan = sim.compile(&c).unwrap();
+        let population = random_population(&mut rng, 2, 4);
+        let ensemble = sim.run_ensemble(&plan, &plan.bind_batch(&population).unwrap()).unwrap();
+        for (b, params) in population.iter().enumerate() {
+            let serial = sim.run_bound(&mut plan.clone(), params).unwrap();
+            let col = ensemble[b].as_ref().unwrap();
+            assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "shape {shape}, col {b}");
+        }
     }
 }
 

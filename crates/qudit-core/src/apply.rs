@@ -979,61 +979,6 @@ impl ApplyPlan {
         Ok(())
     }
 
-    /// Per-column [`ApplyPlan::norm_sqr_after`] on an interleaved ensemble
-    /// panel: `‖op · ψ_col‖²` for column `col` without materialising the
-    /// product. The accumulation order matches the serial kernel exactly, so
-    /// Kraus branch probabilities computed here are bitwise identical to the
-    /// one-state-at-a-time loop.
-    ///
-    /// # Errors
-    /// Returns an error on dimension mismatch.
-    pub fn norm_sqr_after_col(
-        &self,
-        kind: &OpKind,
-        op: &CMatrix,
-        data: &[Complex64],
-        width: usize,
-        col: usize,
-        scratch: &mut Vec<Complex64>,
-    ) -> Result<f64> {
-        self.check_panel(data.len(), width, &(col..col + 1))?;
-        let mut acc = 0.0f64;
-        match kind {
-            OpKind::Diagonal(diag) => {
-                self.check_op(diag.len())?;
-                self.for_each_block(|base| {
-                    for (j, d) in diag.iter().enumerate() {
-                        let at = (base + self.sub_offsets[j]) * width + col;
-                        acc += d.norm_sqr() * data[at].norm_sqr();
-                    }
-                });
-            }
-            OpKind::Monomial { rows, coeffs, injective } if *injective => {
-                let _ = rows;
-                self.check_op(coeffs.len())?;
-                self.for_each_block(|base| {
-                    for (c, coeff) in coeffs.iter().enumerate() {
-                        let at = (base + self.sub_offsets[c]) * width + col;
-                        acc += coeff.norm_sqr() * data[at].norm_sqr();
-                    }
-                });
-            }
-            _ => {
-                self.check_op_matrix(op)?;
-                scratch.resize(self.sub_dim, Complex64::ZERO);
-                self.for_each_block(|base| {
-                    for (j, s) in scratch.iter_mut().enumerate() {
-                        *s = data[(base + self.sub_offsets[j]) * width + col];
-                    }
-                    for row in 0..self.sub_dim {
-                        acc += dot4(op.row(row), scratch).norm_sqr();
-                    }
-                });
-            }
-        }
-        Ok(acc)
-    }
-
     /// Projective collapse of a single ensemble column: zeroes every
     /// amplitude of column `col` whose target digits differ from `outcome`
     /// (renormalisation is the caller's business, as in
@@ -1049,8 +994,11 @@ impl ApplyPlan {
         });
     }
 
-    /// Computes `‖op · ψ‖²` without materialising `op · ψ`, used to select
-    /// Kraus branches in trajectory unravelling.
+    /// Computes `‖op · ψ‖²` without materialising `op · ψ`: one sweep per
+    /// operator. Trajectory unravelling calls it per Kraus branch only for
+    /// channels with a dense or non-injective operator; diagonal and
+    /// injective-monomial branch norms all follow from one
+    /// [`ApplyPlan::marginal_probabilities_into`] sweep instead.
     ///
     /// # Errors
     /// Returns an error on dimension mismatch.
@@ -1162,13 +1110,32 @@ impl ApplyPlan {
         offset: usize,
         weight: impl Fn(Complex64) -> f64,
     ) -> Vec<f64> {
-        let mut probs = vec![0.0f64; self.sub_dim];
+        let mut probs = Vec::new();
+        self.marginal_probabilities_into(data, stride, offset, weight, &mut probs);
+        probs
+    }
+
+    /// [`ApplyPlan::marginal_probabilities_strided`] into a caller-owned
+    /// buffer (cleared and resized to `sub_dim`), so per-event callers stay
+    /// allocation-free. Same accumulation order: spectator blocks in
+    /// [`ApplyPlan::for_each_block`] order, one running sum per target
+    /// basis state — so a state at `stride = 1` and the same state as an
+    /// ensemble column at `stride = width` give bitwise-equal marginals.
+    pub fn marginal_probabilities_into(
+        &self,
+        data: &[Complex64],
+        stride: usize,
+        offset: usize,
+        weight: impl Fn(Complex64) -> f64,
+        probs: &mut Vec<f64>,
+    ) {
+        probs.clear();
+        probs.resize(self.sub_dim, 0.0);
         self.for_each_block(|base| {
-            for (j, p) in probs.iter_mut().enumerate() {
-                *p += weight(data[offset + stride * (base + self.sub_offsets[j])]);
+            for (p, &off) in probs.iter_mut().zip(self.sub_offsets.iter()) {
+                *p += weight(data[offset + stride * (base + off)]);
             }
         });
-        probs
     }
 
     /// Zeroes every amplitude whose target digits differ from `outcome`
@@ -1400,33 +1367,22 @@ mod tests {
         let width = 4;
         let cols = panel_columns(radix.total_dim(), width);
         let panel = interleave(&cols);
-        let mut scratch = Vec::new();
+        let mut reused = vec![7.0; 11];
         for targets in [vec![0], vec![1, 2], vec![2, 0]] {
             let plan = ApplyPlan::new(&radix, &targets).unwrap();
-            let sub = plan.sub_dim();
-            let dense = CMatrix::from_fn(sub, sub, |i, j| {
-                c64(0.3 * (i as f64 + 1.0), 0.1 * j as f64 - 0.2)
-            });
-            let diag = CMatrix::diag(
-                &(0..sub).map(|k| c64(0.5 - 0.1 * k as f64, 0.2)).collect::<Vec<_>>(),
-            );
-            for op in [&dense, &diag, &shift_x(sub)] {
-                let kind = OpKind::classify(op);
-                for (b, col) in cols.iter().enumerate() {
-                    let serial = plan.norm_sqr_after(&kind, op, col, &mut scratch).unwrap();
-                    let batched =
-                        plan.norm_sqr_after_col(&kind, op, &panel, width, b, &mut scratch).unwrap();
-                    assert_eq!(serial.to_bits(), batched.to_bits(), "targets {targets:?}");
-                }
-            }
             // Marginals down a column reuse the strided accumulator and must
-            // agree bitwise with the contiguous path.
+            // agree bitwise with the contiguous path, also when written into
+            // a reused buffer of the wrong length.
             for (b, col) in cols.iter().enumerate() {
                 let serial = plan.marginal_probabilities(col);
                 let batched =
                     plan.marginal_probabilities_strided(&panel, width, b, |z| z.norm_sqr());
-                for (s, p) in serial.iter().zip(batched.iter()) {
+                plan.marginal_probabilities_into(&panel, width, b, |z| z.norm_sqr(), &mut reused);
+                assert_eq!(batched.len(), plan.sub_dim());
+                assert_eq!(reused.len(), plan.sub_dim());
+                for ((s, p), q) in serial.iter().zip(batched.iter()).zip(reused.iter()) {
                     assert_eq!(s.to_bits(), p.to_bits());
+                    assert_eq!(s.to_bits(), q.to_bits());
                 }
             }
             // Collapse of one column leaves batch-mates untouched.

@@ -87,7 +87,7 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     // Batched ensemble execution: the panel kernels and the chunked
     // trajectory/binding executors are hot paths like their serial twins.
     ("crates/qudit-core/src/ensemble.rs", 0),
-    ("crates/qudit-circuit/src/sim/ensemble.rs", 2),
+    ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
