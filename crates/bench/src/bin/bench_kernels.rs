@@ -1,5 +1,5 @@
 //! Kernel benchmark harness for PR 9: times batched ensemble execution
-//! (panel kernels for binding populations and trajectory shots) on top of
+//! (binding populations and branch-prefix trajectory panels) on top of
 //! the PR-1..7 rows, prints a summary table and writes the numbers to
 //! `BENCH_9.json`.
 //!
@@ -12,14 +12,16 @@
 //! The new rows isolate what PR 9 adds:
 //!
 //! * `ensemble_qaoa_population` — the PR-5 QAOA angle sweep evaluated as ONE
-//!   ensemble pass (`bind_batch` + `run_ensemble`) instead of a serial
-//!   rebind loop; the harness asserts every ensemble column is bitwise
-//!   identical to its serial `run_bound` twin before timing.
+//!   ensemble call (`bind_batch` + `run_ensemble`, one serial-kernel column
+//!   per member) instead of a serial rebind loop; the harness asserts every
+//!   ensemble column is bitwise identical to its serial `run_bound` twin
+//!   before timing.
 //! * `batched_trajectories` — the 64-shot noisy trajectory ensemble evolved
-//!   as lazily splitting branch-prefix panels (`expectation_compiled_batched`)
-//!   vs the serial one-state-at-a-time loop on one thread; the harness
-//!   asserts the estimates agree bitwise and that the batched executor is
-//!   ≥ 2x.
+//!   as lazily splitting branch-prefix panels (`expectation_compiled`) vs a
+//!   one-state-at-a-time `StatevectorSimulator::run_compiled` loop over the
+//!   same plan on one thread; the harness pins every loop state to
+//!   `TrajectorySimulator::run_single` bitwise, asserts the estimates agree
+//!   bitwise and that the batched executor is ≥ 2x.
 //!
 //! Run with `cargo run --release -p bench --bin bench_kernels`.
 
@@ -624,13 +626,12 @@ fn main() {
     });
 
     // --- Batched ensemble execution: binding populations. ----------------
-    // PR 9's tentpole, first consumer: the same 24-point sweep evaluated as
-    // ONE ensemble pass. `bind_batch` realises every member's overlay up
-    // front, then `run_ensemble` traverses the plan once — binding-invariant
-    // steps apply to the whole packed panel as matrix–panel products, and
-    // only the parameter-dependent steps resolve per column. The baseline is
-    // the PR-5 rebind loop (the previous row's optimized path), which repays
-    // the full plan traversal and step dispatch per member.
+    // The same 24-point sweep evaluated as ONE ensemble call. `bind_batch`
+    // realises every member's overlay up front, materialising each distinct
+    // per-step parameter value once, then `run_ensemble` runs one column per
+    // member through the serial kernel, fanned out across the worker pool.
+    // The baseline is the PR-5 rebind loop (the previous row's optimized
+    // path), which re-binds the plan handle per member on one thread.
     let qaoa_batch = qaoa_plan.bind_batch(&sweep).unwrap();
     // Bitwise contract cross-check: every ensemble column equals its serial
     // rebind twin exactly — same amplitudes, not just the same physics.
@@ -659,7 +660,7 @@ fn main() {
     // Population columns hold *distinct* states, so — unlike trajectories,
     // where one column serves a whole branch-prefix group — the flops are
     // irreducible and the single-thread ceiling is parity. The assert bounds
-    // the pass's overhead: it would catch a regression to panel-stride
+    // the call's overhead: it would catch a regression to strided
     // per-column kernels (0.5x), while the >=2x acceptance gate rides on the
     // batched_trajectories row below.
     assert!(
@@ -673,9 +674,10 @@ fn main() {
         name: "ensemble_qaoa_population".into(),
         detail: format!(
             "{sweep_len}-member binding population, 5-node 3-coloring QAOA p={layers}, dim \
-             {qaoa_dim}; one bind_batch + run_ensemble pass vs the serial rebind loop \
-             (bitwise-identical columns asserted; distinct states make parity the \
-             single-thread ceiling — columns fan out across threads on multicore hosts)"
+             {qaoa_dim}; one bind_batch + run_ensemble call (one serial-kernel column per \
+             member over memoised binding overlays, columns fanned out across the worker \
+             pool) vs the serial rebind loop on 1 thread (bitwise-identical columns asserted; \
+             distinct states make parity the single-thread ceiling)"
         ),
         baseline_s: Some(population_serial_s),
         optimized_s: population_ensemble_s,
@@ -686,37 +688,69 @@ fn main() {
     // as lazily splitting branch-prefix panels. At 1e-3 gate error most
     // shots share one Kraus history for many steps, so deterministic panel
     // kernels and per-group branch probabilities amortise almost all the
-    // work; per-member RNG streams keep every shot bitwise identical to the
-    // serial loop. Baseline is the true serial loop — one state vector at a
-    // time on one thread — through the same precompiled plan.
+    // work; per-member RNG streams keep every shot bitwise identical to a
+    // one-state run. Baseline is the true serial loop — one state vector at
+    // a time on one thread, `StatevectorSimulator::run_compiled` per
+    // trajectory seed — through the same precompiled plan.
     let traj_serial =
         TrajectorySimulator::new(n_traj).with_seed(7).with_noise(noise.clone()).with_threads(1);
     let traj_compiled = traj_serial.compile(&circuit).unwrap();
-    let serial_est = traj_serial.expectation_compiled(&traj_compiled, &obs).unwrap();
-    let batched_est = traj_serial.expectation_compiled_batched(&traj_compiled, &obs).unwrap();
+    // The trajectory simulator's per-index seed (see `TrajectorySimulator::
+    // run_single`); the cross-check below pins the two together bitwise.
+    let traj_seed = |t: usize| {
+        7u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+    };
+    let serial_loop = || {
+        let values: Vec<f64> = (0..n_traj)
+            .map(|t| {
+                let out = StatevectorSimulator::with_seed(traj_seed(t))
+                    .with_noise(noise.clone())
+                    .run_compiled(&traj_compiled)
+                    .unwrap();
+                obs.expectation(&out.state).unwrap()
+            })
+            .collect();
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    };
+    for t in 0..n_traj {
+        let looped = StatevectorSimulator::with_seed(traj_seed(t))
+            .with_noise(noise.clone())
+            .run_compiled(&traj_compiled)
+            .unwrap();
+        let oracle = traj_serial.run_single(&circuit, t).unwrap();
+        assert_eq!(
+            looped.state.amplitudes(),
+            oracle.amplitudes(),
+            "serial-loop trajectory {t} must be bitwise identical to run_single"
+        );
+    }
+    let (serial_mean, serial_std_error) = serial_loop();
+    let batched_est = traj_serial.expectation_compiled(&traj_compiled, &obs).unwrap();
     assert_eq!(
-        serial_est.mean.to_bits(),
+        serial_mean.to_bits(),
         batched_est.mean.to_bits(),
         "batched trajectory mean must be bitwise identical to the serial loop \
          ({} vs {})",
-        serial_est.mean,
+        serial_mean,
         batched_est.mean
     );
     assert_eq!(
-        serial_est.std_error.to_bits(),
+        serial_std_error.to_bits(),
         batched_est.std_error.to_bits(),
         "batched trajectory std error must be bitwise identical to the serial loop \
          ({} vs {})",
-        serial_est.std_error,
+        serial_std_error,
         batched_est.std_error
     );
     let trajectories_serial_s = time_best(3, || {
-        std::hint::black_box(traj_serial.expectation_compiled(&traj_compiled, &obs).unwrap());
+        std::hint::black_box(serial_loop());
     });
     let trajectories_batched_s = time_best(3, || {
-        std::hint::black_box(
-            traj_serial.expectation_compiled_batched(&traj_compiled, &obs).unwrap(),
-        );
+        std::hint::black_box(traj_serial.expectation_compiled(&traj_compiled, &obs).unwrap());
     });
     assert!(
         trajectories_serial_s / trajectories_batched_s >= 2.0,
@@ -729,8 +763,9 @@ fn main() {
         name: "batched_trajectories".into(),
         detail: format!(
             "{n_traj} trajectories, sQED {sites}x d={d}, {steps} Trotter steps, depolarizing \
-             noise; branch-prefix panel executor vs one-state-at-a-time serial loop on 1 \
-             thread (bitwise-identical estimate asserted)"
+             noise; branch-prefix panel executor vs a one-state-at-a-time run_compiled \
+             loop over the same plan on 1 thread (bitwise-identical estimate asserted, \
+             loop states pinned to run_single)"
         ),
         baseline_s: Some(trajectories_serial_s),
         optimized_s: trajectories_batched_s,

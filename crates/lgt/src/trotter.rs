@@ -242,13 +242,12 @@ impl TrotterSweep {
             .state)
     }
 
-    /// Evolves `initial` to every time in `times` as **one ensemble pass**:
-    /// the sweep's bindings `dt = t / steps` are realised with
-    /// `CompiledCircuit::bind_batch` and all columns advance through the
-    /// compiled plan together, so plan traversal and operator materialisation
-    /// are paid once per step instead of once per time point. Each returned
-    /// state is bitwise identical to the corresponding
-    /// [`TrotterSweep::state_at`] call.
+    /// Evolves `initial` to every time in `times` as **one ensemble call**:
+    /// the sweep's bindings `dt = t / steps` are realised together with
+    /// `CompiledCircuit::bind_batch`, and `run_ensemble_from` runs one column
+    /// per time point across the worker threads, each through the compiled
+    /// plan with its own binding overlay. Each returned state is bitwise
+    /// identical to the corresponding [`TrotterSweep::state_at`] call.
     ///
     /// # Errors
     /// Returns an error if the initial state register does not match or any

@@ -116,12 +116,13 @@ impl QaoaEvaluator {
     /// Outcome distributions for a whole **population** of parameter bindings.
     ///
     /// Statevector backend: the population is realised with
-    /// `CompiledCircuit::bind_batch` and executed as one ensemble pass —
-    /// every execution step is decoded once and applied to all members as a
-    /// panel, which is where the optimiser's grid/population evaluations get
-    /// their batching win. Trajectory backend: each member runs through the
-    /// chunked batched-trajectory path. Both produce results bitwise
-    /// identical to calling [`QaoaEvaluator::distribution`] per member.
+    /// `CompiledCircuit::bind_batch`, which materialises each distinct
+    /// parameter value of a step once however many members share it, and
+    /// `run_ensemble` runs the members' columns across the worker threads.
+    /// Trajectory backend: each member rebinds the plan and runs its
+    /// trajectories through `outcome_distribution_bound`. Both produce
+    /// results bitwise identical to calling [`QaoaEvaluator::distribution`]
+    /// per member.
     fn distributions(&mut self, population: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         match &mut self.backend {
             QaoaBackend::Statevector { sim, plan } => {
@@ -135,7 +136,7 @@ impl QaoaEvaluator {
             QaoaBackend::Trajectory { sim, plan } => population
                 .iter()
                 .map(|params| {
-                    sim.outcome_distribution_bound_batched(plan, params).map_err(QoptError::Circuit)
+                    sim.outcome_distribution_bound(plan, params).map_err(QoptError::Circuit)
                 })
                 .collect(),
         }
@@ -596,8 +597,9 @@ mod tests {
             .0;
         let (bg, bb) = &schedules[best_idx];
         assert_eq!(serial_best, vec![bg[0], bb[0]]);
-        // Noisy (trajectory) backend goes through the batched trajectory
-        // fold, which is itself bitwise-identical to the serial fold.
+        // Noisy (trajectory) backend: each member runs the trajectory
+        // executor through `outcome_distribution_bound`, bitwise like the
+        // one-member evaluator.
         let noise = NoiseModel::depolarizing(0.03, 0.03);
         let mut noisy_eval = qaoa.evaluator(&noise).unwrap();
         let pair = [schedules[3].clone(), schedules[17].clone()];

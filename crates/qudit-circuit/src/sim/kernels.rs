@@ -26,6 +26,7 @@
 
 use qudit_core::apply::{matmul_structured, ApplyPlan, OpKind};
 use qudit_core::matrix::CMatrix;
+use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 
 use crate::circuit::{Circuit, Instruction};
@@ -351,6 +352,18 @@ pub(crate) struct CircuitKernels {
 }
 
 impl CircuitKernels {
+    /// Rejects an initial state whose register differs from the plan's.
+    pub(crate) fn check_initial(&self, initial: &QuditState) -> Result<()> {
+        if initial.radix().dims() != self.dims {
+            return Err(CircuitError::InvalidTargets(format!(
+                "initial state register {:?} does not match circuit register {:?}",
+                initial.radix().dims(),
+                self.dims
+            )));
+        }
+        Ok(())
+    }
+
     pub(crate) fn with_config(
         circuit: &Circuit,
         noise: &NoiseModel,
@@ -608,7 +621,7 @@ pub(crate) struct RunScratch {
     pub marginal: Vec<f64>,
     /// Selected Kraus branch per draw of the latest channel event.
     pub choices: Vec<usize>,
-    /// Contiguous single-column buffer for the ensemble executors' gathered
+    /// Contiguous single-column buffer for the trajectory executor's gathered
     /// per-column applies (see `sim::ensemble::apply_col`) and for the
     /// per-branch fallback of [`ChannelKernel::select_branches`].
     pub col: Vec<Complex64>,
@@ -1436,7 +1449,6 @@ pub(crate) fn reset_channel(d: usize) -> Vec<CMatrix> {
 pub(crate) mod tests {
     use super::*;
     use qudit_core::complex::c64;
-    use qudit_core::ensemble::EnsembleState;
     use qudit_core::random::{haar_state, haar_unitary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1538,14 +1550,18 @@ pub(crate) mod tests {
             let radix = Radix::new(dims.clone()).unwrap();
             let states: Vec<_> =
                 (0..3).map(|_| haar_state(&mut rng, dims.clone()).unwrap()).collect();
-            let ens = EnsembleState::from_states(&states).unwrap();
+            // The interleaved panel layout: register index `i` of column `b`
+            // at `panel[i * 3 + b]`.
+            let panel: Vec<Complex64> = (0..radix.total_dim())
+                .flat_map(|i| states.iter().map(move |s| s.amplitudes()[i]))
+                .collect();
             let draws: Vec<f64> = (0..16).map(|_| rng.gen::<f64>()).collect();
             for (channel, targets, _) in channel_cases(&mut rng, &dims) {
                 let kernel = ChannelKernel::new(&radix, channel, targets).unwrap();
                 for (b, state) in states.iter().enumerate() {
                     let amps = state.amplitudes();
                     kernel.select_branches(amps, 1, 0, draws.clone(), &mut serial).unwrap();
-                    kernel.select_branches(ens.data(), 3, b, draws.clone(), &mut strided).unwrap();
+                    kernel.select_branches(&panel, 3, b, draws.clone(), &mut strided).unwrap();
                     let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&serial.branch_probs), bits(&strided.branch_probs));
                     assert_eq!(serial.choices, strided.choices);

@@ -8,8 +8,9 @@
 //!   [`crate::noise::NoiseModel`]; cost scales with the *square* of the
 //!   Hilbert-space dimension.
 //! * [`TrajectorySimulator`] — Monte-Carlo averaging of many stochastic
-//!   state-vector runs; approaches the density-matrix result as the number of
-//!   trajectories grows, at state-vector memory cost.
+//!   state-vector runs, executed as batched branch-prefix panels; approaches
+//!   the density-matrix result as the number of trajectories grows, at
+//!   state-vector memory cost.
 //!
 //! All three consume circuits through a compiled execution plan: the
 //! [`fusion`] pass first coalesces runs of adjacent gates into fused
@@ -82,8 +83,9 @@ pub fn apply_channel_stochastic<R: Rng + ?Sized>(
 /// diagonal/monomial channels, one sweep per branch otherwise) and picks
 /// the branch. Only the selected operator is applied, and the state is
 /// rescaled by the already-known `1/√p_k` instead of re-summing its norm.
-/// The batched executors in `sim::ensemble` run the same two calls per
-/// column, which is what keeps them bitwise equal to this path.
+/// The batched trajectory executor in `sim::ensemble` runs the same two
+/// calls per branch-prefix group, which is what keeps it bitwise equal to
+/// this path.
 pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
     state: &mut QuditState,
     kernel: &ChannelKernel,

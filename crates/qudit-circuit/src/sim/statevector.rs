@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qudit_core::cancel::CancelToken;
+use qudit_core::error::CoreError;
 use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
 use qudit_core::state::QuditState;
 
@@ -14,7 +15,7 @@ use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::ensemble::{run_ensemble_prepared, BatchBindings, EnsembleConfig};
+use crate::sim::ensemble::BatchBindings;
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{BindBuffers, CircuitKernels, ExecStep, RunScratch};
 use crate::sim::{apply_channel_prepared, apply_readout_flip};
@@ -242,9 +243,10 @@ impl StatevectorSimulator {
         self
     }
 
-    /// Sets the worker-thread count for the parallel shot loop in
-    /// [`StatevectorSimulator::sample_counts`] (`0` = automatic). Results are
-    /// independent of the thread count: every shot derives its own RNG seed.
+    /// Sets the worker-thread count (`0` = automatic) for the parallel shot
+    /// loop in [`StatevectorSimulator::sample_counts`] and the column loop of
+    /// [`StatevectorSimulator::run_ensemble`]. Results are independent of the
+    /// thread count: every shot and every column owns its RNG seed.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -280,7 +282,9 @@ impl StatevectorSimulator {
     /// the guard itself is enabled), surfacing a tripped token as
     /// [`qudit_core::error::CoreError::Cancelled`]. Checkpoints never mutate
     /// the state, so a cancelled run is bitwise identical to an uncancelled
-    /// one right up to the step at which it stops.
+    /// one right up to the step at which it stops. Every column of
+    /// [`StatevectorSimulator::run_ensemble`] runs this loop, so each column
+    /// spends its own check-budget units.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -372,17 +376,18 @@ impl StatevectorSimulator {
         self.run_compiled_from(compiled, initial)
     }
 
-    /// Runs a population of bindings through one compiled plan as a single
-    /// batched ensemble pass from `|0...0⟩` (see
-    /// [`CompiledCircuit::bind_batch`]): the plan is traversed **once**,
-    /// binding-invariant steps apply to all columns as matrix–panel products,
-    /// and parameter-dependent steps resolve per column. Column `b`'s output
-    /// is bitwise identical to `run_bound` on binding `b` — same state, same
-    /// measurement records, same health report.
+    /// Runs a population of bindings through one compiled plan from
+    /// `|0...0⟩` (see [`CompiledCircuit::bind_batch`]). Each column runs the
+    /// plan once with its own memoised binding overlay and the simulator's
+    /// seed, and columns fan out across the worker threads set by
+    /// [`StatevectorSimulator::with_threads`]. Column `b`'s output is
+    /// bitwise identical to `run_bound` on binding `b` — same state, same
+    /// measurement records, same health report — at any thread count.
     ///
     /// Returns one `Result<RunOutput>` per column. Column-local failures
-    /// (guard trips, zero-mass measurements) fail only their column;
-    /// structural errors and cancellation fail the whole call.
+    /// (guard trips, zero-mass measurements) fail only their column; a
+    /// register mismatch or a cancellation in any column fails the whole
+    /// call.
     ///
     /// # Errors
     /// Returns an error for a noise-model mismatch or cancellation.
@@ -436,13 +441,23 @@ impl StatevectorSimulator {
                 batch.len()
             )));
         }
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-            threads: self.threads,
-        };
-        run_ensemble_prepared(&cfg, &compiled.topology, &batch.cols, initial, seeds)
+        let kernels = &compiled.topology;
+        if batch.is_empty() {
+            return Ok(Vec::new());
+        }
+        kernels.check_initial(initial)?;
+        let threads = if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
+        let columns = qudit_core::par::par_map_threads(batch.len(), threads, |b| {
+            let mut rng = StdRng::seed_from_u64(seeds[b]);
+            self.run_prepared(kernels, &batch.cols[b], initial, &mut rng)
+        });
+        // Cancellation is a property of the call, not of one column.
+        for column in &columns {
+            if let Err(e @ CircuitError::Core(CoreError::Cancelled { .. })) = column {
+                return Err(e.clone());
+            }
+        }
+        Ok(columns)
     }
 
     /// Runs the circuit from `|0...0⟩` and returns the final state
@@ -511,13 +526,7 @@ impl StatevectorSimulator {
         initial: &QuditState,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        if initial.radix().dims() != kernels.dims {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                kernels.dims
-            )));
-        }
+        kernels.check_initial(initial)?;
         if let Some(token) = &self.cancel {
             token.check(0).map_err(CircuitError::Core)?;
         }

@@ -2,19 +2,23 @@
 //!
 //! Each trajectory is one stochastic state-vector run (noise channels are
 //! unravelled into random Kraus jumps); observables are averaged over
-//! trajectories. Memory cost is that of a state vector, so this back-end
-//! reaches register sizes the density-matrix simulator cannot, at the price
-//! of statistical error `∝ 1/√N`.
+//! trajectories. Memory cost is that of a state vector per live branch, so
+//! this back-end reaches register sizes the density-matrix simulator cannot,
+//! at the price of statistical error `∝ 1/√N`.
 //!
-//! Trajectories are independent by construction — trajectory `t` seeds its
-//! own RNG from `t` — so they run on [`qudit_core::par`] worker threads and
-//! reduce in trajectory order, making every estimate **bitwise identical**
-//! to the serial loop regardless of thread count. The per-instruction stride
-//! plans, operator classifications and noise channels are precompiled once
-//! and shared (read-only) by all trajectories — including the wire-local
-//! fused plan, which may re-order disjoint-support blocks past mid-circuit
-//! measurements (see [`crate::sim::fusion`]; estimates are unchanged because
-//! disjoint operations commute).
+//! Trajectory `t` seeds its own RNG from `t`, so trajectories are
+//! independent by construction. One executor runs them all: chunks of
+//! trajectories evolve as lazily splitting branch-prefix panels (see
+//! [`crate::sim::ensemble`]), chunks fan out across [`qudit_core::par`]
+//! worker threads, and results reduce in trajectory order — so every
+//! estimate is **bitwise identical** to folding
+//! [`TrajectorySimulator::run_single`] over `0..n`, regardless of thread
+//! count. The per-instruction stride plans, operator classifications and
+//! noise channels are precompiled once and shared (read-only) by all
+//! trajectories — including the wire-local fused plan, which may re-order
+//! disjoint-support blocks past mid-circuit measurements (see
+//! [`crate::sim::fusion`]; estimates are unchanged because disjoint
+//! operations commute).
 
 use std::collections::HashMap;
 
@@ -37,10 +41,11 @@ use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
 
-/// Trajectories per batched-ensemble chunk. Bounds the panel width (memory
-/// is `dim × width` amplitudes) while leaving enough members per chunk for
-/// branch-prefix grouping to amortise plan traversal and branch-probability
-/// work.
+/// Upper bound on trajectories per batched-ensemble chunk. Bounds the panel
+/// width (memory is `dim × width` amplitudes) while leaving enough members
+/// per chunk for branch-prefix grouping to amortise plan traversal and
+/// branch-probability work. Smaller ensembles split into one chunk per
+/// worker thread instead.
 const ENSEMBLE_CHUNK: usize = 64;
 
 /// A Monte-Carlo trajectory simulator.
@@ -112,8 +117,11 @@ impl TrajectorySimulator {
         self
     }
 
-    /// Sets the worker-thread count for the trajectory loop (`0` =
-    /// automatic). Estimates are bitwise independent of this setting.
+    /// Sets the worker-thread count (`0` = automatic). Trajectory chunks fan
+    /// out across this many workers, and the chunk width shrinks to
+    /// `⌈n/threads⌉` when that is below the 64-trajectory cap so every
+    /// worker gets a chunk. Estimates are bitwise independent of this
+    /// setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -139,12 +147,11 @@ impl TrajectorySimulator {
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`], polled between trajectory
-    /// batches, between worker-pool chunks inside a batch, and at the guard-
-    /// cadence boundaries inside every trajectory's statevector run. A
-    /// tripped token surfaces as
-    /// [`qudit_core::error::CoreError::Cancelled`]; partial batches are
-    /// discarded wholesale, never folded into an estimate.
+    /// Attaches a cooperative [`CancelToken`], polled between waves of
+    /// trajectory chunks, between worker-pool chunks inside a wave, and at
+    /// every chunk's entry and guard-cadence boundaries. A tripped token
+    /// surfaces as [`qudit_core::error::CoreError::Cancelled`]; partial
+    /// chunks are discarded wholesale, never folded into an estimate.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -190,83 +197,85 @@ impl TrajectorySimulator {
         Ok(())
     }
 
-    /// Maps `f` over the final state of every trajectory, in parallel, and
-    /// returns the per-trajectory results in trajectory order plus the
-    /// summed health report.
-    fn map_trajectories<T: Send>(
-        &self,
-        circuit: &Circuit,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-    ) -> Result<(Vec<T>, RunHealth)> {
-        let mut all = Vec::with_capacity(self.n_trajectories);
-        let health = self.fold_trajectories(circuit, f, &mut all, |acc, value| acc.push(value))?;
-        Ok((all, health))
-    }
-
-    /// Runs every trajectory, maps its final state with `f`, and folds the
-    /// mapped values into `acc` **in trajectory order**. Trajectories are
-    /// evaluated in bounded parallel batches, so peak memory holds one
-    /// mapped value per in-flight trajectory (≤ one batch), not one per
-    /// trajectory — `outcome_distribution` on a large register folds each
-    /// probability vector away as soon as its batch completes.
-    fn fold_trajectories<T: Send, A>(
-        &self,
-        circuit: &Circuit,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-        acc: &mut A,
-        fold: impl FnMut(&mut A, T),
-    ) -> Result<RunHealth> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.fold_trajectories_prepared(&kernels, &BindBuffers::default(), f, acc, fold)
-    }
-
-    /// [`TrajectorySimulator::fold_trajectories`] over a precompiled kernel
-    /// set and binding overlay, the plan-reuse path behind the `_compiled`
-    /// entry points. Returns the health reports of all trajectories summed,
-    /// plus any worker-pool chunk retries.
-    fn fold_trajectories_prepared<T: Send, A>(
+    /// Runs every trajectory through the batched executor (see
+    /// [`crate::sim::ensemble`]) and folds the results **in trajectory
+    /// order**, the one trajectory executor behind every estimate.
+    ///
+    /// Trajectories split into chunks of `min(ENSEMBLE_CHUNK, ⌈n/threads⌉)`;
+    /// each chunk evolves as one lazily splitting panel grouped by
+    /// Kraus-branch prefix, and `group_f(state, members)` maps each final
+    /// group state once, on the worker that ran the chunk. Up to `threads`
+    /// chunks at a time fan out across the worker pool, so peak memory holds
+    /// one wave of group values, not one value per trajectory. `fold` is
+    /// then called once per trajectory, in ascending order, with its group's
+    /// value — the fold order of a one-state-at-a-time loop — so consumers
+    /// that are pure functions of the per-trajectory final states are
+    /// bitwise independent of the chunk width and the thread count.
+    ///
+    /// Returns the health reports of all trajectories summed, plus any
+    /// worker-pool chunk retries.
+    fn fold_trajectory_groups<T: Send>(
         &self,
         kernels: &CircuitKernels,
         binds: &BindBuffers,
-        f: impl Fn(usize, &QuditState) -> Result<T> + Sync,
-        acc: &mut A,
-        mut fold: impl FnMut(&mut A, T),
+        group_f: impl Fn(&QuditState, &[usize]) -> Result<T> + Sync,
+        mut fold: impl FnMut(&mut T),
     ) -> Result<RunHealth> {
-        let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let mut sv =
-            StatevectorSimulator::new().with_noise(self.noise.clone()).with_guard(self.guard);
-        if let Some(token) = &self.cancel {
-            sv = sv.with_cancel(token.clone());
-        }
+        let n = self.n_trajectories;
         let threads = self.resolved_threads();
-        let batch = threads.max(1) * 4;
+        let width = ENSEMBLE_CHUNK.min(n.div_ceil(threads));
+        let n_chunks = n.div_ceil(width);
+        let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
+        let cfg = EnsembleConfig {
+            guard: self.guard,
+            cancel: self.cancel.as_ref(),
+            readout_flip: self.noise.readout_flip,
+        };
+        let run_chunk = |start: usize| {
+            let members: Vec<(usize, u64)> =
+                (start..n.min(start + width)).map(|t| (t, self.traj_seed(t))).collect();
+            let mut health = RunHealth::default();
+            let mut groups = Vec::new();
+            for group in run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)? {
+                health.merge(&group.health.scaled_by(group.members.len()));
+                groups.push((group_f(&group.state, &group.members)?, group.members));
+            }
+            Ok::<_, CircuitError>((groups, health))
+        };
         let mut health = RunHealth::default();
-        let mut start = 0;
-        while start < self.n_trajectories {
-            // Between-batch cancellation checkpoint: a long ensemble stops
-            // within one batch even when individual trajectories are short.
+        let mut chunk = 0;
+        while chunk < n_chunks {
+            let start = chunk * width;
+            // Between-wave cancellation checkpoint: a long ensemble stops
+            // within one wave even when individual trajectories are short.
             if let Some(token) = &self.cancel {
                 token.check(start).map_err(CircuitError::Core)?;
             }
-            let len = batch.min(self.n_trajectories - start);
-            let run_batch = |i: usize| {
-                let t = start + i;
-                let mut rng = StdRng::seed_from_u64(self.traj_seed(t));
-                let out = sv.run_prepared(kernels, binds, &initial, &mut rng)?;
-                Ok::<_, CircuitError>((f(t, &out.state)?, out.health))
-            };
+            let len = threads.min(n_chunks - chunk);
+            let run_wave = |i: usize| run_chunk(start + i * width);
             let (results, retries) = match &self.cancel {
-                Some(token) => par::par_map_threads_counted_cancel(len, threads, token, run_batch)
+                Some(token) => par::par_map_threads_counted_cancel(len, threads, token, run_wave)
                     .map_err(CircuitError::Core)?,
-                None => par::par_map_threads_counted(len, threads, run_batch),
+                None => par::par_map_threads_counted(len, threads, run_wave),
             };
             health.retries += retries;
-            for r in results {
-                let (value, traj_health) = r?;
-                health.merge(&traj_health);
-                fold(acc, value);
+            for (i, result) in results.into_iter().enumerate() {
+                let (mut groups, chunk_health) = result?;
+                health.merge(&chunk_health);
+                // Trajectories fold in ascending order through the group
+                // they belong to.
+                let chunk_start = start + i * width;
+                let mut group_of = vec![0; width.min(n - chunk_start)];
+                for (g, (_, members)) in groups.iter().enumerate() {
+                    for &t in members {
+                        group_of[t - chunk_start] = g;
+                    }
+                }
+                for g in group_of {
+                    fold(&mut groups[g].0);
+                }
             }
-            start += len;
+            chunk += len;
         }
         Ok(health)
     }
@@ -298,9 +307,8 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         observable: &Observable,
     ) -> Result<(TrajectoryEstimate, RunHealth)> {
-        let (values, health) =
-            self.map_trajectories(circuit, |_, state| observable.expectation(state))?;
-        Ok((estimate(&values), health))
+        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        self.expectation_prepared(&kernels, &BindBuffers::default(), observable)
     }
 
     /// Trajectory-averaged expectation through a precompiled plan (see
@@ -316,15 +324,7 @@ impl TrajectorySimulator {
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
         self.check_compiled(compiled)?;
-        let mut values = Vec::with_capacity(self.n_trajectories);
-        self.fold_trajectories_prepared(
-            &compiled.topology,
-            &compiled.binds,
-            |_, state| observable.expectation(state),
-            &mut values,
-            |acc, v| acc.push(v),
-        )?;
-        Ok(estimate(&values))
+        Ok(self.expectation_prepared(&compiled.topology, &compiled.binds, observable)?.0)
     }
 
     /// Rebinds a compiled plan to `params` and estimates the observable: the
@@ -342,6 +342,22 @@ impl TrajectorySimulator {
         self.check_compiled(compiled)?;
         compiled.bind(params)?;
         self.expectation_compiled(compiled, observable)
+    }
+
+    fn expectation_prepared(
+        &self,
+        kernels: &CircuitKernels,
+        binds: &BindBuffers,
+        observable: &Observable,
+    ) -> Result<(TrajectoryEstimate, RunHealth)> {
+        let mut values = Vec::with_capacity(self.n_trajectories);
+        let health = self.fold_trajectory_groups(
+            kernels,
+            binds,
+            |state, _| observable.expectation(state),
+            |&mut v| values.push(v),
+        )?;
+        Ok((estimate(&values), health))
     }
 
     /// Trajectory-averaged probability of each full-register basis outcome.
@@ -385,196 +401,11 @@ impl TrajectorySimulator {
     ) -> Result<Vec<f64>> {
         let total_dim: usize = kernels.dims.iter().product();
         let mut acc = vec![0.0; total_dim];
-        self.fold_trajectories_prepared(
-            kernels,
-            binds,
-            |_, state| Ok(state.probabilities()),
-            &mut acc,
-            |acc, probs| {
-                for (a, p) in acc.iter_mut().zip(probs.iter()) {
-                    *a += p;
-                }
-            },
-        )?;
-        for p in &mut acc {
-            *p /= self.n_trajectories as f64;
-        }
-        Ok(acc)
-    }
-
-    /// Runs the trajectory ensemble as *batched* chunks (see
-    /// [`crate::sim::ensemble`]): each chunk of up to [`ENSEMBLE_CHUNK`]
-    /// trajectories evolves as one lazily splitting panel, grouped by
-    /// Kraus-branch prefix, and `group_f` maps each final group state once.
-    /// `fold(t, value)` is then called per trajectory in ascending order —
-    /// the exact fold order of the serial loop — so any consumer that is a
-    /// pure function of the per-trajectory final states gets bitwise-
-    /// identical results.
-    fn fold_trajectory_groups<T>(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-        group_f: impl Fn(&QuditState) -> Result<T>,
-        mut fold: impl FnMut(usize, &T),
-    ) -> Result<RunHealth> {
-        let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-            // Chunks already fan out at the chunk level; column spans inside
-            // a chunk stay serial.
-            threads: 1,
-        };
-        let mut health = RunHealth::default();
-        let mut start = 0;
-        while start < self.n_trajectories {
-            if let Some(token) = &self.cancel {
-                token.check(start).map_err(CircuitError::Core)?;
-            }
-            let len = ENSEMBLE_CHUNK.min(self.n_trajectories - start);
-            let members: Vec<(usize, u64)> =
-                (start..start + len).map(|t| (t, self.traj_seed(t))).collect();
-            let groups = run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)?;
-            // One value per branch-prefix group; trajectories then fold in
-            // ascending order through the group they belong to.
-            let mut group_of: Vec<usize> = vec![0; len];
-            let mut values = Vec::with_capacity(groups.len());
-            for (g_idx, group) in groups.iter().enumerate() {
-                values.push(group_f(&group.state)?);
-                health.merge(&group.health.scaled_by(group.members.len()));
-                for &t in &group.members {
-                    group_of[t - start] = g_idx;
-                }
-            }
-            for (i, &g_idx) in group_of.iter().enumerate() {
-                fold(start + i, &values[g_idx]);
-            }
-            start += len;
-        }
-        Ok(health)
-    }
-
-    /// [`TrajectorySimulator::expectation`] through the batched-ensemble
-    /// executor: trajectories evolve as lazily splitting panels instead of
-    /// one state vector at a time, with branch probabilities computed once
-    /// per branch-prefix group. The estimate is **bitwise identical** to
-    /// [`TrajectorySimulator::expectation`] at any chunk width, because every
-    /// panel column replays exactly one serial trajectory's arithmetic and
-    /// RNG stream, and values fold in trajectory order.
-    ///
-    /// # Errors
-    /// Returns an error for invalid instructions, observable mismatches, a
-    /// guard trip in any trajectory, or cancellation.
-    pub fn expectation_batched(
-        &self,
-        circuit: &Circuit,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.expectation_batched_prepared(&kernels, &BindBuffers::default(), observable)
-    }
-
-    /// [`TrajectorySimulator::expectation_batched`] through a precompiled
-    /// plan.
-    ///
-    /// # Errors
-    /// Returns an error for an observable/dimension mismatch or a noise
-    /// model mismatch.
-    pub fn expectation_compiled_batched(
-        &self,
-        compiled: &CompiledCircuit,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        self.check_compiled(compiled)?;
-        self.expectation_batched_prepared(&compiled.topology, &compiled.binds, observable)
-    }
-
-    /// Rebinds a compiled plan to `params` and estimates the observable via
-    /// the batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn expectation_bound_batched(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
-        compiled.bind(params)?;
-        self.expectation_compiled_batched(compiled, observable)
-    }
-
-    fn expectation_batched_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        let mut values = Vec::with_capacity(self.n_trajectories);
         self.fold_trajectory_groups(
             kernels,
             binds,
-            |state| observable.expectation(state),
-            |_, &v| values.push(v),
-        )?;
-        Ok(estimate(&values))
-    }
-
-    /// [`TrajectorySimulator::outcome_distribution`] through the batched-
-    /// ensemble executor; bitwise identical to the serial path.
-    ///
-    /// # Errors
-    /// Returns an error for invalid instructions, a guard trip, or
-    /// cancellation.
-    pub fn outcome_distribution_batched(&self, circuit: &Circuit) -> Result<Vec<f64>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.outcome_distribution_batched_prepared(&kernels, &BindBuffers::default())
-    }
-
-    /// [`TrajectorySimulator::outcome_distribution_compiled`] through the
-    /// batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for invalid dimensions or a noise model mismatch.
-    pub fn outcome_distribution_compiled_batched(
-        &self,
-        compiled: &CompiledCircuit,
-    ) -> Result<Vec<f64>> {
-        self.check_compiled(compiled)?;
-        self.outcome_distribution_batched_prepared(&compiled.topology, &compiled.binds)
-    }
-
-    /// Rebinds a compiled plan to `params` and returns the trajectory-
-    /// averaged outcome distribution via the batched-ensemble executor.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn outcome_distribution_bound_batched(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-    ) -> Result<Vec<f64>> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
-        compiled.bind(params)?;
-        self.outcome_distribution_compiled_batched(compiled)
-    }
-
-    fn outcome_distribution_batched_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-    ) -> Result<Vec<f64>> {
-        let total_dim: usize = kernels.dims.iter().product();
-        let mut acc = vec![0.0; total_dim];
-        self.fold_trajectory_groups(
-            kernels,
-            binds,
-            |state| Ok(state.probabilities()),
-            |_, probs| {
+            |state, _| Ok(state.probabilities()),
+            |probs| {
                 for (a, p) in acc.iter_mut().zip(probs.iter()) {
                     *a += p;
                 }
@@ -587,7 +418,9 @@ impl TrajectorySimulator {
     }
 
     /// Samples `shots_per_trajectory` measurements from each trajectory and
-    /// aggregates the counts.
+    /// aggregates the counts. Each branch-prefix group builds its outcome CDF
+    /// once; every member trajectory then draws from it with its own RNG
+    /// stream.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
@@ -596,43 +429,57 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         shots_per_trajectory: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
-        let (per_traj, _) = self.map_trajectories(circuit, |t, state| {
-            let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
-            let cdf = state.cdf();
-            let radix = state.radix();
-            let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-            for _ in 0..shots_per_trajectory {
-                // Trajectory states are normalised; the guarded draw keeps a
-                // degenerate (underflowed) distribution on the documented
-                // ground-outcome convention instead of a zero-weight draw.
-                let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                let mut digits = radix.digits_of(chosen).expect("index in range");
-                crate::sim::apply_readout_flip(
-                    &mut digits,
-                    circuit.dims(),
-                    self.noise.readout_flip,
-                    &mut rng,
-                );
-                *counts.entry(digits).or_insert(0) += 1;
-            }
-            Ok(counts)
-        })?;
+        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        for traj_counts in per_traj {
-            for (digits, n) in traj_counts {
-                *counts.entry(digits).or_insert(0) += n;
-            }
-        }
+        self.fold_trajectory_groups(
+            &kernels,
+            &BindBuffers::default(),
+            |state, members| {
+                let cdf = state.cdf();
+                let radix = state.radix();
+                let mut group_counts: HashMap<Vec<usize>, usize> = HashMap::new();
+                for &t in members {
+                    let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
+                    for _ in 0..shots_per_trajectory {
+                        // Trajectory states are normalised; the guarded draw
+                        // keeps a degenerate (underflowed) distribution on
+                        // the documented ground-outcome convention instead
+                        // of a zero-weight draw.
+                        let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
+                        let mut digits = radix.digits_of(chosen).expect("index in range");
+                        crate::sim::apply_readout_flip(
+                            &mut digits,
+                            &kernels.dims,
+                            self.noise.readout_flip,
+                            &mut rng,
+                        );
+                        *group_counts.entry(digits).or_insert(0) += 1;
+                    }
+                }
+                Ok(group_counts)
+            },
+            // Counts are integers, so merging whole groups (the first member
+            // drains the map) gives the same totals as any per-trajectory
+            // order.
+            |group_counts| {
+                for (digits, n) in group_counts.drain() {
+                    *counts.entry(digits).or_insert(0) += n;
+                }
+            },
+        )?;
         Ok(counts)
     }
 
-    /// Runs a single trajectory with an index-derived seed.
+    /// Runs a single trajectory with an index-derived seed, one state vector
+    /// at a time: the final state is bitwise identical to trajectory `index`
+    /// of every ensemble estimate under the same configuration.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run_single(&self, circuit: &Circuit, index: usize) -> Result<QuditState> {
         let mut sv = StatevectorSimulator::with_seed(self.traj_seed(index))
             .with_noise(self.noise.clone())
+            .with_fusion(self.fusion.clone())
             .with_guard(self.guard);
         if let Some(token) = &self.cancel {
             sv = sv.with_cancel(token.clone());
@@ -762,7 +609,7 @@ mod tests {
             let est = TrajectorySimulator::new(3000)
                 .with_seed(8100 + i as u64)
                 .with_noise(noise)
-                .expectation_batched(circuit, &obs)
+                .expectation(circuit, &obs)
                 .unwrap();
             let ideal = DensityMatrixSimulator::new().expectation(ideal_circuit, &obs).unwrap();
             assert!(est.std_error > 0.0, "{name}: noise must make trajectories differ");
@@ -780,6 +627,52 @@ mod tests {
                 est.std_error
             );
         }
+    }
+
+    #[test]
+    fn run_single_is_bitwise_one_trajectory_of_the_executor() {
+        // With fusion on and off, `run_single(c, t)` must be exactly the
+        // final state the executor folds for trajectory `t` (70 trajectories
+        // at 3 threads: three uneven chunks).
+        let mut c = Circuit::uniform(3, 3);
+        for layer in 0..2 {
+            for q in 0..3 {
+                c.push(Gate::fourier(3), &[q]).unwrap();
+            }
+            c.push(Gate::csum(3, 3), &[layer, layer + 1]).unwrap();
+            c.push(Gate::clock_z(3), &[2]).unwrap();
+            c.push(Gate::fourier(3), &[2]).unwrap();
+        }
+        c.measure(&[1]).unwrap();
+        c.push(Gate::fourier(3), &[1]).unwrap();
+        for fusion in [FusionConfig::default(), FusionConfig::disabled()] {
+            let sim = TrajectorySimulator::new(70)
+                .with_seed(12)
+                .with_threads(3)
+                .with_noise(NoiseModel::cavity(0.1, 0.15, 0.05))
+                .with_fusion(fusion.clone());
+            let kernels = CircuitKernels::with_config(&c, &sim.noise, &fusion).unwrap();
+            let mut states = Vec::new();
+            sim.fold_trajectory_groups(
+                &kernels,
+                &BindBuffers::default(),
+                |state, _| Ok(state.clone()),
+                |state| states.push(state.clone()),
+            )
+            .unwrap();
+            assert_eq!(states.len(), 70);
+            for (t, state) in states.iter().enumerate() {
+                let single = sim.run_single(&c, t).unwrap();
+                assert_eq!(single.amplitudes(), state.amplitudes(), "{fusion:?}, trajectory {t}");
+            }
+        }
+        // The fusion setting reaches `run_single`: fused and unfused runs of
+        // one trajectory differ in rounding.
+        let run = |fusion| TrajectorySimulator::new(1).with_fusion(fusion).run_single(&c, 0);
+        let (fused, unfused) =
+            (run(FusionConfig::default()).unwrap(), run(FusionConfig::disabled()).unwrap());
+        let differing = fused.amplitudes().iter().zip(unfused.amplitudes()).filter(|(a, b)| a != b);
+        assert!(differing.count() > 0, "fusion setting ignored by run_single");
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Property tests for batched ensemble execution (`qudit_circuit::sim`
-//! ensemble executors): a population of bindings run as one panel pass must
-//! be **bitwise identical**, column for column, to the serial `run_bound`
-//! loop — states, measurement records, and guard health reports alike — and
-//! batched trajectories (lazily splitting branch-prefix panels) must
-//! reproduce the serial trajectory fold bitwise, mid-circuit measurement
-//! splits, guard checkpoints, readout flips and all. Density-backed
-//! consumers pin the same populations at 1e-12. Cancellation mid-batch
-//! fails the whole ensemble pass with the standard `Cancelled` error.
+//! Property tests for the ensemble executors (`qudit_circuit::sim`): a
+//! population of bindings run through `run_ensemble` must be **bitwise
+//! identical**, column for column, to the serial `run_bound` loop — states,
+//! measurement records, and guard health reports alike — and the batched
+//! trajectory executor (lazily splitting branch-prefix panels) must
+//! reproduce a test-side serial oracle bitwise: `run_single` folded over
+//! every trajectory index, one state vector at a time, mid-circuit
+//! measurement splits, guard checkpoints, readout flips and all.
+//! Density-backed consumers pin the same populations at 1e-12. Cancellation
+//! fails the whole ensemble call with the standard `Cancelled` error, and a
+//! non-finite binding fails only its own column.
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +18,8 @@ use rand::{Rng, SeedableRng};
 use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
-    CancelToken, DensityMatrixSimulator, FusionConfig, GuardConfig, GuardPolicy,
-    StatevectorSimulator, TrajectorySimulator,
+    apply_readout_flip, CancelToken, DensityMatrixSimulator, FusionConfig, GuardConfig,
+    GuardPolicy, HealthMetric, StatevectorSimulator, TrajectorySimulator,
 };
 use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
@@ -178,6 +182,45 @@ fn random_param_circuit(
     (c, dims)
 }
 
+/// What the serial oracle folds out of an ensemble: mean, standard error,
+/// averaged outcome distribution and aggregated shot counts.
+type SerialFold = (f64, f64, Vec<f64>, HashMap<Vec<usize>, usize>);
+
+/// The trajectory executor's serial oracle: `run_single(c, t)` for every
+/// `t`, one state vector at a time, folded in trajectory order into the
+/// estimate, the distribution, and `shots` draws per trajectory from the
+/// executor's per-trajectory sampling stream (`traj_seed(t) + 0xABCD` for
+/// the simulator seed `seed`).
+fn serial_fold(
+    sim: &TrajectorySimulator,
+    (seed, readout_flip): (u64, f64),
+    c: &Circuit,
+    obs: &Observable,
+    shots: usize,
+) -> SerialFold {
+    let n = sim.n_trajectories();
+    let (mut values, mut dist, mut counts) = (Vec::new(), vec![0.0; c.total_dim()], HashMap::new());
+    for t in 0..n {
+        let state = sim.run_single(c, t).unwrap();
+        values.push(obs.expectation(&state).unwrap());
+        dist.iter_mut().zip(state.probabilities()).for_each(|(a, p)| *a += p);
+        let traj_seed = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let mut rng = StdRng::seed_from_u64(traj_seed.wrapping_add(0xABCD));
+        let cdf = state.cdf();
+        for _ in 0..shots {
+            let mut digits = state.radix().digits_of(cdf.try_draw(&mut rng).unwrap()).unwrap();
+            apply_readout_flip(&mut digits, c.dims(), readout_flip, &mut rng);
+            *counts.entry(digits).or_insert(0) += 1;
+        }
+    }
+    dist.iter_mut().for_each(|p| *p /= n as f64);
+    let mean = values.iter().sum::<f64>() / n as f64;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0).max(1.0);
+    (mean, (var / n as f64).sqrt(), dist, counts)
+}
+
 fn random_population(rng: &mut StdRng, num_params: usize, size: usize) -> Vec<Vec<f64>> {
     (0..size).map(|_| (0..num_params).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect()).collect()
 }
@@ -275,7 +318,7 @@ fn ensemble_population_matches_density_backend_at_tolerance() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched trajectories.
+// Batched trajectories against the serial oracle.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -293,16 +336,14 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
             .with_seed(900 + trial)
             .with_noise(noise)
             .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount));
+        let (mean, std_error, dist, counts) = serial_fold(&sim, (900 + trial, 0.04), &c, &obs, 5);
 
-        let serial = sim.expectation(&c, &obs).unwrap();
-        let batched = sim.expectation_batched(&c, &obs).unwrap();
-        assert_eq!(batched.mean, serial.mean, "trial {trial}: means must be bitwise identical");
-        assert_eq!(batched.std_error, serial.std_error, "trial {trial}");
-        assert_eq!(batched.n_trajectories, serial.n_trajectories);
-
-        let dist_serial = sim.outcome_distribution(&c).unwrap();
-        let dist_batched = sim.outcome_distribution_batched(&c).unwrap();
-        assert_eq!(dist_batched, dist_serial, "trial {trial}: distributions must be bitwise equal");
+        let est = sim.expectation(&c, &obs).unwrap();
+        assert_eq!(est.mean, mean, "trial {trial}: means must be bitwise identical");
+        assert_eq!(est.std_error, std_error, "trial {trial}");
+        assert_eq!(est.n_trajectories, 70);
+        assert_eq!(sim.outcome_distribution(&c).unwrap(), dist, "trial {trial}");
+        assert_eq!(sim.sample_counts(&c, 5).unwrap(), counts, "trial {trial}");
     }
 }
 
@@ -325,12 +366,12 @@ fn every_channel_shape_stays_bitwise_in_both_executors() {
         }
         let noise = NoiseModel::cavity(0.05, 0.1, 0.0);
         let obs = Observable::number(0, dims[0]);
-        let traj =
-            TrajectorySimulator::new(70).with_seed(31 + shape as u64).with_noise(noise.clone());
-        let serial = traj.expectation(&c, &obs).unwrap();
-        let batched = traj.expectation_batched(&c, &obs).unwrap();
-        assert_eq!(batched.mean, serial.mean, "shape {shape}");
-        assert_eq!(batched.std_error, serial.std_error, "shape {shape}");
+        let seed = 31 + shape as u64;
+        let traj = TrajectorySimulator::new(70).with_seed(seed).with_noise(noise.clone());
+        let (mean, std_error, ..) = serial_fold(&traj, (seed, 0.0), &c, &obs, 0);
+        let est = traj.expectation(&c, &obs).unwrap();
+        assert_eq!(est.mean, mean, "shape {shape}");
+        assert_eq!(est.std_error, std_error, "shape {shape}");
 
         let sim = StatevectorSimulator::with_seed(77).with_noise(noise);
         let plan = sim.compile(&c).unwrap();
@@ -346,56 +387,35 @@ fn every_channel_shape_stays_bitwise_in_both_executors() {
 
 #[test]
 fn batched_trajectory_compiled_and_bound_paths_match_serial() {
+    // Rebinding is bitwise equivalent to compiling the bound circuit, so
+    // the oracle folds `run_single` over `c.with_bound(θ)`.
     let mut rng = StdRng::seed_from_u64(4242);
     let (c, dims) = random_param_circuit(&mut rng, 2, true);
     let noise = NoiseModel::cavity(0.05, 0.1, 0.0);
     let obs = Observable::number(0, dims[0]);
     let sim = TrajectorySimulator::new(40).with_seed(13).with_noise(noise);
-    let mut plan_serial = sim.compile(&c).unwrap();
-    let mut plan_batched = sim.compile(&c).unwrap();
+    let mut plan = sim.compile(&c).unwrap();
+    let mut theta = Vec::new();
     for round in 0..2 {
-        let theta: Vec<f64> = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let serial = sim.expectation_bound(&mut plan_serial, &theta, &obs).unwrap();
-        let batched = sim.expectation_bound_batched(&mut plan_batched, &theta, &obs).unwrap();
-        assert_eq!(batched.mean, serial.mean, "round {round}");
-        assert_eq!(batched.std_error, serial.std_error, "round {round}");
-        let dist_serial = sim.outcome_distribution_bound(&mut plan_serial, &theta).unwrap();
-        let dist_batched =
-            sim.outcome_distribution_bound_batched(&mut plan_batched, &theta).unwrap();
-        assert_eq!(dist_batched, dist_serial, "round {round}");
+        theta = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+        let bound = c.with_bound(&theta).unwrap();
+        let (mean, std_error, dist, _) = serial_fold(&sim, (13, 0.0), &bound, &obs, 0);
+        let est = sim.expectation_bound(&mut plan, &theta, &obs).unwrap();
+        assert_eq!(est.mean, mean, "round {round}");
+        assert_eq!(est.std_error, std_error, "round {round}");
+        assert_eq!(
+            sim.outcome_distribution_bound(&mut plan, &theta).unwrap(),
+            dist,
+            "round {round}"
+        );
     }
-    // Compiled (no rebind) path too.
-    let serial = sim.expectation_compiled(&plan_serial, &obs).unwrap();
-    let batched = sim.expectation_compiled_batched(&plan_batched, &obs).unwrap();
-    assert_eq!(batched.mean, serial.mean);
-    assert_eq!(batched.std_error, serial.std_error);
-}
-
-#[test]
-fn batched_trajectories_converge_to_density_result() {
-    // The density back-end is exact; the batched trajectory average must
-    // approach it like the serial average does (and bitwise-equals the
-    // serial average, so this is a consistency anchor, not a statistics
-    // test: the tolerance is the Monte-Carlo error bar).
-    let mut c = Circuit::uniform(2, 3);
-    c.push(Gate::fourier(3), &[0]).unwrap();
-    c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
-    let noise = NoiseModel::cavity(0.08, 0.15, 0.0);
-    let obs = Observable::number(1, 3);
-    let exact =
-        DensityMatrixSimulator::new().with_noise(noise.clone()).expectation(&c, &obs).unwrap();
-    let est = TrajectorySimulator::new(600)
-        .with_seed(17)
-        .with_noise(noise)
-        .expectation_batched(&c, &obs)
-        .unwrap();
-    assert!(
-        (est.mean - exact).abs() < 5.0 * est.std_error.max(0.02),
-        "batched mean {} vs exact {} (stderr {})",
-        est.mean,
-        exact,
-        est.std_error
-    );
+    // Compiled (no rebind) path too, at the last binding.
+    let (mean, std_error, dist, _) =
+        serial_fold(&sim, (13, 0.0), &c.with_bound(&theta).unwrap(), &obs, 0);
+    let est = sim.expectation_compiled(&plan, &obs).unwrap();
+    assert_eq!(est.mean, mean);
+    assert_eq!(est.std_error, std_error);
+    assert_eq!(sim.outcome_distribution_compiled(&plan).unwrap(), dist);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,6 +447,8 @@ fn cancellation_mid_batch_fails_the_whole_ensemble_pass() {
 
 #[test]
 fn cancellation_mid_batch_stops_batched_trajectories() {
+    // A budget of 3 checks at cadence 1 runs out inside the first wave of
+    // chunks at any thread count: the call fails, no partial estimate.
     let mut rng = StdRng::seed_from_u64(617);
     let (c, dims) = random_param_circuit(&mut rng, 2, true);
     let token = CancelToken::new().with_check_budget(3);
@@ -434,11 +456,48 @@ fn cancellation_mid_batch_stops_batched_trajectories() {
         .with_noise(NoiseModel::depolarizing(0.02, 0.02))
         .with_guard(GuardConfig::disabled().with_cadence(1))
         .with_cancel(token);
-    let err = sim.expectation_batched(&c, &Observable::number(0, dims[0])).unwrap_err();
+    let err = sim.expectation(&c, &Observable::number(0, dims[0])).unwrap_err();
     assert!(
         matches!(err, CircuitError::Core(CoreError::Cancelled { .. })),
         "expected cancellation, got {err:?}"
     );
+}
+
+#[test]
+fn non_finite_binding_fails_only_its_own_column() {
+    // Member 1 binds NaN: its column goes non-finite at the parameterized
+    // step and the cadence-1 guard fails it, while every batch-mate
+    // finishes bitwise identical to its own serial run.
+    let dims = vec![3, 2];
+    let mut c = Circuit::new(dims);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    let sep =
+        Gate::parameterized("sep", vec![3], &CMatrix::diag_real(&[0.0, 1.0, 2.0]), Param::Free(0))
+            .unwrap();
+    c.push(sep, &[0]).unwrap();
+    c.push(Gate::csum(3, 2), &[0, 1]).unwrap();
+    c.push(Gate::fourier(2), &[1]).unwrap();
+
+    let population: Vec<Vec<f64>> = vec![vec![0.2], vec![f64::NAN], vec![1.1], vec![1.6]];
+    let sim = StatevectorSimulator::with_seed(5).with_guard(GuardConfig::enabled().with_cadence(1));
+    let plan = sim.compile(&c).unwrap();
+    let ensemble = sim.run_ensemble(&plan, &plan.bind_batch(&population).unwrap()).unwrap();
+    assert_eq!(ensemble.len(), population.len());
+    for (b, col) in ensemble.iter().enumerate() {
+        if b == 1 {
+            match col.as_ref().unwrap_err() {
+                CircuitError::Core(CoreError::NumericalHealth { metric, .. }) => {
+                    assert_eq!(*metric, HealthMetric::NonFinite);
+                }
+                other => panic!("column 1: expected NumericalHealth, got {other:?}"),
+            }
+        } else {
+            let out = col.as_ref().unwrap_or_else(|e| panic!("column {b} poisoned: {e:?}"));
+            let clean = sim.run_bound(&mut plan.clone(), &population[b]).unwrap();
+            assert_eq!(out.state.amplitudes(), clean.state.amplitudes(), "column {b}");
+            assert_eq!(out.health, clean.health, "column {b}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

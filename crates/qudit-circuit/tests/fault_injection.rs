@@ -244,65 +244,6 @@ fn slow_chunk_changes_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched ensemble: a fault in one column stays in that column.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn nan_poke_in_one_ensemble_column_is_attributed_without_poisoning_batch_mates() {
-    use qudit_circuit::{Gate as G, Param};
-    use qudit_core::matrix::CMatrix;
-
-    // A parameterized circuit whose plan keeps several steps, so the poked
-    // panel keeps evolving (full-width batched applies included) after the
-    // fault lands.
-    let dims = vec![3, 2];
-    let mut c = Circuit::new(dims);
-    c.push(G::fourier(3), &[0]).unwrap();
-    let sep =
-        G::parameterized("sep", vec![3], &CMatrix::diag_real(&[0.0, 1.0, 2.0]), Param::Free(0))
-            .unwrap();
-    c.push(sep, &[0]).unwrap();
-    c.push(G::csum(3, 2), &[0, 1]).unwrap();
-    c.push(G::fourier(2), &[1]).unwrap();
-
-    let population: Vec<Vec<f64>> = vec![vec![0.2], vec![0.7], vec![1.1], vec![1.6]];
-    let width = population.len();
-    let sim = StatevectorSimulator::with_seed(5).with_guard(GuardConfig::enabled().with_cadence(1));
-    let plan = sim.compile(&c).unwrap();
-    let batch = plan.bind_batch(&population).unwrap();
-
-    // The ensemble panel interleaves columns: flat index `i*width + b` is
-    // register index `i` of column `b`. Poking index 1 lands in column 1.
-    let poisoned = 1usize;
-    inject::arm(Fault::NanPoke { step: 0, index: poisoned });
-    let ensemble = sim.run_ensemble(&plan, &batch).unwrap();
-    inject::disarm_all();
-
-    for (b, col) in ensemble.iter().enumerate() {
-        if b == poisoned {
-            let err = col.as_ref().unwrap_err();
-            match err {
-                CircuitError::Core(CoreError::NumericalHealth { metric, .. }) => {
-                    assert_eq!(*metric, HealthMetric::NonFinite, "wrong metric for column {b}");
-                }
-                other => panic!("column {b}: expected NumericalHealth, got {other:?}"),
-            }
-        } else {
-            // Batch-mates finish and match their clean serial runs bitwise:
-            // the batched kernels are column-local, so the NaN never leaks.
-            let out = col.as_ref().unwrap_or_else(|e| {
-                panic!("column {b} poisoned by a fault in column {poisoned}: {e:?}")
-            });
-            let mut serial_plan = plan.clone();
-            let clean = sim.run_bound(&mut serial_plan, &population[b]).unwrap();
-            assert_eq!(out.state.amplitudes(), clean.state.amplitudes(), "column {b}");
-            assert_eq!(out.health.renormalizations, 0, "column {b}: {:?}", out.health);
-        }
-    }
-    assert_eq!(ensemble.len(), width);
-}
-
-// ---------------------------------------------------------------------------
 // Zero false positives & bitwise cleanliness on healthy runs.
 // ---------------------------------------------------------------------------
 

@@ -17,8 +17,8 @@
 //! Per-column reductions ([`EnsembleState::norm_sqr_col`],
 //! [`EnsembleState::normalize_col`]) reproduce the exact accumulation order
 //! of their [`crate::state::QuditState`] counterparts, which is what lets the
-//! ensemble executors promise bitwise-identical results to the serial
-//! one-state-at-a-time loop.
+//! batched trajectory executor promise bitwise-identical results to the
+//! serial one-state-at-a-time loop.
 
 use crate::complex::Complex64;
 use crate::error::{CoreError, Result};
@@ -34,14 +34,6 @@ pub struct EnsembleState {
 }
 
 impl EnsembleState {
-    /// Creates an ensemble of `width` copies of `|0…0⟩`.
-    ///
-    /// # Errors
-    /// Returns an error if any dimension is invalid or `width == 0`.
-    pub fn zero(dims: Vec<usize>, width: usize) -> Result<Self> {
-        Self::from_state(&QuditState::zero(dims)?, width)
-    }
-
     /// Creates an ensemble of `width` copies of `state`.
     ///
     /// # Errors
@@ -56,27 +48,6 @@ impl EnsembleState {
             row.fill(a);
         }
         Ok(Self { radix: state.radix().clone(), width, data })
-    }
-
-    /// Creates an ensemble from explicit per-column states.
-    ///
-    /// # Errors
-    /// Returns an error if the slice is empty or the registers differ.
-    pub fn from_states(states: &[QuditState]) -> Result<Self> {
-        let first = states
-            .first()
-            .ok_or_else(|| CoreError::InvalidArgument("ensemble width must be positive".into()))?;
-        let mut ens = Self::from_state(first, states.len())?;
-        for (b, state) in states.iter().enumerate().skip(1) {
-            if state.radix() != &ens.radix {
-                return Err(CoreError::ShapeMismatch {
-                    expected: format!("register {:?}", ens.radix.dims()),
-                    found: format!("register {:?}", state.radix().dims()),
-                });
-            }
-            ens.set_column(b, state.amplitudes());
-        }
-        Ok(ens)
     }
 
     /// Number of columns (ensemble members) currently held.
@@ -121,15 +92,6 @@ impl EnsembleState {
     /// Returns an error if the column has (numerically) zero norm.
     pub fn column_state(&self, col: usize) -> Result<QuditState> {
         QuditState::from_amplitudes(self.radix.dims().to_vec(), self.column_amplitudes(col))
-    }
-
-    /// Overwrites column `col` from a contiguous amplitude slice.
-    pub fn set_column(&mut self, col: usize, amps: &[Complex64]) {
-        assert!(col < self.width, "column {col} out of range for width {}", self.width);
-        assert_eq!(amps.len() * self.width, self.data.len(), "amplitude count mismatch");
-        for (slot, &a) in self.data[col..].iter_mut().step_by(self.width).zip(amps) {
-            *slot = a;
-        }
     }
 
     /// Squared 2-norm of column `col`, accumulated in ascending index order
@@ -193,22 +155,40 @@ mod tests {
         QuditState::from_amplitudes(dims, amps).unwrap()
     }
 
+    /// A panel holding `states` column by column, written through the
+    /// interleaved layout `data[i * width + b]`.
+    fn panel(states: &[QuditState]) -> EnsembleState {
+        let width = states.len();
+        let mut ens = EnsembleState::from_state(&states[0], width).unwrap();
+        for (b, state) in states.iter().enumerate() {
+            for (slot, &a) in ens.data_mut()[b..].iter_mut().step_by(width).zip(state.amplitudes())
+            {
+                *slot = a;
+            }
+        }
+        ens
+    }
+
     #[test]
     fn round_trips_columns_through_the_interleaved_layout() {
         let states = [test_state(vec![2, 3], 0.1), test_state(vec![2, 3], 0.7)];
-        let ens = EnsembleState::from_states(&states).unwrap();
+        let ens = panel(&states);
         assert_eq!(ens.width(), 2);
         assert_eq!(ens.dim(), 6);
         for (b, s) in states.iter().enumerate() {
             assert_eq!(ens.column_amplitudes(b), s.amplitudes());
             assert_eq!(ens.column_state(b).unwrap().amplitudes(), s.amplitudes());
         }
+        let copies = EnsembleState::from_state(&states[1], 3).unwrap();
+        for b in 0..3 {
+            assert_eq!(copies.column_amplitudes(b), states[1].amplitudes());
+        }
     }
 
     #[test]
     fn column_norms_match_serial_states_bitwise() {
         let states = [test_state(vec![3, 2], 0.2), test_state(vec![3, 2], 0.9)];
-        let mut ens = EnsembleState::from_states(&states).unwrap();
+        let mut ens = panel(&states);
         for (b, s) in states.iter().enumerate() {
             assert_eq!(ens.norm_sqr_col(b).to_bits(), s.norm_sqr().to_bits());
         }
@@ -223,7 +203,7 @@ mod tests {
     #[test]
     fn push_clone_grows_and_preserves_existing_columns() {
         let states = [test_state(vec![2, 2], 0.3), test_state(vec![2, 2], 1.3)];
-        let mut ens = EnsembleState::from_states(&states).unwrap();
+        let mut ens = panel(&states);
         let new_col = ens.push_clone_of(0);
         assert_eq!(new_col, 2);
         assert_eq!(ens.width(), 3);
@@ -234,14 +214,9 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_ensembles() {
-        assert!(EnsembleState::zero(vec![2], 0).is_err());
-        assert!(EnsembleState::from_states(&[]).is_err());
-        assert!(EnsembleState::from_states(&[
-            test_state(vec![2, 2], 0.1),
-            test_state(vec![4], 0.1),
-        ])
-        .is_err());
-        let ens = EnsembleState::zero(vec![2, 2], 2).unwrap();
+        let zero = QuditState::zero(vec![2, 2]).unwrap();
+        assert!(EnsembleState::from_state(&zero, 0).is_err());
+        let ens = EnsembleState::from_state(&zero, 2).unwrap();
         // Zero columns cannot be extracted as states.
         let mut dead = ens.clone();
         dead.data_mut()[0] = Complex64::ZERO;

@@ -288,20 +288,9 @@ impl HealthMonitor {
         self.health
     }
 
-    /// Merges an externally produced report (e.g. pool-chunk retry counts)
-    /// into this monitor's accumulator.
-    pub fn absorb(&mut self, other: &RunHealth) {
-        self.health.merge(other);
-    }
-
     /// Records a superoperator-sweep fallback.
     pub fn record_fallback(&mut self) {
         self.health.fallbacks += 1;
-    }
-
-    /// Records `n` serial chunk retries.
-    pub fn record_retries(&mut self, n: usize) {
-        self.health.retries += n;
     }
 
     /// Statevector checkpoint: one fused pass computing `Σ |a|²` detects both

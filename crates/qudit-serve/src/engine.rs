@@ -589,8 +589,8 @@ impl Drop for ServeEngine {
 }
 
 /// Most queued same-plan statevector jobs one worker coalesces into a single
-/// ensemble pass (the pass's width). Bounds panel memory and keeps a single
-/// batch from starving other queued work.
+/// ensemble call (the call's width). Bounds the states held at once and
+/// keeps a single batch from starving other queued work.
 const COALESCE_LIMIT: usize = 16;
 
 fn worker_loop(shared: &Shared) {

@@ -84,8 +84,8 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-circuit/src/sim/density.rs", 0),
     ("crates/qudit-circuit/src/sim/fusion.rs", 4),
     ("crates/qudit-circuit/src/sim/trajectory.rs", 1),
-    // Batched ensemble execution: the panel kernels and the chunked
-    // trajectory/binding executors are hot paths like their serial twins.
+    // Batched trajectory execution: the panel kernels and the chunked
+    // branch-prefix executor are hot paths like the one-state run loop.
     ("crates/qudit-core/src/ensemble.rs", 0),
     ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
 ];
