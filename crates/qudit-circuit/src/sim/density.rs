@@ -28,6 +28,7 @@ use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::sim::apply_readout_flip;
+use crate::sim::driver::{check_noise, check_register, StepDriver};
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{
     BindBuffers, CircuitKernels, DensityKernels, DensityStep, SuperFallback, SuperopConfig,
@@ -334,24 +335,18 @@ impl DensityMatrixSimulator {
         compiled: &CompiledDensityCircuit,
         initial: &DensityMatrix,
     ) -> Result<(DensityMatrix, RunHealth)> {
-        self.check_noise(compiled)?;
-        if initial.radix().dims() != compiled.topology.dims {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                compiled.topology.dims
-            )));
-        }
-        if let Some(token) = &self.cancel {
-            token.check(0).map_err(CircuitError::Core)?;
-        }
-        let cadence = self.guard.cadence.max(1);
+        check_noise(&compiled.noise, &self.noise)?;
+        check_register(initial.radix().dims(), &compiled.topology.dims)?;
         let mut rho = initial.clone();
         let mut scratch = Vec::new();
         let threads = self.resolved_threads();
         let mut monitor = HealthMonitor::new(self.guard);
         let mut bind_cursor = 0usize;
-        for (step_index, step) in compiled.topology.steps.iter().enumerate() {
+        let driver = StepDriver { guard: self.guard, cancel: self.cancel.as_ref() };
+        let exec_step = |step_index,
+                         step: &DensityStep,
+                         rho: &mut DensityMatrix,
+                         monitor: &mut HealthMonitor| {
             match step {
                 DensityStep::Unitary { plan, kind, op } => {
                     let (kind, op) = compiled.binds.resolve(&mut bind_cursor, step_index, kind, op);
@@ -432,30 +427,15 @@ impl DensityMatrixSimulator {
                     .map_err(CircuitError::Core)?;
                 }
             }
-            #[cfg(feature = "fault-inject")]
-            qudit_core::guard::inject::apply_state_faults(
-                step_index,
-                rho.matrix_mut().as_mut_slice(),
-            );
-            if monitor.due() {
-                monitor.check_density(step_index, rho.matrix_mut()).map_err(CircuitError::Core)?;
-            }
-            // Cooperative cancellation checkpoint, on the same cadence as
-            // the guard (after it, so a guard failure takes precedence at
-            // the shared boundary).
-            if let Some(token) = &self.cancel {
-                if (step_index + 1) % cadence == 0 {
-                    token.check(step_index).map_err(CircuitError::Core)?;
-                }
-            }
-        }
-        // Final checkpoint: guarantees at least one check per guarded run and
-        // catches damage introduced after the last cadence boundary.
-        if monitor.is_enabled() {
-            monitor
-                .check_density(compiled.topology.steps.len(), rho.matrix_mut())
-                .map_err(CircuitError::Core)?;
-        }
+            Ok(())
+        };
+        driver.run(
+            &compiled.topology.steps,
+            &mut rho,
+            &mut monitor,
+            exec_step,
+            |at, rho, monitor| monitor.check_density(at, rho.matrix_mut()),
+        )?;
         Ok((rho, monitor.health()))
     }
 
@@ -470,20 +450,9 @@ impl DensityMatrixSimulator {
         params: &[f64],
     ) -> Result<DensityMatrix> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
         self.run_compiled(compiled)
-    }
-
-    fn check_noise(&self, compiled: &CompiledDensityCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Runs the circuit from `|0...0⟩⟨0...0|`.
@@ -500,13 +469,7 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error if the register differs or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &DensityMatrix) -> Result<DensityMatrix> {
-        if initial.radix() != circuit.radix() {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                circuit.dims()
-            )));
-        }
+        check_register(initial.radix().dims(), circuit.dims())?;
         let compiled = self.compile(circuit)?;
         self.run_compiled_from(&compiled, initial)
     }

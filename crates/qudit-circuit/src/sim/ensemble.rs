@@ -14,6 +14,12 @@
 //! keep every member bitwise identical to its own
 //! `StatevectorSimulator::run_prepared` run.
 //!
+//! The chunk's step loop is the shared step driver (`sim::driver`): it
+//! polls the cancel token, fires `fault-inject` state faults on the panel,
+//! and at every cadence boundary runs one guard checkpoint per group, whose
+//! monitor carries the checks its members' one-state runs would have made.
+//! Measurement and reset share one collapse event; channels have their own.
+//!
 //! Parameter populations ([`BatchBindings`]) are not panel-executed: their
 //! columns hold distinct states, so `StatevectorSimulator::run_ensemble`
 //! runs each column through the serial kernel with its own memoised binding
@@ -23,10 +29,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qudit_core::apply::{ApplyPlan, OpKind};
-use qudit_core::cancel::CancelToken;
 use qudit_core::ensemble::EnsembleState;
 use qudit_core::error::CoreError;
-use qudit_core::guard::{GuardConfig, HealthMonitor, RunHealth};
+use qudit_core::guard::{HealthMonitor, RunHealth};
 use qudit_core::matrix::CMatrix;
 use qudit_core::sampling::Cdf;
 use qudit_core::state::QuditState;
@@ -34,6 +39,7 @@ use qudit_core::Radix;
 
 use crate::error::{CircuitError, Result};
 use crate::sim::apply_readout_flip;
+use crate::sim::driver::{check_register, StepDriver};
 use crate::sim::kernels::{
     rescale_branch, BindBuffers, ChannelKernel, CircuitKernels, ExecStep, RunScratch,
 };
@@ -58,14 +64,6 @@ impl BatchBindings {
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
     }
-}
-
-/// The simulator settings a trajectory chunk needs, passed explicitly so the
-/// executor stays decoupled from the simulator structs.
-pub(crate) struct EnsembleConfig<'a> {
-    pub guard: GuardConfig,
-    pub cancel: Option<&'a CancelToken>,
-    pub readout_flip: f64,
 }
 
 /// Applies `op` to a single ensemble column through the **serial**
@@ -127,7 +125,8 @@ struct Group {
 /// Any member's failure (guard trip, zero-mass branch) fails the whole
 /// chunk: trajectory estimates never fold a partial ensemble.
 pub(crate) fn run_trajectory_chunk(
-    cfg: &EnsembleConfig<'_>,
+    driver: &StepDriver<'_>,
+    readout_flip: f64,
     kernels: &CircuitKernels,
     binds: &BindBuffers,
     initial: &QuditState,
@@ -137,80 +136,54 @@ pub(crate) fn run_trajectory_chunk(
     if members.is_empty() {
         return Ok(Vec::new());
     }
-    kernels.check_initial(initial)?;
-    if let Some(token) = cfg.cancel {
-        token.check(0).map_err(core)?;
-    }
-    let cadence = cfg.guard.cadence.max(1);
+    check_register(initial.radix().dims(), &kernels.dims)?;
     let mut ens = EnsembleState::from_state(initial, 1).map_err(core)?;
     let mut groups = vec![Group {
         col: 0,
         members: (0..members.len()).collect(),
-        monitor: HealthMonitor::new(cfg.guard),
+        monitor: HealthMonitor::new(driver.guard),
     }];
     let mut rngs: Vec<StdRng> =
         members.iter().map(|&(_, seed)| StdRng::seed_from_u64(seed)).collect();
     let mut cursor = 0usize;
     let mut scratch = RunScratch::default();
-
-    for (step_index, step) in kernels.steps.iter().enumerate() {
-        match step {
-            ExecStep::Apply { plan, kind, op, noise, .. } => {
-                let (kind, op) = binds.resolve(&mut cursor, step_index, kind, op);
-                let w = ens.width();
-                plan.apply_batched(kind, op, ens.data_mut(), w, 0..w, &mut scratch.block)
-                    .map_err(core)?;
-                for channel in noise {
-                    channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
+    let exec_step =
+        |step_index, step: &ExecStep, ens: &mut EnsembleState, groups: &mut Vec<Group>| {
+            match step {
+                ExecStep::Apply { plan, kind, op, noise, .. } => {
+                    let (kind, op) = binds.resolve(&mut cursor, step_index, kind, op);
+                    let w = ens.width();
+                    plan.apply_batched(kind, op, ens.data_mut(), w, 0..w, &mut scratch.block)
+                        .map_err(core)?;
+                    for channel in noise {
+                        channel_event(ens, groups, &mut rngs, channel, &mut scratch)?;
+                    }
+                }
+                ExecStep::Measure { targets } => {
+                    let flip = Some(readout_flip);
+                    collapse_event(ens, groups, &mut rngs, targets, flip, &mut scratch)?;
+                }
+                ExecStep::Reset { target } => {
+                    collapse_event(ens, groups, &mut rngs, &[*target], None, &mut scratch)?;
+                }
+                ExecStep::Channel(channel) => {
+                    channel_event(ens, groups, &mut rngs, channel, &mut scratch)?;
+                }
+                ExecStep::Barrier => {
+                    for channel in &kernels.barrier_loss {
+                        channel_event(ens, groups, &mut rngs, channel, &mut scratch)?;
+                    }
                 }
             }
-            ExecStep::Measure { targets } => {
-                trajectory_measure_event(
-                    &mut ens,
-                    &mut groups,
-                    &mut rngs,
-                    targets,
-                    cfg.readout_flip,
-                )?;
-            }
-            ExecStep::Reset { target } => {
-                trajectory_reset_event(&mut ens, &mut groups, &mut rngs, *target, &mut scratch)?;
-            }
-            ExecStep::Channel(channel) => {
-                channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
-            }
-            ExecStep::Barrier => {
-                for channel in &kernels.barrier_loss {
-                    channel_event(&mut ens, &mut groups, &mut rngs, channel, &mut scratch)?;
-                }
-            }
-        }
-        #[cfg(feature = "fault-inject")]
-        qudit_core::guard::inject::apply_state_faults(step_index, ens.data_mut());
+            Ok(())
+        };
+    driver.run(&kernels.steps, &mut ens, &mut groups, exec_step, |at, ens, groups| {
         let w = ens.width();
         for group in groups.iter_mut() {
-            if group.monitor.due() {
-                group
-                    .monitor
-                    .check_statevector_col(step_index, ens.data_mut(), w, group.col)
-                    .map_err(core)?;
-            }
+            group.monitor.check_statevector_col(at, ens.data_mut(), w, group.col)?;
         }
-        if let Some(token) = cfg.cancel {
-            if (step_index + 1) % cadence == 0 {
-                token.check(step_index).map_err(core)?;
-            }
-        }
-    }
-    let w = ens.width();
-    for group in groups.iter_mut() {
-        if group.monitor.is_enabled() {
-            group
-                .monitor
-                .check_statevector_col(kernels.steps.len(), ens.data_mut(), w, group.col)
-                .map_err(core)?;
-        }
-    }
+        Ok(())
+    })?;
     groups
         .into_iter()
         .map(|g| {
@@ -305,16 +278,25 @@ fn channel_event(
     Ok(())
 }
 
-/// A mid-circuit measurement over every live group. Outcome draws and
-/// readout-flip draws are consumed per member to keep RNG streams aligned
-/// with the serial loop; measurement records themselves are not retained
-/// (trajectory consumers fold final states only).
-fn trajectory_measure_event(
+/// A projective collapse of `targets` over every live group, shared by
+/// mid-circuit measurement and reset: marginal probabilities once per group,
+/// one outcome draw per member from its own RNG (the zero-mass error if the
+/// column carries no mass), then a lazy split by outcome with each branch
+/// column collapsed and renormalised.
+///
+/// `readout_flip` is `Some(p)` for a measurement: each member's outcome
+/// digits then take their readout-flip draws at probability `p`, right after
+/// the outcome draw, so RNG streams stay aligned with the serial loop (the
+/// records themselves are not kept; trajectory consumers fold final states
+/// only). `None` is a reset of the single target: each branch column is
+/// rotated back to `|0⟩`.
+fn collapse_event(
     ens: &mut EnsembleState,
     groups: &mut Vec<Group>,
     rngs: &mut [StdRng],
     targets: &[usize],
-    readout_flip: f64,
+    readout_flip: Option<f64>,
+    scratch: &mut RunScratch,
 ) -> Result<()> {
     let core = CircuitError::Core;
     let radix = ens.radix().clone();
@@ -334,53 +316,19 @@ fn trajectory_measure_event(
                     "measurement targets carry no probability mass (zero state)".into(),
                 ))
             })?;
-            let mut digits = target_radix.digits_of(outcome).map_err(core)?;
-            apply_readout_flip(&mut digits, &target_dims, readout_flip, &mut rngs[m]);
+            if let Some(p) = readout_flip {
+                let mut digits = target_radix.digits_of(outcome).map_err(core)?;
+                apply_readout_flip(&mut digits, &target_dims, p, &mut rngs[m]);
+            }
             choices.push(outcome);
         }
         split_group(ens, groups, gi, &choices, plan.sub_dim(), |ens, bc, outcome| {
             let w = ens.width();
             plan.collapse_col(ens.data_mut(), w, bc, outcome);
-            ens.normalize_col(bc).map_err(core)
-        })?;
-    }
-    Ok(())
-}
-
-/// A reset over every live group: measure the target (one draw per member),
-/// split by observed level, rotate each branch column back to `|0⟩`.
-fn trajectory_reset_event(
-    ens: &mut EnsembleState,
-    groups: &mut Vec<Group>,
-    rngs: &mut [StdRng],
-    target: usize,
-    scratch: &mut RunScratch,
-) -> Result<()> {
-    let core = CircuitError::Core;
-    let radix = ens.radix().clone();
-    let plan = ApplyPlan::new(&radix, &[target]).map_err(core)?;
-    let d = radix.dims()[target];
-    let n_groups = groups.len();
-    for gi in 0..n_groups {
-        let col = groups[gi].col;
-        let w = ens.width();
-        let probs = plan.marginal_probabilities_strided(ens.data(), w, col, |z| z.norm_sqr());
-        let cdf = Cdf::from_weights(probs);
-        let mut choices = Vec::with_capacity(groups[gi].members.len());
-        for &m in &groups[gi].members {
-            let level = cdf.try_draw(&mut rngs[m]).ok_or_else(|| {
-                core(CoreError::InvalidProbability(
-                    "measurement targets carry no probability mass (zero state)".into(),
-                ))
-            })?;
-            choices.push(level);
-        }
-        split_group(ens, groups, gi, &choices, d, |ens, bc, level| {
-            let w = ens.width();
-            plan.collapse_col(ens.data_mut(), w, bc, level);
             ens.normalize_col(bc).map_err(core)?;
-            if level != 0 {
-                let shift_back = power_of_shift(d, d - level);
+            if readout_flip.is_none() && outcome != 0 {
+                let d = plan.sub_dim();
+                let shift_back = power_of_shift(d, d - outcome);
                 let kind = OpKind::classify(&shift_back);
                 apply_col(&plan, &kind, &shift_back, ens, bc, &mut *scratch).map_err(core)?;
             }
@@ -396,6 +344,7 @@ mod tests {
     use crate::noise::KrausChannel;
     use crate::sim::apply_channel_prepared;
     use crate::sim::kernels::tests::{merge_channel, random_dense_channel};
+    use qudit_core::guard::GuardConfig;
     use qudit_core::random::haar_state;
 
     #[test]

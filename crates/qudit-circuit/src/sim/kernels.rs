@@ -26,7 +26,6 @@
 
 use qudit_core::apply::{matmul_structured, ApplyPlan, OpKind};
 use qudit_core::matrix::CMatrix;
-use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 
 use crate::circuit::{Circuit, Instruction};
@@ -352,18 +351,6 @@ pub(crate) struct CircuitKernels {
 }
 
 impl CircuitKernels {
-    /// Rejects an initial state whose register differs from the plan's.
-    pub(crate) fn check_initial(&self, initial: &QuditState) -> Result<()> {
-        if initial.radix().dims() != self.dims {
-            return Err(CircuitError::InvalidTargets(format!(
-                "initial state register {:?} does not match circuit register {:?}",
-                initial.radix().dims(),
-                self.dims
-            )));
-        }
-        Ok(())
-    }
-
     pub(crate) fn with_config(
         circuit: &Circuit,
         noise: &NoiseModel,

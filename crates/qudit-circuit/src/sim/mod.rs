@@ -31,6 +31,7 @@ pub mod fusion;
 pub mod introspect;
 
 mod density;
+mod driver;
 mod ensemble;
 mod kernels;
 mod statevector;

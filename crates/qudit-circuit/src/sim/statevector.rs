@@ -15,6 +15,7 @@ use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
+use crate::sim::driver::{check_noise, check_register, StepDriver};
 use crate::sim::ensemble::BatchBindings;
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{BindBuffers, CircuitKernels, ExecStep, RunScratch};
@@ -328,20 +329,9 @@ impl StatevectorSimulator {
         compiled: &CompiledCircuit,
         initial: &QuditState,
     ) -> Result<RunOutput> {
-        self.check_noise(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.run_prepared(&compiled.topology, &compiled.binds, initial, &mut rng)
-    }
-
-    fn check_noise(&self, compiled: &CompiledCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Rebinds a compiled plan to `params` and runs it from `|0...0⟩`: the
@@ -353,7 +343,7 @@ impl StatevectorSimulator {
     /// model mismatch.
     pub fn run_bound(&self, compiled: &mut CompiledCircuit, params: &[f64]) -> Result<RunOutput> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
         self.run_compiled(compiled)
     }
@@ -371,7 +361,7 @@ impl StatevectorSimulator {
         initial: &QuditState,
     ) -> Result<RunOutput> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_noise(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
         self.run_compiled_from(compiled, initial)
     }
@@ -433,7 +423,7 @@ impl StatevectorSimulator {
         initial: &QuditState,
         seeds: &[u64],
     ) -> Result<Vec<Result<RunOutput>>> {
-        self.check_noise(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         if seeds.len() != batch.len() {
             return Err(CircuitError::InvalidTargets(format!(
                 "seed count {} does not match batch width {}",
@@ -445,7 +435,7 @@ impl StatevectorSimulator {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        kernels.check_initial(initial)?;
+        check_register(initial.radix().dims(), &kernels.dims)?;
         let threads = if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
         let columns = qudit_core::par::par_map_threads(batch.len(), threads, |b| {
             let mut rng = StdRng::seed_from_u64(seeds[b]);
@@ -526,19 +516,15 @@ impl StatevectorSimulator {
         initial: &QuditState,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        kernels.check_initial(initial)?;
-        if let Some(token) = &self.cancel {
-            token.check(0).map_err(CircuitError::Core)?;
-        }
-        let cadence = self.guard.cadence.max(1);
+        check_register(initial.radix().dims(), &kernels.dims)?;
         let mut state = initial.clone();
         let mut measurements = Vec::new();
         let mut scratch = RunScratch::default();
         let dims = &kernels.dims;
         let mut monitor = HealthMonitor::new(self.guard);
         let mut bind_cursor = 0usize;
-
-        for (step_index, step) in kernels.steps.iter().enumerate() {
+        let driver = StepDriver { guard: self.guard, cancel: self.cancel.as_ref() };
+        let exec_step = |step_index, step: &ExecStep, state: &mut QuditState, _: &mut _| {
             match step {
                 ExecStep::Apply { plan, kind, op, noise, .. } => {
                     let (kind, op) = binds.resolve(&mut bind_cursor, step_index, kind, op);
@@ -546,7 +532,7 @@ impl StatevectorSimulator {
                         .apply_prepared(plan, kind, op, &mut scratch.block)
                         .map_err(CircuitError::Core)?;
                     for channel in noise {
-                        apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
+                        apply_channel_prepared(state, channel, rng, &mut scratch)?;
                     }
                 }
                 ExecStep::Measure { targets } => {
@@ -568,38 +554,19 @@ impl StatevectorSimulator {
                     }
                 }
                 ExecStep::Channel(channel) => {
-                    apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
+                    apply_channel_prepared(state, channel, rng, &mut scratch)?;
                 }
                 ExecStep::Barrier => {
                     for channel in &kernels.barrier_loss {
-                        apply_channel_prepared(&mut state, channel, rng, &mut scratch)?;
+                        apply_channel_prepared(state, channel, rng, &mut scratch)?;
                     }
                 }
             }
-            #[cfg(feature = "fault-inject")]
-            qudit_core::guard::inject::apply_state_faults(step_index, state.amplitudes_mut());
-            if monitor.due() {
-                monitor
-                    .check_statevector(step_index, state.amplitudes_mut())
-                    .map_err(CircuitError::Core)?;
-            }
-            // Cooperative cancellation checkpoint, on the same cadence as the
-            // guard (after it, so a guard failure takes precedence at the
-            // shared boundary). Budget-armed tokens spend exactly one unit
-            // here per boundary, thread-count-invariantly.
-            if let Some(token) = &self.cancel {
-                if (step_index + 1) % cadence == 0 {
-                    token.check(step_index).map_err(CircuitError::Core)?;
-                }
-            }
-        }
-        // A final checkpoint guarantees at least one check per guarded run
-        // and catches faults introduced after the last cadence boundary.
-        if monitor.is_enabled() {
-            monitor
-                .check_statevector(kernels.steps.len(), state.amplitudes_mut())
-                .map_err(CircuitError::Core)?;
-        }
+            Ok(())
+        };
+        driver.run(&kernels.steps, &mut state, &mut monitor, exec_step, |at, state, monitor| {
+            monitor.check_statevector(at, state.amplitudes_mut())
+        })?;
         Ok(RunOutput { state, measurements, health: monitor.health() })
     }
 

@@ -36,7 +36,8 @@ use crate::circuit::Circuit;
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::ensemble::{run_trajectory_chunk, EnsembleConfig};
+use crate::sim::driver::{check_noise, StepDriver};
+use crate::sim::ensemble::run_trajectory_chunk;
 use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
@@ -186,17 +187,6 @@ impl TrajectorySimulator {
         })
     }
 
-    fn check_compiled(&self, compiled: &CompiledCircuit) -> Result<()> {
-        if compiled.noise != self.noise {
-            return Err(CircuitError::Unsupported(
-                "compiled circuit was built under a different noise model; recompile with \
-                 this simulator's model"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Runs every trajectory through the batched executor (see
     /// [`crate::sim::ensemble`]) and folds the results **in trajectory
     /// order**, the one trajectory executor behind every estimate.
@@ -226,17 +216,14 @@ impl TrajectorySimulator {
         let width = ENSEMBLE_CHUNK.min(n.div_ceil(threads));
         let n_chunks = n.div_ceil(width);
         let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let cfg = EnsembleConfig {
-            guard: self.guard,
-            cancel: self.cancel.as_ref(),
-            readout_flip: self.noise.readout_flip,
-        };
+        let driver = StepDriver { guard: self.guard, cancel: self.cancel.as_ref() };
+        let flip = self.noise.readout_flip;
         let run_chunk = |start: usize| {
             let members: Vec<(usize, u64)> =
                 (start..n.min(start + width)).map(|t| (t, self.traj_seed(t))).collect();
             let mut health = RunHealth::default();
             let mut groups = Vec::new();
-            for group in run_trajectory_chunk(&cfg, kernels, binds, &initial, &members)? {
+            for group in run_trajectory_chunk(&driver, flip, kernels, binds, &initial, &members)? {
                 health.merge(&group.health.scaled_by(group.members.len()));
                 groups.push((group_f(&group.state, &group.members)?, group.members));
             }
@@ -323,7 +310,7 @@ impl TrajectorySimulator {
         compiled: &CompiledCircuit,
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
-        self.check_compiled(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         Ok(self.expectation_prepared(&compiled.topology, &compiled.binds, observable)?.0)
     }
 
@@ -339,7 +326,7 @@ impl TrajectorySimulator {
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
         self.expectation_compiled(compiled, observable)
     }
@@ -374,7 +361,7 @@ impl TrajectorySimulator {
     /// # Errors
     /// Returns an error for invalid dimensions or a noise model mismatch.
     pub fn outcome_distribution_compiled(&self, compiled: &CompiledCircuit) -> Result<Vec<f64>> {
-        self.check_compiled(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         self.outcome_distribution_prepared(&compiled.topology, &compiled.binds)
     }
 
@@ -389,7 +376,7 @@ impl TrajectorySimulator {
         params: &[f64],
     ) -> Result<Vec<f64>> {
         // Validate before binding so a failed call leaves the plan untouched.
-        self.check_compiled(compiled)?;
+        check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
         self.outcome_distribution_compiled(compiled)
     }

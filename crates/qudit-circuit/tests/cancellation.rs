@@ -158,6 +158,26 @@ fn check_budget_cancels_trajectory_ensemble_before_dispatch() {
 }
 
 #[test]
+fn check_budget_cancels_inside_a_trajectory_chunk_at_deterministic_step() {
+    // One trajectory is one chunk at any thread count. Budget 4 with cadence
+    // 2: the wave check, the pool-entry check, the chunk's entry check and
+    // its post-step-1 check pass; the post-step-3 check trips inside the
+    // chunk.
+    let run = |threads: usize| -> CircuitError {
+        TrajectorySimulator::new(1)
+            .with_noise(NoiseModel::depolarizing(0.1, 0.05))
+            .with_threads(threads)
+            .with_guard(GuardConfig::disabled().with_cadence(2))
+            .with_cancel(CancelToken::new().with_check_budget(4))
+            .expectation(&barriered_circuit(), &Observable::number(1, 3))
+            .unwrap_err()
+    };
+    let single = run(1);
+    assert_eq!(single, cancelled(3, CancelReason::Requested));
+    assert_eq!(single, run(3));
+}
+
+#[test]
 fn cancellation_respects_guard_cadence() {
     // Cadence 2 with budget 2: the entry check and the post-step-1 check
     // (the first cadence boundary) spend the budget; the next boundary after
@@ -183,6 +203,14 @@ fn statevector_cadence_beyond_plan_runs_exactly_one_check() {
         .run_detailed(&unitary_circuit())
         .unwrap();
     assert_eq!(out.health.checks_run, 1);
+
+    // One final check per trajectory, on the batched executor too.
+    let (_, health) = TrajectorySimulator::new(5)
+        .with_noise(NoiseModel::depolarizing(0.05, 0.02))
+        .with_guard(GuardConfig::enabled().with_cadence(1000))
+        .expectation_detailed(&unitary_circuit(), &Observable::number(0, 3))
+        .unwrap();
+    assert_eq!(health.checks_run, 5);
 }
 
 #[test]

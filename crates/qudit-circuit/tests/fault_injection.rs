@@ -10,8 +10,8 @@
 use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
-    DensityMatrixSimulator, GuardConfig, GuardPolicy, HealthMetric, StatevectorSimulator,
-    TrajectorySimulator,
+    CancelReason, CancelToken, DensityMatrixSimulator, GuardConfig, GuardPolicy, HealthMetric,
+    StatevectorSimulator, TrajectorySimulator,
 };
 use qudit_circuit::{Circuit, Gate, Observable};
 use qudit_core::error::CoreError;
@@ -328,6 +328,22 @@ fn statevector_checkpoint_count_is_exact() {
         let out = sim.run_compiled(&compiled).unwrap();
         // One check per full cadence window plus the final checkpoint.
         assert_eq!(out.health.checks_run, steps / cadence + 1, "cadence {cadence}, {steps} steps");
+
+        // Trajectories are statevector runs too: each accounts for one run's
+        // checks, whatever group it shared a panel column with and whichever
+        // chunk it ran in.
+        let n_traj = 20;
+        let traj = TrajectorySimulator::new(n_traj)
+            .with_noise(NoiseModel::depolarizing(0.05, 0.05))
+            .with_threads(3)
+            .with_guard(GuardConfig::enabled().with_cadence(cadence));
+        let steps = traj.compile(&c).unwrap().num_steps();
+        let (_, health) = traj.expectation_detailed(&c, &Observable::number(1, 3)).unwrap();
+        assert_eq!(
+            health.checks_run,
+            n_traj * (steps / cadence + 1),
+            "trajectories, {steps} steps"
+        );
     }
 }
 
@@ -356,8 +372,6 @@ fn disabled_guard_reports_all_zero_health() {
 
 #[test]
 fn mid_sweep_cancellation_partial_state_is_bitwise_identical_across_thread_counts() {
-    use qudit_circuit::sim::{CancelReason, CancelToken};
-
     // A check budget of 2 with cadence 1 trips the token at the checkpoint
     // after step 1; `CaptureState` snapshots ρ right after step 1 executes,
     // i.e. the exact state the run held when it was cancelled. The density
@@ -389,4 +403,75 @@ fn mid_sweep_cancellation_partial_state_is_bitwise_identical_across_thread_count
     );
     assert_eq!(err_1, err_4, "cancellation point must not depend on thread count");
     assert_eq!(state_1, state_4, "partial state at cancellation must be bitwise identical");
+}
+
+// ---------------------------------------------------------------------------
+// A guard failure wins over a cancellation at a shared boundary.
+// ---------------------------------------------------------------------------
+
+/// Runs `run` twice with cadence 1 and a check budget that trips at the
+/// checkpoint after step 1: once clean, to prove the budget lands on that
+/// boundary, and once with a NaN poked in after step 1, which the guard
+/// checkpoint at the same boundary must report instead of the cancellation.
+fn assert_guard_beats_cancel(budget: u64, run: impl Fn(GuardConfig, CancelToken) -> CircuitError) {
+    let guard = GuardConfig::enabled().with_cadence(1);
+    inject::disarm_all();
+    let clean = run(guard, CancelToken::new().with_check_budget(budget));
+    assert_eq!(
+        clean,
+        CircuitError::Core(CoreError::Cancelled { step: 1, reason: CancelReason::Requested })
+    );
+    inject::arm(Fault::NanPoke { step: 1, index: 0 });
+    let poisoned = run(guard, CancelToken::new().with_check_budget(budget));
+    inject::disarm_all();
+    match poisoned {
+        CircuitError::Core(CoreError::NumericalHealth { step, metric, .. }) => {
+            assert_eq!((step, metric), (1, HealthMetric::NonFinite));
+        }
+        other => panic!("expected NumericalHealth(NonFinite) at step 1, got {other:?}"),
+    }
+}
+
+#[test]
+fn guard_failure_takes_precedence_over_cancellation_on_statevector() {
+    // Budget 2: the entry check and the post-step-0 check pass. Noisy gates
+    // are fusion barriers, so the plan keeps more than two steps.
+    let c = random_circuit(&[3, 4], 12, 11);
+    assert_guard_beats_cancel(2, |guard, token| {
+        StatevectorSimulator::new()
+            .with_noise(NoiseModel::depolarizing(0.05, 0.02))
+            .with_guard(guard)
+            .with_cancel(token)
+            .run_detailed(&c)
+            .unwrap_err()
+    });
+}
+
+#[test]
+fn guard_failure_takes_precedence_over_cancellation_on_density_matrix() {
+    let c = random_circuit(&[2, 3], 10, 5);
+    assert_guard_beats_cancel(2, |guard, token| {
+        let sim = DensityMatrixSimulator::new()
+            .with_noise(NoiseModel::depolarizing(0.05, 0.02))
+            .with_guard(guard)
+            .with_cancel(token);
+        sim.run_compiled_detailed(&sim.compile(&c).unwrap()).unwrap_err()
+    });
+}
+
+#[test]
+fn guard_failure_takes_precedence_over_cancellation_on_trajectories() {
+    // Budget 4: the wave check, the pool-entry check, the chunk's entry
+    // check and its post-step-0 check pass. One thread keeps the chunk on
+    // the arming thread, where the state faults live.
+    let c = random_circuit(&[3, 3], 8, 2);
+    assert_guard_beats_cancel(4, |guard, token| {
+        TrajectorySimulator::new(4)
+            .with_noise(NoiseModel::depolarizing(0.05, 0.02))
+            .with_threads(1)
+            .with_guard(guard)
+            .with_cancel(token)
+            .expectation(&c, &Observable::number(0, 3))
+            .unwrap_err()
+    });
 }

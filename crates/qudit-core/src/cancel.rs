@@ -3,8 +3,9 @@
 //! A [`CancelToken`] is a cheaply cloneable handle (an `Arc`'d atomic flag
 //! plus an optional deadline) that a caller hands to a simulator or to the
 //! worker pool. The execution stack polls it at well-defined checkpoints —
-//! the guard-checkpoint cadence inside the `ExecStep` loops, and between
-//! chunks in the pool's counted map — and surfaces a trip as
+//! on entry and at every guard-cadence boundary of the circuit simulators'
+//! one step driver (`qudit_circuit::sim`), and between chunks in the pool's
+//! counted map — and surfaces a trip as
 //! [`CoreError::Cancelled`]. Checkpoints never mutate numerical state, so a
 //! run is bitwise identical to an uncancelled run right up to the step at
 //! which it stops.

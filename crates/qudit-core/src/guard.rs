@@ -146,9 +146,9 @@ impl GuardConfig {
     /// rather than erroring: the builder chain stays infallible and the
     /// clamped value is the closest meaningful interpretation of "check as
     /// often as possible". A cadence larger than the run's step count means
-    /// [`HealthMonitor::due`] never fires mid-run; the run loops still
-    /// execute exactly one final checkpoint, so every guarded run reports
-    /// `checks_run >= 1`.
+    /// [`HealthMonitor::due`] never fires mid-run; the simulators' step
+    /// driver still executes exactly one final checkpoint, so every guarded
+    /// run reports `checks_run >= 1`.
     #[must_use]
     pub fn with_cadence(mut self, cadence: usize) -> Self {
         self.cadence = cadence.max(1);
@@ -238,9 +238,11 @@ impl RunHealth {
 /// the configured cadence, applies the repair policy, and accumulates the
 /// [`RunHealth`] report.
 ///
-/// Simulators create one monitor per run, call [`HealthMonitor::due`] after
-/// each execution step, and run the matching `check_*` method when it
-/// returns `true` (plus one final check at the end of the run).
+/// The circuit simulators' step driver (`qudit_circuit::sim`) creates one
+/// monitor per run — one per branch-prefix group in a trajectory chunk —
+/// and runs the matching `check_*` method after every `cadence`-th
+/// execution step plus once at the end of the run. [`HealthMonitor::due`]
+/// is the same cadence rule for a caller that drives its own loop.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     config: GuardConfig,
@@ -305,47 +307,20 @@ impl HealthMonitor {
     /// [`CoreError::NumericalHealth`] on a non-finite or zero state, or on
     /// drift beyond tolerance under [`GuardPolicy::Fail`].
     pub fn check_statevector(&mut self, step: usize, amplitudes: &mut [Complex64]) -> Result<()> {
-        self.health.checks_run += 1;
-        let norm_sqr: f64 = amplitudes.iter().map(|a| a.norm_sqr()).sum();
-        if !norm_sqr.is_finite() {
-            return Err(CoreError::NumericalHealth {
-                step,
-                metric: HealthMetric::NonFinite,
-                value: norm_sqr,
-            });
-        }
-        let norm = norm_sqr.sqrt();
-        let drift = (norm - 1.0).abs();
-        if drift > self.health.max_drift {
-            self.health.max_drift = drift;
-        }
-        if drift <= self.config.tol {
-            return Ok(());
-        }
-        if matches!(self.config.policy, GuardPolicy::Fail) || norm < 1e-300 {
-            return Err(CoreError::NumericalHealth {
-                step,
-                metric: HealthMetric::Norm,
-                value: norm,
-            });
-        }
-        let inv = 1.0 / norm;
-        for a in amplitudes.iter_mut() {
-            *a *= inv;
-        }
-        self.health.renormalizations += 1;
-        Ok(())
+        self.check_statevector_col(step, amplitudes, 1, 0)
     }
 
-    /// Per-column statevector checkpoint on an interleaved ensemble panel
-    /// (register index `i` of column `col` at `data[i * width + col]`).
+    /// [`HealthMonitor::check_statevector`] on one column of an interleaved
+    /// ensemble panel (register index `i` of column `col` at
+    /// `data[i * width + col]`); a single state is the panel `width = 1`,
+    /// `col = 0`.
     ///
-    /// The scan, drift accounting, repair policy, and error surface are
-    /// exactly those of [`HealthMonitor::check_statevector`] restricted to
-    /// one column — same ascending-index accumulation order, same `*= inv`
-    /// repair — so guarded ensemble runs report bitwise-identical
-    /// [`RunHealth`] to the serial per-state loop, and a fault in one column
-    /// is detected and attributed without touching its batch-mates.
+    /// The scan accumulates in ascending register order either way, so a
+    /// column reports bitwise the same [`RunHealth`] as the same state held
+    /// alone, and a fault in one column is detected and attributed without
+    /// touching its batch-mates. A single state is scanned as a plain slice:
+    /// the sum is the same, but a unit-stride `step_by` walk is measurably
+    /// slower on small states.
     ///
     /// # Errors
     /// [`CoreError::NumericalHealth`] on a non-finite or zero column, or on
@@ -357,8 +332,15 @@ impl HealthMonitor {
         width: usize,
         col: usize,
     ) -> Result<()> {
+        fn norm_sqr<'a>(amps: impl Iterator<Item = &'a Complex64>) -> f64 {
+            amps.map(|a| a.norm_sqr()).sum()
+        }
         self.health.checks_run += 1;
-        let norm_sqr: f64 = data[col..].iter().step_by(width).map(|a| a.norm_sqr()).sum();
+        let norm_sqr = if width == 1 {
+            norm_sqr(data.iter())
+        } else {
+            norm_sqr(data[col..].iter().step_by(width))
+        };
         if !norm_sqr.is_finite() {
             return Err(CoreError::NumericalHealth {
                 step,

@@ -88,6 +88,8 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     // branch-prefix executor are hot paths like the one-state run loop.
     ("crates/qudit-core/src/ensemble.rs", 0),
     ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
+    // The step driver every run loop goes through.
+    ("crates/qudit-circuit/src/sim/driver.rs", 0),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
