@@ -1,5 +1,5 @@
 //! Kernel benchmark harness for PR 9: times batched ensemble execution
-//! (binding populations and branch-prefix trajectory panels) on top of
+//! (binding populations and branch-prefix trajectory groups) on top of
 //! the PR-1..7 rows, prints a summary table and writes the numbers to
 //! `BENCH_9.json`.
 //!
@@ -17,7 +17,8 @@
 //!   ensemble column is bitwise identical to its serial `run_bound` twin
 //!   before timing.
 //! * `batched_trajectories` — the 64-shot noisy trajectory ensemble evolved
-//!   as lazily splitting branch-prefix panels (`expectation_compiled`) vs a
+//!   as lazily splitting branch-prefix groups, one state per group
+//!   (`expectation_compiled`), vs a
 //!   one-state-at-a-time `StatevectorSimulator::run_compiled` loop over the
 //!   same plan on one thread; the harness pins every loop state to
 //!   `TrajectorySimulator::run_single` bitwise, asserts the estimates agree
@@ -685,10 +686,10 @@ fn main() {
 
     // --- Batched ensemble execution: trajectory shots. -------------------
     // Second consumer: the 64-shot noisy ensemble from the first row evolved
-    // as lazily splitting branch-prefix panels. At 1e-3 gate error most
-    // shots share one Kraus history for many steps, so deterministic panel
-    // kernels and per-group branch probabilities amortise almost all the
-    // work; per-member RNG streams keep every shot bitwise identical to a
+    // as lazily splitting branch-prefix groups. At 1e-3 gate error most
+    // shots share one Kraus history for many steps, so one deterministic
+    // step per group and per-group branch probabilities amortise almost all
+    // the work; per-member RNG streams keep every shot bitwise identical to a
     // one-state run. Baseline is the true serial loop — one state vector at
     // a time on one thread, `StatevectorSimulator::run_compiled` per
     // trajectory seed — through the same precompiled plan.
@@ -763,7 +764,7 @@ fn main() {
         name: "batched_trajectories".into(),
         detail: format!(
             "{n_traj} trajectories, sQED {sites}x d={d}, {steps} Trotter steps, depolarizing \
-             noise; branch-prefix panel executor vs a one-state-at-a-time run_compiled \
+             noise; branch-prefix group executor vs a one-state-at-a-time run_compiled \
              loop over the same plan on 1 thread (bitwise-identical estimate asserted, \
              loop states pinned to run_single)"
         ),

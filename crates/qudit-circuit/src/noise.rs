@@ -252,7 +252,9 @@ impl KrausChannel {
     }
 }
 
-fn check_probability(p: f64) -> Result<()> {
+/// Rejects a probability outside `[0, 1]` (NaN included) with
+/// [`CircuitError::InvalidChannel`].
+pub(crate) fn check_probability(p: f64) -> Result<()> {
     if !(0.0..=1.0).contains(&p) {
         return Err(CircuitError::InvalidChannel(format!("probability {p} outside [0, 1]")));
     }
@@ -351,7 +353,9 @@ impl NoiseModel {
             && self.idle_photon_loss == 0.0
     }
 
-    /// Builder: sets the readout flip probability.
+    /// Builder: sets the readout flip probability. A value outside
+    /// `[0, 1]` (or NaN) is rejected when a simulator compiles or samples a
+    /// circuit under this model.
     #[must_use]
     pub fn with_readout_flip(mut self, p: f64) -> Self {
         self.readout_flip = p;

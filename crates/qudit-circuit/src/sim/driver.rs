@@ -22,7 +22,6 @@
 
 use qudit_core::cancel::CancelToken;
 use qudit_core::density::DensityMatrix;
-use qudit_core::ensemble::EnsembleState;
 use qudit_core::guard::GuardConfig;
 use qudit_core::state::QuditState;
 #[cfg(feature = "fault-inject")]
@@ -56,13 +55,6 @@ impl FaultTarget for DensityMatrix {
     #[cfg(feature = "fault-inject")]
     fn flat_mut(&mut self) -> &mut [Complex64] {
         self.matrix_mut().as_mut_slice()
-    }
-}
-
-impl FaultTarget for EnsembleState {
-    #[cfg(feature = "fault-inject")]
-    fn flat_mut(&mut self) -> &mut [Complex64] {
-        self.data_mut()
     }
 }
 

@@ -31,7 +31,7 @@ use qudit_core::Complex64;
 use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::gate::Gate;
-use crate::noise::{KrausChannel, NoiseModel};
+use crate::noise::{check_probability, KrausChannel, NoiseModel};
 use crate::sim::fusion::{embed_to, fuse, FusedInst, FusionConfig, FusionStats};
 
 /// How to (re-)materialise one apply step's operator under a parameter
@@ -221,28 +221,23 @@ impl ChannelKernel {
     }
 
     /// Branch probabilities and selection for one stochastic event of this
-    /// channel on the state stored at `data[offset + stride * i]` — a
-    /// `QuditState` at `stride = 1`, an ensemble column at
-    /// `(stride, offset) = (width, col)`. Leaves `p_k = ‖K_k ψ‖²` in
+    /// channel on the state `amps`. Leaves `p_k = ‖K_k ψ‖²` in
     /// `scratch.branch_probs` and, in `scratch.choices`, the branch each
     /// uniform draw of `draws` selects (in draw order). The caller applies
-    /// `K_k` and rescales by `1/√p_k` ([`rescale_branch`]).
+    /// `K_k` and rescales by `1/√p_k` ([`rescale_branch`]). A one-state run
+    /// passes one draw; a trajectory group passes one draw per member, so
+    /// the probabilities are computed once for all of them.
     ///
-    /// All-diagonal/injective-monomial channels take one strided marginal
-    /// sweep for every branch; others take one [`ApplyPlan::norm_sqr_after`]
-    /// sweep per branch on the contiguous state (gathered first when
-    /// strided). Either way the accumulation order does not depend on
-    /// `stride`, so a serial state and the same state as an ensemble column
-    /// get bitwise-equal probabilities and choices.
+    /// All-diagonal/injective-monomial channels take one marginal sweep for
+    /// every branch; others take one [`ApplyPlan::norm_sqr_after`] sweep per
+    /// branch.
     ///
     /// # Errors
     /// A zero-mass (or non-finite) state has no branch to select and returns
     /// `InvalidProbability`; `draws` is then left unconsumed.
     pub(crate) fn select_branches(
         &self,
-        data: &[Complex64],
-        stride: usize,
-        offset: usize,
+        amps: &[Complex64],
         draws: impl IntoIterator<Item = f64>,
         scratch: &mut RunScratch,
     ) -> Result<()> {
@@ -251,19 +246,12 @@ impl ChannelKernel {
         probs.clear();
         if self.one_sweep {
             let marginal = &mut scratch.marginal;
-            self.plan.marginal_probabilities_into(data, stride, offset, |z| z.norm_sqr(), marginal);
+            self.plan.marginal_probabilities_into(amps, 1, 0, |z| z.norm_sqr(), marginal);
             for weights in self.kinds.iter().filter_map(marginal_weights) {
                 probs
                     .push(weights.iter().zip(marginal.iter()).map(|(w, m)| w.norm_sqr() * m).sum());
             }
         } else {
-            let amps: &[Complex64] = if stride == 1 {
-                &data[offset..]
-            } else {
-                scratch.col.clear();
-                scratch.col.extend(data[offset..].iter().step_by(stride));
-                &scratch.col
-            };
             for (op, kind) in self.channel.operators().iter().zip(self.kinds.iter()) {
                 probs.push(
                     self.plan.norm_sqr_after(kind, op, amps, &mut scratch.block).map_err(core)?,
@@ -284,15 +272,14 @@ impl ChannelKernel {
     }
 }
 
-/// Renormalises the state at `data[offset + stride * i]` after Kraus branch
-/// `K_k` was applied to it, where `p = ‖K_k ψ‖²` is the branch probability
+/// Renormalises `amps` after Kraus branch `K_k` was applied to it, where
+/// `p = ‖K_k ψ‖²` is the branch probability
 /// [`ChannelKernel::select_branches`] selected it with: the norm is already
 /// known, so one scaling sweep by `1/√p` replaces re-summing it. Same
-/// reciprocal-then-`scale` arithmetic as `QuditState::normalize`, and the
-/// same per-element operation at every stride.
-pub(crate) fn rescale_branch(data: &mut [Complex64], stride: usize, offset: usize, p: f64) {
+/// reciprocal-then-`scale` arithmetic as `QuditState::normalize`.
+pub(crate) fn rescale_branch(amps: &mut [Complex64], p: f64) {
     let inv = 1.0 / p.sqrt();
-    for a in data[offset..].iter_mut().step_by(stride) {
+    for a in amps {
         *a = a.scale(inv);
     }
 }
@@ -356,6 +343,9 @@ impl CircuitKernels {
         noise: &NoiseModel,
         config: &FusionConfig,
     ) -> Result<Self> {
+        // Every back-end's compile and sample path comes through here, so
+        // the readout flip is validated once for all of them.
+        check_probability(noise.readout_flip)?;
         let radix = circuit.radix();
         let dims = circuit.dims();
 
@@ -608,10 +598,6 @@ pub(crate) struct RunScratch {
     pub marginal: Vec<f64>,
     /// Selected Kraus branch per draw of the latest channel event.
     pub choices: Vec<usize>,
-    /// Contiguous single-column buffer for the trajectory executor's gathered
-    /// per-column applies (see `sim::ensemble::apply_col`) and for the
-    /// per-branch fallback of [`ChannelKernel::select_branches`].
-    pub col: Vec<Complex64>,
 }
 
 // --------------------------------------------------------------------------
@@ -1507,7 +1493,7 @@ pub(crate) mod tests {
             for (channel, targets, one_sweep) in channel_cases(&mut rng, &dims) {
                 let kernel = ChannelKernel::new(&radix, channel, targets.clone()).unwrap();
                 assert_eq!(kernel.one_sweep, one_sweep, "{} on {targets:?}", kernel.channel.name());
-                kernel.select_branches(state.amplitudes(), 1, 0, [0.5], &mut scratch).unwrap();
+                kernel.select_branches(state.amplitudes(), [0.5], &mut scratch).unwrap();
                 let ops = kernel.channel.operators();
                 assert_eq!(scratch.branch_probs.len(), ops.len());
                 for ((op, kind), &p) in ops.iter().zip(&kernel.kinds).zip(&scratch.branch_probs) {
@@ -1528,37 +1514,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn strided_column_selection_is_bitwise_identical_to_unit_stride() {
-        let mut rng = StdRng::seed_from_u64(2424);
-        let mut serial = RunScratch::default();
-        let mut strided = RunScratch::default();
-        for _ in 0..6 {
-            let dims = random_dims(&mut rng);
-            let radix = Radix::new(dims.clone()).unwrap();
-            let states: Vec<_> =
-                (0..3).map(|_| haar_state(&mut rng, dims.clone()).unwrap()).collect();
-            // The interleaved panel layout: register index `i` of column `b`
-            // at `panel[i * 3 + b]`.
-            let panel: Vec<Complex64> = (0..radix.total_dim())
-                .flat_map(|i| states.iter().map(move |s| s.amplitudes()[i]))
-                .collect();
-            let draws: Vec<f64> = (0..16).map(|_| rng.gen::<f64>()).collect();
-            for (channel, targets, _) in channel_cases(&mut rng, &dims) {
-                let kernel = ChannelKernel::new(&radix, channel, targets).unwrap();
-                for (b, state) in states.iter().enumerate() {
-                    let amps = state.amplitudes();
-                    kernel.select_branches(amps, 1, 0, draws.clone(), &mut serial).unwrap();
-                    kernel.select_branches(&panel, 3, b, draws.clone(), &mut strided).unwrap();
-                    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&serial.branch_probs), bits(&strided.branch_probs));
-                    assert_eq!(serial.choices, strided.choices);
-                    assert_eq!(serial.choices.len(), draws.len());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn selection_skips_zero_branches_and_rejects_zero_mass() {
         // |0⟩ under photon loss: only the no-jump branch carries mass, so no
         // draw — not even one at the top edge — may select a jump branch.
@@ -1570,11 +1525,11 @@ pub(crate) mod tests {
         amps[1] = Complex64::ONE;
         let mut scratch = RunScratch::default();
         let edge = 1.0 - f64::EPSILON / 2.0;
-        kernel.select_branches(&amps, 1, 0, [0.0, 0.5, edge], &mut scratch).unwrap();
+        kernel.select_branches(&amps, [0.0, 0.5, edge], &mut scratch).unwrap();
         assert_eq!(scratch.choices, vec![0, 0, 0]);
         assert_eq!(select_branch(&[0.25, 0.0, 0.75, 0.0], 1.0), 2);
         let zero = vec![Complex64::ZERO; 6];
-        let err = kernel.select_branches(&zero, 1, 0, [0.5], &mut scratch).unwrap_err();
+        let err = kernel.select_branches(&zero, [0.5], &mut scratch).unwrap_err();
         assert!(
             matches!(err, CircuitError::Core(qudit_core::error::CoreError::InvalidProbability(_))),
             "{err:?}"

@@ -8,9 +8,10 @@
 //!   [`crate::noise::NoiseModel`]; cost scales with the *square* of the
 //!   Hilbert-space dimension.
 //! * [`TrajectorySimulator`] — Monte-Carlo averaging of many stochastic
-//!   state-vector runs, executed as batched branch-prefix panels; approaches
-//!   the density-matrix result as the number of trajectories grows, at
-//!   state-vector memory cost.
+//!   state-vector runs, executed as branch-prefix groups that share one
+//!   state per Kraus history; approaches the density-matrix result as the
+//!   number of trajectories grows, at state-vector memory cost per live
+//!   group.
 //!
 //! All three consume circuits through a compiled execution plan: the
 //! [`fusion`] pass first coalesces runs of adjacent gates into fused
@@ -84,9 +85,10 @@ pub fn apply_channel_stochastic<R: Rng + ?Sized>(
 /// diagonal/monomial channels, one sweep per branch otherwise) and picks
 /// the branch. Only the selected operator is applied, and the state is
 /// rescaled by the already-known `1/√p_k` instead of re-summing its norm.
-/// The batched trajectory executor in `sim::ensemble` runs the same two
-/// calls per branch-prefix group, which is what keeps it bitwise equal to
-/// this path.
+/// The trajectory executor in `sim::ensemble` makes the same calls on each
+/// branch-prefix group's own state — one draw per member, one
+/// `apply_prepared` and [`rescale_branch`] per selected branch — which is
+/// what keeps it bitwise equal to this path.
 pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
     state: &mut QuditState,
     kernel: &ChannelKernel,
@@ -103,12 +105,12 @@ pub(crate) fn apply_channel_prepared<R: Rng + ?Sized>(
         return Ok(0);
     }
     let r: f64 = rng.gen::<f64>();
-    kernel.select_branches(state.amplitudes(), 1, 0, [r], scratch)?;
+    kernel.select_branches(state.amplitudes(), [r], scratch)?;
     let k = scratch.choices[0];
     state
         .apply_prepared(&kernel.plan, &kernel.kinds[k], &ops[k], &mut scratch.block)
         .map_err(core)?;
-    rescale_branch(state.amplitudes_mut(), 1, 0, scratch.branch_probs[k]);
+    rescale_branch(state.amplitudes_mut(), scratch.branch_probs[k]);
     Ok(k)
 }
 
@@ -206,6 +208,31 @@ mod tests {
         }
         let rate = flipped as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02);
+    }
+
+    #[test]
+    fn out_of_range_readout_flip_is_rejected_on_every_backend() {
+        let mut c = crate::Circuit::uniform(2, 3);
+        c.push(crate::Gate::fourier(3), &[0]).unwrap();
+        c.measure(&[1]).unwrap();
+        let rejected = |result: Result<()>, p: f64, backend: &str| match result {
+            Err(CircuitError::InvalidChannel(msg)) => {
+                assert_eq!(msg, format!("probability {p} outside [0, 1]"), "{backend}");
+            }
+            other => panic!("{backend}: readout flip {p} gave {other:?}"),
+        };
+        for p in [1.5, -0.2, f64::NAN] {
+            let noise = crate::noise::NoiseModel::noiseless().with_readout_flip(p);
+            let sv = StatevectorSimulator::new().with_noise(noise.clone());
+            rejected(sv.compile(&c).map(drop), p, "statevector compile");
+            rejected(sv.sample_counts(&c, 8).map(drop), p, "statevector sample_counts");
+            let dm = DensityMatrixSimulator::new().with_noise(noise.clone());
+            rejected(dm.compile(&c).map(drop), p, "density compile");
+            rejected(dm.sample_counts(&c, 8).map(drop), p, "density sample_counts");
+            let traj = TrajectorySimulator::new(4).with_noise(noise);
+            rejected(traj.compile(&c).map(drop), p, "trajectory compile");
+            rejected(traj.sample_counts(&c, 2).map(drop), p, "trajectory sample_counts");
+        }
     }
 
     #[test]

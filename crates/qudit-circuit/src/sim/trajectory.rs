@@ -8,10 +8,10 @@
 //!
 //! Trajectory `t` seeds its own RNG from `t`, so trajectories are
 //! independent by construction. One executor runs them all: chunks of
-//! trajectories evolve as lazily splitting branch-prefix panels (see
-//! [`crate::sim::ensemble`]), chunks fan out across [`qudit_core::par`]
-//! worker threads, and results reduce in trajectory order — so every
-//! estimate is **bitwise identical** to folding
+//! trajectories evolve as lazily splitting branch-prefix groups, each with
+//! its own state vector (see [`crate::sim::ensemble`]), chunks fan out
+//! across [`qudit_core::par`] worker threads, and results reduce in
+//! trajectory order — so every estimate is **bitwise identical** to folding
 //! [`TrajectorySimulator::run_single`] over `0..n`, regardless of thread
 //! count. The per-instruction stride plans, operator classifications and
 //! noise channels are precompiled once and shared (read-only) by all
@@ -42,11 +42,11 @@ use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
 
-/// Upper bound on trajectories per batched-ensemble chunk. Bounds the panel
-/// width (memory is `dim × width` amplitudes) while leaving enough members
-/// per chunk for branch-prefix grouping to amortise plan traversal and
-/// branch-probability work. Smaller ensembles split into one chunk per
-/// worker thread instead.
+/// Upper bound on trajectories per chunk. Bounds a chunk's memory (at most
+/// one `dim`-amplitude state per member, when every member has split into
+/// its own group) while leaving enough members per chunk for branch-prefix
+/// grouping to amortise deterministic steps and branch-probability work.
+/// Smaller ensembles split into one chunk per worker thread instead.
 const ENSEMBLE_CHUNK: usize = 64;
 
 /// A Monte-Carlo trajectory simulator.
@@ -192,8 +192,8 @@ impl TrajectorySimulator {
     /// order**, the one trajectory executor behind every estimate.
     ///
     /// Trajectories split into chunks of `min(ENSEMBLE_CHUNK, ⌈n/threads⌉)`;
-    /// each chunk evolves as one lazily splitting panel grouped by
-    /// Kraus-branch prefix, and `group_f(state, members)` maps each final
+    /// each chunk evolves as lazily splitting groups by Kraus-branch prefix,
+    /// one state per group, and `group_f(state, members)` maps each final
     /// group state once, on the worker that ran the chunk. Up to `threads`
     /// chunks at a time fan out across the worker pool, so peak memory holds
     /// one wave of group values, not one value per trajectory. `fold` is

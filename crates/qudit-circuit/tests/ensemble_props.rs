@@ -2,7 +2,7 @@
 //! population of bindings run through `run_ensemble` must be **bitwise
 //! identical**, column for column, to the serial `run_bound` loop — states,
 //! measurement records, and guard health reports alike — and the batched
-//! trajectory executor (lazily splitting branch-prefix panels) must
+//! trajectory executor (lazily splitting branch-prefix groups) must
 //! reproduce a test-side serial oracle bitwise: `run_single` folded over
 //! every trajectory index, one state vector at a time, mid-circuit
 //! measurement splits, guard checkpoints, readout flips and all.
@@ -19,12 +19,13 @@ use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
     apply_readout_flip, CancelToken, DensityMatrixSimulator, FusionConfig, GuardConfig,
-    GuardPolicy, HealthMetric, StatevectorSimulator, TrajectorySimulator,
+    GuardPolicy, HealthMetric, RunHealth, StatevectorSimulator, TrajectorySimulator,
 };
 use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
 use qudit_core::random::haar_unitary;
+use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 
 const TOL: f64 = 1e-12;
@@ -344,6 +345,67 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
         assert_eq!(est.n_trajectories, 70);
         assert_eq!(sim.outcome_distribution(&c).unwrap(), dist, "trial {trial}");
         assert_eq!(sim.sample_counts(&c, 5).unwrap(), counts, "trial {trial}");
+    }
+}
+
+#[test]
+fn trajectory_health_is_the_merge_of_serial_run_healths() {
+    // Barrier idle loss, a measurement with readout flip and a reset split
+    // branch-prefix groups mid-run. A split clones the parent group's
+    // monitor, so every group's checks, repairs and worst drift must be
+    // exactly those of its members' one-state runs. Tolerance -1 repairs
+    // at every check, so each renormalisation must also land bitwise.
+    let mut c = Circuit::new(vec![3, 2, 4]);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    c.push(Gate::fourier(4), &[2]).unwrap();
+    c.push(Gate::csum(3, 2), &[0, 1]).unwrap();
+    c.barrier();
+    c.push(Gate::displacement(4, Complex64::new(0.3, 0.1)), &[2]).unwrap();
+    c.measure(&[0, 1]).unwrap();
+    c.push(Gate::cross_kerr(3, 4, 0.7), &[0, 2]).unwrap();
+    c.barrier();
+    c.reset(2).unwrap();
+    c.push(Gate::fourier(4), &[2]).unwrap();
+    c.barrier();
+    let noise = NoiseModel::cavity(0.05, 0.08, 0.1).with_readout_flip(0.07);
+    let obs = Observable::number(2, 4);
+    let (seed, n) = (4242u64, 70);
+    let zero = QuditState::zero(c.dims().to_vec()).unwrap();
+    for (cadence, tol) in [(1, -1.0), (2, -1.0), (3, 1e-9)] {
+        let guard = GuardConfig::enabled()
+            .with_policy(GuardPolicy::RenormalizeAndCount)
+            .with_cadence(cadence)
+            .with_tol(tol);
+        let mut serial = RunHealth::default();
+        let mut values = Vec::with_capacity(n);
+        for t in 0..n {
+            let traj_seed = seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+            let sv = StatevectorSimulator::with_seed(traj_seed)
+                .with_noise(noise.clone())
+                .with_guard(guard);
+            let mut rng = StdRng::seed_from_u64(traj_seed);
+            let out = sv.run_from_with_rng(&c, &zero, &mut rng).unwrap();
+            serial.merge(&out.health);
+            values.push(obs.expectation(&out.state).unwrap());
+        }
+        let mean = values.iter().sum::<f64>() / n as f64;
+        assert!(serial.renormalizations > 0 || tol > 0.0, "tol -1 must repair");
+        for threads in [1, 3] {
+            let (est, health) = TrajectorySimulator::new(n)
+                .with_seed(seed)
+                .with_noise(noise.clone())
+                .with_guard(guard)
+                .with_threads(threads)
+                .expectation_detailed(&c, &obs)
+                .unwrap();
+            let at = format!("cadence {cadence}, tol {tol}, {threads} threads");
+            assert_eq!(est.mean.to_bits(), mean.to_bits(), "{at}");
+            assert_eq!(health.checks_run, serial.checks_run, "{at}");
+            assert_eq!(health.renormalizations, serial.renormalizations, "{at}");
+            assert_eq!(health.max_drift.to_bits(), serial.max_drift.to_bits(), "{at}");
+        }
     }
 }
 

@@ -330,7 +330,7 @@ fn statevector_checkpoint_count_is_exact() {
         assert_eq!(out.health.checks_run, steps / cadence + 1, "cadence {cadence}, {steps} steps");
 
         // Trajectories are statevector runs too: each accounts for one run's
-        // checks, whatever group it shared a panel column with and whichever
+        // checks, whatever group it shared a state with and whichever
         // chunk it ran in.
         let n_traj = 20;
         let traj = TrajectorySimulator::new(n_traj)

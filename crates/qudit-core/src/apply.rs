@@ -57,53 +57,6 @@ fn dot4(a: &[Complex64], b: &[Complex64]) -> Complex64 {
     (acc0 + acc1) + (acc2 + acc3)
 }
 
-/// Wide-panel analogue of [`dot4`] for `width` interleaved columns: computes
-/// the dot product of `a` against every column of the row-major panel `xs`
-/// (logical entry `j` of column `b` at `xs[j * width + b]`) into `out`.
-/// Each column runs the **same accumulator schedule** as [`dot4`] — four
-/// interleaved partial series, remainder into the first, final pairwise
-/// combine — so every column's result is bitwise identical to a [`dot4`]
-/// call on that column alone. `acc` is caller scratch of `4 * width`.
-fn dot4_panel(
-    a: &[Complex64],
-    xs: &[Complex64],
-    width: usize,
-    acc: &mut [Complex64],
-    out: &mut [Complex64],
-) {
-    debug_assert_eq!(xs.len(), a.len() * width);
-    debug_assert_eq!(acc.len(), 4 * width);
-    debug_assert_eq!(out.len(), width);
-    acc.fill(Complex64::ZERO);
-    let (acc0, rest) = acc.split_at_mut(width);
-    let (acc1, rest) = rest.split_at_mut(width);
-    let (acc2, acc3) = rest.split_at_mut(width);
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_x = xs.chunks_exact(4 * width);
-    for (ca, cx) in chunks_a.by_ref().zip(chunks_x.by_ref()) {
-        for (o, &x) in acc0.iter_mut().zip(&cx[..width]) {
-            *o = ca[0].mul_add(x, *o);
-        }
-        for (o, &x) in acc1.iter_mut().zip(&cx[width..2 * width]) {
-            *o = ca[1].mul_add(x, *o);
-        }
-        for (o, &x) in acc2.iter_mut().zip(&cx[2 * width..3 * width]) {
-            *o = ca[2].mul_add(x, *o);
-        }
-        for (o, &x) in acc3.iter_mut().zip(&cx[3 * width..]) {
-            *o = ca[3].mul_add(x, *o);
-        }
-    }
-    for (y, cx) in chunks_a.remainder().iter().zip(chunks_x.remainder().chunks_exact(width)) {
-        for (o, &x) in acc0.iter_mut().zip(cx.iter()) {
-            *o = y.mul_add(x, *o);
-        }
-    }
-    for b in 0..width {
-        out[b] = (acc0[b] + acc1[b]) + (acc2[b] + acc3[b]);
-    }
-}
-
 /// Matrix product `a · b` that exploits exact sparsity structure in either
 /// factor: a diagonal left factor scales the rows of `b`, a monomial left
 /// factor permutes-and-scales them, and symmetrically for a structured right
@@ -805,195 +758,6 @@ impl ApplyPlan {
         Ok(())
     }
 
-    /// Shape check for the interleaved ensemble kernels: `data` must cover a
-    /// `total_dim × width` panel and `cols` must lie inside it.
-    fn check_panel(&self, len: usize, width: usize, cols: &std::ops::Range<usize>) -> Result<()> {
-        if width == 0 || cols.start > cols.end || cols.end > width || len < self.total_dim * width {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!(
-                    "{dim} x {width} ensemble panel covering columns {start}..{end}",
-                    dim = self.total_dim,
-                    start = cols.start,
-                    end = cols.end,
-                ),
-                found: format!("{len} entries"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Applies `op` to columns `cols` of an interleaved ensemble panel:
-    /// register index `i` of column `b` lives at `data[i * width + b]`.
-    ///
-    /// This is the batched analogue of [`ApplyPlan::apply`]: one plan
-    /// traversal sweeps all selected columns, so dense blocks become
-    /// matrix–panel products and diagonal/monomial steps become row-scaled
-    /// broadcasts. Every arm reproduces the *serial unit-stride* kernel's
-    /// per-scalar arithmetic order on each column, so the per-column results
-    /// are **bitwise identical** to applying [`ApplyPlan::apply`] to that
-    /// column's amplitudes alone — the contract the batched trajectory
-    /// executor relies on.
-    ///
-    /// `scratch` is caller working memory, resized as needed.
-    ///
-    /// # Errors
-    /// Returns an error if `op`, the panel span, or the column range have the
-    /// wrong dimensions.
-    pub fn apply_batched(
-        &self,
-        kind: &OpKind,
-        op: &CMatrix,
-        data: &mut [Complex64],
-        width: usize,
-        cols: std::ops::Range<usize>,
-        scratch: &mut Vec<Complex64>,
-    ) -> Result<()> {
-        self.check_panel(data.len(), width, &cols)?;
-        let (lo, cw) = (cols.start, cols.len());
-        if cw == 0 {
-            return Ok(());
-        }
-        match kind {
-            OpKind::Diagonal(diag) => {
-                self.check_op(diag.len())?;
-                if let Some(s) = self.uniform_stride {
-                    self.for_each_block(|base| {
-                        let mut row = base;
-                        for d in diag.iter() {
-                            let at = row * width + lo;
-                            for v in &mut data[at..at + cw] {
-                                *v *= *d;
-                            }
-                            row += s;
-                        }
-                    });
-                } else {
-                    self.for_each_block(|base| {
-                        for (j, d) in diag.iter().enumerate() {
-                            let at = (base + self.sub_offsets[j]) * width + lo;
-                            for v in &mut data[at..at + cw] {
-                                *v *= *d;
-                            }
-                        }
-                    });
-                }
-            }
-            OpKind::Monomial { rows, coeffs, .. } => {
-                self.check_op(rows.len())?;
-                scratch.resize(self.sub_dim * cw, Complex64::ZERO);
-                self.for_each_block(|base| {
-                    for (j, slot) in scratch.chunks_exact_mut(cw).enumerate() {
-                        let at = (base + self.sub_offsets[j]) * width + lo;
-                        let src = &mut data[at..at + cw];
-                        slot.copy_from_slice(src);
-                        src.fill(Complex64::ZERO);
-                    }
-                    for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
-                        if coeff != Complex64::ZERO {
-                            let at = (base + self.sub_offsets[r]) * width + lo;
-                            let dst = &mut data[at..at + cw];
-                            for (o, &x) in dst.iter_mut().zip(&scratch[c * cw..(c + 1) * cw]) {
-                                *o += coeff * x;
-                            }
-                        }
-                    }
-                });
-            }
-            OpKind::Dense => {
-                self.check_op_matrix(op)?;
-                match self.uniform_stride {
-                    // Contiguous ascending targets: each register block is
-                    // `sub_dim` consecutive rows, so the update is a dense
-                    // matrix–panel product via the wide dot4 kernel.
-                    Some(1) => {
-                        scratch.resize((self.sub_dim + 5) * cw, Complex64::ZERO);
-                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * cw);
-                        let (acc, out) = rest.split_at_mut(4 * cw);
-                        self.for_each_block(|base| {
-                            for (j, slot) in gather.chunks_exact_mut(cw).enumerate() {
-                                let at = (base + j) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
-                            }
-                            for row in 0..self.sub_dim {
-                                dot4_panel(op.row(row), gather, cw, acc, out);
-                                let at = (base + row) * width + lo;
-                                data[at..at + cw].copy_from_slice(out);
-                            }
-                        });
-                    }
-                    // Interior consecutive targets: mirror the serial
-                    // `s`-wide contiguous axpy arm — same ascending-column
-                    // mul_add chain per scalar, just `cw` columns at a time.
-                    Some(s) => {
-                        let chunk = self.sub_dim * s;
-                        let hi_blocks = self.total_dim / chunk;
-                        scratch.resize(chunk * cw, Complex64::ZERO);
-                        for hi in 0..hi_blocks {
-                            let start = hi * chunk;
-                            for (j, slot) in scratch.chunks_exact_mut(cw).enumerate() {
-                                let at = (start + j) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
-                            }
-                            for r in 0..self.sub_dim {
-                                let out_base = start + r * s;
-                                for k in 0..s {
-                                    let at = (out_base + k) * width + lo;
-                                    data[at..at + cw].fill(Complex64::ZERO);
-                                }
-                                for (c, &a) in op.row(r).iter().enumerate() {
-                                    if a == Complex64::ZERO {
-                                        continue;
-                                    }
-                                    for k in 0..s {
-                                        let src = &scratch[(c * s + k) * cw..(c * s + k + 1) * cw];
-                                        let at = (out_base + k) * width + lo;
-                                        for (o, &x) in data[at..at + cw].iter_mut().zip(src) {
-                                            *o = a.mul_add(x, *o);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Scattered targets: gather through the offset table,
-                    // dense wide-dot4 per output row.
-                    None => {
-                        scratch.resize((self.sub_dim + 5) * cw, Complex64::ZERO);
-                        let (gather, rest) = scratch.split_at_mut(self.sub_dim * cw);
-                        let (acc, out) = rest.split_at_mut(4 * cw);
-                        self.for_each_block(|base| {
-                            for (j, slot) in gather.chunks_exact_mut(cw).enumerate() {
-                                let at = (base + self.sub_offsets[j]) * width + lo;
-                                slot.copy_from_slice(&data[at..at + cw]);
-                            }
-                            for (row, &off) in self.sub_offsets.iter().enumerate() {
-                                dot4_panel(op.row(row), gather, cw, acc, out);
-                                let at = (base + off) * width + lo;
-                                data[at..at + cw].copy_from_slice(out);
-                            }
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Projective collapse of a single ensemble column: zeroes every
-    /// amplitude of column `col` whose target digits differ from `outcome`
-    /// (renormalisation is the caller's business, as in
-    /// [`ApplyPlan::collapse`]).
-    pub fn collapse_col(&self, data: &mut [Complex64], width: usize, col: usize, outcome: usize) {
-        debug_assert!(outcome < self.sub_dim);
-        self.for_each_block(|base| {
-            for (j, &off) in self.sub_offsets.iter().enumerate() {
-                if j != outcome {
-                    data[(base + off) * width + col] = Complex64::ZERO;
-                }
-            }
-        });
-    }
-
     /// Computes `‖op · ψ‖²` without materialising `op · ψ`: one sweep per
     /// operator. Trajectory unravelling calls it per Kraus branch only for
     /// channels with a dense or non-injective operator; diagonal and
@@ -1119,8 +883,8 @@ impl ApplyPlan {
     /// buffer (cleared and resized to `sub_dim`), so per-event callers stay
     /// allocation-free. Same accumulation order: spectator blocks in
     /// [`ApplyPlan::for_each_block`] order, one running sum per target
-    /// basis state — so a state at `stride = 1` and the same state as an
-    /// ensemble column at `stride = width` give bitwise-equal marginals.
+    /// basis state — so the same entries give bitwise-equal marginals at any
+    /// stride (a state at `stride = 1`, a density diagonal at `dim + 1`).
     pub fn marginal_probabilities_into(
         &self,
         data: &[Complex64],
@@ -1283,140 +1047,32 @@ mod tests {
         }
     }
 
-    /// Distinct, non-trivial column contents for ensemble kernel tests.
-    fn panel_columns(dim: usize, width: usize) -> Vec<Vec<Complex64>> {
-        (0..width)
-            .map(|b| {
-                (0..dim)
-                    .map(|i| {
-                        c64(
-                            0.17 + 0.013 * i as f64 - 0.21 * b as f64,
-                            -0.4 + 0.029 * i as f64 + 0.07 * b as f64,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn interleave(cols: &[Vec<Complex64>]) -> Vec<Complex64> {
-        let (dim, width) = (cols[0].len(), cols.len());
-        let mut data = vec![Complex64::ZERO; dim * width];
-        for (b, col) in cols.iter().enumerate() {
-            for (i, a) in col.iter().enumerate() {
-                data[i * width + b] = *a;
-            }
-        }
-        data
-    }
-
     #[test]
-    fn apply_batched_columns_are_bitwise_identical_to_serial_apply() {
-        // Cover every kernel arm: dense/diagonal/monomial × contiguous
-        // suffix (stride 1), interior uniform stride, single target,
-        // scattered (None), on a mixed-radix register.
-        let radix = Radix::new(vec![2, 3, 2, 2]).unwrap();
-        let width = 3;
-        let cols = panel_columns(radix.total_dim(), width);
-        let mut scratch = Vec::new();
-        let mut batch_scratch = Vec::new();
-        for targets in [vec![2, 3], vec![1, 2], vec![1], vec![0, 2], vec![3, 1]] {
-            let plan = ApplyPlan::new(&radix, &targets).unwrap();
-            let sub = plan.sub_dim();
-            let dense = CMatrix::from_fn(sub, sub, |i, j| {
-                c64(0.1 * (i + 2 * j) as f64 + 0.5, 0.05 * i as f64 - 0.03 * j as f64)
-            });
-            let diag = CMatrix::diag(
-                &(0..sub).map(|k| c64(0.2 * k as f64 + 0.1, 0.3)).collect::<Vec<_>>(),
-            );
-            let mono = shift_x(sub);
-            for op in [&dense, &diag, &mono] {
-                let kind = OpKind::classify(op);
-                let mut panel = interleave(&cols);
-                plan.apply_batched(&kind, op, &mut panel, width, 0..width, &mut batch_scratch)
-                    .unwrap();
-                for (b, col) in cols.iter().enumerate() {
-                    let mut serial = col.clone();
-                    plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
-                    for (i, expect) in serial.iter().enumerate() {
-                        assert_eq!(
-                            panel[i * width + b],
-                            *expect,
-                            "targets {targets:?}, kind {kind:?}, col {b}, index {i}"
-                        );
-                    }
-                }
-                // A single-column sub-range must leave the others untouched
-                // and still match the serial kernel bitwise.
-                let mut panel = interleave(&cols);
-                plan.apply_batched(&kind, op, &mut panel, width, 1..2, &mut batch_scratch).unwrap();
-                let mut serial = cols[1].clone();
-                plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
-                for i in 0..radix.total_dim() {
-                    assert_eq!(panel[i * width], cols[0][i]);
-                    assert_eq!(panel[i * width + 1], serial[i]);
-                    assert_eq!(panel[i * width + 2], cols[2][i]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_column_helpers_match_serial_counterparts() {
+    fn strided_marginals_are_bitwise_identical_to_contiguous() {
+        // The same entries embedded at stride 4, offset 1 (the way a density
+        // diagonal sits at stride `dim + 1`) accumulate in the same order,
+        // also when written into a reused buffer of the wrong length.
         let radix = Radix::new(vec![3, 2, 2]).unwrap();
-        let width = 4;
-        let cols = panel_columns(radix.total_dim(), width);
-        let panel = interleave(&cols);
+        let amps: Vec<Complex64> = (0..radix.total_dim())
+            .map(|i| c64(0.17 + 0.013 * i as f64, -0.4 + 0.029 * i as f64))
+            .collect();
+        let mut embedded = vec![c64(9.0, 9.0); 4 * amps.len()];
+        for (i, &a) in amps.iter().enumerate() {
+            embedded[1 + 4 * i] = a;
+        }
         let mut reused = vec![7.0; 11];
         for targets in [vec![0], vec![1, 2], vec![2, 0]] {
             let plan = ApplyPlan::new(&radix, &targets).unwrap();
-            // Marginals down a column reuse the strided accumulator and must
-            // agree bitwise with the contiguous path, also when written into
-            // a reused buffer of the wrong length.
-            for (b, col) in cols.iter().enumerate() {
-                let serial = plan.marginal_probabilities(col);
-                let batched =
-                    plan.marginal_probabilities_strided(&panel, width, b, |z| z.norm_sqr());
-                plan.marginal_probabilities_into(&panel, width, b, |z| z.norm_sqr(), &mut reused);
-                assert_eq!(batched.len(), plan.sub_dim());
-                assert_eq!(reused.len(), plan.sub_dim());
-                for ((s, p), q) in serial.iter().zip(batched.iter()).zip(reused.iter()) {
-                    assert_eq!(s.to_bits(), p.to_bits());
-                    assert_eq!(s.to_bits(), q.to_bits());
-                }
-            }
-            // Collapse of one column leaves batch-mates untouched.
-            for outcome in 0..plan.sub_dim() {
-                let mut batched = panel.clone();
-                plan.collapse_col(&mut batched, width, 2, outcome);
-                let mut serial = cols[2].clone();
-                plan.collapse(&mut serial, outcome);
-                for i in 0..radix.total_dim() {
-                    assert_eq!(batched[i * width + 2], serial[i]);
-                    assert_eq!(batched[i * width], panel[i * width]);
-                    assert_eq!(batched[i * width + 3], panel[i * width + 3]);
-                }
+            let contiguous = plan.marginal_probabilities(&amps);
+            let strided = plan.marginal_probabilities_strided(&embedded, 4, 1, |z| z.norm_sqr());
+            plan.marginal_probabilities_into(&embedded, 4, 1, |z| z.norm_sqr(), &mut reused);
+            assert_eq!(strided.len(), plan.sub_dim());
+            assert_eq!(reused.len(), plan.sub_dim());
+            for ((s, p), q) in contiguous.iter().zip(&strided).zip(&reused) {
+                assert_eq!(s.to_bits(), p.to_bits());
+                assert_eq!(s.to_bits(), q.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn apply_batched_rejects_bad_panels() {
-        let radix = Radix::new(vec![2, 2]).unwrap();
-        let plan = ApplyPlan::new(&radix, &[0]).unwrap();
-        let op = shift_x(2);
-        let kind = OpKind::classify(&op);
-        let mut scratch = Vec::new();
-        // Panel too short for the claimed width.
-        let mut short = vec![Complex64::ZERO; 7];
-        assert!(plan.apply_batched(&kind, &op, &mut short, 2, 0..2, &mut scratch).is_err());
-        // Column range out of bounds.
-        let mut panel = vec![Complex64::ZERO; 8];
-        assert!(plan.apply_batched(&kind, &op, &mut panel, 2, 1..3, &mut scratch).is_err());
-        // Zero width is rejected outright.
-        assert!(plan.apply_batched(&kind, &op, &mut panel, 0, 0..0, &mut scratch).is_err());
-        // An empty (but in-bounds) column range is a no-op.
-        plan.apply_batched(&kind, &op, &mut panel, 2, 1..1, &mut scratch).unwrap();
     }
 
     #[test]

@@ -217,11 +217,12 @@ impl RunHealth {
 
     /// Scales every counter by `n` (saturating), leaving `max_drift` as is.
     ///
-    /// Batched trajectory execution runs one checkpoint per panel *group*
-    /// rather than per trajectory; a group of `n` identical members accounts
-    /// for `n` serial trajectories' worth of checks and repairs, so scaling
-    /// the group report by its multiplicity keeps the aggregated
-    /// [`RunHealth`] identical to the serial loop's.
+    /// The trajectory executor runs one checkpoint per branch-prefix *group*
+    /// — one state shared by every member whose Kraus history matches so
+    /// far — rather than per trajectory. A group of `n` members accounts for
+    /// `n` serial trajectories' worth of checks and repairs, so scaling the
+    /// group report by its member count keeps the aggregated [`RunHealth`]
+    /// identical to the serial loop's.
     #[must_use]
     pub fn scaled_by(&self, n: usize) -> RunHealth {
         RunHealth {
@@ -239,9 +240,11 @@ impl RunHealth {
 /// [`RunHealth`] report.
 ///
 /// The circuit simulators' step driver (`qudit_circuit::sim`) creates one
-/// monitor per run — one per branch-prefix group in a trajectory chunk —
-/// and runs the matching `check_*` method after every `cadence`-th
-/// execution step plus once at the end of the run. [`HealthMonitor::due`]
+/// monitor per run and runs the matching `check_*` method after every
+/// `cadence`-th execution step plus once at the end of the run. A
+/// trajectory chunk keeps one monitor per branch-prefix group, next to the
+/// group's own state; a split clones it, so each group carries the checks
+/// its members' one-state runs would have made. [`HealthMonitor::due`]
 /// is the same cadence rule for a caller that drives its own loop.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
@@ -307,40 +310,8 @@ impl HealthMonitor {
     /// [`CoreError::NumericalHealth`] on a non-finite or zero state, or on
     /// drift beyond tolerance under [`GuardPolicy::Fail`].
     pub fn check_statevector(&mut self, step: usize, amplitudes: &mut [Complex64]) -> Result<()> {
-        self.check_statevector_col(step, amplitudes, 1, 0)
-    }
-
-    /// [`HealthMonitor::check_statevector`] on one column of an interleaved
-    /// ensemble panel (register index `i` of column `col` at
-    /// `data[i * width + col]`); a single state is the panel `width = 1`,
-    /// `col = 0`.
-    ///
-    /// The scan accumulates in ascending register order either way, so a
-    /// column reports bitwise the same [`RunHealth`] as the same state held
-    /// alone, and a fault in one column is detected and attributed without
-    /// touching its batch-mates. A single state is scanned as a plain slice:
-    /// the sum is the same, but a unit-stride `step_by` walk is measurably
-    /// slower on small states.
-    ///
-    /// # Errors
-    /// [`CoreError::NumericalHealth`] on a non-finite or zero column, or on
-    /// drift beyond tolerance under [`GuardPolicy::Fail`].
-    pub fn check_statevector_col(
-        &mut self,
-        step: usize,
-        data: &mut [Complex64],
-        width: usize,
-        col: usize,
-    ) -> Result<()> {
-        fn norm_sqr<'a>(amps: impl Iterator<Item = &'a Complex64>) -> f64 {
-            amps.map(|a| a.norm_sqr()).sum()
-        }
         self.health.checks_run += 1;
-        let norm_sqr = if width == 1 {
-            norm_sqr(data.iter())
-        } else {
-            norm_sqr(data[col..].iter().step_by(width))
-        };
+        let norm_sqr: f64 = amplitudes.iter().map(|a| a.norm_sqr()).sum();
         if !norm_sqr.is_finite() {
             return Err(CoreError::NumericalHealth {
                 step,
@@ -364,7 +335,7 @@ impl HealthMonitor {
             });
         }
         let inv = 1.0 / norm;
-        for a in data[col..].iter_mut().step_by(width) {
+        for a in amplitudes.iter_mut() {
             *a *= inv;
         }
         self.health.renormalizations += 1;

@@ -85,7 +85,6 @@ pub mod apply;
 pub mod cancel;
 pub mod complex;
 pub mod density;
-pub mod ensemble;
 pub mod error;
 pub mod guard;
 pub mod linalg;
@@ -102,7 +101,6 @@ pub use apply::{ApplyPlan, OpKind};
 pub use cancel::{CancelReason, CancelToken};
 pub use complex::{c64, Complex64};
 pub use density::DensityMatrix;
-pub use ensemble::EnsembleState;
 pub use error::{CoreError, Result};
 pub use guard::{GuardConfig, GuardPolicy, HealthMetric, RunHealth};
 pub use matrix::CMatrix;
@@ -117,7 +115,6 @@ pub mod prelude {
     pub use crate::cancel::{CancelReason, CancelToken};
     pub use crate::complex::{c64, Complex64};
     pub use crate::density::DensityMatrix;
-    pub use crate::ensemble::EnsembleState;
     pub use crate::error::{CoreError, Result};
     pub use crate::guard::{GuardConfig, GuardPolicy, HealthMetric, RunHealth};
     pub use crate::linalg::{eigh, expm, expm_hermitian};

@@ -11,7 +11,8 @@
 //!   `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]` for the two
 //!   crates with audited blocks).
 //! * **Hot-path panic ratchet** — `.unwrap()` / `.expect(` in the kernel
-//!   hot paths must not grow beyond the recorded per-file budgets.
+//!   hot paths must not grow beyond the recorded per-file budgets, and
+//!   every budgeted file must still exist.
 //! * **Shims-only dependencies** — every dependency in every manifest
 //!   resolves by `path` or `workspace`, never the registry.
 //! * **Benchmark schema** — each `BENCH_<n>.json` parses and carries the
@@ -74,7 +75,9 @@ impl fmt::Display for Violation {
 /// Hot-path modules and the number of `.unwrap()` / `.expect(` calls each is
 /// allowed outside its test module. The budgets are a ratchet: they record
 /// the audited state of the tree, may go down freely, and going up means a
-/// reviewed change to this table.
+/// reviewed change to this table. An entry whose file no longer exists is a
+/// violation, so a deleted or renamed hot-path file cannot drop out of the
+/// ratchet unseen.
 const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-core/src/apply.rs", 2),
     ("crates/qudit-core/src/superop.rs", 0),
@@ -84,9 +87,8 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-circuit/src/sim/density.rs", 0),
     ("crates/qudit-circuit/src/sim/fusion.rs", 4),
     ("crates/qudit-circuit/src/sim/trajectory.rs", 1),
-    // Batched trajectory execution: the panel kernels and the chunked
-    // branch-prefix executor are hot paths like the one-state run loop.
-    ("crates/qudit-core/src/ensemble.rs", 0),
+    // The branch-prefix trajectory executor is a hot path like the
+    // one-state run loop.
     ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
     // The step driver every run loop goes through.
     ("crates/qudit-circuit/src/sim/driver.rs", 0),
@@ -121,6 +123,7 @@ pub fn audit_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
             check_panic_ratchet(rel, &masked, budget, &mut out);
         }
     }
+    check_stale_budgets(PANIC_BUDGETS, &rust_files, &mut out);
     for rel in &manifests {
         let src = fs::read_to_string(root.join(rel))?;
         check_manifest(rel, &src, &mut out);
@@ -415,6 +418,22 @@ fn check_panic_ratchet(path: &Path, masked: &Masked, budget: usize, out: &mut Ve
                  reviewed change"
             ),
         });
+    }
+}
+
+/// Flags every budget entry whose path is not among the audited `files`.
+fn check_stale_budgets(budgets: &[(&str, usize)], files: &[PathBuf], out: &mut Vec<Violation>) {
+    for &(path, _) in budgets {
+        if !files.iter().any(|f| f.to_string_lossy().replace('\\', "/") == path) {
+            out.push(Violation {
+                rule: HygieneRule::PanicRatchet,
+                path: PathBuf::from(path),
+                line: None,
+                message: "panic budget names a file that no longer exists; move the entry to \
+                          the file's new path or drop it"
+                    .to_string(),
+            });
+        }
     }
 }
 
@@ -798,6 +817,20 @@ mod tests {
         check_panic_ratchet(Path::new("x.rs"), &masked, 1, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, HygieneRule::PanicRatchet);
+    }
+
+    #[test]
+    fn panic_ratchet_flags_budgets_for_missing_files() {
+        let budgets = [("crates/a/src/hot.rs", 0), ("crates/a/src/gone.rs", 2)];
+        let files = [PathBuf::from("crates/a/src/hot.rs"), PathBuf::from("crates/a/src/lib.rs")];
+        let mut out = Vec::new();
+        check_stale_budgets(&budgets, &files, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, HygieneRule::PanicRatchet);
+        assert_eq!(out[0].path, PathBuf::from("crates/a/src/gone.rs"));
+        let mut out = Vec::new();
+        check_stale_budgets(&budgets[..1], &files, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
