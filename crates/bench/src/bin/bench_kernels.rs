@@ -856,13 +856,6 @@ fn main() {
         (0, 0),
         "a zero-capacity cache must never hit: {percompile_stats:?}"
     );
-    // The PR-9 coalescer: queued same-plan statevector jobs must actually
-    // merge into ensemble passes (which is also why sv cache *hits* can be
-    // zero now — one batched lookup serves the whole group).
-    assert!(
-        serve_stats.batches >= 1 && serve_stats.batched_jobs > serve_stats.batches,
-        "statevector job coalescing must engage on the mixed workload: {serve_stats:?}"
-    );
     let serve_cached_s = time_best(3, || {
         std::hint::black_box(run_mixed(32));
     });
@@ -1014,14 +1007,12 @@ fn main() {
         sv_guard_health.fallbacks + density_guard_health.fallbacks
     ));
     json.push_str(&format!(
-        "  \"serve\": {{\"workers\": {serve_workers}, \"jobs\": {}, \"plan_cache_capacity\": 32, \"sv_cache_hits\": {}, \"sv_cache_misses\": {}, \"density_cache_hits\": {}, \"density_cache_misses\": {}, \"batches\": {}, \"batched_jobs\": {}, \"cancel_steps\": {cancel_steps}, \"cancel_cadence\": {cancel_cadence}, \"cancel_budget_ms\": {:.3}}},\n",
+        "  \"serve\": {{\"workers\": {serve_workers}, \"jobs\": {}, \"plan_cache_capacity\": 32, \"sv_cache_hits\": {}, \"sv_cache_misses\": {}, \"density_cache_hits\": {}, \"density_cache_misses\": {}, \"cancel_steps\": {cancel_steps}, \"cancel_cadence\": {cancel_cadence}, \"cancel_budget_ms\": {:.3}}},\n",
         2 * serve_pairs,
         serve_stats.statevector_cache.hits,
         serve_stats.statevector_cache.misses,
         serve_stats.density_cache.hits,
         serve_stats.density_cache.misses,
-        serve_stats.batches,
-        serve_stats.batched_jobs,
         cancel_budget_s * 1e3
     ));
     json.push_str(&format!(

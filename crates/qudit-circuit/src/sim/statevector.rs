@@ -404,33 +404,7 @@ impl StatevectorSimulator {
         batch: &BatchBindings,
         initial: &QuditState,
     ) -> Result<Vec<Result<RunOutput>>> {
-        let seeds = vec![self.seed; batch.len()];
-        self.run_ensemble_seeded(compiled, batch, initial, &seeds)
-    }
-
-    /// [`StatevectorSimulator::run_ensemble_from`] with an explicit RNG seed
-    /// per column, for callers whose population members are independent jobs
-    /// with their own stochastic streams (the serving layer's coalesced
-    /// batches).
-    ///
-    /// # Errors
-    /// Returns an error for a register, noise-model, or seed-count mismatch,
-    /// or cancellation.
-    pub fn run_ensemble_seeded(
-        &self,
-        compiled: &CompiledCircuit,
-        batch: &BatchBindings,
-        initial: &QuditState,
-        seeds: &[u64],
-    ) -> Result<Vec<Result<RunOutput>>> {
         check_noise(&compiled.noise, &self.noise)?;
-        if seeds.len() != batch.len() {
-            return Err(CircuitError::InvalidTargets(format!(
-                "seed count {} does not match batch width {}",
-                seeds.len(),
-                batch.len()
-            )));
-        }
         let kernels = &compiled.topology;
         if batch.is_empty() {
             return Ok(Vec::new());
@@ -438,7 +412,7 @@ impl StatevectorSimulator {
         check_register(initial.radix().dims(), &kernels.dims)?;
         let threads = if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
         let columns = qudit_core::par::par_map_threads(batch.len(), threads, |b| {
-            let mut rng = StdRng::seed_from_u64(seeds[b]);
+            let mut rng = StdRng::seed_from_u64(self.seed);
             self.run_prepared(kernels, &batch.cols[b], initial, &mut rng)
         });
         // Cancellation is a property of the call, not of one column.

@@ -567,16 +567,10 @@ fn non_finite_binding_fails_only_its_own_column() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn ensemble_rejects_mismatched_seeds_and_short_bindings() {
+fn ensemble_rejects_short_bindings() {
     let mut rng = StdRng::seed_from_u64(618);
-    let (c, dims) = random_param_circuit(&mut rng, 2, false);
-    let sim = StatevectorSimulator::new();
-    let plan = sim.compile(&c).unwrap();
+    let (c, _) = random_param_circuit(&mut rng, 2, false);
+    let plan = StatevectorSimulator::new().compile(&c).unwrap();
     assert!(plan.bind_batch(&[vec![0.1]]).is_err(), "short member bindings must be rejected");
-    let batch = plan.bind_batch(&[vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
-    let initial = qudit_core::QuditState::zero(dims).unwrap();
-    assert!(
-        sim.run_ensemble_seeded(&plan, &batch, &initial, &[1]).is_err(),
-        "seed/batch width mismatch must be rejected"
-    );
+    assert_eq!(plan.bind_batch(&[vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap().len(), 2);
 }

@@ -32,7 +32,6 @@ use qudit_circuit::sim::{
 };
 use qudit_circuit::Circuit;
 use qudit_core::error::CoreError;
-use qudit_core::state::QuditState;
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::queue::BoundedQueue;
@@ -294,9 +293,12 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Transient-failure re-runs across all jobs.
     pub retries: u64,
-    /// Ensemble passes that coalesced ≥ 2 queued same-plan statevector jobs.
+    /// Always 0: the engine runs every job on its own and never batches.
+    /// Kept only because the application benchmark (`appbench/`) still
+    /// reads it; the next benchmark change removes it.
     pub batches: u64,
-    /// Jobs whose result came out of a coalesced ensemble pass.
+    /// Always 0, like [`batches`](Self::batches), and kept for the same
+    /// reason.
     pub batched_jobs: u64,
     /// Statevector plan-cache counters.
     pub statevector_cache: CacheStats,
@@ -314,8 +316,6 @@ struct Counters {
     shed: AtomicU64,
     rejected: AtomicU64,
     retries: AtomicU64,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
 }
 
 /// One-shot outcome slot shared between a worker and the job's handle.
@@ -571,8 +571,8 @@ impl ServeEngine {
             shed: c.shed.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_jobs: c.batched_jobs.load(Ordering::Relaxed),
+            batches: 0,
+            batched_jobs: 0,
             statevector_cache: self.shared.sv_cache.stats(),
             density_cache: self.shared.density_cache.stats(),
         }
@@ -588,32 +588,16 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Most queued same-plan statevector jobs one worker coalesces into a single
-/// ensemble call (the call's width). Bounds the states held at once and
-/// keeps a single batch from starving other queued work.
-const COALESCE_LIMIT: usize = 16;
-
 fn worker_loop(shared: &Shared) {
     loop {
-        let jobs = {
+        let job = {
             let mut state = shared.state.lock().expect("engine state poisoned");
             loop {
                 // Shutdown overrides pause: the queue must drain.
                 if state.shutdown || !state.paused {
                     if let Some(job) = state.queue.pop_best() {
-                        // Coalesce queued statevector jobs that share the
-                        // popped job's execution plan into one batch; other
-                        // kinds and plans keep their queue positions.
-                        let mut jobs = vec![job];
-                        if matches!(jobs[0].kind, JobKind::StatevectorProbs) {
-                            let hash = jobs[0].structural_hash;
-                            jobs.extend(state.queue.drain_where(COALESCE_LIMIT - 1, |j: &Job| {
-                                j.structural_hash == hash
-                                    && matches!(j.kind, JobKind::StatevectorProbs)
-                            }));
-                        }
-                        state.in_flight += jobs.len();
-                        break jobs;
+                        state.in_flight += 1;
+                        break job;
                     }
                     if state.shutdown {
                         return;
@@ -622,125 +606,19 @@ fn worker_loop(shared: &Shared) {
                 state = shared.work.wait(state).expect("engine state poisoned");
             }
         };
-        // Queue slots just freed: wake blocked submitters.
+        // A queue slot just freed: wake blocked submitters.
         shared.space.notify_all();
 
-        let drained = jobs.len();
-        if drained == 1 {
-            let job = &jobs[0];
-            let outcome = execute(shared, job);
-            record_outcome(&shared.counters, &outcome);
-            job.cell.resolve(outcome);
-        } else {
-            execute_batch(shared, &jobs);
-        }
+        let outcome = execute(shared, &job);
+        record_outcome(&shared.counters, &outcome);
+        job.cell.resolve(outcome);
 
         let mut state = shared.state.lock().expect("engine state poisoned");
-        state.in_flight -= drained;
+        state.in_flight -= 1;
         if state.queue.is_empty() && state.in_flight == 0 {
             shared.idle.notify_all();
         }
     }
-}
-
-/// Resolves a coalesced batch of same-plan statevector jobs. Members whose
-/// token already tripped resolve [`JobOutcome::Cancelled`] without running;
-/// the survivors execute as **one ensemble pass** with their per-job RNG
-/// seeds, so each completed payload is bitwise identical to the serial
-/// [`execute`] path. A column that fails inside the pass — or a pass that
-/// cannot start at all — falls back to the serial path for the affected
-/// jobs, which preserves the full retry/escalation ladder. A token tripping
-/// *during* the pass is honoured at resolution time: the member resolves
-/// `Cancelled` even though its column ran (batches trade mid-run
-/// cancellation latency for throughput; single jobs keep the serial path
-/// and its guard-cadence cancellation).
-fn execute_batch(shared: &Shared, jobs: &[Job]) {
-    let mut live: Vec<&Job> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        match job.token.status() {
-            Some(reason) => {
-                let outcome = JobOutcome::Cancelled(reason);
-                record_outcome(&shared.counters, &outcome);
-                job.cell.resolve(outcome);
-            }
-            None => live.push(job),
-        }
-    }
-    let serial = |job: &Job| {
-        let outcome = execute(shared, job);
-        record_outcome(&shared.counters, &outcome);
-        job.cell.resolve(outcome);
-    };
-    if live.len() < 2 {
-        live.into_iter().for_each(serial);
-        return;
-    }
-    let columns = catch_unwind(AssertUnwindSafe(|| batched_statevector(shared, &live)));
-    let columns = match columns {
-        Ok(Ok(columns)) => columns,
-        // Structural failure (or a panic) before any column could resolve:
-        // every member retries serially.
-        Ok(Err(_)) | Err(_) => {
-            live.into_iter().for_each(serial);
-            return;
-        }
-    };
-    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    for (job, column) in live.into_iter().zip(columns) {
-        match column {
-            Ok(values) => {
-                let outcome = match job.token.status() {
-                    Some(reason) => JobOutcome::Cancelled(reason),
-                    None => {
-                        shared.counters.batched_jobs.fetch_add(1, Ordering::Relaxed);
-                        JobOutcome::Completed(values)
-                    }
-                };
-                record_outcome(&shared.counters, &outcome);
-                job.cell.resolve(outcome);
-            }
-            // Column-local failure: only this member re-runs serially.
-            Err(_) => serial(job),
-        }
-    }
-}
-
-/// One ensemble pass over a coalesced batch: fetch (or compile) the shared
-/// plan once, realise every member's parameter binding with `bind_batch`,
-/// and run all columns together with the members' per-job seeds.
-fn batched_statevector(
-    shared: &Shared,
-    jobs: &[&Job],
-) -> Result<Vec<Result<Vec<f64>, CircuitError>>, CircuitError> {
-    let cfg = &shared.config;
-    let lead = jobs[0];
-    let plan = shared.sv_cache.get_or_compile(lead.structural_hash, || {
-        let plan =
-            StatevectorSimulator::new().with_noise(cfg.noise.clone()).compile(&lead.circuit)?;
-        #[cfg(debug_assertions)]
-        debug_verify_sv(&lead.circuit, &plan, &cfg.noise);
-        Ok::<_, CircuitError>(plan)
-    })?;
-    debug_assert_eq!(
-        plan.dims(),
-        lead.circuit.dims(),
-        "plan-cache hit returned a plan with mismatched dimensions"
-    );
-    let population: Vec<Vec<f64>> =
-        jobs.iter().map(|j| j.params.clone().unwrap_or_default()).collect();
-    let batch = plan.bind_batch(&population)?;
-    let seeds: Vec<u64> =
-        jobs.iter().map(|j| cfg.seed ^ j.id.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-    let sim = StatevectorSimulator::new()
-        .with_noise(cfg.noise.clone())
-        .with_threads(cfg.threads_per_job)
-        .with_guard(cfg.guard);
-    let initial = QuditState::zero(plan.dims().to_vec()).map_err(CircuitError::Core)?;
-    let columns = sim.run_ensemble_seeded(&plan, &batch, &initial, &seeds)?;
-    Ok(columns
-        .into_iter()
-        .map(|col| Ok(col?.state.amplitudes().iter().map(|a| a.norm_sqr()).collect()))
-        .collect())
 }
 
 fn record_outcome(counters: &Counters, outcome: &JobOutcome) {
@@ -877,7 +755,7 @@ fn run_once(shared: &Shared, job: &Job, guard: GuardConfig) -> Result<Vec<f64>, 
                 .with_guard(guard)
                 .with_cancel(job.token.clone());
             let out = sim.run_compiled(&plan)?;
-            Ok(out.state.amplitudes().iter().map(|a| a.norm_sqr()).collect())
+            Ok(out.state.probabilities())
         }
         JobKind::DensityDiagonal => {
             let mut plan = shared.density_cache.get_or_compile(job.structural_hash, || {

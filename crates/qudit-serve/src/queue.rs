@@ -67,37 +67,6 @@ impl<T> BoundedQueue<T> {
         let oldest = self.items.iter().enumerate().min_by_key(|(_, (seq, _, _))| *seq)?.0;
         Some(self.items.remove(oldest).2)
     }
-
-    /// Removes up to `limit` items satisfying `pred` and returns them in pop
-    /// order (highest priority first, FIFO within a priority level). Used by
-    /// the engine to coalesce queued same-plan jobs into one batched run;
-    /// non-matching items keep their queue positions.
-    pub fn drain_where(&mut self, limit: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let mut matching: Vec<(u64, u8)> = self
-            .items
-            .iter()
-            .filter(|(_, _, item)| pred(item))
-            .map(|(seq, priority, _)| (*seq, *priority))
-            .collect();
-        matching.sort_by_key(|&(seq, priority)| (std::cmp::Reverse(priority), seq));
-        matching.truncate(limit);
-        let chosen: Vec<u64> = matching.iter().map(|&(seq, _)| seq).collect();
-        let mut taken: Vec<(u64, u8, T)> = Vec::with_capacity(chosen.len());
-        let mut kept: Vec<(u64, u8, T)> = Vec::with_capacity(self.items.len());
-        for entry in self.items.drain(..) {
-            if chosen.contains(&entry.0) {
-                taken.push(entry);
-            } else {
-                kept.push(entry);
-            }
-        }
-        self.items = kept;
-        taken.sort_by_key(|&(seq, priority, _)| (std::cmp::Reverse(priority), seq));
-        taken.into_iter().map(|(_, _, item)| item).collect()
-    }
 }
 
 #[cfg(test)]
@@ -138,25 +107,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.shed_oldest(), Some("urgent"));
         assert_eq!(q.shed_oldest(), None);
-    }
-
-    #[test]
-    fn drain_where_takes_matches_in_pop_order_and_keeps_the_rest() {
-        let mut q = BoundedQueue::new(8);
-        q.push(0, "even-0");
-        q.push(0, "odd-1");
-        q.push(5, "even-2");
-        q.push(0, "even-4");
-        q.push(9, "odd-3");
-        let drained = q.drain_where(2, |s| s.starts_with("even"));
-        // Highest priority first, FIFO within a level; limit respected.
-        assert_eq!(drained, vec!["even-2", "even-0"]);
-        assert_eq!(q.len(), 3);
-        // Non-matching (and over-limit) items keep their queue order.
-        assert_eq!(q.pop_best(), Some("odd-3"));
-        assert_eq!(q.pop_best(), Some("odd-1"));
-        assert_eq!(q.pop_best(), Some("even-4"));
-        assert!(q.drain_where(0, |_| true).is_empty());
     }
 
     #[test]

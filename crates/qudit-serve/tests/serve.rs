@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use qudit_circuit::sim::StatevectorSimulator;
 use qudit_circuit::{Circuit, Gate, Param};
 use qudit_core::matrix::CMatrix;
 use qudit_serve::{
@@ -293,15 +294,13 @@ fn exhausted_retry_budget_fails_the_job() {
 #[test]
 fn repeated_submissions_compile_once() {
     let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
-    // Sequential round trips: the queue is empty at each submission, so no
-    // coalescing happens and every run consults the shared cache.
+    // Sequential round trips: every run consults the shared cache.
     for _ in 0..8 {
         expect_completed(engine.submit(JobSpec::statevector(fixed_circuit())).unwrap().wait());
     }
     let cache = engine.stats().statevector_cache;
     assert_eq!(cache.misses, 1, "one structural hash must compile exactly once");
     assert_eq!(cache.hits, 7);
-    assert_eq!(engine.stats().batched_jobs, 0, "sequential jobs must stay serial");
     engine.join();
 }
 
@@ -342,15 +341,12 @@ fn disabled_cache_compiles_per_request() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched (coalesced) ensemble execution.
+// Queued same-plan jobs.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn queued_same_plan_jobs_coalesce_into_one_ensemble_pass() {
-    let thetas = [0.0, 0.4, 0.8, 1.2, 1.6];
-    // Batched engine: pause so all submissions queue up, then resume — the
-    // single worker pops one job and coalesces its same-plan queue-mates.
-    let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
+/// Submits one `parameterized_circuit` job per angle while `engine` is
+/// paused, resumes it, and returns the payloads in submission order.
+fn queued_parameterized_payloads(engine: &ServeEngine, thetas: &[f64]) -> Vec<Vec<f64>> {
     engine.pause();
     let handles: Vec<_> = thetas
         .iter()
@@ -360,28 +356,56 @@ fn queued_same_plan_jobs_coalesce_into_one_ensemble_pass() {
                 .unwrap()
         })
         .collect();
-    // A structurally different job queued in between must not be swept in.
-    let density = engine.submit(JobSpec::density(fixed_circuit())).unwrap();
+    assert_eq!(engine.queue_len(), thetas.len());
     engine.resume();
-    let batched: Vec<Vec<f64>> = handles.iter().map(|h| expect_completed(h.wait())).collect();
-    expect_completed(density.wait());
+    handles.iter().map(|h| expect_completed(h.wait())).collect()
+}
+
+#[test]
+fn queued_same_plan_jobs_match_sequential_round_trips() {
+    let thetas = [0.0, 0.4, 0.8, 1.2, 1.6];
+    // The single worker pops the queued jobs one at a time, and each one
+    // rebinds the shared cached plan.
+    let engine = ServeEngine::start(ServeConfig::default().with_workers(1));
+    let queued = queued_parameterized_payloads(&engine, &thetas);
     let stats = engine.stats();
-    assert_eq!(stats.completed, 6);
-    assert_eq!(stats.batches, 1, "one ensemble pass for the five same-plan jobs");
-    assert_eq!(stats.batched_jobs, 5);
+    assert_eq!(stats.completed, 5);
+    let cache = stats.statevector_cache;
+    assert_eq!((cache.misses, cache.hits), (1, 4), "every queued job consults the cache");
     engine.join();
 
-    // Serial reference engine: same submission order (so per-job seeds
-    // match), but sequential round trips keep every job on the serial path.
+    // Sequential reference engine: same submission order, so per-job seeds
+    // match.
     let serial = ServeEngine::start(ServeConfig::default().with_workers(1));
-    for (&theta, batched_values) in thetas.iter().zip(batched.iter()) {
+    for (&theta, queued_values) in thetas.iter().zip(queued.iter()) {
         let handle = serial
             .submit(JobSpec::statevector(parameterized_circuit()).with_params(vec![theta]))
             .unwrap();
-        assert_eq!(&expect_completed(handle.wait()), batched_values, "theta = {theta}");
+        assert_eq!(&expect_completed(handle.wait()), queued_values, "theta = {theta}");
     }
-    assert_eq!(serial.stats().batched_jobs, 0);
     serial.join();
+}
+
+#[test]
+fn queued_payloads_match_a_direct_simulator_run_on_one_and_two_workers() {
+    // Oracle: a fresh noiseless simulator compiles and binds the circuit
+    // itself, outside the engine, its plan cache and its guard.
+    let thetas = [0.0, 0.3, 0.9, 1.7, 2.6, -1.1];
+    let sim = StatevectorSimulator::new();
+    let mut plan = sim.compile(&parameterized_circuit()).unwrap();
+    let expected: Vec<Vec<f64>> = thetas
+        .iter()
+        .map(|&theta| sim.run_bound(&mut plan, &[theta]).unwrap().state.probabilities())
+        .collect();
+    assert_ne!(expected[0], expected[1], "the angles must give different distributions");
+    for workers in [1, 2] {
+        let engine = ServeEngine::start(ServeConfig::default().with_workers(workers));
+        let served = queued_parameterized_payloads(&engine, &thetas);
+        for ((theta, got), want) in thetas.iter().zip(&served).zip(&expected) {
+            assert_eq!(got, want, "workers = {workers}, theta = {theta}");
+        }
+        engine.join();
+    }
 }
 
 #[test]
@@ -398,15 +422,13 @@ fn cancelled_member_drops_out_of_the_batch_without_affecting_mates() {
     assert_eq!(first, last, "identical specs must produce identical payloads");
     let stats = engine.stats();
     assert_eq!((stats.completed, stats.cancelled), (2, 1));
-    assert_eq!(stats.batched_jobs, 2, "the two live members still run as one pass");
     engine.join();
 }
 
 #[test]
 fn transient_batch_failures_fall_back_to_the_serial_retry_ladder() {
-    // A negative guard tolerance fails every column of the ensemble pass;
-    // each member must fall back to the serial path, whose retry ladder
-    // escalates the guard policy and completes the job.
+    // A negative guard tolerance fails the first attempt of every queued
+    // job; each job's retry ladder escalates the guard policy and completes.
     let engine = ServeEngine::start(
         ServeConfig::default()
             .with_workers(1)
@@ -423,8 +445,7 @@ fn transient_batch_failures_fall_back_to_the_serial_retry_ladder() {
     }
     let stats = engine.stats();
     assert_eq!((stats.completed, stats.failed), (3, 0));
-    assert_eq!(stats.batched_jobs, 0, "failed columns must not count as batched");
-    assert_eq!(stats.retries, 3, "one serial escalation per member");
+    assert_eq!(stats.retries, 3, "one escalation per job");
     engine.join();
 }
 
