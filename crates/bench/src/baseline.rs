@@ -7,17 +7,18 @@
 //! per-call block-geometry setup, dense-only application, per-amplitude
 //! digit decompositions, O(dim) per-shot sampling, per-branch state clones —
 //! on top of the public API. `bench_kernels` times these against the
-//! optimized paths and records the ratios in `BENCH_1.json`.
+//! optimized paths; the tests below pin each one against its optimized
+//! counterpart.
 //!
 //! Nothing here is wired into production code; it exists only as the
-//! yardstick (and as an independent correctness oracle for the harness's
-//! sanity checks).
+//! yardstick.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qudit_circuit::circuit::{Circuit, Instruction};
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
+use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator};
 use qudit_circuit::Observable;
 use qudit_core::complex::Complex64;
 use qudit_core::matrix::CMatrix;
@@ -342,19 +343,50 @@ pub fn trajectory_expectation(
 ) -> f64 {
     let mut acc = 0.0;
     for t in 0..n_trajectories {
-        let traj_seed = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = StdRng::seed_from_u64(traj_seed);
+        let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, t));
         let state = run_statevector(circuit, noise, &mut rng);
         acc += expectation(&state, observable);
     }
     acc / n_trajectories as f64
 }
 
+/// The per-trajectory seed `TrajectorySimulator::with_seed(seed)` gives
+/// trajectory `t`.
+fn trajectory_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
+/// One-state-at-a-time trajectory estimate over a precompiled plan on the
+/// calling thread: `StatevectorSimulator::run_compiled` per trajectory,
+/// seeded like `TrajectorySimulator::with_seed(seed)`, folded in trajectory
+/// order into `(mean, standard error)`.
+pub fn trajectory_loop(
+    plan: &CompiledCircuit,
+    noise: &NoiseModel,
+    observable: &Observable,
+    n_trajectories: usize,
+    seed: u64,
+) -> (f64, f64) {
+    let values: Vec<f64> = (0..n_trajectories)
+        .map(|t| {
+            let out = StatevectorSimulator::with_seed(trajectory_seed(seed, t))
+                .with_noise(noise.clone())
+                .run_compiled(plan)
+                .expect("plan compiled under the same noise model");
+            observable.expectation(&out.state).expect("matching register")
+        })
+        .collect();
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, (var / n).sqrt())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows;
     use qudit_circuit::gate::Gate;
 
     #[test]
@@ -380,5 +412,73 @@ mod tests {
         let fast = state.sample_counts(&mut rng_b, 4000);
         // Identical RNG stream + equivalent inversion method → identical counts.
         assert_eq!(slow, fast);
+    }
+
+    // The tests below pin each `bench_kernels` baseline against its optimized
+    // path on the row's own workload instance (`crate::rows`).
+
+    #[test]
+    fn lindblad_cloning_rk4_matches_in_place_integrator() {
+        let (t, dt) = (rows::LINDBLAD.1, rows::LINDBLAD.2);
+        let mut fast = rows::lindblad_initial();
+        rows::lindblad().evolve(&mut fast, t, dt).unwrap();
+        let mut slow = rows::lindblad_initial();
+        let (h, collapse) = rows::lindblad_operators();
+        lindblad_evolve_cloning(&h, &collapse, &mut slow, t, dt);
+        let diff = (fast.matrix() - slow.matrix()).max_abs();
+        assert!(diff < 1e-10, "integrators diverged by {diff}");
+    }
+
+    #[test]
+    fn baseline_measure_matches_optimized_collapse() {
+        // The `measure_collapse` row: two-qudit readouts of a 4-qutrit GHZ state.
+        let ghz = rows::ghz();
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for _ in 0..200 {
+            let (mut slow, mut fast) = (ghz.clone(), ghz.clone());
+            let outcome = measure(&mut slow, &[1, 2], &mut rng_a);
+            assert_eq!(outcome, fast.measure(&[1, 2], &mut rng_b).unwrap());
+            for (x, y) in slow.amplitudes().iter().zip(fast.amplitudes()) {
+                assert!((*x - *y).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_sampling_matches_optimized_on_a_spread_state() {
+        // The `state_sample_counts` row: 10k shots of a Haar-random dim-256 state.
+        let dims = rows::sqed().dims().to_vec();
+        let state = qudit_core::random::haar_state(&mut StdRng::seed_from_u64(2), dims).unwrap();
+        let slow = sample_counts(&state, &mut StdRng::seed_from_u64(11), 10_000);
+        assert_eq!(slow, state.sample_counts(&mut StdRng::seed_from_u64(11), 10_000));
+    }
+
+    #[test]
+    fn baseline_trajectory_expectation_is_compatible_with_the_simulator() {
+        let (circuit, noise) = (rows::sqed(), rows::noise());
+        let obs = Observable::number(1, rows::SQED.1);
+        let (n, seed) = rows::TRAJECTORIES;
+        let slow = trajectory_expectation(&circuit, &obs, n, seed, &noise);
+        let sim = qudit_circuit::sim::TrajectorySimulator::new(n).with_seed(seed).with_noise(noise);
+        let fast = sim.expectation(&circuit, &obs).unwrap().mean;
+        assert!((slow - fast).abs() < 0.5, "{slow} vs {fast}");
+    }
+
+    #[test]
+    fn trajectory_loop_is_bitwise_identical_to_the_group_executor() {
+        // The `batched_trajectories` row's baseline computes exactly the
+        // executor's estimate, one state at a time.
+        let (circuit, noise) = (rows::sqed(), rows::noise());
+        let obs = Observable::number(1, rows::SQED.1);
+        let (n, seed) = rows::TRAJECTORIES;
+        let sim = qudit_circuit::sim::TrajectorySimulator::new(n)
+            .with_seed(seed)
+            .with_noise(noise.clone())
+            .with_threads(1);
+        let plan = sim.compile(&circuit).unwrap();
+        let (mean, std_error) = trajectory_loop(&plan, &noise, &obs, n, seed);
+        let est = sim.expectation_compiled(&plan, &obs).unwrap();
+        assert_eq!(mean.to_bits(), est.mean.to_bits());
+        assert_eq!(std_error.to_bits(), est.std_error.to_bits());
     }
 }

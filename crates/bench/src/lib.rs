@@ -5,6 +5,7 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
+pub mod rows;
 
 use lgt::hamiltonian::{sqed_chain, SqedParams};
 use lgt::trotter::{trotter_circuit, TrotterOrder};

@@ -23,16 +23,14 @@
 //!
 //! Measurements, resets, explicit channels, noisy gates (gates the noise
 //! model decorates with channels) and lossy barriers are fusion barriers.
-//! Under the default [`FlushPolicy::WireLocal`] a barrier closes **only the
-//! open blocks whose supports overlap its wires** — a measurement's targets,
+//! Flushing is **wire-local**: a barrier closes **only the open blocks
+//! whose supports overlap its wires** — a measurement's targets,
 //! a reset's qudit, a channel's targets, a noisy gate's targets (its
 //! attached channels act on those same wires), and every wire for a lossy
 //! barrier (idle loss decays the whole register). Blocks on disjoint wires
 //! stay open and keep fusing *through* the barrier, which is what gives
 //! syndrome-extraction-style circuits (repeated ancilla measure + reset
-//! rounds) a fusion benefit at all. [`FlushPolicy::Global`] restores the
-//! PR-2 rule (every barrier closes everything) for comparison benchmarks.
-//! Noiseless barriers are dropped from the execution plan, which lets
+//! rounds) a fusion benefit at all. Noiseless barriers are dropped from the execution plan, which lets
 //! fusion reach across Trotter-step boundaries.
 //!
 //! ### Why deferring blocks past a barrier is sound
@@ -47,10 +45,10 @@
 //! barrier's wires are marginal quantities, invariant under any deferred
 //! unitary on disjoint wires, so every stochastic draw consumes the same
 //! number of variates against the same distribution in the same order and
-//! RNG streams stay aligned across flush policies. One caveat keeps the
+//! RNG streams stay aligned with the unfused plan. One caveat keeps the
 //! guarantee honest: the marginals agree *exactly* in real arithmetic but
 //! only to rounding in floating point (deferral changes the summation
-//! inputs), so a drawn outcome can differ between policies only when a
+//! inputs), so a drawn outcome can differ from the unfused run only when a
 //! uniform variate lands within ~1 ulp of an outcome boundary —
 //! probability ~1e-16 per draw. Away from that knife edge sampling is
 //! bitwise identical, which `tests/flush_props.rs` pins for its seeded
@@ -108,13 +106,11 @@ pub struct FusionConfig {
     /// Maximum subspace dimension of a grown fused block (the cache-residency
     /// budget; a `64×64` complex block is 64 KiB).
     pub max_dim: usize,
-    /// How barriers (measure/reset/channel/noisy gate) close open blocks.
-    pub flush: FlushPolicy,
 }
 
 impl Default for FusionConfig {
     fn default() -> Self {
-        Self { enabled: true, max_qudits: 4, max_dim: 64, flush: FlushPolicy::WireLocal }
+        Self { enabled: true, max_qudits: 4, max_dim: 64 }
     }
 }
 
@@ -123,52 +119,6 @@ impl FusionConfig {
     pub fn disabled() -> Self {
         Self { enabled: false, ..Self::default() }
     }
-
-    /// The default configuration with the PR-2 [`FlushPolicy::Global`]
-    /// barrier rule, kept for comparison benchmarks and property tests.
-    pub fn global_flush() -> Self {
-        Self { flush: FlushPolicy::Global, ..Self::default() }
-    }
-}
-
-/// How a fusion barrier (measurement, reset, channel, noisy gate, lossy
-/// barrier) closes the open blocks on the frontier.
-///
-/// # Example
-///
-/// ```
-/// use qudit_circuit::sim::{FusionConfig, StatevectorSimulator};
-/// use qudit_circuit::{Circuit, Gate};
-///
-/// // A gate run on wire 0 interrupted by a measurement of wire 1.
-/// let mut c = Circuit::uniform(2, 3);
-/// c.push(Gate::fourier(3), &[0]).unwrap();
-/// c.measure(&[1]).unwrap();
-/// c.push(Gate::clock_z(3), &[0]).unwrap();
-///
-/// // Wire-local flushing (the default) fuses straight through it...
-/// let wire_local = StatevectorSimulator::new().compile(&c).unwrap();
-/// assert_eq!(wire_local.fusion_stats().unitary_steps_out, 1);
-/// assert_eq!(wire_local.fusion_stats().barrier_crossings, 1);
-///
-/// // ...while the global PR-2 rule cuts the run in two.
-/// let global = StatevectorSimulator::new()
-///     .with_fusion(FusionConfig::global_flush())
-///     .compile(&c)
-///     .unwrap();
-/// assert_eq!(global.fusion_stats().unitary_steps_out, 2);
-/// assert_eq!(global.fusion_stats().barrier_crossings, 0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Close every open block at every barrier (the PR-2 rule). Simple, but
-    /// mid-circuit measurements erase all fusion progress register-wide.
-    Global,
-    /// Close only the blocks whose supports overlap the barrier's wires;
-    /// disjoint blocks stay open and fuse through the barrier. Sound because
-    /// disjoint-support operations commute (see the module docs).
-    #[default]
-    WireLocal,
 }
 
 /// What the fusion pass did to a circuit; exposed for benchmarks, tests and
@@ -185,9 +135,8 @@ pub struct FusionStats {
     pub max_block_dim: usize,
     /// Open blocks that stayed alive across a fusion barrier (measurement,
     /// reset, channel, noisy gate or lossy barrier), counted once per
-    /// `(block, barrier)` pair. Always zero under [`FlushPolicy::Global`];
-    /// nonzero means wire-local flushing let at least one gate run fuse
-    /// through a mid-circuit boundary.
+    /// `(block, barrier)` pair; nonzero means wire-local flushing let at
+    /// least one gate run fuse through a mid-circuit boundary.
     pub barrier_crossings: usize,
 }
 
@@ -298,14 +247,14 @@ pub(crate) fn fuse(
                              stats: &mut FusionStats,
                              wires: Option<&[usize]>| {
         match wires {
-            Some(w) if config.flush == FlushPolicy::WireLocal => {
+            Some(w) => {
                 flush_touching(open, wire, out, stats, w);
                 debug_assert!(
                     open.iter().flatten().all(|b| b.targets.iter().all(|t| !w.contains(t))),
                     "a block overlapping a barrier survived the flush"
                 );
             }
-            _ => flush_all(open, wire, out, stats),
+            None => flush_all(open, wire, out, stats),
         }
         stats.barrier_crossings += open.iter().filter(|b| b.is_some()).count();
     };
@@ -668,12 +617,6 @@ mod tests {
         assert_eq!(stats.unitary_steps_out, 1);
         assert_eq!(stats.multi_gate_blocks, 1);
         assert_eq!(stats.barrier_crossings, 1);
-
-        // The global policy closes the run at the measurement.
-        let (plan, stats) = fuse_simple(&c, &FusionConfig::global_flush());
-        assert_eq!(plan.len(), 3);
-        assert_eq!(stats.unitary_steps_out, 2);
-        assert_eq!(stats.barrier_crossings, 0);
     }
 
     #[test]
@@ -721,10 +664,6 @@ mod tests {
         assert!(matches!(plan[1], FusedInst::Block { .. }));
         assert_eq!(stats.unitary_steps_out, 2, "noisy gate + one fused block");
         assert_eq!(stats.barrier_crossings, 1);
-
-        // Global flush: the noisy gate cuts the wire-0 run in two.
-        let (plan, _) = fuse(&c, &fusable, true, &FusionConfig::global_flush()).unwrap();
-        assert_eq!(plan.len(), 3);
     }
 
     #[test]
@@ -761,13 +700,15 @@ mod tests {
             c.measure(&[4]).unwrap();
             c.reset(4).unwrap();
         }
-        let (_, wire_local) = fuse_simple(&c, &FusionConfig::default());
-        let (_, global) = fuse_simple(&c, &FusionConfig::global_flush());
-        assert!(wire_local.barrier_crossings > 0, "{wire_local:?}");
-        assert!(
-            wire_local.unitary_steps_out < global.unitary_steps_out,
-            "wire-local must emit fewer apply steps: {wire_local:?} vs {global:?}"
-        );
+        // Per round: the first CSUM's block closes when the second cannot
+        // join it, the second's closes at the readout, and the two idle data
+        // wires' runs cross the measure and the reset. The round-0 runs on
+        // wires 2 and 3 are absorbed by round 1's CSUM blocks; the round-1
+        // runs on wires 0 and 1 close at the end: 6 apply steps.
+        let (_, stats) = fuse_simple(&c, &FusionConfig::default());
+        assert_eq!(stats.unitaries_in, 12);
+        assert_eq!(stats.unitary_steps_out, 6, "{stats:?}");
+        assert_eq!(stats.barrier_crossings, 8, "{stats:?}");
     }
 
     #[test]

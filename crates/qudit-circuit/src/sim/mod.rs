@@ -40,7 +40,7 @@ mod trajectory;
 
 pub use density::{CompiledDensityCircuit, DensityMatrixSimulator};
 pub use ensemble::BatchBindings;
-pub use fusion::{FlushPolicy, FusionConfig, FusionStats};
+pub use fusion::{FusionConfig, FusionStats};
 pub use kernels::{SuperopConfig, SuperopStats};
 pub use statevector::{CompiledCircuit, RunOutput, StatevectorSimulator};
 pub use trajectory::{TrajectoryEstimate, TrajectorySimulator};

@@ -2,11 +2,11 @@
 //! circuits: repeated ancilla measure + reset rounds interleaved with
 //! entangling layers on random mixed-radix registers. Wire-local flushing
 //! re-orders disjoint-support blocks past mid-circuit measurements, so these
-//! tests pin, for all three simulators,
+//! tests pin, for all three simulators, against the unfused reference,
 //!
-//! * wire-local ≡ global-flush ≡ unfused final states at `1e-12`,
-//! * **bitwise identical** measurement records and shot counts across flush
-//!   policies (the RNG-stream alignment guarantee: every stochastic draw
+//! * wire-local ≡ unfused final states at `1e-12`,
+//! * **bitwise identical** measurement records and shot counts with and
+//!   without fusion (the RNG-stream alignment guarantee: every stochastic draw
 //!   consumes the same variates against the same distribution in the same
 //!   order; outcome equality is exact except on a ~1 ulp boundary knife
 //!   edge with probability ~1e-16 per draw, which these seeded workloads
@@ -27,10 +27,6 @@ const TOL: f64 = 1e-12;
 
 fn wire_local() -> FusionConfig {
     FusionConfig::default()
-}
-
-fn global_flush() -> FusionConfig {
-    FusionConfig::global_flush()
 }
 
 fn unfused() -> FusionConfig {
@@ -102,13 +98,13 @@ fn amplitudes_match(a: &qudit_core::QuditState, b: &qudit_core::QuditState, cont
 }
 
 #[test]
-fn statevector_wire_local_equals_global_equals_unfused() {
+fn statevector_wire_local_equals_unfused() {
     let mut crossed = 0usize;
     for trial in 0..20 {
         let mut rng = StdRng::seed_from_u64(9000 + trial);
         let c = random_syndrome_circuit(&mut rng);
         let seed = 120 + trial;
-        let runs: Vec<_> = [wire_local(), global_flush(), unfused()]
+        let runs: Vec<_> = [wire_local(), unfused()]
             .into_iter()
             .map(|cfg| {
                 StatevectorSimulator::with_seed(seed).with_fusion(cfg).run_detailed(&c).unwrap()
@@ -117,9 +113,7 @@ fn statevector_wire_local_equals_global_equals_unfused() {
         // Bitwise identical measurement records: the RNG-stream alignment
         // guarantee (same draws, same distributions, same order).
         assert_eq!(runs[0].measurements, runs[1].measurements, "trial {trial}");
-        assert_eq!(runs[0].measurements, runs[2].measurements, "trial {trial}");
-        amplitudes_match(&runs[0].state, &runs[1].state, &format!("trial {trial} wl/global"));
-        amplitudes_match(&runs[0].state, &runs[2].state, &format!("trial {trial} wl/unfused"));
+        amplitudes_match(&runs[0].state, &runs[1].state, &format!("trial {trial} wl/unfused"));
 
         let stats = StatevectorSimulator::new().compile(&c).unwrap().fusion_stats();
         crossed += stats.barrier_crossings;
@@ -140,7 +134,6 @@ fn shot_sampling_is_bitwise_identical_across_flush_policies() {
                 .unwrap()
         };
         let reference = sample(wire_local(), 1);
-        assert_eq!(sample(global_flush(), 1), reference, "trial {trial} global");
         assert_eq!(sample(unfused(), 1), reference, "trial {trial} unfused");
         // Thread-count invariance must survive the re-ordered plan too.
         assert_eq!(sample(wire_local(), 4), reference, "trial {trial} threads");
@@ -161,7 +154,6 @@ fn trajectory_sampling_is_bitwise_identical_across_flush_policies() {
             .unwrap()
     };
     let reference = counts(wire_local());
-    assert_eq!(counts(global_flush()), reference);
     assert_eq!(counts(unfused()), reference);
 }
 
@@ -184,13 +176,12 @@ fn trajectory_estimates_agree_across_flush_policies_under_noise() {
         let wl = estimate(wire_local());
         // Per-trajectory RNG streams stay aligned, so the estimates match to
         // rounding, not just statistically.
-        assert!((wl - estimate(global_flush())).abs() < 1e-10, "trial {trial}");
         assert!((wl - estimate(unfused())).abs() < 1e-10, "trial {trial}");
     }
 }
 
 #[test]
-fn density_wire_local_equals_global_equals_unfused() {
+fn density_wire_local_equals_unfused() {
     for trial in 0..10 {
         let mut rng = StdRng::seed_from_u64(11_000 + trial);
         let c = random_syndrome_circuit(&mut rng);
@@ -209,19 +200,16 @@ fn density_wire_local_equals_global_equals_unfused() {
                 .unwrap()
         };
         let wl = run(wire_local());
-        let gl = run(global_flush());
         let un = run(unfused());
-        let d1 = (wl.matrix() - gl.matrix()).max_abs();
-        let d2 = (wl.matrix() - un.matrix()).max_abs();
-        assert!(d1 < TOL, "trial {trial}: wire-local vs global differ by {d1}");
-        assert!(d2 < TOL, "trial {trial}: wire-local vs unfused differ by {d2}");
+        let diff = (wl.matrix() - un.matrix()).max_abs();
+        assert!(diff < TOL, "trial {trial}: wire-local vs unfused differ by {diff}");
     }
 }
 
 #[test]
 fn density_policies_agree_with_idle_loss_barriers() {
-    // Lossy barriers decay every wire and must flush globally even under the
-    // wire-local policy; the three policies still agree exactly.
+    // Lossy barriers decay every wire and must flush every open block even
+    // under wire-local flushing; fused and unfused runs still agree.
     let mut rng = StdRng::seed_from_u64(12_000);
     let dims = vec![3, 2, 3];
     let mut c = Circuit::new(dims.clone());
@@ -237,48 +225,39 @@ fn density_policies_agree_with_idle_loss_barriers() {
         DensityMatrixSimulator::new().with_noise(noise.clone()).with_fusion(cfg).run(&c).unwrap()
     };
     let wl = run(wire_local());
-    let gl = run(global_flush());
     let un = run(unfused());
-    assert!((wl.matrix() - gl.matrix()).max_abs() < TOL);
     assert!((wl.matrix() - un.matrix()).max_abs() < TOL);
 }
 
 #[test]
 fn wire_local_compiles_fewer_apply_steps_on_syndrome_workloads() {
     // The point of the feature: across random syndrome circuits, wire-local
-    // flushing must never emit more apply steps than the global policy, and
-    // must strictly beat it on a majority of trials.
-    let mut strictly_better = 0usize;
+    // plans must translation-validate, never emit more apply steps than the
+    // unfused plan, and let runs cross readouts on a majority of trials.
+    let mut crossed = 0usize;
     let trials = 20;
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(13_000 + trial);
         let c = random_syndrome_circuit(&mut rng);
         let wl_plan = StatevectorSimulator::new().with_fusion(wire_local()).compile(&c).unwrap();
-        let gl_plan = StatevectorSimulator::new().with_fusion(global_flush()).compile(&c).unwrap();
-        // Debug builds translation-validate both flush policies' plans — in
-        // particular the wire-local barrier crossings must all be proven
-        // disjoint-support reorderings.
+        // Debug builds translation-validate the plan — in particular every
+        // wire-local barrier crossing must be proven a disjoint-support
+        // reordering.
         #[cfg(debug_assertions)]
-        {
-            let vcfg = qudit_verify::VerifyConfig::default();
-            qudit_verify::verify_statevector(&c, &wl_plan, &vcfg.clone().with_fusion(wire_local()))
-                .unwrap();
-            qudit_verify::verify_statevector(&c, &gl_plan, &vcfg.with_fusion(global_flush()))
-                .unwrap();
-        }
+        qudit_verify::verify_statevector(
+            &c,
+            &wl_plan,
+            &qudit_verify::VerifyConfig::default().with_fusion(wire_local()),
+        )
+        .unwrap();
         let wl = wl_plan.fusion_stats();
-        let gl = gl_plan.fusion_stats();
-        assert!(
-            wl.unitary_steps_out <= gl.unitary_steps_out,
-            "trial {trial}: wire-local regressed: {wl:?} vs {gl:?}"
-        );
-        if wl.unitary_steps_out < gl.unitary_steps_out {
-            strictly_better += 1;
+        assert!(wl.unitary_steps_out <= wl.unitaries_in, "trial {trial}: {wl:?}");
+        if wl.barrier_crossings > 0 {
+            crossed += 1;
         }
-        assert_eq!(gl.barrier_crossings, 0, "global flush can never cross barriers");
     }
     assert!(
-        strictly_better * 2 > trials as usize,
-        "wire-local should strictly win on most syndrome circuits ({strictly_better}/{trials})"
+        crossed * 2 > trials as usize,
+        "wire-local runs should cross readouts on most syndrome circuits ({crossed}/{trials})"
     );
 }

@@ -189,7 +189,7 @@ fn fused_budget_variations_agree() {
     let reference =
         StatevectorSimulator::new().with_fusion(FusionConfig::disabled()).run(&c).unwrap();
     for (max_qudits, max_dim) in [(2, 9), (3, 16), (4, 64), (4, 4096)] {
-        let cfg = FusionConfig { enabled: true, max_qudits, max_dim, ..FusionConfig::default() };
+        let cfg = FusionConfig { enabled: true, max_qudits, max_dim };
         let fused = StatevectorSimulator::new().with_fusion(cfg).run(&c).unwrap();
         amplitudes_match(&fused, &reference);
     }
