@@ -390,31 +390,22 @@ impl DensityMatrixSimulator {
                             }
                             for fb in fallback {
                                 match fb {
-                                    SuperFallback::Unitary { plan, kind, op } => rho
-                                        .apply_unitary_prepared(plan, kind, op, &mut scratch)
-                                        .map_err(CircuitError::Core)?,
-                                    SuperFallback::Kraus(ch) => rho
-                                        .apply_kraus_prepared(
-                                            &ch.plan,
-                                            ch.channel.operators(),
-                                            &ch.kinds,
-                                            &mut scratch,
-                                        )
-                                        .map_err(CircuitError::Core)?,
+                                    SuperFallback::Unitary { targets, op } => {
+                                        rho.apply_unitary(op, targets)
+                                    }
+                                    SuperFallback::Kraus { channel, targets } => {
+                                        rho.apply_kraus(channel.operators(), targets)
+                                    }
                                 }
+                                .map_err(CircuitError::Core)?;
                             }
                             monitor.record_fallback();
                             degraded = true;
                         }
                     }
                     if !degraded {
-                        if threads > 1 {
-                            rho.apply_superop_prepared_threads(plan, kind, sup, threads)
-                                .map_err(CircuitError::Core)?;
-                        } else {
-                            rho.apply_superop_prepared(plan, kind, sup, &mut scratch)
-                                .map_err(CircuitError::Core)?;
-                        }
+                        rho.apply_superop_prepared(plan, kind, sup, threads, &mut scratch)
+                            .map_err(CircuitError::Core)?;
                     }
                 }
                 DensityStep::Kraus(ch) => {

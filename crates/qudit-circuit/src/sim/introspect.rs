@@ -29,7 +29,9 @@ use qudit_core::superop::SuperPlan;
 use crate::error::Result;
 use crate::noise::KrausChannel;
 use crate::sim::fusion::FusionStats;
-use crate::sim::kernels::{ChannelKernel, CircuitKernels, DensityKernels, DensityStep, ExecStep};
+use crate::sim::kernels::{
+    ChannelKernel, CircuitKernels, DensityChannel, DensityKernels, DensityStep, ExecStep,
+};
 use crate::sim::{CompiledCircuit, CompiledDensityCircuit, SuperopStats};
 
 pub use crate::sim::kernels::{DensityRole, ItemOrigin};
@@ -184,13 +186,31 @@ impl<'a> PlanView<'a> {
     }
 }
 
+/// A channel on the density per-term Kraus path, with the doubled-register
+/// plan its sandwiches sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct DensityChannelView<'a> {
+    /// The Kraus channel.
+    pub channel: &'a KrausChannel,
+    /// The qudits the channel acts on (operator index order).
+    pub targets: &'a [usize],
+    /// The precomputed doubled-register stride plans.
+    pub plan: &'a SuperPlan,
+}
+
+impl<'a> DensityChannelView<'a> {
+    fn of(ch: &'a DensityChannel) -> Self {
+        Self { channel: &ch.channel, targets: &ch.targets, plan: &ch.plan }
+    }
+}
+
 /// One step of a compiled density plan, as seen by a verifier.
 #[derive(Debug, Clone)]
 pub enum DensityStepView<'a> {
     /// A standalone deterministic map (two-sided sandwich).
     Unitary {
-        /// The precomputed stride plan.
-        plan: &'a ApplyPlan,
+        /// The precomputed doubled-register stride plans.
+        plan: &'a SuperPlan,
         /// The compile-time operator.
         op: &'a CMatrix,
         /// The compile-time classification.
@@ -211,7 +231,7 @@ pub enum DensityStepView<'a> {
         defect_tol: f64,
     },
     /// Per-term Kraus execution of one channel.
-    Kraus(ChannelView<'a>),
+    Kraus(DensityChannelView<'a>),
 }
 
 /// Borrow-only view over a compiled density plan.
@@ -268,7 +288,7 @@ impl<'a> DensityPlanView<'a> {
                     defect_tol: *defect_tol,
                 }
             }
-            DensityStep::Kraus(kernel) => DensityStepView::Kraus(ChannelView::of(kernel)),
+            DensityStep::Kraus(ch) => DensityStepView::Kraus(DensityChannelView::of(ch)),
         }
     }
 

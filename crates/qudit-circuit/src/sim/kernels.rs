@@ -246,7 +246,7 @@ impl ChannelKernel {
         probs.clear();
         if self.one_sweep {
             let marginal = &mut scratch.marginal;
-            self.plan.marginal_probabilities_into(amps, 1, 0, |z| z.norm_sqr(), marginal);
+            self.plan.marginal_probabilities_into(amps, |z| z.norm_sqr(), marginal);
             for weights in self.kinds.iter().filter_map(marginal_weights) {
                 probs
                     .push(weights.iter().zip(marginal.iter()).map(|(w, m)| w.norm_sqr() * m).sum());
@@ -612,11 +612,11 @@ use qudit_core::Radix;
 ///
 /// With batching enabled (the default), the density compiler turns every
 /// channel whose superoperator `Σ K ⊗ conj(K)` is profitable into a **single
-/// strided sweep** over the vectorised density matrix, and folds
-/// channel-adjacent unitary runs into the same sweep when that never
-/// increases apply cost. Disabled, every channel executes on the per-term
-/// Kraus path (`2m` sweeps plus `m` accumulations for an `m`-operator
-/// channel), which is the reference the property tests compare against.
+/// sweep** over the vectorised density matrix, and folds channel-adjacent
+/// unitary runs into the same sweep when that never increases apply cost.
+/// Disabled, every channel executes on the per-term Kraus path (`2m` sweeps
+/// plus `m` accumulations for an `m`-operator channel), which is the
+/// reference the property tests compare against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperopConfig {
     /// Master switch; disabled keeps all channels on the per-term path.
@@ -659,14 +659,27 @@ pub struct SuperopStats {
     pub max_super_dim: usize,
 }
 
+/// A channel on the density per-term Kraus path: each operator runs as a
+/// sandwich through the doubled-register plan of the channel's targets.
+#[derive(Debug, Clone)]
+pub(crate) struct DensityChannel {
+    pub channel: KrausChannel,
+    /// The qudits the channel acts on (in operator index order).
+    pub targets: Vec<usize>,
+    /// Structure classification of each Kraus operator.
+    pub kinds: Vec<OpKind>,
+    pub plan: SuperPlan,
+}
+
 /// One step of the compiled **density** execution plan. Measurements, resets
 /// and barrier losses from the shared [`ExecStep`] plan are compiled away
 /// into their channel forms, so the density run loop is just three arms.
+/// Every step sweeps `vec(ρ)` through a [`SuperPlan`].
 #[derive(Debug, Clone)]
 pub(crate) enum DensityStep {
     /// A standalone deterministic map, applied as the two-sided sandwich
     /// `ρ → U ρ U†` (cheaper than its superoperator for `k > 2`).
-    Unitary { plan: ApplyPlan, kind: OpKind, op: CMatrix },
+    Unitary { plan: SuperPlan, kind: OpKind, op: CMatrix },
     /// One superoperator sweep over vectorised ρ: a whole channel — possibly
     /// with folded adjacent unitaries and further channels — in one pass.
     /// `fallback` records the constituent operations in program order so a
@@ -685,19 +698,20 @@ pub(crate) enum DensityStep {
         defect_tol: f64,
     },
     /// Per-term Kraus fallback for channels whose superoperator would be
-    /// over budget or cost more than `2m` strided sweeps.
-    Kraus(ChannelKernel),
+    /// over budget or cost more than `2m` sandwich sweeps.
+    Kraus(DensityChannel),
 }
 
 /// One constituent of a superoperator sweep's degradation path: the original
 /// operation the sweep folded, applied directly when the sweep's matrix
-/// fails its runtime health check (see [`DensityStep::Super`]).
+/// fails its runtime health check (see [`DensityStep::Super`]). It builds
+/// its plan only then, so healthy runs never pay for it.
 #[derive(Debug, Clone)]
 pub(crate) enum SuperFallback {
     /// A deterministic map applied as the two-sided sandwich.
-    Unitary { plan: ApplyPlan, kind: OpKind, op: CMatrix },
+    Unitary { targets: Vec<usize>, op: CMatrix },
     /// A channel applied on the per-term Kraus path.
-    Kraus(ChannelKernel),
+    Kraus { channel: KrausChannel, targets: Vec<usize> },
 }
 
 /// One constituent of a rebindable superoperator sweep: either a constant
@@ -886,14 +900,7 @@ enum DensityItem {
     /// fold's compile-time validation: `0` for unitaries, the construction
     /// tolerance for single-operator channels (which may be intentionally
     /// lossy).
-    Unitary {
-        targets: Vec<usize>,
-        plan: ApplyPlan,
-        kind: OpKind,
-        op: CMatrix,
-        recipe: Option<OpRecipe>,
-        tol: f64,
-    },
+    Unitary { targets: Vec<usize>, kind: OpKind, op: CMatrix, recipe: Option<OpRecipe>, tol: f64 },
     /// A multi-operator channel; `sup` is its precomputed superoperator and
     /// classification when the channel is superop-eligible.
     Channel { kernel: ChannelKernel, sup: Option<(CMatrix, OpKind)> },
@@ -1073,16 +1080,25 @@ impl DensityFrontier<'_> {
     fn emit_verbatim(&mut self, id: usize) -> Result<()> {
         self.step_items.push(vec![id]);
         match self.items[id].take().expect("items are consumed once") {
-            DensityItem::Unitary { plan, kind, op, recipe, .. } => {
+            DensityItem::Unitary { targets, kind, op, recipe, .. } => {
                 if let Some(recipe) = recipe {
                     self.rebind.push(DensityRecipe::Sandwich { step: self.steps.len(), recipe });
                 }
                 self.stats.unitary_steps += 1;
+                let plan = SuperPlan::new(self.radix, &targets).map_err(CircuitError::Core)?;
                 self.steps.push(DensityStep::Unitary { plan, kind, op });
             }
             DensityItem::Channel { kernel, .. } => {
                 self.stats.kraus_steps += 1;
-                self.steps.push(DensityStep::Kraus(kernel));
+                let plan =
+                    SuperPlan::new(self.radix, &kernel.targets).map_err(CircuitError::Core)?;
+                let ChannelKernel { channel, targets, kinds, .. } = kernel;
+                self.steps.push(DensityStep::Kraus(DensityChannel {
+                    channel,
+                    targets,
+                    kinds,
+                    plan,
+                }));
             }
         }
         Ok(())
@@ -1117,17 +1133,16 @@ impl DensityFrontier<'_> {
                     parametric = true;
                     SuperPart::Parametric { recipe }
                 }
-                DensityItem::Unitary { targets, plan, kind, op, recipe: None, tol } => {
+                DensityItem::Unitary { targets, op, recipe: None, tol, .. } => {
                     defect_tol += tol;
-                    fallback.push(SuperFallback::Unitary { plan, kind, op: op.clone() });
-                    SuperPart::Const {
-                        sup: embed_super(
-                            &SuperPlan::unitary_superop(&op),
-                            &targets,
-                            &block.targets,
-                            self.dims,
-                        )?,
-                    }
+                    let sup = embed_super(
+                        &SuperPlan::unitary_superop(&op),
+                        &targets,
+                        &block.targets,
+                        self.dims,
+                    )?;
+                    fallback.push(SuperFallback::Unitary { targets, op });
+                    SuperPart::Const { sup }
                 }
                 DensityItem::Channel { kernel, sup } => {
                     let (sup, _) = sup.expect("merged channels carry their superoperator");
@@ -1135,7 +1150,8 @@ impl DensityFrontier<'_> {
                     let part = SuperPart::Const {
                         sup: embed_super(&sup, &kernel.targets, &block.targets, self.dims)?,
                     };
-                    fallback.push(SuperFallback::Kraus(kernel));
+                    let (channel, targets) = (kernel.channel, kernel.targets);
+                    fallback.push(SuperFallback::Kraus { channel, targets });
                     part
                 }
             });
@@ -1195,8 +1211,8 @@ impl DensityFrontier<'_> {
         let item = self.items[id].as_ref().expect("items are pushed once");
         let item_class = Self::item_class(item);
         let (targets, eligible, item_cost) = match item {
-            DensityItem::Unitary { targets, plan, .. } => {
-                let k = plan.sub_dim();
+            DensityItem::Unitary { targets, .. } => {
+                let k = self.radix.subspace_dim(targets).map_err(CircuitError::Core)?;
                 let cost = match item_class {
                     Structure::Diagonal => 2,
                     Structure::Monomial => 4,
@@ -1295,7 +1311,6 @@ fn collect_density_items(
         if kernel.channel.operators().len() == 1 {
             items.push(DensityItem::Unitary {
                 targets: kernel.targets.clone(),
-                plan: kernel.plan.clone(),
                 kind: kernel.kinds[0].clone(),
                 op: kernel.channel.operators()[0].clone(),
                 recipe: None,
@@ -1332,7 +1347,7 @@ fn collect_density_items(
 
     for (step, sources) in kernels.steps.iter().zip(kernels.origins.iter()) {
         match step {
-            ExecStep::Apply { targets, plan, kind, op, noise, recipe } => {
+            ExecStep::Apply { targets, kind, op, noise, recipe, .. } => {
                 origins.push(ItemOrigin {
                     sources: sources.clone(),
                     role: DensityRole::Primary,
@@ -1341,7 +1356,6 @@ fn collect_density_items(
                 });
                 items.push(DensityItem::Unitary {
                     targets: targets.clone(),
-                    plan: plan.clone(),
                     kind: kind.clone(),
                     op: op.clone(),
                     recipe: recipe.clone(),

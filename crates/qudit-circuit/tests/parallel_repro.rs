@@ -1,6 +1,6 @@
-//! Parallel-execution invariants: trajectory and shot loops must produce
-//! results that are bitwise independent of the worker-thread count, and
-//! reproducible from a fixed seed.
+//! Parallel-execution invariants: trajectory and shot loops and density
+//! runs must produce results that are bitwise independent of the
+//! worker-thread count, and reproducible from a fixed seed.
 //!
 //! The trajectory executor's chunk width is `min(64, ⌈n/threads⌉)`, so the
 //! trajectory suites also sweep `UNEVEN_SIZES × {1, 3}` threads: widths that
@@ -9,7 +9,9 @@
 
 use qudit_circuit::gate::Gate;
 use qudit_circuit::noise::NoiseModel;
-use qudit_circuit::sim::{StatevectorSimulator, TrajectorySimulator};
+use qudit_circuit::sim::{
+    DensityMatrixSimulator, StatevectorSimulator, SuperopConfig, TrajectorySimulator,
+};
 use qudit_circuit::{Circuit, Observable};
 
 /// Trajectory counts whose chunking at 3 threads leaves ragged last chunks
@@ -136,4 +138,37 @@ fn stochastic_statevector_shots_are_thread_invariant() {
         StatevectorSimulator::with_seed(33).with_threads(8).sample_counts(&c, 400).unwrap();
     assert_eq!(serial, parallel);
     assert_eq!(serial.values().sum::<usize>(), 400);
+}
+
+#[test]
+fn density_run_is_bitwise_thread_invariant() {
+    // Mixed radix, N = 72. With a superoperator budget of 3 the d = 4 qudit's
+    // channels stay on the per-term Kraus path, two-qudit gates run as
+    // sandwiches, and the d ≤ 3 gates fold with their depolarizing channels
+    // into dense sweeps large enough for the pool to split.
+    let mut c = Circuit::new(vec![4, 3, 2, 3]);
+    c.push(Gate::fourier(4), &[0]).unwrap();
+    c.push(Gate::fourier(3), &[1]).unwrap();
+    c.push(Gate::csum(4, 3), &[0, 3]).unwrap();
+    c.push(Gate::fourier(3), &[3]).unwrap();
+    c.push(Gate::csum(3, 2), &[1, 2]).unwrap();
+    c.push(Gate::shift_x(2), &[2]).unwrap();
+    c.push(Gate::cphase(3, 3), &[3, 1]).unwrap();
+    let sim = |threads| {
+        DensityMatrixSimulator::new()
+            .with_noise(NoiseModel::depolarizing(0.02, 0.05))
+            .with_superop(SuperopConfig { enabled: true, max_dim: 3 })
+            .with_threads(threads)
+    };
+    let plan = sim(1).compile(&c).unwrap();
+    let stats = plan.superop_stats();
+    assert!(stats.unitary_steps > 0 && stats.super_steps > 0 && stats.kraus_steps > 0, "{stats:?}");
+    let bits = |threads| -> Vec<(u64, u64)> {
+        let rho = sim(threads).run_compiled(&plan).unwrap();
+        rho.matrix().as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    let serial = bits(1);
+    for threads in [2, 4] {
+        assert!(bits(threads) == serial, "threads {threads}");
+    }
 }

@@ -322,10 +322,20 @@ impl ApplyPlan {
     /// Invokes `f(base)` for every spectator configuration, where `base` is
     /// the flat index with all target digits zero.
     #[inline]
-    pub fn for_each_block(&self, mut f: impl FnMut(usize)) {
+    pub fn for_each_block(&self, f: impl FnMut(usize)) {
+        self.for_each_block_range(0, self.spectator_count, f);
+    }
+
+    /// Invokes `f(base)` for the spectator configurations with flat spectator
+    /// indices in `start..end`, in odometer order (the last spectator digit
+    /// fastest); [`ApplyPlan::for_each_block`] is this method at `0..count`.
+    #[inline]
+    pub fn for_each_block_range(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
         let k = self.spectator_dims.len();
         if k == 0 {
-            f(0);
+            if start == 0 && end > 0 {
+                f(0);
+            }
             return;
         }
         // Registers this workspace simulates stay far below 32 qudits, so the
@@ -338,8 +348,16 @@ impl ApplyPlan {
             heap = vec![0usize; k];
             &mut heap
         };
-        let mut base = 0usize;
-        loop {
+        // Seed the odometer at spectator index `start` (digit k-1 is the
+        // least significant).
+        let mut rem = start;
+        for pos in (0..k).rev() {
+            digits[pos] = rem % self.spectator_dims[pos];
+            rem /= self.spectator_dims[pos];
+        }
+        let mut base: usize =
+            digits.iter().zip(self.spectator_strides.iter()).map(|(&d, &s)| d * s).sum();
+        for _ in start..end {
             f(base);
             // Odometer increment, updating `base` incrementally.
             let mut pos = k;
@@ -359,51 +377,10 @@ impl ApplyPlan {
         }
     }
 
-    /// Invokes `f(base)` for the spectator configurations with flat spectator
-    /// indices in `start..end` (the same enumeration order as
-    /// [`ApplyPlan::for_each_block`], which is this method at `0..count`).
-    #[inline]
-    pub fn for_each_block_range(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
-        let k = self.spectator_dims.len();
-        if k == 0 {
-            if start == 0 && end > 0 {
-                f(0);
-            }
-            return;
-        }
-        // Seed the odometer at spectator index `start` (digit k-1 is the
-        // least significant, matching `for_each_block`'s increment order).
-        let mut digits = vec![0usize; k];
-        let mut rem = start;
-        for pos in (0..k).rev() {
-            digits[pos] = rem % self.spectator_dims[pos];
-            rem /= self.spectator_dims[pos];
-        }
-        let mut base: usize =
-            digits.iter().zip(self.spectator_strides.iter()).map(|(&d, &s)| d * s).sum();
-        for _ in start..end {
-            f(base);
-            let mut pos = k;
-            loop {
-                if pos == 0 {
-                    return;
-                }
-                pos -= 1;
-                digits[pos] += 1;
-                base += self.spectator_strides[pos];
-                if digits[pos] < self.spectator_dims[pos] {
-                    break;
-                }
-                base -= self.spectator_dims[pos] * self.spectator_strides[pos];
-                digits[pos] = 0;
-            }
-        }
-    }
-
-    /// Number of independently-updatable work units the unit-stride apply
-    /// kernels iterate for this `(plan, kind)` pair: the contiguous panel
-    /// count for the uniform-stride dense fast path, the spectator-block
-    /// count otherwise. [`ApplyPlan::apply_parallel`] chunks this range.
+    /// Number of independently-updatable work units the apply kernels
+    /// iterate for this `(plan, kind)` pair: the contiguous panel count for
+    /// the uniform-stride dense fast path, the spectator-block count
+    /// otherwise. [`ApplyPlan::apply_parallel`] chunks this range.
     fn parallel_units(&self, kind: &OpKind) -> usize {
         match (kind, self.uniform_stride) {
             (OpKind::Dense, Some(s)) if s > 1 => self.total_dim / (self.sub_dim * s),
@@ -412,11 +389,10 @@ impl ApplyPlan {
     }
 
     /// Applies `op` to the work units in `units` (see
-    /// [`ApplyPlan::parallel_units`]) of a unit-stride amplitude slice. Each
-    /// unit's update reads and writes only that unit's indices and performs
-    /// exactly the arithmetic the serial kernels in [`ApplyPlan::apply`]
-    /// perform, so any partition of the unit range reproduces the serial
-    /// result bitwise.
+    /// [`ApplyPlan::parallel_units`]) of an amplitude slice: the one apply
+    /// kernel body. Each unit's update reads and writes only that unit's
+    /// indices, so any partition of the unit range reproduces the serial
+    /// result ([`ApplyPlan::apply`], which runs all units) bitwise.
     fn apply_units(
         &self,
         kind: &OpKind,
@@ -459,6 +435,10 @@ impl ApplyPlan {
                 });
             }
             OpKind::Dense => match self.uniform_stride {
+                // Consecutive ascending targets: the register reshapes into
+                // contiguous `sub_dim × s` panels (`s` = product of the
+                // trailing spectator dimensions), and the block application
+                // becomes a tight matrix–panel product on sequential memory.
                 Some(1) => {
                     scratch.resize(self.sub_dim, Complex64::ZERO);
                     self.for_each_block_range(units.start, units.end, |base| {
@@ -470,20 +450,31 @@ impl ApplyPlan {
                     });
                 }
                 Some(s) => {
+                    // Panels are walked in column tiles of at most `TILE`,
+                    // so the scratch stays `sub_dim × TILE` however wide the
+                    // panel (on the density row side `s` spans whole rows).
+                    const TILE: usize = 64;
                     let chunk = self.sub_dim * s;
-                    scratch.resize(chunk, Complex64::ZERO);
                     for hi in units {
-                        let start = hi * chunk;
-                        let block = &mut data[start..start + chunk];
-                        scratch.copy_from_slice(block);
-                        for (r, out_row) in block.chunks_exact_mut(s).enumerate() {
-                            out_row.fill(Complex64::ZERO);
-                            for (in_row, &a) in scratch.chunks_exact(s).zip(op.row(r).iter()) {
-                                if a == Complex64::ZERO {
-                                    continue;
-                                }
-                                for (o, &x) in out_row.iter_mut().zip(in_row.iter()) {
-                                    *o = a.mul_add(x, *o);
+                        let block = &mut data[hi * chunk..(hi + 1) * chunk];
+                        for lo in (0..s).step_by(TILE) {
+                            let w = TILE.min(s - lo);
+                            scratch.resize(self.sub_dim * w, Complex64::ZERO);
+                            for (c, tile_row) in scratch.chunks_exact_mut(w).enumerate() {
+                                tile_row.copy_from_slice(&block[c * s + lo..c * s + lo + w]);
+                            }
+                            // block[r·s + lo + l] = Σ_c op[r, c] · tile[c·w + l]:
+                            // a `w`-wide contiguous axpy per operator entry.
+                            for r in 0..self.sub_dim {
+                                let out_row = &mut block[r * s + lo..r * s + lo + w];
+                                out_row.fill(Complex64::ZERO);
+                                for (in_row, &a) in scratch.chunks_exact(w).zip(op.row(r)) {
+                                    if a == Complex64::ZERO {
+                                        continue;
+                                    }
+                                    for (o, &x) in out_row.iter_mut().zip(in_row) {
+                                        *o = a.mul_add(x, *o);
+                                    }
                                 }
                             }
                         }
@@ -507,11 +498,11 @@ impl ApplyPlan {
     /// Parallel variant of [`ApplyPlan::apply`]: the independent work units
     /// (spectator blocks, or contiguous panels on the uniform-stride dense
     /// path) are split into contiguous chunks evaluated on the
-    /// [`crate::par`] worker pool. Falls back to the serial kernel when
-    /// `threads <= 1` or the work is too small to amortise dispatch. Because
-    /// every unit's update is confined to that unit's indices and performs
-    /// the same arithmetic as the serial kernel, the result is **bitwise
-    /// identical** for every thread count.
+    /// [`crate::par`] worker pool. Runs [`ApplyPlan::apply`] with the
+    /// caller's `scratch` when `threads <= 1` or the work is too small to
+    /// amortise dispatch. Because every unit's update is confined to that
+    /// unit's indices and performs the same arithmetic as the serial kernel,
+    /// the result is **bitwise identical** for every thread count.
     ///
     /// # Errors
     /// Returns an error if `op` or the slice have the wrong dimension.
@@ -522,18 +513,11 @@ impl ApplyPlan {
         op: &CMatrix,
         amps: &mut [Complex64],
         threads: usize,
+        scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
         /// Minimum multiply-adds of total work before chunk dispatch pays.
         const MIN_PARALLEL_WORK: usize = 1 << 14;
         let units = self.parallel_units(kind);
-        // Validate everything up front so the per-unit kernels (and the pool
-        // workers) cannot index out of bounds or observe a shape mismatch.
-        self.check_span(amps.len(), 1, 0)?;
-        match kind {
-            OpKind::Diagonal(diag) => self.check_op(diag.len())?,
-            OpKind::Monomial { rows, .. } => self.check_op(rows.len())?,
-            OpKind::Dense => self.check_op_matrix(op)?,
-        }
         let work = match kind {
             OpKind::Dense => self.total_dim * self.sub_dim,
             _ => self.total_dim,
@@ -541,10 +525,11 @@ impl ApplyPlan {
         if threads <= 1 || units < 2 * threads || work < MIN_PARALLEL_WORK {
             // Serial fallback through the same per-unit kernels the chunked
             // path runs, so thread-count invariance holds by construction.
-            let mut scratch = Vec::new();
-            self.apply_units(kind, op, amps, 0..units, &mut scratch);
-            return Ok(());
+            return self.apply(kind, op, amps, scratch);
         }
+        // Validate everything up front so the pool workers cannot index out
+        // of bounds or observe a shape mismatch.
+        self.check_apply(kind, op, amps.len())?;
 
         /// A shareable raw view of the amplitude slice. Workers write
         /// pairwise-disjoint index sets, so the aliasing is benign.
@@ -604,6 +589,18 @@ impl ApplyPlan {
         Ok(())
     }
 
+    /// The shape checks of [`ApplyPlan::apply`]: the slice must hold the
+    /// register and the operator (or its classification) must span the
+    /// target subspace, so the per-unit kernels never index out of bounds.
+    fn check_apply(&self, kind: &OpKind, op: &CMatrix, len: usize) -> Result<()> {
+        self.check_span(len)?;
+        match kind {
+            OpKind::Diagonal(diag) => self.check_op(diag.len()),
+            OpKind::Monomial { rows, .. } => self.check_op(rows.len()),
+            OpKind::Dense => self.check_op_matrix(op),
+        }
+    }
+
     /// Applies `op` (with precomputed `kind`) to a flat amplitude slice.
     ///
     /// `scratch` is caller-provided working memory, resized as needed; reuse
@@ -618,143 +615,8 @@ impl ApplyPlan {
         amps: &mut [Complex64],
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        self.apply_strided(kind, op, amps, 1, 0, scratch)
-    }
-
-    /// Strided variant of [`ApplyPlan::apply`]: register index `i` lives at
-    /// `data[offset + stride * i]`. Used by the density-matrix simulator to
-    /// run the same kernels down matrix columns (`stride = n, offset = j`)
-    /// and across rows (`stride = 1, offset = i * n`).
-    ///
-    /// # Errors
-    /// Returns an error if `op` or the addressed span have the wrong
-    /// dimension.
-    pub fn apply_strided(
-        &self,
-        kind: &OpKind,
-        op: &CMatrix,
-        data: &mut [Complex64],
-        stride: usize,
-        offset: usize,
-        scratch: &mut Vec<Complex64>,
-    ) -> Result<()> {
-        self.check_span(data.len(), stride, offset)?;
-        match kind {
-            OpKind::Diagonal(diag) => {
-                self.check_op(diag.len())?;
-                if let Some(s) = self.uniform_stride {
-                    // Constant-stride layout: pure index arithmetic, no
-                    // offset-table lookups.
-                    let step = stride * s;
-                    self.for_each_block(|base| {
-                        let mut idx = offset + stride * base;
-                        for d in diag.iter() {
-                            data[idx] *= *d;
-                            idx += step;
-                        }
-                    });
-                } else {
-                    self.for_each_block(|base| {
-                        for (j, d) in diag.iter().enumerate() {
-                            let idx = offset + stride * (base + self.sub_offsets[j]);
-                            data[idx] *= *d;
-                        }
-                    });
-                }
-            }
-            OpKind::Monomial { rows, coeffs, .. } => {
-                self.check_op(rows.len())?;
-                scratch.resize(self.sub_dim, Complex64::ZERO);
-                self.for_each_block(|base| {
-                    for (j, s) in scratch.iter_mut().enumerate() {
-                        let idx = offset + stride * (base + self.sub_offsets[j]);
-                        *s = data[idx];
-                        data[idx] = Complex64::ZERO;
-                    }
-                    for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
-                        if coeff != Complex64::ZERO {
-                            let idx = offset + stride * (base + self.sub_offsets[r]);
-                            data[idx] += coeff * scratch[c];
-                        }
-                    }
-                });
-            }
-            OpKind::Dense => {
-                self.check_op_matrix(op)?;
-                match (self.uniform_stride, stride) {
-                    // Unit-stride caller and consecutive ascending targets:
-                    // the register reshapes into contiguous `sub_dim × s`
-                    // panels (`s` = product of the trailing spectator
-                    // dimensions), and the block application becomes a tight
-                    // matrix–panel product on sequential memory — the fast
-                    // path fused superblocks are built to hit.
-                    (Some(1), 1) => {
-                        scratch.resize(self.sub_dim, Complex64::ZERO);
-                        self.for_each_block(|base| {
-                            let start = offset + base;
-                            let block = &mut data[start..start + self.sub_dim];
-                            scratch.copy_from_slice(block);
-                            for (row, out) in block.iter_mut().enumerate() {
-                                *out = dot4(op.row(row), scratch);
-                            }
-                        });
-                    }
-                    (Some(s), 1) => {
-                        let chunk = self.sub_dim * s;
-                        let hi_blocks = self.total_dim / chunk;
-                        scratch.resize(chunk, Complex64::ZERO);
-                        for hi in 0..hi_blocks {
-                            let start = offset + hi * chunk;
-                            let block = &mut data[start..start + chunk];
-                            scratch.copy_from_slice(block);
-                            // block[r·s + lo] = Σ_c op[r, c] · scratch[c·s + lo]:
-                            // an `s`-wide contiguous axpy per operator entry.
-                            for (r, out_row) in block.chunks_exact_mut(s).enumerate() {
-                                out_row.fill(Complex64::ZERO);
-                                for (in_row, &a) in scratch.chunks_exact(s).zip(op.row(r).iter()) {
-                                    if a == Complex64::ZERO {
-                                        continue;
-                                    }
-                                    for (o, &x) in out_row.iter_mut().zip(in_row.iter()) {
-                                        *o = a.mul_add(x, *o);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Constant-stride layout under a strided caller:
-                    // arithmetic indexing only.
-                    (Some(s), _) => {
-                        scratch.resize(self.sub_dim, Complex64::ZERO);
-                        let step = s * stride;
-                        self.for_each_block(|base| {
-                            let start = offset + stride * base;
-                            let mut idx = start;
-                            for slot in scratch.iter_mut() {
-                                *slot = data[idx];
-                                idx += step;
-                            }
-                            let mut idx = start;
-                            for row in 0..self.sub_dim {
-                                data[idx] = dot4(op.row(row), scratch);
-                                idx += step;
-                            }
-                        });
-                    }
-                    (None, _) => {
-                        scratch.resize(self.sub_dim, Complex64::ZERO);
-                        self.for_each_block(|base| {
-                            for (j, slot) in scratch.iter_mut().enumerate() {
-                                *slot = data[offset + stride * (base + self.sub_offsets[j])];
-                            }
-                            for (row, &off) in self.sub_offsets.iter().enumerate() {
-                                data[offset + stride * (base + off)] = dot4(op.row(row), scratch);
-                            }
-                        });
-                    }
-                }
-            }
-        }
+        self.check_apply(kind, op, amps.len())?;
+        self.apply_units(kind, op, amps, 0..self.parallel_units(kind), scratch);
         Ok(())
     }
 
@@ -773,7 +635,7 @@ impl ApplyPlan {
         amps: &[Complex64],
         scratch: &mut Vec<Complex64>,
     ) -> Result<f64> {
-        self.check_span(amps.len(), 1, 0)?;
+        self.check_span(amps.len())?;
         let mut acc = 0.0f64;
         match kind {
             OpKind::Diagonal(diag) => {
@@ -821,7 +683,7 @@ impl ApplyPlan {
         amps: &[Complex64],
         scratch: &mut Vec<Complex64>,
     ) -> Result<Complex64> {
-        self.check_span(amps.len(), 1, 0)?;
+        self.check_span(amps.len())?;
         let mut acc = Complex64::ZERO;
         match kind {
             OpKind::Diagonal(diag) => {
@@ -861,35 +723,20 @@ impl ApplyPlan {
 
     /// Marginal probability distribution over the plan's targets.
     pub fn marginal_probabilities(&self, amps: &[Complex64]) -> Vec<f64> {
-        self.marginal_probabilities_strided(amps, 1, 0, |z| z.norm_sqr())
-    }
-
-    /// Strided marginal accumulation; `weight` maps a stored entry to its
-    /// probability mass (`|z|²` for amplitudes, `re` for a density-matrix
-    /// diagonal).
-    pub fn marginal_probabilities_strided(
-        &self,
-        data: &[Complex64],
-        stride: usize,
-        offset: usize,
-        weight: impl Fn(Complex64) -> f64,
-    ) -> Vec<f64> {
         let mut probs = Vec::new();
-        self.marginal_probabilities_into(data, stride, offset, weight, &mut probs);
+        self.marginal_probabilities_into(amps, |z| z.norm_sqr(), &mut probs);
         probs
     }
 
-    /// [`ApplyPlan::marginal_probabilities_strided`] into a caller-owned
-    /// buffer (cleared and resized to `sub_dim`), so per-event callers stay
-    /// allocation-free. Same accumulation order: spectator blocks in
-    /// [`ApplyPlan::for_each_block`] order, one running sum per target
-    /// basis state — so the same entries give bitwise-equal marginals at any
-    /// stride (a state at `stride = 1`, a density diagonal at `dim + 1`).
+    /// Marginal accumulation into a caller-owned buffer (cleared and resized
+    /// to `sub_dim`), so per-event callers stay allocation-free. `weight`
+    /// maps a stored entry to its probability mass (`|z|²` for amplitudes,
+    /// `re` for a gathered density-matrix diagonal). Spectator blocks are
+    /// visited in [`ApplyPlan::for_each_block`] order with one running sum
+    /// per target basis state, so equal masses give bitwise-equal marginals.
     pub fn marginal_probabilities_into(
         &self,
         data: &[Complex64],
-        stride: usize,
-        offset: usize,
         weight: impl Fn(Complex64) -> f64,
         probs: &mut Vec<f64>,
     ) {
@@ -897,7 +744,7 @@ impl ApplyPlan {
         probs.resize(self.sub_dim, 0.0);
         self.for_each_block(|base| {
             for (p, &off) in probs.iter_mut().zip(self.sub_offsets.iter()) {
-                *p += weight(data[offset + stride * (base + off)]);
+                *p += weight(data[base + off]);
             }
         });
     }
@@ -954,12 +801,10 @@ impl ApplyPlan {
         out
     }
 
-    fn check_span(&self, len: usize, stride: usize, offset: usize) -> Result<()> {
-        // Highest address touched: offset + stride * (total_dim - 1).
-        let needed = offset + stride.max(1) * (self.total_dim - 1) + 1;
-        if len < needed {
+    fn check_span(&self, len: usize) -> Result<()> {
+        if len != self.total_dim {
             return Err(CoreError::ShapeMismatch {
-                expected: format!("at least {needed} entries"),
+                expected: format!("{} entries", self.total_dim),
                 found: format!("{len} entries"),
             });
         }
@@ -1022,57 +867,6 @@ mod tests {
         }
         bases.sort_unstable();
         assert_eq!(bases, expected);
-    }
-
-    #[test]
-    fn strided_apply_matches_plain_apply() {
-        let radix = Radix::new(vec![2, 3]).unwrap();
-        let plan = ApplyPlan::new(&radix, &[1]).unwrap();
-        let op = shift_x(3);
-        let kind = OpKind::classify(&op);
-        let mut scratch = Vec::new();
-
-        let amps: Vec<Complex64> = (0..6).map(|i| c64(i as f64, -(i as f64))).collect();
-        let mut plain = amps.clone();
-        plan.apply(&kind, &op, &mut plain, &mut scratch).unwrap();
-
-        // Embed the same amplitudes at stride 2, offset 1.
-        let mut strided = vec![Complex64::ZERO; 13];
-        for (i, a) in amps.iter().enumerate() {
-            strided[1 + 2 * i] = *a;
-        }
-        plan.apply_strided(&kind, &op, &mut strided, 2, 1, &mut scratch).unwrap();
-        for (i, p) in plain.iter().enumerate() {
-            assert_eq!(strided[1 + 2 * i], *p);
-        }
-    }
-
-    #[test]
-    fn strided_marginals_are_bitwise_identical_to_contiguous() {
-        // The same entries embedded at stride 4, offset 1 (the way a density
-        // diagonal sits at stride `dim + 1`) accumulate in the same order,
-        // also when written into a reused buffer of the wrong length.
-        let radix = Radix::new(vec![3, 2, 2]).unwrap();
-        let amps: Vec<Complex64> = (0..radix.total_dim())
-            .map(|i| c64(0.17 + 0.013 * i as f64, -0.4 + 0.029 * i as f64))
-            .collect();
-        let mut embedded = vec![c64(9.0, 9.0); 4 * amps.len()];
-        for (i, &a) in amps.iter().enumerate() {
-            embedded[1 + 4 * i] = a;
-        }
-        let mut reused = vec![7.0; 11];
-        for targets in [vec![0], vec![1, 2], vec![2, 0]] {
-            let plan = ApplyPlan::new(&radix, &targets).unwrap();
-            let contiguous = plan.marginal_probabilities(&amps);
-            let strided = plan.marginal_probabilities_strided(&embedded, 4, 1, |z| z.norm_sqr());
-            plan.marginal_probabilities_into(&embedded, 4, 1, |z| z.norm_sqr(), &mut reused);
-            assert_eq!(strided.len(), plan.sub_dim());
-            assert_eq!(reused.len(), plan.sub_dim());
-            for ((s, p), q) in contiguous.iter().zip(&strided).zip(&reused) {
-                assert_eq!(s.to_bits(), p.to_bits());
-                assert_eq!(s.to_bits(), q.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -1235,7 +1029,7 @@ mod tests {
                 plan.apply(&kind, op, &mut serial, &mut scratch).unwrap();
                 for threads in [2usize, 3, 5] {
                     let mut parallel = amps.clone();
-                    plan.apply_parallel(&kind, op, &mut parallel, threads).unwrap();
+                    plan.apply_parallel(&kind, op, &mut parallel, threads, &mut scratch).unwrap();
                     assert_eq!(parallel, serial, "targets {targets:?}, threads {threads}");
                 }
             }
@@ -1251,6 +1045,14 @@ mod tests {
         let mut amps = vec![Complex64::ZERO; 6];
         let mut scratch = Vec::new();
         assert!(plan.apply(&kind, &op, &mut amps, &mut scratch).is_err());
+        // A slice that is not exactly the register is rejected too, so a
+        // plan for a smaller register never runs on a prefix.
+        let x = shift_x(2);
+        let kind = OpKind::classify(&x);
+        for len in [5, 7, 12] {
+            let mut amps = vec![Complex64::ONE; len];
+            assert!(plan.apply(&kind, &x, &mut amps, &mut scratch).is_err(), "len {len}");
+        }
     }
 
     #[test]

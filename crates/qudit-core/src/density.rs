@@ -196,13 +196,13 @@ impl DensityMatrix {
     /// # Errors
     /// Returns an error for invalid targets or operator dimensions.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) -> Result<()> {
-        let plan = ApplyPlan::new(&self.radix, targets)?;
+        let plan = SuperPlan::new(&self.radix, targets)?;
         let kind = OpKind::classify(u);
         let mut scratch = Vec::new();
         Self::sandwich(&plan, u, &kind, &mut self.matrix, &mut scratch)
     }
 
-    /// [`DensityMatrix::apply_unitary`] through a precomputed [`ApplyPlan`]
+    /// [`DensityMatrix::apply_unitary`] through a precomputed [`SuperPlan`]
     /// and [`OpKind`], the plan-reuse path the circuit simulators use:
     /// `scratch` is caller-owned working memory.
     ///
@@ -210,7 +210,7 @@ impl DensityMatrix {
     /// Returns an error if the plan or operator dimensions do not match.
     pub fn apply_unitary_prepared(
         &mut self,
-        plan: &ApplyPlan,
+        plan: &SuperPlan,
         kind: &OpKind,
         u: &CMatrix,
         scratch: &mut Vec<Complex64>,
@@ -224,20 +224,20 @@ impl DensityMatrix {
     /// Returns an error for invalid targets, operator dimensions or an empty
     /// Kraus list.
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) -> Result<()> {
-        let plan = ApplyPlan::new(&self.radix, targets)?;
+        let plan = SuperPlan::new(&self.radix, targets)?;
         let kinds: Vec<OpKind> = kraus.iter().map(OpKind::classify).collect();
         let mut scratch = Vec::new();
         self.apply_kraus_prepared(&plan, kraus, &kinds, &mut scratch)
     }
 
-    /// [`DensityMatrix::apply_kraus`] through a precomputed [`ApplyPlan`] and
+    /// [`DensityMatrix::apply_kraus`] through a precomputed [`SuperPlan`] and
     /// per-operator [`OpKind`]s (plan-reuse path for the circuit simulators).
     ///
     /// # Errors
     /// Returns an error for invalid dimensions or an empty Kraus list.
     pub fn apply_kraus_prepared(
         &mut self,
-        plan: &ApplyPlan,
+        plan: &SuperPlan,
         kraus: &[CMatrix],
         kinds: &[OpKind],
         scratch: &mut Vec<Complex64>,
@@ -286,13 +286,14 @@ impl DensityMatrix {
         }
         let kind = OpKind::classify(&sup);
         let mut scratch = Vec::new();
-        self.apply_superop_prepared(&plan, &kind, &sup, &mut scratch)
+        self.apply_superop_prepared(&plan, &kind, &sup, 1, &mut scratch)
     }
 
     /// [`DensityMatrix::apply_channel_superop`] through a precomputed
     /// [`SuperPlan`], superoperator matrix and [`OpKind`] — the plan-reuse
-    /// path for the circuit simulators. `scratch` is caller-owned working
-    /// memory.
+    /// path for the circuit simulators. The sweep runs on up to `threads`
+    /// worker threads (see [`SuperPlan::apply`]), bitwise identical for
+    /// every thread count; `scratch` is caller-owned working memory.
     ///
     /// # Errors
     /// Returns an error if the plan or superoperator dimensions do not match.
@@ -301,52 +302,27 @@ impl DensityMatrix {
         plan: &SuperPlan,
         kind: &OpKind,
         sup: &CMatrix,
+        threads: usize,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        plan.apply(kind, sup, self.matrix.as_mut_slice(), scratch)
+        plan.apply(kind, sup, self.matrix.as_mut_slice(), threads, scratch)
     }
 
-    /// [`DensityMatrix::apply_superop_prepared`] with the sweep's independent
-    /// doubled-register blocks chunked across up to `threads` worker threads
-    /// (see [`SuperPlan::apply_threads`]). Bitwise identical to the serial
-    /// sweep for every thread count.
-    ///
-    /// # Errors
-    /// Returns an error if the plan or superoperator dimensions do not match.
-    pub fn apply_superop_prepared_threads(
-        &mut self,
-        plan: &SuperPlan,
-        kind: &OpKind,
-        sup: &CMatrix,
-        threads: usize,
-    ) -> Result<()> {
-        plan.apply_threads(kind, sup, self.matrix.as_mut_slice(), threads)
-    }
-
-    /// `m → K m K†` through a precomputed plan, running the strided kernels
-    /// down each column (ket index) and across each row (bra index) without
-    /// materialising per-column state vectors.
+    /// `m → K m K†` through a precomputed plan: two sweeps over `vec(m)`,
+    /// the state of the doubled register. `K` acts on the row copy of the
+    /// targets; the right action by `K†`, `(m K†)[i, j] = Σ_c m[i, c]
+    /// conj(K[j, c])`, is `conj(K)` on the column copy.
     fn sandwich(
-        plan: &ApplyPlan,
+        plan: &SuperPlan,
         k: &CMatrix,
         kind: &OpKind,
         m: &mut CMatrix,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        let n = m.rows();
-        // Left action: each column j is a state over the row index, stored at
-        // stride n starting at offset j.
-        for j in 0..n {
-            plan.apply_strided(kind, k, m.as_mut_slice(), n, j, scratch)?;
-        }
-        // Right action by K†: (m K†)[i, j] = Σ_c m[i, c] conj(K[j, c]), i.e.
-        // apply conj(K) along each contiguous row.
+        plan.row.apply(kind, k, m.as_mut_slice(), scratch)?;
         let conj_k = k.conj();
         let conj_kind = OpKind::classify(&conj_k);
-        for i in 0..n {
-            plan.apply_strided(&conj_kind, &conj_k, m.as_mut_slice(), 1, i * n, scratch)?;
-        }
-        Ok(())
+        plan.col.apply(&conj_kind, &conj_k, m.as_mut_slice(), scratch)
     }
 
     /// Diagonal of the density matrix: probabilities of each computational
@@ -363,9 +339,11 @@ impl DensityMatrix {
     pub fn marginal_probabilities(&self, targets: &[usize]) -> Result<Vec<f64>> {
         let plan = ApplyPlan::new(&self.radix, targets)?;
         // The diagonal of ρ lives at stride n + 1 in the row-major data.
-        Ok(plan.marginal_probabilities_strided(self.matrix.as_slice(), self.dim() + 1, 0, |z| {
-            z.re.max(0.0)
-        }))
+        let diag: Vec<Complex64> =
+            self.matrix.as_slice().iter().step_by(self.dim() + 1).copied().collect();
+        let mut probs = Vec::new();
+        plan.marginal_probabilities_into(&diag, |z| z.re.max(0.0), &mut probs);
+        Ok(probs)
     }
 
     /// Expectation value `Tr(ρ O)` of an operator acting on the listed targets.
@@ -599,6 +577,30 @@ mod tests {
         assert!((e.re - 2.0).abs() < 1e-12);
         let marg = rho.marginal_probabilities(&[1]).unwrap();
         assert!((marg[1] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn density_marginals_are_bitwise_identical_to_state_marginals() {
+        // The diagonal of |ψ⟩⟨ψ| holds |ψ_i|² exactly, and the gathered
+        // diagonal accumulates in the statevector order, also when written
+        // into a reused buffer of the wrong length.
+        let amps: Vec<Complex64> =
+            (0..12).map(|i| c64(0.17 + 0.013 * i as f64, -0.4 + 0.029 * i as f64)).collect();
+        let psi = QuditState::from_amplitudes(vec![3, 2, 2], amps).unwrap();
+        let rho = DensityMatrix::from_pure(&psi);
+        let mut reused = vec![7.0; 11];
+        for targets in [vec![0], vec![1, 2], vec![2, 0]] {
+            let plan = ApplyPlan::new(psi.radix(), &targets).unwrap();
+            let from_state = plan.marginal_probabilities(psi.amplitudes());
+            let from_density = rho.marginal_probabilities(&targets).unwrap();
+            plan.marginal_probabilities_into(psi.amplitudes(), |z| z.norm_sqr(), &mut reused);
+            assert_eq!(from_density.len(), plan.sub_dim());
+            assert_eq!(reused.len(), plan.sub_dim());
+            for ((s, p), q) in from_state.iter().zip(&from_density).zip(&reused) {
+                assert_eq!(s.to_bits(), p.to_bits());
+                assert_eq!(s.to_bits(), q.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -343,7 +343,7 @@ impl HealthMonitor {
     }
 
     /// Density-matrix checkpoint: a diagonal pass for the trace plus one
-    /// upper-triangle pass measuring the hermiticity defect
+    /// triangle pass measuring the hermiticity defect
     /// `max |ρ[i,j] − conj(ρ[j,i])|` (which also detects non-finite entries,
     /// since every entry feeds at least one defect term).
     ///
@@ -361,16 +361,42 @@ impl HealthMonitor {
         for i in 0..n {
             trace += matrix[(i, i)].re;
         }
-        let mut defect = 0.0f64;
-        for i in 0..n {
-            for j in i..n {
-                let d = (matrix[(i, j)] - matrix[(j, i)].conj()).abs();
-                // `>`-comparison with NaN is false, so carry NaN explicitly.
-                if d > defect || d.is_nan() {
-                    defect = d;
+        // Largest |Δ|² over i ≤ j, one square root at the end. Rows i are
+        // walked in blocks so each lower-triangle read ρ[j, i0..i1] is
+        // contiguous and the block's upper-triangle rows advance in step.
+        const ROWS: usize = 16;
+        let data = matrix.as_slice();
+        let mut worst_sq = 0.0f64;
+        for i0 in (0..n).step_by(ROWS) {
+            let i1 = (i0 + ROWS).min(n);
+            for j in i0..n {
+                let lower = &data[j * n..(j + 1) * n];
+                for i in i0..i1.min(j + 1) {
+                    let sq = (data[i * n + j] - lower[i].conj()).norm_sqr();
+                    // `>`-comparison with NaN is false, so carry NaN explicitly.
+                    if sq > worst_sq || sq.is_nan() {
+                        worst_sq = sq;
+                    }
                 }
             }
         }
+        let defect = if worst_sq.is_finite() {
+            worst_sq.sqrt()
+        } else {
+            // A non-finite entry, or a finite |Δ| above ~1e154 whose square
+            // overflows: rescan with the overflow-free modulus, so the metric
+            // and value are those of the entries themselves.
+            let mut defect = 0.0f64;
+            for i in 0..n {
+                for j in i..n {
+                    let d = (matrix[(i, j)] - matrix[(j, i)].conj()).abs();
+                    if d > defect || d.is_nan() {
+                        defect = d;
+                    }
+                }
+            }
+            defect
+        };
         if !trace.is_finite() || !defect.is_finite() {
             return Err(CoreError::NumericalHealth {
                 step,
@@ -717,6 +743,48 @@ mod tests {
         repairing.check_density(0, &mut rho).unwrap();
         assert!((rho[(0, 1)] - rho[(1, 0)].conj()).abs() < 1e-15);
         assert!((rho.trace().re - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn density_single_entry_defect_of_twice_tol_fails_as_hermiticity() {
+        let tol = GuardConfig::DEFAULT_TOL;
+        let mut rho = CMatrix::identity(5).scaled_real(0.2);
+        rho[(3, 1)] = c64(0.0, 2.0 * tol);
+        let mut monitor = HealthMonitor::new(GuardConfig::enabled());
+        match monitor.check_density(4, &mut rho) {
+            Err(CoreError::NumericalHealth {
+                step: 4,
+                metric: HealthMetric::Hermiticity,
+                value,
+            }) => {
+                assert!((value - 2.0 * tol).abs() <= 1e-15 * tol, "value {value}");
+            }
+            other => panic!("unexpected result {other:?}"),
+        }
+    }
+
+    #[test]
+    fn density_defect_whose_square_overflows_stays_finite() {
+        // |Δ|² = 1e400 overflows, |Δ| = 1e200 does not: the defect is
+        // finite, so this is a hermiticity fault, not a non-finite one.
+        let mut rho = CMatrix::identity(2).scaled_real(0.5);
+        rho[(0, 1)] = c64(1e200, 0.0);
+        let mut failing = HealthMonitor::new(GuardConfig::enabled());
+        match failing.check_density(1, &mut rho.clone()) {
+            Err(CoreError::NumericalHealth {
+                metric: HealthMetric::Hermiticity, value, ..
+            }) => {
+                assert_eq!(value, 1e200);
+            }
+            other => panic!("unexpected result {other:?}"),
+        }
+        let mut repairing = HealthMonitor::new(
+            GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount),
+        );
+        repairing.check_density(1, &mut rho).unwrap();
+        assert_eq!(repairing.health().renormalizations, 1);
+        assert_eq!(repairing.health().max_drift, 1e200);
+        assert_eq!(rho[(1, 0)], rho[(0, 1)].conj());
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Superoperator stride plans: whole channels in one sweep over vectorised ρ.
 //!
-//! The per-term Kraus path ([`crate::density::DensityMatrix::apply_kraus`])
-//! materialises every term `K_m ρ K_m†` as two strided sweeps plus an
-//! accumulation, so an `m`-operator channel costs `2m` sweeps, `m` matrix
-//! additions and `m − 1` full-matrix copies. A [`SuperPlan`] batches the whole
-//! channel into **one** sweep: row-major `ρ` is read as the state vector of a
-//! *doubled* register (`vec(ρ)[r·N + c] = ρ[r, c]`, i.e. the row digits
-//! followed by the column digits), a channel acting on targets `T` becomes an
-//! ordinary operator on the `2k` doubled targets `T ∪ (T + n)`, and the
-//! superoperator matrix
+//! Row-major `ρ` is read as the state vector of a *doubled* register
+//! (`vec(ρ)[r·N + c] = ρ[r, c]`, i.e. the row digits followed by the column
+//! digits), so every density kernel is an ordinary unit-stride
+//! [`ApplyPlan`] sweep over `vec(ρ)`. The sandwich `ρ → K ρ K†` on targets
+//! `T` is two sweeps: `K` on the row copy `T`, then `conj(K)` on the column
+//! copy `T + n`. The per-term Kraus path
+//! ([`crate::density::DensityMatrix::apply_kraus`]) materialises every term
+//! `K_m ρ K_m†` as one sandwich plus an accumulation, so an `m`-operator
+//! channel costs `2m` sweeps, `m` matrix additions and `m − 1` full-matrix
+//! copies. A [`SuperPlan`] also batches the whole channel into **one** sweep:
+//! a channel acting on `T` becomes an ordinary operator on the `2k` doubled
+//! targets `T ∪ (T + n)`, and the superoperator matrix
 //!
 //! ```text
 //! S = Σ_m  K_m ⊗ conj(K_m)        (k² × k²)
@@ -35,8 +38,9 @@ use crate::error::{CoreError, Result};
 use crate::matrix::CMatrix;
 use crate::radix::Radix;
 
-/// A reusable stride plan applying superoperators to vectorised density
-/// matrices (see the module docs).
+/// The reusable stride plans of one target set on vectorised density
+/// matrices (see the module docs): the superoperator sweep and the two
+/// halves of the sandwich.
 ///
 /// Like [`ApplyPlan`], a `SuperPlan` is immutable after construction and
 /// `Sync`; per-call mutable scratch is passed into [`SuperPlan::apply`].
@@ -45,6 +49,10 @@ pub struct SuperPlan {
     /// Stride plan over the doubled register `dims ++ dims`, targeting the
     /// row-side and column-side copies of the channel targets.
     plan: ApplyPlan,
+    /// Row side of the sandwich: the targets `T` of the doubled register.
+    pub(crate) row: ApplyPlan,
+    /// Column side of the sandwich: the targets `T + n`.
+    pub(crate) col: ApplyPlan,
     /// Dimension `k` of the channel's target subspace (the superoperator is
     /// `k² × k²`).
     sub_dim: usize,
@@ -68,12 +76,13 @@ impl SuperPlan {
         // channel touches the same positions in both copies. Keeping the row
         // block first makes the plan's sub-index `i·k + j` match the
         // row-major indexing of `K ⊗ conj(K)`.
-        let mut doubled_targets = Vec::with_capacity(2 * targets.len());
-        doubled_targets.extend_from_slice(targets);
-        doubled_targets.extend(targets.iter().map(|&t| t + n));
+        let col_targets: Vec<usize> = targets.iter().map(|&t| t + n).collect();
+        let doubled_targets = [targets, &col_targets].concat();
         let plan = ApplyPlan::new(&doubled, &doubled_targets)?;
+        let row = ApplyPlan::new(&doubled, targets)?;
+        let col = ApplyPlan::new(&doubled, &col_targets)?;
         let sub_dim = radix.subspace_dim(targets)?;
-        Ok(Self { plan, sub_dim, reg_dim: radix.total_dim() })
+        Ok(Self { plan, row, col, sub_dim, reg_dim: radix.total_dim() })
     }
 
     /// Dimension `k` of the channel's target subspace; the superoperator
@@ -164,8 +173,11 @@ impl SuperPlan {
     }
 
     /// Applies a superoperator (with precomputed [`OpKind`]) to a row-major
-    /// density matrix given as its flat `N²` data slice: one strided sweep,
-    /// one scratch buffer, all Kraus terms at once.
+    /// density matrix given as its flat `N²` data slice: one sweep, all
+    /// Kraus terms at once. The sweep's independent doubled-register blocks
+    /// are chunked across up to `threads` [`crate::par`] pool workers (see
+    /// [`ApplyPlan::apply_parallel`]); the result is **bitwise identical**
+    /// for every thread count, and the serial path works in `scratch`.
     ///
     /// # Errors
     /// Returns an error if `sup` or the slice have the wrong dimension.
@@ -174,27 +186,10 @@ impl SuperPlan {
         kind: &OpKind,
         sup: &CMatrix,
         rho_data: &mut [Complex64],
+        threads: usize,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        self.plan.apply(kind, sup, rho_data, scratch)
-    }
-
-    /// Parallel variant of [`SuperPlan::apply`]: the sweep's independent
-    /// doubled-register blocks are chunked across up to `threads`
-    /// [`crate::par`] pool workers. The blocks are disjoint by construction,
-    /// so the result is **bitwise identical** to the serial sweep for every
-    /// thread count; small sweeps fall back to the serial kernel.
-    ///
-    /// # Errors
-    /// Returns an error if `sup` or the slice have the wrong dimension.
-    pub fn apply_threads(
-        &self,
-        kind: &OpKind,
-        sup: &CMatrix,
-        rho_data: &mut [Complex64],
-        threads: usize,
-    ) -> Result<()> {
-        self.plan.apply_parallel(kind, sup, rho_data, threads)
+        self.plan.apply_parallel(kind, sup, rho_data, threads, scratch)
     }
 }
 
@@ -301,7 +296,7 @@ mod tests {
         let sup = SuperPlan::unitary_superop(&u);
         let kind = OpKind::classify(&sup);
         let mut scratch = Vec::new();
-        plan.apply(&kind, &sup, rho.matrix_mut().as_mut_slice(), &mut scratch).unwrap();
+        plan.apply(&kind, &sup, rho.matrix_mut().as_mut_slice(), 1, &mut scratch).unwrap();
 
         assert!((sandwiched.matrix() - rho.matrix()).max_abs() < 1e-12);
     }
@@ -330,10 +325,13 @@ mod tests {
                 let kind = OpKind::classify(&sup);
                 let input = random_density(&mut rng, dims.clone());
                 let mut reference = input.clone();
-                reference.apply_superop_prepared(&plan, &kind, &sup, &mut Vec::new()).unwrap();
+                reference.apply_superop_prepared(&plan, &kind, &sup, 1, &mut Vec::new()).unwrap();
+                let mut scratch = Vec::new();
                 for threads in [1usize, 2, 4] {
                     let mut par_rho = input.clone();
-                    par_rho.apply_superop_prepared_threads(&plan, &kind, &sup, threads).unwrap();
+                    par_rho
+                        .apply_superop_prepared(&plan, &kind, &sup, threads, &mut scratch)
+                        .unwrap();
                     assert_eq!(
                         par_rho.matrix().as_slice(),
                         reference.matrix().as_slice(),

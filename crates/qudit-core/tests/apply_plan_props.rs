@@ -3,13 +3,15 @@
 //! `ApplyPlan` must agree with the reference path that embeds the operator
 //! into the full Hilbert space and applies it as a dense matrix-vector
 //! product — for dense, diagonal and monomial (permutation-like) operators,
-//! in any target order.
+//! in any target order. The density-matrix kernels are checked the same way
+//! against dense `U ρ U†` and `Σ K ρ K†` products.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::complex::{c64, Complex64};
+use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::{embed_operator, Radix};
 use qudit_core::random::{haar_state, haar_unitary};
@@ -203,5 +205,93 @@ fn measurement_collapse_matches_projector_reference() {
         reference.normalize().unwrap();
 
         assert_states_close(&fast, &reference, &format!("trial {trial}: collapse"));
+    }
+}
+
+/// `(dims, targets)` cases pinning each target layout the density kernels
+/// distinguish on mixed-radix registers, followed by random draws of at most
+/// 96 basis states (the dense reference costs `O(N³)` per operator).
+fn density_cases(rng: &mut StdRng) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut cases = vec![
+        (vec![3, 2, 4], vec![1]),       // single
+        (vec![2, 3, 2, 3], vec![1, 2]), // ascending, adjacent
+        (vec![2, 3, 2, 3], vec![2, 3]), // ascending register suffix
+        (vec![2, 3, 2, 3], vec![2, 1]), // reversed
+        (vec![3, 2, 4], vec![0, 2]),    // non-adjacent
+        (vec![4, 2, 3], vec![2, 0, 1]), // all three, permuted
+    ];
+    while cases.len() < 30 {
+        let (dims, targets) = random_register(rng);
+        if dims.iter().product::<usize>() <= 96 {
+            cases.push((dims, targets));
+        }
+    }
+    cases
+}
+
+fn random_density(rng: &mut StdRng, dims: &[usize]) -> DensityMatrix {
+    let states: Vec<QuditState> = (0..3).map(|_| haar_state(rng, dims.to_vec()).unwrap()).collect();
+    let raw: Vec<f64> = (0..3).map(|_| rng.gen::<f64>() + 0.1).collect();
+    let total: f64 = raw.iter().sum();
+    let probs: Vec<f64> = raw.iter().map(|p| p / total).collect();
+    DensityMatrix::mixture(&states, &probs).unwrap()
+}
+
+/// `K ρ K†` with `K` embedded into the full space: the dense reference.
+fn dense_sandwich(radix: &Radix, k: &CMatrix, targets: &[usize], rho: &CMatrix) -> CMatrix {
+    let full = embed_operator(radix, k, targets).unwrap();
+    full.matmul(rho).unwrap().matmul(&full.dagger()).unwrap()
+}
+
+#[test]
+fn density_kernels_match_dense_products_on_random_registers() {
+    let mut rng = StdRng::seed_from_u64(0xD0E5);
+    for (trial, (dims, targets)) in density_cases(&mut rng).into_iter().enumerate() {
+        let radix = Radix::new(dims.clone()).unwrap();
+        let k = radix.subspace_dim(&targets).unwrap();
+        let context = format!("trial {trial}: dims {dims:?}, targets {targets:?}");
+        let rho = random_density(&mut rng, &dims);
+
+        // U ρ U† for a dense, a diagonal and a monomial operator.
+        for u in [
+            haar_unitary(&mut rng, k).unwrap(),
+            random_diagonal(&mut rng, k),
+            random_monomial(&mut rng, k),
+        ] {
+            let mut fast = rho.clone();
+            fast.apply_unitary(&u, &targets).unwrap();
+            let reference = dense_sandwich(&radix, &u, &targets, rho.matrix());
+            let diff = (fast.matrix() - &reference).max_abs();
+            assert!(diff < 1e-12, "{context}: unitary diff {diff}");
+        }
+
+        // Σ K ρ K† over a mixed-structure (not trace-preserving) Kraus list.
+        let kraus = vec![
+            haar_unitary(&mut rng, k).unwrap().scaled_real(0.6),
+            random_diagonal(&mut rng, k).scaled_real(0.5),
+            random_monomial(&mut rng, k).scaled_real(0.4),
+        ];
+        let mut fast = rho.clone();
+        fast.apply_kraus(&kraus, &targets).unwrap();
+        let mut reference = CMatrix::zeros(radix.total_dim(), radix.total_dim());
+        for op in &kraus {
+            reference += &dense_sandwich(&radix, op, &targets, rho.matrix());
+        }
+        let diff = (fast.matrix() - &reference).max_abs();
+        assert!(diff < 1e-12, "{context}: Kraus diff {diff}");
+
+        // Marginals: digit-wise sums of the diagonal.
+        let target_radix = Radix::new(targets.iter().map(|&t| dims[t]).collect()).unwrap();
+        let mut expected = vec![0.0f64; k];
+        for idx in 0..radix.total_dim() {
+            let digits = radix.digits_of(idx).unwrap();
+            let sub: Vec<usize> = targets.iter().map(|&t| digits[t]).collect();
+            expected[target_radix.index_of(&sub).unwrap()] += rho.matrix()[(idx, idx)].re;
+        }
+        let got = rho.marginal_probabilities(&targets).unwrap();
+        assert_eq!(got.len(), k);
+        for (g, e) in got.iter().zip(expected.iter()) {
+            assert!((g - e).abs() < 1e-12, "{context}: marginal {g} vs {e}");
+        }
     }
 }

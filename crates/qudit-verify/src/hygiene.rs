@@ -16,7 +16,9 @@
 //! * **Shims-only dependencies** — every dependency in every manifest
 //!   resolves by `path` or `workspace`, never the registry.
 //! * **Benchmark schema** — each `BENCH_<n>.json` parses and carries the
-//!   fields the regression tooling reads.
+//!   fields the regression tooling reads; a paired-protocol file (one with a
+//!   `"protocol"` field) records both sides' times and the speedup median
+//!   inside its quartiles on every row.
 
 use std::fmt;
 use std::fs;
@@ -545,6 +547,7 @@ fn validate_bench(path: &Path, index: u64, doc: &json::Value, out: &mut Vec<Viol
         Some(_) => bad(format!("\"bench\" does not equal the filename index {index}")),
         None => bad("missing \"bench\" field".to_string()),
     }
+    let paired = top.iter().any(|(k, _)| k == "protocol");
     match top.iter().find(|(k, _)| k == "results").map(|(_, v)| v) {
         Some(json::Value::Array(rows)) => {
             if rows.is_empty() {
@@ -563,6 +566,25 @@ fn validate_bench(path: &Path, index: u64, doc: &json::Value, out: &mut Vec<Viol
                 let has_number = fields.iter().any(|(_, v)| matches!(v, json::Value::Number(_)));
                 if !has_number {
                     bad(format!("results[{i}] records no numeric measurement"));
+                }
+                if paired {
+                    let number = |key: &str| {
+                        fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+                            json::Value::Number(n) => Some(*n),
+                            _ => None,
+                        })
+                    };
+                    let keys = ["baseline_ms", "optimized_ms", "speedup", "q1", "q3"];
+                    let missing: Vec<&str> =
+                        keys.into_iter().filter(|k| number(k).is_none()).collect();
+                    let (q1, m, q3) = (number("q1"), number("speedup"), number("q3"));
+                    if !missing.is_empty() {
+                        bad(format!("results[{i}] lacks numeric {}", missing.join(", ")));
+                    } else if !(q1 <= m && m <= q3) {
+                        bad(format!(
+                            "results[{i}] needs q1 ≤ speedup ≤ q3, has {q1:?}, {m:?}, {q3:?}"
+                        ));
+                    }
                 }
             }
         }
@@ -874,6 +896,29 @@ mod tests {
         validate_bench(Path::new("BENCH_8.json"), 8, &no_number, &mut out);
         assert_eq!(out.len(), 1);
         assert!(json::parse("{\"bench\": }").is_err());
+    }
+
+    #[test]
+    fn paired_bench_rows_need_both_times_and_ordered_quartiles() {
+        let check = |row: &str| {
+            let src = format!(r#"{{"bench": 18, "protocol": "paired", "results": [{row}]}}"#);
+            let mut out = Vec::new();
+            validate_bench(Path::new("BENCH_18.json"), 18, &json::parse(&src).unwrap(), &mut out);
+            out
+        };
+        let good = r#"{"name": "a", "baseline_ms": 2, "optimized_ms": 1, "speedup": 2, "q1": 1.9, "q3": 2.1}"#;
+        assert!(check(good).is_empty());
+
+        let no_q1 =
+            r#"{"name": "a", "baseline_ms": 2, "optimized_ms": 1, "speedup": 2, "q3": 2.1}"#;
+        let out = check(no_q1);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("q1"), "{out:?}");
+
+        let unordered = r#"{"name": "a", "baseline_ms": 2, "optimized_ms": 1, "speedup": 2, "q1": 2.1, "q3": 1.9}"#;
+        let out = check(unordered);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("q1 ≤ speedup ≤ q3"), "{out:?}");
     }
 
     #[test]

@@ -444,47 +444,79 @@ fn check_channel_view(
             format!("channel stride plan does not match its targets {:?}", cv.targets),
         );
     }
-    let k: usize = cv.channel.dims().iter().product();
-    if k != cv.plan.sub_dim() {
+    check_channel(cv.channel, cv.plan.sub_dim(), expected, tol, step)
+}
+
+/// Checks a compiled channel's dimension against its plan's subspace and
+/// (when `expected` is given) its Kraus operators against the expected
+/// channel.
+fn check_channel(
+    channel: &KrausChannel,
+    sub_dim: usize,
+    expected: Option<&KrausChannel>,
+    tol: f64,
+    step: usize,
+) -> Result<(), VerifyError> {
+    let k: usize = channel.dims().iter().product();
+    if k != sub_dim {
         return fail(
             Check::PlanConsistency,
             step,
-            format!("channel dimension {k} disagrees with plan subspace {}", cv.plan.sub_dim()),
+            format!("channel dimension {k} disagrees with plan subspace {sub_dim}"),
         );
     }
     if let Some(model) = expected {
-        if model.operators().len() != cv.channel.operators().len()
-            || model.dims() != cv.channel.dims()
-        {
+        if model.operators().len() != channel.operators().len() || model.dims() != channel.dims() {
             return fail(
                 Check::Semantics,
                 step,
                 format!(
                     "channel '{}' shape differs from the expected '{}'",
-                    cv.channel.name(),
+                    channel.name(),
                     model.name()
                 ),
             );
         }
-        for (a, b) in cv.channel.operators().iter().zip(model.operators().iter()) {
+        for (a, b) in channel.operators().iter().zip(model.operators().iter()) {
             if max_diff(a, b) > tol {
                 return fail(
                     Check::Semantics,
                     step,
-                    format!(
-                        "channel '{}' Kraus operators differ from the source",
-                        cv.channel.name()
-                    ),
+                    format!("channel '{}' Kraus operators differ from the source", channel.name()),
                 );
             }
         }
-        if (cv.channel.tolerance() - model.tolerance()).abs() > tol {
+        if (channel.tolerance() - model.tolerance()).abs() > tol {
             return fail(
                 Check::TracePreservation,
                 step,
-                format!("channel '{}' carries a different tolerance", cv.channel.name()),
+                format!("channel '{}' carries a different tolerance", channel.name()),
             );
         }
+    }
+    Ok(())
+}
+
+/// Checks a density step's [`SuperPlan`] against a freshly built plan for
+/// `targets`; `what` names the step kind in the message.
+fn check_super_plan(
+    plan: &SuperPlan,
+    radix: &Radix,
+    targets: &[usize],
+    what: &str,
+    step: usize,
+) -> Result<(), VerifyError> {
+    let rebuilt = SuperPlan::new(radix, targets).map_err(|e| VerifyError {
+        check: Check::PlanConsistency,
+        step: Some(step),
+        message: format!("{what} targets {targets:?} admit no plan: {e}"),
+    })?;
+    if rebuilt != *plan {
+        return fail(
+            Check::PlanConsistency,
+            step,
+            format!("{what} stride plan does not match its targets {targets:?}"),
+        );
     }
     Ok(())
 }
@@ -1762,18 +1794,7 @@ fn verify_dm_inner(
                         "sandwich step realizes a multi-operator channel".into(),
                     );
                 };
-                let rebuilt = ApplyPlan::new(&radix, targets).map_err(|e| VerifyError {
-                    check: Check::PlanConsistency,
-                    step: Some(s),
-                    message: format!("step targets {targets:?} admit no plan: {e}"),
-                })?;
-                if rebuilt != *plan {
-                    return fail(
-                        Check::PlanConsistency,
-                        s,
-                        format!("stride plan does not match targets {targets:?}"),
-                    );
-                }
+                check_super_plan(plan, &radix, targets, "sandwich", s)?;
                 if !kind_is_sound(kind, op) {
                     return fail(
                         Check::PlanConsistency,
@@ -1819,7 +1840,8 @@ fn verify_dm_inner(
                         format!("Kraus targets {:?} differ from expected {targets:?}", cv.targets),
                     );
                 }
-                check_channel_view(&cv, &radix, Some(channel), config.tol, s)?;
+                check_super_plan(cv.plan, &radix, cv.targets, "channel", s)?;
+                check_channel(cv.channel, cv.plan.sub_dim(), Some(channel), config.tol, s)?;
             }
             DensityStepView::Super { plan, sup, kind, fallback_len, defect_tol } => {
                 report.sweeps += 1;
@@ -1829,18 +1851,7 @@ fn verify_dm_inner(
                 }
                 union.sort_unstable();
                 union.dedup();
-                let rebuilt = SuperPlan::new(&radix, &union).map_err(|e| VerifyError {
-                    check: Check::PlanConsistency,
-                    step: Some(s),
-                    message: format!("sweep targets {union:?} admit no plan: {e}"),
-                })?;
-                if rebuilt != *plan {
-                    return fail(
-                        Check::PlanConsistency,
-                        s,
-                        format!("sweep stride plan does not match its union support {union:?}"),
-                    );
-                }
+                check_super_plan(plan, &radix, &union, "sweep", s)?;
                 let k_u = plan.sub_dim();
                 if sup.rows() != k_u * k_u || sup.cols() != k_u * k_u {
                     return fail(
