@@ -275,7 +275,7 @@ fn lindblad_evolve() -> Row {
     let (h, collapse) = rows::lindblad_operators();
     // System construction stays inside both timed regions, as in BENCH_1.
     let timing = paired(
-        1,
+        2,
         || {
             black_box(rows::lindblad());
             let mut rho = rows::lindblad_initial();
@@ -290,10 +290,10 @@ fn lindblad_evolve() -> Row {
         },
     );
     let detail = format!(
-        "two d={d} modes, {} RK4 steps; in-place Rk4Workspace vs PR-1 cloning RK4",
+        "two d={d} modes, {} RK4 steps; row-compressed sparse generator vs dense cloning RK4",
         (t / dt).round()
     );
-    row("lindblad_evolve", detail, 1, timing, None)
+    row("lindblad_evolve", detail, 2, timing, Some(3.0))
 }
 
 /// The noisy density rows' simulators: superop batching on, and the

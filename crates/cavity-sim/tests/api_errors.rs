@@ -83,6 +83,21 @@ fn collapse_operator_rejects_negative_rate() {
     assert!(sys.add_collapse(&gates::annihilation(d), &[0], -1.0).is_err());
 }
 
+#[test]
+fn non_hermitian_full_hamiltonian_is_a_typed_error_and_changes_nothing() {
+    let d = 3;
+    let mut sys = LindbladSystem::new(vec![d]).unwrap();
+    sys.add_full_hamiltonian(&gates::number_operator(d), 1.0).unwrap();
+    let before = sys.hamiltonian().clone();
+    let err = sys.add_full_hamiltonian(&gates::annihilation(d), 0.5).unwrap_err();
+    assert!(matches!(err, CavityError::Core(CoreError::NotStructured(_))), "got {err:?}");
+    assert_eq!(sys.hamiltonian(), &before);
+    // A wrong-shape term is still a shape error, also leaving H as it was.
+    let err = sys.add_full_hamiltonian(&CMatrix::identity(2), 1.0).unwrap_err();
+    assert!(matches!(err, CavityError::Core(CoreError::ShapeMismatch { .. })), "got {err:?}");
+    assert_eq!(sys.hamiltonian(), &before);
+}
+
 // --- Primitive schedules -----------------------------------------------------
 
 #[test]

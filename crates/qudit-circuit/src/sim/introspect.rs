@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::matrix::CMatrix;
-use qudit_core::superop::SuperPlan;
+use qudit_core::superop::{SandwichPlan, SuperPlan};
 
 use crate::error::Result;
 use crate::noise::KrausChannel;
@@ -194,8 +194,8 @@ pub struct DensityChannelView<'a> {
     pub channel: &'a KrausChannel,
     /// The qudits the channel acts on (operator index order).
     pub targets: &'a [usize],
-    /// The precomputed doubled-register stride plans.
-    pub plan: &'a SuperPlan,
+    /// The precomputed sandwich stride plans.
+    pub plan: &'a SandwichPlan,
 }
 
 impl<'a> DensityChannelView<'a> {
@@ -209,8 +209,8 @@ impl<'a> DensityChannelView<'a> {
 pub enum DensityStepView<'a> {
     /// A standalone deterministic map (two-sided sandwich).
     Unitary {
-        /// The precomputed doubled-register stride plans.
-        plan: &'a SuperPlan,
+        /// The precomputed sandwich stride plans.
+        plan: &'a SandwichPlan,
         /// The compile-time operator.
         op: &'a CMatrix,
         /// The compile-time classification.

@@ -604,7 +604,7 @@ pub(crate) struct RunScratch {
 // Density-side compilation: superoperator batching over vectorised ρ.
 // --------------------------------------------------------------------------
 
-use qudit_core::superop::SuperPlan;
+use qudit_core::superop::{SandwichPlan, SuperPlan};
 use qudit_core::Radix;
 
 /// Configuration of the density-matrix simulator's superoperator batching
@@ -668,18 +668,20 @@ pub(crate) struct DensityChannel {
     pub targets: Vec<usize>,
     /// Structure classification of each Kraus operator.
     pub kinds: Vec<OpKind>,
-    pub plan: SuperPlan,
+    pub plan: SandwichPlan,
 }
 
 /// One step of the compiled **density** execution plan. Measurements, resets
 /// and barrier losses from the shared [`ExecStep`] plan are compiled away
 /// into their channel forms, so the density run loop is just three arms.
-/// Every step sweeps `vec(ρ)` through a [`SuperPlan`].
+/// Every step sweeps `vec(ρ)`: sandwich steps through a [`SandwichPlan`],
+/// superoperator sweeps through a [`SuperPlan`], each building only the plan
+/// it uses.
 #[derive(Debug, Clone)]
 pub(crate) enum DensityStep {
     /// A standalone deterministic map, applied as the two-sided sandwich
     /// `ρ → U ρ U†` (cheaper than its superoperator for `k > 2`).
-    Unitary { plan: SuperPlan, kind: OpKind, op: CMatrix },
+    Unitary { plan: SandwichPlan, kind: OpKind, op: CMatrix },
     /// One superoperator sweep over vectorised ρ: a whole channel — possibly
     /// with folded adjacent unitaries and further channels — in one pass.
     /// `fallback` records the constituent operations in program order so a
@@ -1085,13 +1087,13 @@ impl DensityFrontier<'_> {
                     self.rebind.push(DensityRecipe::Sandwich { step: self.steps.len(), recipe });
                 }
                 self.stats.unitary_steps += 1;
-                let plan = SuperPlan::new(self.radix, &targets).map_err(CircuitError::Core)?;
+                let plan = SandwichPlan::new(self.radix, &targets).map_err(CircuitError::Core)?;
                 self.steps.push(DensityStep::Unitary { plan, kind, op });
             }
             DensityItem::Channel { kernel, .. } => {
                 self.stats.kraus_steps += 1;
                 let plan =
-                    SuperPlan::new(self.radix, &kernel.targets).map_err(CircuitError::Core)?;
+                    SandwichPlan::new(self.radix, &kernel.targets).map_err(CircuitError::Core)?;
                 let ChannelKernel { channel, targets, kinds, .. } = kernel;
                 self.steps.push(DensityStep::Kraus(DensityChannel {
                     channel,

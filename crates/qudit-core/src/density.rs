@@ -11,7 +11,7 @@ use crate::matrix::CMatrix;
 use crate::radix::Radix;
 use crate::sampling::Cdf;
 use crate::state::QuditState;
-use crate::superop::SuperPlan;
+use crate::superop::{SandwichPlan, SuperPlan};
 
 /// A density matrix over a mixed-radix qudit register.
 ///
@@ -196,13 +196,13 @@ impl DensityMatrix {
     /// # Errors
     /// Returns an error for invalid targets or operator dimensions.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) -> Result<()> {
-        let plan = SuperPlan::new(&self.radix, targets)?;
+        let plan = SandwichPlan::new(&self.radix, targets)?;
         let kind = OpKind::classify(u);
         let mut scratch = Vec::new();
         Self::sandwich(&plan, u, &kind, &mut self.matrix, &mut scratch)
     }
 
-    /// [`DensityMatrix::apply_unitary`] through a precomputed [`SuperPlan`]
+    /// [`DensityMatrix::apply_unitary`] through a precomputed [`SandwichPlan`]
     /// and [`OpKind`], the plan-reuse path the circuit simulators use:
     /// `scratch` is caller-owned working memory.
     ///
@@ -210,7 +210,7 @@ impl DensityMatrix {
     /// Returns an error if the plan or operator dimensions do not match.
     pub fn apply_unitary_prepared(
         &mut self,
-        plan: &SuperPlan,
+        plan: &SandwichPlan,
         kind: &OpKind,
         u: &CMatrix,
         scratch: &mut Vec<Complex64>,
@@ -224,20 +224,20 @@ impl DensityMatrix {
     /// Returns an error for invalid targets, operator dimensions or an empty
     /// Kraus list.
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) -> Result<()> {
-        let plan = SuperPlan::new(&self.radix, targets)?;
+        let plan = SandwichPlan::new(&self.radix, targets)?;
         let kinds: Vec<OpKind> = kraus.iter().map(OpKind::classify).collect();
         let mut scratch = Vec::new();
         self.apply_kraus_prepared(&plan, kraus, &kinds, &mut scratch)
     }
 
-    /// [`DensityMatrix::apply_kraus`] through a precomputed [`SuperPlan`] and
-    /// per-operator [`OpKind`]s (plan-reuse path for the circuit simulators).
+    /// [`DensityMatrix::apply_kraus`] through a precomputed [`SandwichPlan`]
+    /// and per-operator [`OpKind`]s (plan-reuse path for the circuit simulators).
     ///
     /// # Errors
     /// Returns an error for invalid dimensions or an empty Kraus list.
     pub fn apply_kraus_prepared(
         &mut self,
-        plan: &SuperPlan,
+        plan: &SandwichPlan,
         kraus: &[CMatrix],
         kinds: &[OpKind],
         scratch: &mut Vec<Complex64>,
@@ -313,7 +313,7 @@ impl DensityMatrix {
     /// targets; the right action by `K†`, `(m K†)[i, j] = Σ_c m[i, c]
     /// conj(K[j, c])`, is `conj(K)` on the column copy.
     fn sandwich(
-        plan: &SuperPlan,
+        plan: &SandwichPlan,
         k: &CMatrix,
         kind: &OpKind,
         m: &mut CMatrix,

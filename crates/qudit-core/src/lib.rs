@@ -107,7 +107,7 @@ pub use matrix::CMatrix;
 pub use radix::Radix;
 pub use sampling::Cdf;
 pub use state::QuditState;
-pub use superop::SuperPlan;
+pub use superop::{SandwichPlan, SuperPlan};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -125,5 +125,5 @@ pub mod prelude {
     pub use crate::radix::{embed_operator, Radix};
     pub use crate::random::{haar_state, haar_unitary};
     pub use crate::state::QuditState;
-    pub use crate::superop::SuperPlan;
+    pub use crate::superop::{SandwichPlan, SuperPlan};
 }

@@ -4,8 +4,8 @@
 //! (`vec(ρ)[r·N + c] = ρ[r, c]`, i.e. the row digits followed by the column
 //! digits), so every density kernel is an ordinary unit-stride
 //! [`ApplyPlan`] sweep over `vec(ρ)`. The sandwich `ρ → K ρ K†` on targets
-//! `T` is two sweeps: `K` on the row copy `T`, then `conj(K)` on the column
-//! copy `T + n`. The per-term Kraus path
+//! `T` is two sweeps through a [`SandwichPlan`]: `K` on the row copy `T`,
+//! then `conj(K)` on the column copy `T + n`. The per-term Kraus path
 //! ([`crate::density::DensityMatrix::apply_kraus`]) materialises every term
 //! `K_m ρ K_m†` as one sandwich plus an accumulation, so an `m`-operator
 //! channel costs `2m` sweeps, `m` matrix additions and `m − 1` full-matrix
@@ -38,9 +38,21 @@ use crate::error::{CoreError, Result};
 use crate::matrix::CMatrix;
 use crate::radix::Radix;
 
-/// The reusable stride plans of one target set on vectorised density
-/// matrices (see the module docs): the superoperator sweep and the two
-/// halves of the sandwich.
+/// The doubled register `dims ++ dims` of vectorised ρ and the column-side
+/// copy `T + n` of the channel targets `T`.
+fn doubled(radix: &Radix, targets: &[usize]) -> Result<(Radix, Vec<usize>)> {
+    let n = radix.len();
+    let mut doubled_dims = Vec::with_capacity(2 * n);
+    doubled_dims.extend_from_slice(radix.dims());
+    doubled_dims.extend_from_slice(radix.dims());
+    let col_targets = targets.iter().map(|&t| t + n).collect();
+    Ok((Radix::new(doubled_dims)?, col_targets))
+}
+
+/// The superoperator-sweep stride plan of one target set on vectorised
+/// density matrices (see the module docs). The sandwich `ρ → K ρ K†` has its
+/// own plan, [`SandwichPlan`], so a compiled step builds only the plan its
+/// kind sweeps.
 ///
 /// Like [`ApplyPlan`], a `SuperPlan` is immutable after construction and
 /// `Sync`; per-call mutable scratch is passed into [`SuperPlan::apply`].
@@ -49,15 +61,49 @@ pub struct SuperPlan {
     /// Stride plan over the doubled register `dims ++ dims`, targeting the
     /// row-side and column-side copies of the channel targets.
     plan: ApplyPlan,
-    /// Row side of the sandwich: the targets `T` of the doubled register.
-    pub(crate) row: ApplyPlan,
-    /// Column side of the sandwich: the targets `T + n`.
-    pub(crate) col: ApplyPlan,
     /// Dimension `k` of the channel's target subspace (the superoperator is
     /// `k² × k²`).
     sub_dim: usize,
     /// Register dimension `N` (the plan addresses `N²` entries).
     reg_dim: usize,
+}
+
+/// The two halves of the sandwich `ρ → K ρ K†` on one target set `T` of
+/// vectorised density matrices: `K` on the row copy `T`, then `conj(K)` on
+/// the column copy `T + n` of the doubled register. Immutable and `Sync`,
+/// like [`SuperPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SandwichPlan {
+    /// Row side of the sandwich: the targets `T` of the doubled register.
+    pub(crate) row: ApplyPlan,
+    /// Column side of the sandwich: the targets `T + n`.
+    pub(crate) col: ApplyPlan,
+    /// Dimension `k` of the target subspace (the sandwiched operators are
+    /// `k × k`).
+    sub_dim: usize,
+}
+
+impl SandwichPlan {
+    /// Builds the sandwich plan for operators acting on `targets` (in the
+    /// given order, first target most significant) of a register described
+    /// by `radix`.
+    ///
+    /// # Errors
+    /// Returns an error for out-of-range or duplicate targets.
+    pub fn new(radix: &Radix, targets: &[usize]) -> Result<Self> {
+        let sub_dim = radix.subspace_dim(targets)?;
+        let (doubled, col_targets) = doubled(radix, targets)?;
+        let row = ApplyPlan::new(&doubled, targets)?;
+        let col = ApplyPlan::new(&doubled, &col_targets)?;
+        Ok(Self { row, col, sub_dim })
+    }
+
+    /// Dimension `k` of the target subspace; the operators this plan
+    /// sandwiches are `k × k`.
+    #[inline]
+    pub fn sub_dim(&self) -> usize {
+        self.sub_dim
+    }
 }
 
 impl SuperPlan {
@@ -67,22 +113,15 @@ impl SuperPlan {
     /// # Errors
     /// Returns an error for out-of-range or duplicate targets.
     pub fn new(radix: &Radix, targets: &[usize]) -> Result<Self> {
-        let n = radix.len();
-        let mut doubled_dims = Vec::with_capacity(2 * n);
-        doubled_dims.extend_from_slice(radix.dims());
-        doubled_dims.extend_from_slice(radix.dims());
-        let doubled = Radix::new(doubled_dims)?;
+        let sub_dim = radix.subspace_dim(targets)?;
+        let (doubled, col_targets) = doubled(radix, targets)?;
         // Row digits of vec(ρ) are qudits 0..n, column digits are n..2n; the
         // channel touches the same positions in both copies. Keeping the row
         // block first makes the plan's sub-index `i·k + j` match the
         // row-major indexing of `K ⊗ conj(K)`.
-        let col_targets: Vec<usize> = targets.iter().map(|&t| t + n).collect();
         let doubled_targets = [targets, &col_targets].concat();
         let plan = ApplyPlan::new(&doubled, &doubled_targets)?;
-        let row = ApplyPlan::new(&doubled, targets)?;
-        let col = ApplyPlan::new(&doubled, &col_targets)?;
-        let sub_dim = radix.subspace_dim(targets)?;
-        Ok(Self { plan, row, col, sub_dim, reg_dim: radix.total_dim() })
+        Ok(Self { plan, sub_dim, reg_dim: radix.total_dim() })
     }
 
     /// Dimension `k` of the channel's target subspace; the superoperator
@@ -380,5 +419,7 @@ mod tests {
         let radix = Radix::new(vec![2, 3]).unwrap();
         assert!(SuperPlan::new(&radix, &[2]).is_err());
         assert!(SuperPlan::new(&radix, &[0, 0]).is_err());
+        assert!(SandwichPlan::new(&radix, &[2]).is_err());
+        assert!(SandwichPlan::new(&radix, &[0, 0]).is_err());
     }
 }

@@ -6,7 +6,8 @@
 
 use std::time::Duration;
 
-use qudit_circuit::sim::StatevectorSimulator;
+use qudit_circuit::noise::NoiseModel;
+use qudit_circuit::sim::{DensityMatrixSimulator, StatevectorSimulator};
 use qudit_circuit::{Circuit, Gate, Param};
 use qudit_core::matrix::CMatrix;
 use qudit_serve::{
@@ -347,13 +348,21 @@ fn disabled_cache_compiles_per_request() {
 /// Submits one `parameterized_circuit` job per angle while `engine` is
 /// paused, resumes it, and returns the payloads in submission order.
 fn queued_parameterized_payloads(engine: &ServeEngine, thetas: &[f64]) -> Vec<Vec<f64>> {
+    queued_payloads(engine, thetas, JobSpec::statevector)
+}
+
+/// Queues one `spec(parameterized_circuit())` job per angle while the engine
+/// is paused, then releases them together and collects the payloads.
+fn queued_payloads(
+    engine: &ServeEngine,
+    thetas: &[f64],
+    spec: fn(Circuit) -> JobSpec,
+) -> Vec<Vec<f64>> {
     engine.pause();
     let handles: Vec<_> = thetas
         .iter()
         .map(|&theta| {
-            engine
-                .submit(JobSpec::statevector(parameterized_circuit()).with_params(vec![theta]))
-                .unwrap()
+            engine.submit(spec(parameterized_circuit()).with_params(vec![theta])).unwrap()
         })
         .collect();
     assert_eq!(engine.queue_len(), thetas.len());
@@ -405,6 +414,35 @@ fn queued_payloads_match_a_direct_simulator_run_on_one_and_two_workers() {
             assert_eq!(got, want, "workers = {workers}, theta = {theta}");
         }
         engine.join();
+    }
+}
+
+#[test]
+fn queued_density_payloads_match_a_direct_simulator_run_on_one_and_two_workers() {
+    // Oracle: a fresh density simulator under the engine's noise model
+    // compiles and binds the circuit itself; the served payload is the
+    // diagonal of its final ρ.
+    let thetas = [0.0, 0.3, 0.9, 1.7, 2.6, -1.1];
+    for noise in [NoiseModel::noiseless(), NoiseModel::depolarizing(1e-2, 2e-2)] {
+        let sim = DensityMatrixSimulator::new().with_noise(noise.clone());
+        let mut plan = sim.compile(&parameterized_circuit()).unwrap();
+        let expected: Vec<Vec<f64>> = thetas
+            .iter()
+            .map(|&theta| {
+                let rho = sim.run_bound(&mut plan, &[theta]).unwrap();
+                (0..rho.dim()).map(|i| rho.matrix()[(i, i)].re).collect()
+            })
+            .collect();
+        assert_ne!(expected[0], expected[1], "the angles must give different populations");
+        for workers in [1, 2] {
+            let config = ServeConfig::default().with_workers(workers).with_noise(noise.clone());
+            let engine = ServeEngine::start(config);
+            let served = queued_payloads(&engine, &thetas, JobSpec::density);
+            for ((theta, got), want) in thetas.iter().zip(&served).zip(&expected) {
+                assert_eq!(got, want, "{noise:?}, workers = {workers}, theta = {theta}");
+            }
+            engine.join();
+        }
     }
 }
 

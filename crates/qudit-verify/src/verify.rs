@@ -17,7 +17,8 @@
 //! * **Ordering** — any two instructions with overlapping supports execute
 //!   in program order; fusion and superoperator folding may only commute
 //!   operations across *disjoint* supports.
-//! * **Plan consistency** — every [`qudit_core::apply::ApplyPlan`] /
+//! * **Plan consistency** — every [`qudit_core::apply::ApplyPlan`],
+//!   [`qudit_core::superop::SandwichPlan`] and
 //!   [`qudit_core::superop::SuperPlan`] matches a freshly built plan for its
 //!   step's targets, and every structure classification is sound for the
 //!   matrix it describes.
@@ -45,7 +46,7 @@ use qudit_core::complex::{c64, Complex64};
 use qudit_core::guard::{GuardConfig, RunHealth};
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::{embed_operator, Radix};
-use qudit_core::superop::SuperPlan;
+use qudit_core::superop::{SandwichPlan, SuperPlan};
 
 /// The property a failed verification violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -497,16 +498,17 @@ fn check_channel(
     Ok(())
 }
 
-/// Checks a density step's [`SuperPlan`] against a freshly built plan for
-/// `targets`; `what` names the step kind in the message.
-fn check_super_plan(
-    plan: &SuperPlan,
-    radix: &Radix,
+/// Checks a density step's plan (a [`SandwichPlan`] or a [`SuperPlan`])
+/// against `rebuild`, a freshly built plan of the same kind for `targets`;
+/// `what` names the step kind in the message.
+fn check_density_plan<P: PartialEq>(
+    plan: &P,
+    rebuild: impl FnOnce() -> qudit_core::Result<P>,
     targets: &[usize],
     what: &str,
     step: usize,
 ) -> Result<(), VerifyError> {
-    let rebuilt = SuperPlan::new(radix, targets).map_err(|e| VerifyError {
+    let rebuilt = rebuild().map_err(|e| VerifyError {
         check: Check::PlanConsistency,
         step: Some(step),
         message: format!("{what} targets {targets:?} admit no plan: {e}"),
@@ -1794,7 +1796,8 @@ fn verify_dm_inner(
                         "sandwich step realizes a multi-operator channel".into(),
                     );
                 };
-                check_super_plan(plan, &radix, targets, "sandwich", s)?;
+                let rebuild = || SandwichPlan::new(&radix, targets);
+                check_density_plan(plan, rebuild, targets, "sandwich", s)?;
                 if !kind_is_sound(kind, op) {
                     return fail(
                         Check::PlanConsistency,
@@ -1840,7 +1843,8 @@ fn verify_dm_inner(
                         format!("Kraus targets {:?} differ from expected {targets:?}", cv.targets),
                     );
                 }
-                check_super_plan(cv.plan, &radix, cv.targets, "channel", s)?;
+                let rebuild = || SandwichPlan::new(&radix, cv.targets);
+                check_density_plan(cv.plan, rebuild, cv.targets, "channel", s)?;
                 check_channel(cv.channel, cv.plan.sub_dim(), Some(channel), config.tol, s)?;
             }
             DensityStepView::Super { plan, sup, kind, fallback_len, defect_tol } => {
@@ -1851,7 +1855,8 @@ fn verify_dm_inner(
                 }
                 union.sort_unstable();
                 union.dedup();
-                check_super_plan(plan, &radix, &union, "sweep", s)?;
+                let rebuild = || SuperPlan::new(&radix, &union);
+                check_density_plan(plan, rebuild, &union, "sweep", s)?;
                 let k_u = plan.sub_dim();
                 if sup.rows() != k_u * k_u || sup.cols() != k_u * k_u {
                     return fail(
