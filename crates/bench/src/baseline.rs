@@ -372,7 +372,7 @@ pub fn trajectory_loop(
         .map(|t| {
             let out = StatevectorSimulator::with_seed(trajectory_seed(seed, t))
                 .with_noise(noise.clone())
-                .run_compiled(plan)
+                .run_compiled(plan, None)
                 .expect("plan compiled under the same noise model");
             observable.expectation(&out.state).expect("matching register")
         })
@@ -477,7 +477,7 @@ mod tests {
             .with_threads(1);
         let plan = sim.compile(&circuit).unwrap();
         let (mean, std_error) = trajectory_loop(&plan, &noise, &obs, n, seed);
-        let est = sim.expectation_compiled(&plan, &obs).unwrap();
+        let (est, _) = sim.expectation_compiled(&plan, &obs).unwrap();
         assert_eq!(mean.to_bits(), est.mean.to_bits());
         assert_eq!(std_error.to_bits(), est.std_error.to_bits());
     }

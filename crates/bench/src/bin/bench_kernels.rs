@@ -191,7 +191,7 @@ fn statevector_run() -> Row {
     let plan = sim.compile(&circuit).unwrap();
     let reps = 400;
     let timing =
-        paired(reps, || percall.run(&circuit).unwrap(), || sim.run_compiled(&plan).unwrap());
+        paired(reps, || percall.run(&circuit).unwrap(), || sim.run_compiled(&plan, None).unwrap());
     let stats = plan.fusion_stats();
     let detail = format!(
         "{}; fusion ON, precompiled ({} gates -> {} fused steps, {} multi-gate blocks, max block \
@@ -209,8 +209,11 @@ fn statevector_run_fusion_off() -> Row {
     let (percall, circuit) = unfused_percall();
     let plan = percall.compile(&circuit).unwrap();
     let reps = 250;
-    let timing =
-        paired(reps, || percall.run(&circuit).unwrap(), || percall.run_compiled(&plan).unwrap());
+    let timing = paired(
+        reps,
+        || percall.run(&circuit).unwrap(),
+        || percall.run_compiled(&plan, None).unwrap(),
+    );
     let detail = format!(
         "same workload; fusion OFF, precompiled ({} unitary steps) vs per-call plan rebuild with \
          fusion off — isolates plan reuse from fusion proper",
@@ -232,8 +235,8 @@ fn syndrome_extraction_wire_local() -> Row {
     let reps = 16;
     let timing = paired(
         reps,
-        || unfused.run_compiled(&unfused_plan).unwrap(),
-        || fused.run_compiled(&fused_plan).unwrap(),
+        || unfused.run_compiled(&unfused_plan, None).unwrap(),
+        || fused.run_compiled(&fused_plan, None).unwrap(),
     );
     let stats = fused_plan.fusion_stats();
     let detail = format!(
@@ -307,7 +310,8 @@ fn density_run_noisy() -> Row {
     let (sim, per_term) = density_sims();
     let circuit = rows::sqed();
     let plan = sim.compile(&circuit).unwrap();
-    let timing = paired(1, || per_term.run(&circuit).unwrap(), || sim.run_compiled(&plan).unwrap());
+    let timing =
+        paired(1, || per_term.run(&circuit).unwrap(), || sim.run_compiled(&plan, None).unwrap());
     let stats = plan.superop_stats();
     let detail = format!(
         "{} (rho {dim}x{dim}), depolarizing noise; superop batching ON, precompiled ({} sweeps, \
@@ -352,9 +356,12 @@ fn statevector_run_guarded() -> Row {
     let guarded = sim.clone().with_guard(GuardConfig::enabled());
     let plan = sim.compile(&rows::sqed()).unwrap();
     let reps = 400;
-    let timing =
-        paired(reps, || sim.run_compiled(&plan).unwrap(), || guarded.run_compiled(&plan).unwrap());
-    let checks = guarded.run_compiled(&plan).unwrap().health.checks_run;
+    let timing = paired(
+        reps,
+        || sim.run_compiled(&plan, None).unwrap(),
+        || guarded.run_compiled(&plan, None).unwrap(),
+    );
+    let checks = guarded.run_compiled(&plan, None).unwrap().health.checks_run;
     let detail = guard_detail("same fused workload; NaN/Inf + norm", checks);
     row("statevector_run_guarded", detail, reps, timing, Some(0.95))
 }
@@ -368,10 +375,10 @@ fn density_run_noisy_guarded() -> Row {
     let plan = sim.compile(&rows::sqed()).unwrap();
     let timing = paired(
         1,
-        || sim.run_compiled(&plan).unwrap(),
-        || guarded.run_compiled_detailed(&plan).unwrap(),
+        || sim.run_compiled(&plan, None).unwrap(),
+        || guarded.run_compiled(&plan, None).unwrap(),
     );
-    let checks = guarded.run_compiled_detailed(&plan).unwrap().1.checks_run;
+    let checks = guarded.run_compiled(&plan, None).unwrap().1.checks_run;
     let detail =
         guard_detail("same superop-batched workload on 1 thread; trace/hermiticity", checks);
     row("density_run_noisy_guarded", detail, 1, timing, Some(0.95))
@@ -398,7 +405,8 @@ fn qaoa_rebind_sweep() -> Row {
         },
         || {
             for params in &sweep {
-                black_box(sim.run_bound(&mut plan, params).unwrap());
+                plan.bind(params).unwrap();
+                black_box(sim.run_compiled(&plan, None).unwrap());
             }
         },
     );
@@ -421,20 +429,22 @@ fn ensemble_qaoa_population() -> Row {
     let sim = StatevectorSimulator::with_seed(seed);
     let plan = sim.compile(&rows::qaoa().ansatz().unwrap()).unwrap();
     let mut serial_plan = plan.clone();
+    let zero = qudit_core::state::QuditState::zero(plan.dims().to_vec()).unwrap();
     let reps = 4;
     let timing = paired(
         reps,
         || {
             for params in &sweep {
-                black_box(sim.run_bound(&mut serial_plan, params).unwrap());
+                serial_plan.bind(params).unwrap();
+                black_box(sim.run_compiled(&serial_plan, None).unwrap());
             }
         },
-        || sim.run_ensemble(&plan, &plan.bind_batch(&sweep).unwrap()).unwrap(),
+        || sim.run_ensemble_from(&plan, &plan.bind_batch(&sweep).unwrap(), &zero).unwrap(),
     );
     let detail = format!(
         "{len}-member binding population, 5-node 3-coloring QAOA p={layers}; one bind_batch + \
-         run_ensemble call (one serial-kernel column per member, fanned out across the worker \
-         pool) vs the serial rebind loop on 1 thread"
+         run_ensemble_from call (one serial-kernel column per member, fanned out across the \
+         worker pool) vs the serial rebind loop on 1 thread"
     );
     row("ensemble_qaoa_population", detail, reps, timing, Some(0.65))
 }

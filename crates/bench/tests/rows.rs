@@ -23,10 +23,14 @@ fn fusion_engages_on_the_sqed_workload_and_matches_unfused() {
     assert!(stats.multi_gate_blocks > 0, "{stats:?}");
     assert!(stats.unitary_steps_out < stats.unitaries_in, "{stats:?}");
     let unfused = StatevectorSimulator::new().with_fusion(FusionConfig::disabled());
-    let fused_state = sim.run_compiled(&plan).unwrap().state;
+    let fused_state = sim.run_compiled(&plan, None).unwrap().state;
     assert_same_state(&fused_state, &unfused.run(&circuit).unwrap(), 1e-9);
     let unfused_plan = unfused.compile(&circuit).unwrap();
-    assert_same_state(&fused_state, &unfused.run_compiled(&unfused_plan).unwrap().state, 1e-9);
+    assert_same_state(
+        &fused_state,
+        &unfused.run_compiled(&unfused_plan, None).unwrap().state,
+        1e-9,
+    );
 }
 
 #[test]
@@ -37,7 +41,7 @@ fn superop_batching_engages_and_matches_the_per_term_path() {
     let plan = sim.compile(&circuit).unwrap();
     let stats = plan.superop_stats();
     assert!(stats.super_steps > 0 && stats.multi_op_supers > 0, "{stats:?}");
-    let batched = sim.run_compiled(&plan).unwrap();
+    let (batched, _) = sim.run_compiled(&plan, None).unwrap();
     let per_term = sim.clone().with_superop(SuperopConfig::disabled()).run(&circuit).unwrap();
     let diff = (batched.matrix() - per_term.matrix()).max_abs();
     assert!(diff < 1e-9, "superop and per-term runs diverged by {diff}");
@@ -57,8 +61,8 @@ fn wire_local_syndrome_plan_crosses_readouts_and_matches_unfused() {
     let stats = fused_plan.fusion_stats();
     assert!(stats.barrier_crossings > 0, "{stats:?}");
     assert!(stats.unitary_steps_out < unfused_plan.fusion_stats().unitary_steps_out, "{stats:?}");
-    let a = fused.run_compiled(&fused_plan).unwrap();
-    let b = unfused.run_compiled(&unfused_plan).unwrap();
+    let a = fused.run_compiled(&fused_plan, None).unwrap();
+    let b = unfused.run_compiled(&unfused_plan, None).unwrap();
     assert_eq!(a.measurements, b.measurements, "readout records must be bitwise identical");
     assert_same_state(&a.state, &b.state, 1e-9);
 }
@@ -73,7 +77,8 @@ fn qaoa_rebind_matches_rebuild_across_the_sweep() {
     assert_eq!(plan.num_params(), 2 * layers, "one gamma and one beta per layer");
     assert!(plan.rebindable_steps() >= 1);
     for params in rows::qaoa_sweep() {
-        let rebound = sim.run_bound(&mut plan, &params).unwrap().state;
+        plan.bind(&params).unwrap();
+        let rebound = sim.run_compiled(&plan, None).unwrap().state;
         let (g, b) = params.split_at(layers);
         let rebuilt = sim.run(&qaoa.circuit(g, b).unwrap()).unwrap();
         assert_same_state(&rebound, &rebuilt, 1e-12);
@@ -86,8 +91,8 @@ fn clean_guarded_runs_are_bitwise_identical_on_both_backends() {
     let circuit = rows::sqed();
     let sv = StatevectorSimulator::new();
     let plan = sv.compile(&circuit).unwrap();
-    let guarded = sv.clone().with_guard(GuardConfig::enabled()).run_compiled(&plan).unwrap();
-    let clean = sv.run_compiled(&plan).unwrap();
+    let guarded = sv.clone().with_guard(GuardConfig::enabled()).run_compiled(&plan, None).unwrap();
+    let clean = sv.run_compiled(&plan, None).unwrap();
     assert!(guarded.health.checks_run >= 1, "{:?}", guarded.health);
     assert_eq!((guarded.health.renormalizations, guarded.health.fallbacks), (0, 0));
     assert_eq!(guarded.state.amplitudes(), clean.state.amplitudes());
@@ -95,10 +100,10 @@ fn clean_guarded_runs_are_bitwise_identical_on_both_backends() {
     let dm = DensityMatrixSimulator::new().with_noise(rows::noise()).with_threads(1);
     let plan = dm.compile(&circuit).unwrap();
     let (rho, health) =
-        dm.clone().with_guard(GuardConfig::enabled()).run_compiled_detailed(&plan).unwrap();
+        dm.clone().with_guard(GuardConfig::enabled()).run_compiled(&plan, None).unwrap();
     assert!(health.checks_run >= 1, "{health:?}");
     assert_eq!((health.renormalizations, health.fallbacks), (0, 0));
-    assert_eq!(rho.matrix(), dm.run_compiled(&plan).unwrap().matrix());
+    assert_eq!(rho.matrix(), dm.run_compiled(&plan, None).unwrap().0.matrix());
 }
 
 #[test]

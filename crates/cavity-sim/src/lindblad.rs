@@ -20,7 +20,8 @@
 //! `G† = iH − ½ Σ_k γ_k L_k†L_k` is formed from `H` itself rather than as
 //! the adjoint of `G`, so the commutator stays exactly `−i[H, ρ]` for a
 //! Hamiltonian that is Hermitian only within the registration tolerance.
-//! A drive `D(t)` enters the same way, as `−i D ρ + i ρ D`.
+//! A drive `D` enters the same way, as `−i D ρ + i ρ D`. It is constant over
+//! one call, so a piecewise-constant drive is one call per piece.
 //!
 //! # Storage and cost
 //!
@@ -34,8 +35,8 @@
 //! With `K` collapse operators one evaluation makes `2 + 2K` such products
 //! (plus two for a drive); no dense matrix product runs inside the
 //! integration loop. The loop also allocates nothing: the RK4 slopes, the
-//! stage point, the `L ρ` scratch and the drive's row-compressed copies all
-//! live in one workspace built before the first step.
+//! stage point, the `L ρ` scratch and the constant drive's row-compressed
+//! copies are all built once per call, before the first step.
 
 use qudit_core::complex::{c64, Complex64};
 use qudit_core::density::DensityMatrix;
@@ -55,31 +56,17 @@ struct RowCompressed {
 }
 
 impl RowCompressed {
-    /// An empty operator whose buffers hold any `n × n` matrix, so
-    /// [`RowCompressed::assign`] never reallocates.
-    fn with_capacity(n: usize) -> Self {
-        Self { row_start: Vec::with_capacity(n + 1), entries: Vec::with_capacity(n * n) }
-    }
-
     /// The nonzero entries of `s · m`.
     fn from_dense(m: &CMatrix, s: Complex64) -> Self {
-        let mut op = Self { row_start: Vec::with_capacity(m.rows() + 1), entries: Vec::new() };
-        op.assign(m, s);
-        op
-    }
-
-    /// Overwrites `self` with the nonzero entries of `s · m`, reusing its
-    /// buffers.
-    fn assign(&mut self, m: &CMatrix, s: Complex64) {
-        self.row_start.clear();
-        self.entries.clear();
-        self.row_start.push(0);
+        let mut row_start = Vec::with_capacity(m.rows() + 1);
+        let mut entries = Vec::new();
+        row_start.push(0);
         for i in 0..m.rows() {
             let row = m.row(i).iter().enumerate();
-            self.entries
-                .extend(row.filter(|(_, v)| **v != Complex64::ZERO).map(|(j, &v)| (j, s * v)));
-            self.row_start.push(self.entries.len());
+            entries.extend(row.filter(|(_, v)| **v != Complex64::ZERO).map(|(j, &v)| (j, s * v)));
+            row_start.push(entries.len());
         }
+        Self { row_start, entries }
     }
 
     #[inline]
@@ -256,26 +243,6 @@ impl LindbladSystem {
         self.generator_dag = RowCompressed::from_dense(&fold(c64(0.0, 1.0)), Complex64::ONE);
     }
 
-    /// Validates a drive term returned by a caller-supplied closure so a
-    /// malformed closure surfaces as [`CoreError::ShapeMismatch`] instead of
-    /// panicking deep inside the integrator, then row-compresses `−iD` and
-    /// `iD` into the workspace's preallocated drive buffers.
-    fn load_drive(&self, term: Option<CMatrix>, buf: &mut DriveBuffers) -> Result<bool> {
-        let Some(m) = term else {
-            return Ok(false);
-        };
-        let n = self.radix.total_dim();
-        if m.rows() != n || m.cols() != n {
-            return Err(CavityError::Core(CoreError::ShapeMismatch {
-                expected: format!("{n}x{n} drive term"),
-                found: format!("{}x{} drive term", m.rows(), m.cols()),
-            }));
-        }
-        buf.left.assign(&m, c64(0.0, -1.0));
-        buf.right.assign(&m, c64(0.0, 1.0));
-        Ok(true)
-    }
-
     /// Right-hand side `G ρ + ρ G† + Σ_k γ_k (L_k ρ) L_k†` (plus
     /// `−i D ρ + i ρ D` for a drive `D`) evaluated at `rho`, written into
     /// `out`; `scratch` holds each `L_k ρ`. Every product is sparse × dense
@@ -283,7 +250,7 @@ impl LindbladSystem {
     fn rhs_into(
         &self,
         rho: &CMatrix,
-        drive: Option<&DriveBuffers>,
+        drive: Option<&Drive>,
         out: &mut CMatrix,
         scratch: &mut CMatrix,
     ) {
@@ -301,62 +268,28 @@ impl LindbladSystem {
         }
     }
 
-    /// Preallocates the RK4 integration workspace for this system's
-    /// dimension.
-    fn rk4_workspace(&self) -> Rk4Workspace {
-        let n = self.radix.total_dim();
-        Rk4Workspace {
-            k1: CMatrix::zeros(n, n),
-            k2: CMatrix::zeros(n, n),
-            k3: CMatrix::zeros(n, n),
-            k4: CMatrix::zeros(n, n),
-            stage: CMatrix::zeros(n, n),
-            scratch: CMatrix::zeros(n, n),
-            drive: DriveBuffers {
-                left: RowCompressed::with_capacity(n),
-                right: RowCompressed::with_capacity(n),
-            },
-        }
-    }
-
     /// Evolves `rho` for total time `t` with RK4 steps of size `dt`.
     ///
     /// # Errors
     /// Returns an error if the register differs or parameters are invalid.
     pub fn evolve(&self, rho: &mut DensityMatrix, t: f64, dt: f64) -> Result<()> {
-        self.evolve_with_drive(rho, t, dt, |_| None, |_, _, _| {})
+        self.evolve_with_drive(rho, t, dt, None)
     }
 
-    /// Evolves `rho` while recording observables: `callback(step, time, rho)`
-    /// is invoked after every step (and once at t = 0).
-    ///
-    /// # Errors
-    /// Returns an error if the register differs or parameters are invalid.
-    pub fn evolve_observed(
-        &self,
-        rho: &mut DensityMatrix,
-        t: f64,
-        dt: f64,
-        callback: impl FnMut(usize, f64, &DensityMatrix),
-    ) -> Result<()> {
-        self.evolve_with_drive(rho, t, dt, |_| None, callback)
-    }
-
-    /// Evolves `rho` under the static Hamiltonian plus a time-dependent drive
-    /// term `drive(t)` (already embedded in the full space), recording
-    /// observables via `callback`.
+    /// Evolves `rho` for total time `t` with RK4 steps of size `dt` under the
+    /// static Hamiltonian plus a constant drive term `drive` (already
+    /// embedded in the full space). The drive is row-compressed once per
+    /// call; a piecewise-constant drive is one call per piece.
     ///
     /// # Errors
     /// Returns an error if the register differs, parameters are invalid, or
-    /// the drive closure returns a matrix whose shape does not match the
-    /// system dimension.
+    /// the drive's shape does not match the system dimension.
     pub fn evolve_with_drive(
         &self,
         rho: &mut DensityMatrix,
         t: f64,
         dt: f64,
-        drive: impl Fn(f64) -> Option<CMatrix>,
-        mut callback: impl FnMut(usize, f64, &DensityMatrix),
+        drive: Option<&CMatrix>,
     ) -> Result<()> {
         if rho.radix() != &self.radix {
             return Err(CavityError::Core(CoreError::ShapeMismatch {
@@ -369,70 +302,59 @@ impl LindbladSystem {
                 "evolution requires dt > 0 and t >= 0 (got t = {t}, dt = {dt})"
             )));
         }
+        let n = self.radix.total_dim();
+        let drive = match drive {
+            Some(m) if m.rows() != n || m.cols() != n => {
+                return Err(CavityError::Core(CoreError::ShapeMismatch {
+                    expected: format!("{n}x{n} drive term"),
+                    found: format!("{}x{} drive term", m.rows(), m.cols()),
+                }));
+            }
+            Some(m) => Some(Drive {
+                left: RowCompressed::from_dense(m, c64(0.0, -1.0)),
+                right: RowCompressed::from_dense(m, c64(0.0, 1.0)),
+            }),
+            None => None,
+        };
+        let d = drive.as_ref();
         let steps = (t / dt).round().max(1.0) as usize;
         let h = t / steps as f64;
-        // One workspace serves the whole evolution: the integration loop
-        // allocates nothing (only the caller's drive closure may allocate
-        // its returned drive term, which is compressed into `ws.drive`).
-        let ws = &mut self.rk4_workspace();
-        callback(0, 0.0, rho);
-        for step in 0..steps {
-            let time = step as f64 * h;
+        // The slopes, stage point and scratch serve the whole evolution: the
+        // integration loop allocates nothing.
+        let zeros = || CMatrix::zeros(n, n);
+        let (mut k1, mut k2, mut k3, mut k4) = (zeros(), zeros(), zeros(), zeros());
+        let (mut stage, mut scratch) = (zeros(), zeros());
+        for _ in 0..steps {
+            self.rhs_into(rho.matrix(), d, &mut k1, &mut scratch);
 
-            let driven = self.load_drive(drive(time), &mut ws.drive)?;
-            let d = driven.then_some(&ws.drive);
-            self.rhs_into(rho.matrix(), d, &mut ws.k1, &mut ws.scratch);
+            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
+            stage.axpy(c64(h / 2.0, 0.0), &k1).map_err(CavityError::Core)?;
+            self.rhs_into(&stage, d, &mut k2, &mut scratch);
 
-            ws.stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            ws.stage.axpy(c64(h / 2.0, 0.0), &ws.k1).map_err(CavityError::Core)?;
-            let driven = self.load_drive(drive(time + h / 2.0), &mut ws.drive)?;
-            let d = driven.then_some(&ws.drive);
-            self.rhs_into(&ws.stage, d, &mut ws.k2, &mut ws.scratch);
+            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
+            stage.axpy(c64(h / 2.0, 0.0), &k2).map_err(CavityError::Core)?;
+            self.rhs_into(&stage, d, &mut k3, &mut scratch);
 
-            ws.stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            ws.stage.axpy(c64(h / 2.0, 0.0), &ws.k2).map_err(CavityError::Core)?;
-            self.rhs_into(&ws.stage, d, &mut ws.k3, &mut ws.scratch);
-
-            ws.stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            ws.stage.axpy(c64(h, 0.0), &ws.k3).map_err(CavityError::Core)?;
-            let driven = self.load_drive(drive(time + h), &mut ws.drive)?;
-            let d = driven.then_some(&ws.drive);
-            self.rhs_into(&ws.stage, d, &mut ws.k4, &mut ws.scratch);
+            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
+            stage.axpy(c64(h, 0.0), &k3).map_err(CavityError::Core)?;
+            self.rhs_into(&stage, d, &mut k4, &mut scratch);
 
             let m = rho.matrix_mut();
-            m.axpy(c64(h / 6.0, 0.0), &ws.k1).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 3.0, 0.0), &ws.k2).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 3.0, 0.0), &ws.k3).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 6.0, 0.0), &ws.k4).map_err(CavityError::Core)?;
+            m.axpy(c64(h / 6.0, 0.0), &k1).map_err(CavityError::Core)?;
+            m.axpy(c64(h / 3.0, 0.0), &k2).map_err(CavityError::Core)?;
+            m.axpy(c64(h / 3.0, 0.0), &k3).map_err(CavityError::Core)?;
+            m.axpy(c64(h / 6.0, 0.0), &k4).map_err(CavityError::Core)?;
             // Guard against slow trace drift from the fixed-step integrator.
             rho.normalize().map_err(CavityError::Core)?;
-            callback(step + 1, time + h, rho);
         }
         Ok(())
     }
 }
 
-/// Preallocated working memory for the in-place RK4 integrator: the four
-/// slope matrices, the stage evaluation point, the `L_k ρ` scratch and the
-/// drive buffers. Built once per evolution, before the first step; the step
-/// loop allocates nothing, with or without a drive.
+/// A constant drive term `D` as the two operators the right-hand side
+/// applies, `−iD` on the left of `ρ` and `iD` on its right.
 #[derive(Debug)]
-struct Rk4Workspace {
-    k1: CMatrix,
-    k2: CMatrix,
-    k3: CMatrix,
-    k4: CMatrix,
-    stage: CMatrix,
-    scratch: CMatrix,
-    drive: DriveBuffers,
-}
-
-/// The current drive term `D` as the two operators the right-hand side
-/// applies, `−iD` on the left of `ρ` and `iD` on its right, each with room
-/// for a fully dense `N × N` drive, so compressing a drive at every stage
-/// never reallocates.
-#[derive(Debug)]
-struct DriveBuffers {
+struct Drive {
     left: RowCompressed,
     right: RowCompressed,
 }
@@ -517,12 +439,13 @@ mod tests {
         let mut sys = LindbladSystem::new(vec![d]).unwrap();
         sys.add_collapse(&gates::annihilation(d), &[0], 1.0).unwrap();
         let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[2]).unwrap());
-        let mut ns = Vec::new();
-        sys.evolve_observed(&mut rho, 0.5, 0.01, |_, _, r| {
-            ns.push(r.expectation(&gates::number_operator(d), &[0]).unwrap().re);
-        })
-        .unwrap();
-        assert_eq!(ns.len(), 51);
+        let number =
+            |r: &DensityMatrix| r.expectation(&gates::number_operator(d), &[0]).unwrap().re;
+        let mut ns = vec![number(&rho)];
+        for _ in 0..50 {
+            sys.evolve(&mut rho, 0.01, 0.01).unwrap();
+            ns.push(number(&rho));
+        }
         for w in ns.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);
         }
@@ -537,14 +460,7 @@ mod tests {
         let drive_op = &a + &a.dagger();
         let eps = 0.4;
         let mut rho = DensityMatrix::zero(vec![d]).unwrap();
-        sys.evolve_with_drive(
-            &mut rho,
-            1.0,
-            0.002,
-            |_t| Some(drive_op.scaled_real(eps)),
-            |_, _, _| {},
-        )
-        .unwrap();
+        sys.evolve_with_drive(&mut rho, 1.0, 0.002, Some(&drive_op.scaled_real(eps))).unwrap();
         let n = rho.expectation(&gates::number_operator(d), &[0]).unwrap().re;
         // Ideal displacement amplitude α = ε t → ⟨n⟩ = (εt)² = 0.16.
         assert!((n - 0.16).abs() < 0.02, "n = {n}");
@@ -647,7 +563,7 @@ mod tests {
 
     #[test]
     fn sparse_generator_matches_dense_master_equation_on_random_systems() {
-        let (steps, dt) = (4, 0.01);
+        let (segments, steps, dt) = (3, 2, 0.01);
         for seed in 0..24u64 {
             let mut rng = SplitMix(seed);
             let modes = rng.range(1, 3);
@@ -672,39 +588,41 @@ mod tests {
             }
             let n = radix.total_dim();
             // A non-Hermitian drive on some seeds pins `−i[D, ρ]` for any D.
+            // The drive changes between segments and is constant within one.
             let driven = seed % 2 == 1;
             let drive_targets = rng.targets(modes);
             let x = rng.matrix(sub(&drive_targets));
             let x = if seed % 4 == 1 { x } else { &x + &x.dagger() };
             let x = embed_operator(&radix, &x, &drive_targets).unwrap();
-            let drive = |t: f64| driven.then(|| x.scaled_real((3.0 * t).cos()));
+            let drive =
+                |segment: usize| driven.then(|| x.scaled_real((0.7 * segment as f64).cos()));
 
             let b = rng.matrix(n);
             let mixed = b.matmul(&b.dagger()).unwrap();
             let rho0 = mixed.scaled_real(1.0 / mixed.trace().re);
             let mut fast = DensityMatrix::from_matrix(dims.clone(), rho0.clone()).unwrap();
-            sys.evolve_with_drive(&mut fast, steps as f64 * dt, dt, drive, |_, _, _| {}).unwrap();
-
             let mut slow = DensityMatrix::from_matrix(dims.clone(), rho0).unwrap();
-            let h_at = |t: f64| match drive(t) {
-                Some(d) => sys.hamiltonian() + &d,
-                None => sys.hamiltonian().clone(),
-            };
-            for step in 0..steps {
-                let t = step as f64 * dt;
-                let m = slow.matrix().clone();
-                let k1 = dense_rhs(&h_at(t), &collapse, &m);
-                let k2 =
-                    dense_rhs(&h_at(t + dt / 2.0), &collapse, &(&m + &k1.scaled_real(dt / 2.0)));
-                let k3 =
-                    dense_rhs(&h_at(t + dt / 2.0), &collapse, &(&m + &k2.scaled_real(dt / 2.0)));
-                let k4 = dense_rhs(&h_at(t + dt), &collapse, &(&m + &k3.scaled_real(dt)));
-                let next = slow.matrix_mut();
-                next.axpy(c64(dt / 6.0, 0.0), &k1).unwrap();
-                next.axpy(c64(dt / 3.0, 0.0), &k2).unwrap();
-                next.axpy(c64(dt / 3.0, 0.0), &k3).unwrap();
-                next.axpy(c64(dt / 6.0, 0.0), &k4).unwrap();
-                slow.normalize().unwrap();
+            for segment in 0..segments {
+                let d = drive(segment);
+                sys.evolve_with_drive(&mut fast, steps as f64 * dt, dt, d.as_ref()).unwrap();
+
+                let h = match &d {
+                    Some(d) => sys.hamiltonian() + d,
+                    None => sys.hamiltonian().clone(),
+                };
+                for _ in 0..steps {
+                    let m = slow.matrix().clone();
+                    let k1 = dense_rhs(&h, &collapse, &m);
+                    let k2 = dense_rhs(&h, &collapse, &(&m + &k1.scaled_real(dt / 2.0)));
+                    let k3 = dense_rhs(&h, &collapse, &(&m + &k2.scaled_real(dt / 2.0)));
+                    let k4 = dense_rhs(&h, &collapse, &(&m + &k3.scaled_real(dt)));
+                    let next = slow.matrix_mut();
+                    next.axpy(c64(dt / 6.0, 0.0), &k1).unwrap();
+                    next.axpy(c64(dt / 3.0, 0.0), &k2).unwrap();
+                    next.axpy(c64(dt / 3.0, 0.0), &k3).unwrap();
+                    next.axpy(c64(dt / 6.0, 0.0), &k4).unwrap();
+                    slow.normalize().unwrap();
+                }
             }
             let diff = (fast.matrix() - slow.matrix()).max_abs();
             assert!(diff < 1e-12, "seed {seed} (dims {dims:?}, driven {driven}): diff {diff:e}");

@@ -50,10 +50,8 @@ fn wrong_shape_drive_term_errors_instead_of_panicking() {
     let d = 3;
     let sys = LindbladSystem::new(vec![d]).unwrap();
     let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[0]).unwrap());
-    // The drive closure promises a full-space (3x3) term but returns 2x2.
-    let err = sys
-        .evolve_with_drive(&mut rho, 0.1, 0.01, |_| Some(CMatrix::zeros(2, 2)), |_, _, _| {})
-        .unwrap_err();
+    // The drive must be a full-space (3x3) term, not 2x2.
+    let err = sys.evolve_with_drive(&mut rho, 0.1, 0.01, Some(&CMatrix::zeros(2, 2))).unwrap_err();
     assert!(matches!(err, CavityError::Core(CoreError::ShapeMismatch { .. })), "got {err:?}");
 }
 
@@ -63,7 +61,7 @@ fn correctly_shaped_drive_term_is_still_accepted() {
     let sys = LindbladSystem::new(vec![d]).unwrap();
     let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[0]).unwrap());
     let n = gates::number_operator(d);
-    sys.evolve_with_drive(&mut rho, 0.1, 0.01, |_| Some(n.clone()), |_, _, _| {}).unwrap();
+    sys.evolve_with_drive(&mut rho, 0.1, 0.01, Some(&n)).unwrap();
     rho.validate(1e-9).unwrap();
 }
 

@@ -1,7 +1,6 @@
 //! The Lindblad RK4 loop allocates nothing, with or without a drive: a
 //! counting global allocator shows that an evolution's allocation count
-//! does not grow with its step count once the drive closure's own
-//! allocations are subtracted.
+//! does not grow with its step count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,8 +40,7 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Allocations made by one `steps`-step evolution of a two-mode reservoir,
-/// excluding those made inside the drive closure.
+/// Allocations made by one `steps`-step evolution of a two-mode reservoir.
 fn loop_allocations(
     sys: &LindbladSystem,
     drive: Option<&qudit_core::matrix::CMatrix>,
@@ -50,23 +48,10 @@ fn loop_allocations(
 ) -> usize {
     let dims = sys.radix().dims().to_vec();
     let mut rho = DensityMatrix::zero(dims).unwrap();
-    let in_closure = Cell::new(0);
     let dt = 0.01;
     let before = allocations();
-    sys.evolve_with_drive(
-        &mut rho,
-        steps as f64 * dt,
-        dt,
-        |_| {
-            let start = allocations();
-            let term = drive.cloned();
-            in_closure.set(in_closure.get() + allocations() - start);
-            term
-        },
-        |_, _, _| {},
-    )
-    .unwrap();
-    allocations() - before - in_closure.get()
+    sys.evolve_with_drive(&mut rho, steps as f64 * dt, dt, drive).unwrap();
+    allocations() - before
 }
 
 #[test]

@@ -97,7 +97,7 @@ pub fn noise_sweep(config: &ThresholdConfig, encoding: Encoding) -> Result<Noise
         let t = config.protocol.total_time * k as f64 / config.protocol.num_samples as f64;
         let steps = ((config.protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
         let circuit = trotter_circuit(&encoded.hamiltonian, t, steps, config.protocol.order)?;
-        let reference = sv.run_from(&circuit, &initial).map_err(LgtError::Circuit)?.state;
+        let reference = sv.run_compiled(&sv.compile(&circuit)?, Some(&initial))?.state;
         references.push(reference);
         circuits.push(circuit);
     }
@@ -108,7 +108,7 @@ pub fn noise_sweep(config: &ThresholdConfig, encoding: Encoding) -> Result<Noise
         let sim = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(p, p));
         let mut infidelity_sum = 0.0;
         for (circuit, reference) in circuits.iter().zip(references.iter()) {
-            let rho = sim.run_from(circuit, &rho0).map_err(LgtError::Circuit)?;
+            let (rho, _) = sim.run_compiled(&sim.compile(circuit)?, Some(&rho0))?;
             let f = rho.fidelity_with_pure(reference).map_err(LgtError::Core)?;
             infidelity_sum += 1.0 - f;
         }

@@ -112,7 +112,7 @@ pub fn run_dynamics(
         let t = protocol.total_time * k as f64 / protocol.num_samples as f64;
         let steps = ((protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
         let circuit = trotter_circuit(h, t, steps, protocol.order)?;
-        let rho = sim.run_from(&circuit, &rho0).map_err(LgtError::Circuit)?;
+        let (rho, _) = sim.run_compiled(&sim.compile(&circuit)?, Some(&rho0))?;
         times.push(t);
         signal.push(observable.expectation_density(&rho).map_err(LgtError::Circuit)?);
     }

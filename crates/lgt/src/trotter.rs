@@ -196,11 +196,9 @@ pub fn trotter_ansatz(
 ///     let swept = sweep.state_at(t, &initial).unwrap();
 ///     // Identical to building and running the concrete circuit at `t`.
 ///     let circuit = trotter_circuit(&h, t, 4, TrotterOrder::First).unwrap();
-///     let rebuilt = qudit_circuit::sim::StatevectorSimulator::new()
-///         .run_from(&circuit, &initial)
-///         .unwrap()
-///         .state;
-///     assert!(state_fidelity(&swept, &rebuilt).unwrap() > 1.0 - 1e-10);
+///     let sim = qudit_circuit::sim::StatevectorSimulator::new();
+///     let rebuilt = sim.run_compiled(&sim.compile(&circuit).unwrap(), Some(&initial)).unwrap();
+///     assert!(state_fidelity(&swept, &rebuilt.state).unwrap() > 1.0 - 1e-10);
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -234,12 +232,8 @@ impl TrotterSweep {
     /// # Errors
     /// Returns an error if the initial state register does not match.
     pub fn state_at(&mut self, t: f64, initial: &QuditState) -> Result<QuditState> {
-        let dt = t / self.steps as f64;
-        Ok(self
-            .sim
-            .run_bound_from(&mut self.plan, &[dt], initial)
-            .map_err(LgtError::Circuit)?
-            .state)
+        self.plan.bind(&[t / self.steps as f64])?;
+        Ok(self.sim.run_compiled(&self.plan, Some(initial))?.state)
     }
 
     /// Evolves `initial` to every time in `times` as **one ensemble call**:
@@ -341,7 +335,8 @@ mod tests {
         let initial = QuditState::basis(vec![3, 3, 3], &[1, 2, 1]).unwrap();
         let circuit = trotter_circuit(&h, t, 20, TrotterOrder::Second).unwrap();
         let sim = StatevectorSimulator::new();
-        let trotter_state = sim.run_from(&circuit, &initial).unwrap().state;
+        let trotter_state = sim.run_compiled(&sim.compile(&circuit).unwrap(), Some(&initial));
+        let trotter_state = trotter_state.unwrap().state;
         let mut exact_state = initial.clone();
         exact_state.apply_full_operator(&exact_propagator(&h, t).unwrap()).unwrap();
         let f = state_fidelity(&trotter_state, &exact_state).unwrap();
@@ -389,8 +384,9 @@ mod tests {
             for t in [0.15, 0.6, 1.1] {
                 let swept = sweep.state_at(t, &initial).unwrap();
                 let circuit = trotter_circuit(&h, t, steps, order).unwrap();
-                let rebuilt =
-                    StatevectorSimulator::new().run_from(&circuit, &initial).unwrap().state;
+                let sim = StatevectorSimulator::new();
+                let rebuilt = sim.run_compiled(&sim.compile(&circuit).unwrap(), Some(&initial));
+                let rebuilt = rebuilt.unwrap().state;
                 let f = state_fidelity(&swept, &rebuilt).unwrap();
                 assert!(f > 1.0 - 1e-10, "order {order:?}, t = {t}: fidelity {f}");
             }

@@ -13,6 +13,7 @@ use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator, TrajectorySimula
 use qudit_circuit::{Circuit, Gate, Param};
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::Radix;
+use qudit_core::state::QuditState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -105,10 +106,12 @@ impl QaoaEvaluator {
     fn distribution(&mut self, params: &[f64]) -> Result<Vec<f64>> {
         match &mut self.backend {
             QaoaBackend::Statevector { sim, plan } => {
-                Ok(sim.run_bound(plan, params).map_err(QoptError::Circuit)?.state.probabilities())
+                plan.bind(params)?;
+                Ok(sim.run_compiled(plan, None)?.state.probabilities())
             }
             QaoaBackend::Trajectory { sim, plan } => {
-                sim.outcome_distribution_bound(plan, params).map_err(QoptError::Circuit)
+                plan.bind(params)?;
+                Ok(sim.outcome_distribution_compiled(plan)?.0)
             }
         }
     }
@@ -118,27 +121,25 @@ impl QaoaEvaluator {
     /// Statevector backend: the population is realised with
     /// `CompiledCircuit::bind_batch`, which materialises each distinct
     /// parameter value of a step once however many members share it, and
-    /// `run_ensemble` runs the members' columns across the worker threads.
-    /// Trajectory backend: each member rebinds the plan and runs its
-    /// trajectories through `outcome_distribution_bound`. Both produce
+    /// `run_ensemble_from` runs the members' columns across the worker
+    /// threads. Trajectory backend: each member rebinds the plan and runs its
+    /// trajectories through `outcome_distribution_compiled`. Both produce
     /// results bitwise identical to calling [`QaoaEvaluator::distribution`]
     /// per member.
     fn distributions(&mut self, population: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         match &mut self.backend {
             QaoaBackend::Statevector { sim, plan } => {
                 let batch = plan.bind_batch(population).map_err(QoptError::Circuit)?;
-                let outputs = sim.run_ensemble(plan, &batch).map_err(QoptError::Circuit)?;
+                let zero = QuditState::zero(plan.dims().to_vec())?;
+                let outputs = sim.run_ensemble_from(plan, &batch, &zero)?;
                 outputs
                     .into_iter()
                     .map(|col| Ok(col.map_err(QoptError::Circuit)?.state.probabilities()))
                     .collect()
             }
-            QaoaBackend::Trajectory { sim, plan } => population
-                .iter()
-                .map(|params| {
-                    sim.outcome_distribution_bound(plan, params).map_err(QoptError::Circuit)
-                })
-                .collect(),
+            QaoaBackend::Trajectory { .. } => {
+                population.iter().map(|params| self.distribution(params)).collect()
+            }
         }
     }
 }
@@ -598,7 +599,7 @@ mod tests {
         let (bg, bb) = &schedules[best_idx];
         assert_eq!(serial_best, vec![bg[0], bb[0]]);
         // Noisy (trajectory) backend: each member runs the trajectory
-        // executor through `outcome_distribution_bound`, bitwise like the
+        // executor through `outcome_distribution_compiled`, bitwise like the
         // one-member evaluator.
         let noise = NoiseModel::depolarizing(0.03, 0.03);
         let mut noisy_eval = qaoa.evaluator(&noise).unwrap();

@@ -169,7 +169,7 @@ impl DigitalReservoir {
             self.plan.bind(&[theta])?;
             let mut row = Vec::with_capacity(self.feature_dim());
             for _segment in 0..self.params.virtual_nodes {
-                rho = self.sim.run_compiled_from(&self.plan, &rho)?;
+                rho = self.sim.run_compiled(&self.plan, Some(&rho))?.0;
                 for (_, op, targets) in &self.observables {
                     row.push(rho.expectation(op, targets)?.re);
                 }
@@ -294,7 +294,7 @@ mod tests {
             }
             let mut row = Vec::new();
             for _ in 0..params.virtual_nodes {
-                rho = sim.run_from(&segment, &rho).unwrap();
+                rho = sim.run_compiled(&sim.compile(&segment).unwrap(), Some(&rho)).unwrap().0;
                 for (_, op, targets) in &observables {
                     row.push(rho.expectation(op, targets).unwrap().re);
                 }

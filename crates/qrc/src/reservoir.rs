@@ -224,13 +224,7 @@ impl QuantumReservoir {
             let mut row = Vec::with_capacity(self.feature_dim());
             for _segment in 0..self.params.virtual_nodes {
                 self.system
-                    .evolve_with_drive(
-                        &mut rho,
-                        segment_time,
-                        dt,
-                        |_t| Some(drive_full.clone()),
-                        |_, _, _| {},
-                    )
+                    .evolve_with_drive(&mut rho, segment_time, dt, Some(&drive_full))
                     .map_err(QrcError::Cavity)?;
                 for (_, op, targets) in &self.observables {
                     let mean = rho.expectation(op, targets).map_err(QrcError::Core)?.re;

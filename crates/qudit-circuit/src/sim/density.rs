@@ -119,7 +119,8 @@ impl CompiledDensityCircuit {
     /// let sim = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(1e-3, 0.0));
     /// let mut plan = sim.compile(&c).unwrap();
     /// for theta in [0.2, 0.9] {
-    ///     let swept = sim.run_bound(&mut plan, &[theta]).unwrap();
+    ///     plan.bind(&[theta]).unwrap();
+    ///     let (swept, _) = sim.run_compiled(&plan, None).unwrap();
     ///     let rebuilt = sim.run(&c.with_bound(&[theta]).unwrap()).unwrap();
     ///     assert!((swept.matrix() - rebuilt.matrix()).max_abs() < 1e-12);
     /// }
@@ -159,7 +160,8 @@ impl CompiledDensityCircuit {
 /// // Compile once to amortise plan construction over repeated runs.
 /// let compiled = sim.compile(&c).unwrap();
 /// assert!(compiled.superop_stats().super_steps > 0);
-/// let again = sim.run_compiled(&compiled).unwrap();
+/// let (again, health) = sim.run_compiled(&compiled, None).unwrap();
+/// assert_eq!(health.checks_run, 0); // the guard is off by default
 /// assert!((again.purity() - rho.purity()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -285,59 +287,33 @@ impl DensityMatrixSimulator {
         })
     }
 
-    /// Runs a precompiled circuit from `|0...0⟩⟨0...0|`.
+    /// Runs a precompiled circuit from `initial` or, with `None`, from
+    /// `|0...0⟩⟨0...0|`, and returns ρ with the run's [`RunHealth`] report
+    /// (all-zero when the guard is disabled): the one compiled entry point.
+    /// Rebind the plan with [`CompiledDensityCircuit::bind`] between runs to
+    /// sweep parameters.
     ///
     /// # Errors
-    /// Returns an error for invalid dimensions.
-    pub fn run_compiled(&self, compiled: &CompiledDensityCircuit) -> Result<DensityMatrix> {
-        Ok(self.run_compiled_detailed(compiled)?.0)
-    }
-
-    /// Like [`DensityMatrixSimulator::run_compiled`], but also returns the
-    /// run's [`RunHealth`] report (all-zero when the guard is disabled).
-    ///
-    /// # Errors
-    /// Returns an error for invalid dimensions, or
-    /// [`CoreError::NumericalHealth`] when an enabled guard detects damage it
-    /// is not allowed to repair.
-    pub fn run_compiled_detailed(
-        &self,
-        compiled: &CompiledDensityCircuit,
-    ) -> Result<(DensityMatrix, RunHealth)> {
-        let rho0 =
-            DensityMatrix::zero(compiled.topology.dims.clone()).map_err(CircuitError::Core)?;
-        self.run_compiled_from_detailed(compiled, &rho0)
-    }
-
-    /// Runs a precompiled circuit from an arbitrary initial density matrix.
-    ///
-    /// # Errors
-    /// Returns an error if the register differs, or if this simulator's noise
+    /// Returns an error if the register differs, if this simulator's noise
     /// model differs from the one the plan was compiled against (channels are
-    /// baked into the plan, so a mismatch would silently mix two models).
-    pub fn run_compiled_from(
-        &self,
-        compiled: &CompiledDensityCircuit,
-        initial: &DensityMatrix,
-    ) -> Result<DensityMatrix> {
-        Ok(self.run_compiled_from_detailed(compiled, initial)?.0)
-    }
-
-    /// Like [`DensityMatrixSimulator::run_compiled_from`], but also returns
-    /// the run's [`RunHealth`] report (all-zero when the guard is disabled).
-    ///
-    /// # Errors
-    /// Returns an error if the register or noise model differs, or
+    /// baked into the plan, so a mismatch would silently mix two models), or
     /// [`CoreError::NumericalHealth`] when an enabled guard detects damage it
     /// is not allowed to repair.
-    pub fn run_compiled_from_detailed(
+    pub fn run_compiled(
         &self,
         compiled: &CompiledDensityCircuit,
-        initial: &DensityMatrix,
+        initial: Option<&DensityMatrix>,
     ) -> Result<(DensityMatrix, RunHealth)> {
         check_noise(&compiled.noise, &self.noise)?;
-        check_register(initial.radix().dims(), &compiled.topology.dims)?;
-        let mut rho = initial.clone();
+        let mut rho = match initial {
+            Some(initial) => {
+                check_register(initial.radix().dims(), &compiled.topology.dims)?;
+                initial.clone()
+            }
+            None => {
+                DensityMatrix::zero(compiled.topology.dims.clone()).map_err(CircuitError::Core)?
+            }
+        };
         let mut scratch = Vec::new();
         let threads = self.resolved_threads();
         let mut monitor = HealthMonitor::new(self.guard);
@@ -430,20 +406,36 @@ impl DensityMatrixSimulator {
         Ok((rho, monitor.health()))
     }
 
-    /// Rebinds a compiled density plan to `params` and runs it from
-    /// `|0...0⟩⟨0...0|` (see [`CompiledDensityCircuit::bind`]).
+    /// Runs a precompiled circuit from `initial` and returns ρ alone. Kept
+    /// with this exact signature because `appbench` calls it; everything else
+    /// calls [`DensityMatrixSimulator::run_compiled`].
     ///
     /// # Errors
-    /// Returns an error for a short binding or invalid dimensions.
+    /// As [`DensityMatrixSimulator::run_compiled`].
+    pub fn run_compiled_from(
+        &self,
+        compiled: &CompiledDensityCircuit,
+        initial: &DensityMatrix,
+    ) -> Result<DensityMatrix> {
+        Ok(self.run_compiled(compiled, Some(initial))?.0)
+    }
+
+    /// Binds `params`, then runs from `|0...0⟩⟨0...0|` and returns ρ alone.
+    /// Kept with this exact signature because `appbench` calls it;
+    /// everything else binds with [`CompiledDensityCircuit::bind`] and calls
+    /// [`DensityMatrixSimulator::run_compiled`].
+    ///
+    /// # Errors
+    /// Returns an error for a noise model mismatch (checked first, so the
+    /// plan keeps its binding), a short binding or invalid dimensions.
     pub fn run_bound(
         &self,
         compiled: &mut CompiledDensityCircuit,
         params: &[f64],
     ) -> Result<DensityMatrix> {
-        // Validate before binding so a failed call leaves the plan untouched.
         check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
-        self.run_compiled(compiled)
+        Ok(self.run_compiled(compiled, None)?.0)
     }
 
     /// Runs the circuit from `|0...0⟩⟨0...0|`.
@@ -451,18 +443,17 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run(&self, circuit: &Circuit) -> Result<DensityMatrix> {
-        let rho0 = DensityMatrix::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-        self.run_from(circuit, &rho0)
+        Ok(self.run_compiled(&self.compile(circuit)?, None)?.0)
     }
 
-    /// Runs the circuit from an arbitrary initial density matrix.
+    /// Compiles the circuit and runs it from `initial`. Kept with this exact
+    /// signature because `appbench` calls it; everything else compiles once
+    /// and calls [`DensityMatrixSimulator::run_compiled`].
     ///
     /// # Errors
     /// Returns an error if the register differs or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &DensityMatrix) -> Result<DensityMatrix> {
-        check_register(initial.radix().dims(), circuit.dims())?;
-        let compiled = self.compile(circuit)?;
-        self.run_compiled_from(&compiled, initial)
+        Ok(self.run_compiled(&self.compile(circuit)?, Some(initial))?.0)
     }
 
     /// Expectation value of an observable after running the circuit.
@@ -607,6 +598,7 @@ mod tests {
     fn register_mismatch_rejected() {
         let c = Circuit::uniform(2, 3);
         let rho = DensityMatrix::zero(vec![3]).unwrap();
-        assert!(DensityMatrixSimulator::new().run_from(&c, &rho).is_err());
+        let sim = DensityMatrixSimulator::new();
+        assert!(sim.run_compiled(&sim.compile(&c).unwrap(), Some(&rho)).is_err());
     }
 }

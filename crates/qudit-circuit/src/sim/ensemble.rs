@@ -28,7 +28,7 @@
 //! their own.
 //!
 //! Parameter populations ([`BatchBindings`]) hold distinct states, so
-//! `StatevectorSimulator::run_ensemble` runs each column through
+//! `StatevectorSimulator::run_ensemble_from` runs each column through
 //! `run_prepared` with its own memoised binding overlay.
 
 use rand::rngs::StdRng;
@@ -54,7 +54,7 @@ use crate::sim::statevector::power_of_shift;
 /// A realized population of parameter bindings for one compiled plan: one
 /// binding overlay per ensemble column, produced by
 /// [`crate::sim::CompiledCircuit::bind_batch`] and consumed by
-/// [`crate::sim::StatevectorSimulator::run_ensemble`].
+/// [`crate::sim::StatevectorSimulator::run_ensemble_from`].
 #[derive(Debug, Clone)]
 pub struct BatchBindings {
     pub(crate) cols: Vec<BindBuffers>,

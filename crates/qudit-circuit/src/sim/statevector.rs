@@ -140,7 +140,8 @@ impl CompiledCircuit {
     /// let mut plan = sim.compile(&c).unwrap();
     /// assert_eq!(plan.num_params(), 1);
     /// for theta in [0.1, 0.7, 1.3] {
-    ///     let swept = sim.run_bound(&mut plan, &[theta]).unwrap();
+    ///     plan.bind(&[theta]).unwrap();
+    ///     let swept = sim.run_compiled(&plan, None).unwrap();
     ///     let rebuilt = sim.run(&c.with_bound(&[theta]).unwrap()).unwrap();
     ///     let overlap = swept.state.inner(&rebuilt).unwrap().abs();
     ///     assert!((overlap - 1.0).abs() < 1e-12);
@@ -156,7 +157,7 @@ impl CompiledCircuit {
 
     /// Realises a whole *population* of bindings against this plan's shared
     /// topology — one overlay per ensemble column — for batched execution via
-    /// [`StatevectorSimulator::run_ensemble`]. Each overlay is produced by the
+    /// [`StatevectorSimulator::run_ensemble_from`]. Each overlay is produced by the
     /// same re-materialisation as [`CompiledCircuit::bind`], so column `b` of
     /// the ensemble runs the bitwise-identical plan `bind(population[b])`
     /// would have produced.
@@ -199,7 +200,7 @@ impl CompiledCircuit {
 ///
 /// // Compile once and reuse the fused execution plan across runs.
 /// let compiled = sim.compile(&c).unwrap();
-/// let again = sim.run_compiled(&compiled).unwrap();
+/// let again = sim.run_compiled(&compiled, None).unwrap();
 /// assert!((again.state.inner(&state).unwrap().abs() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
@@ -246,7 +247,7 @@ impl StatevectorSimulator {
 
     /// Sets the worker-thread count (`0` = automatic) for the parallel shot
     /// loop in [`StatevectorSimulator::sample_counts`] and the column loop of
-    /// [`StatevectorSimulator::run_ensemble`]. Results are independent of the
+    /// [`StatevectorSimulator::run_ensemble_from`]. Results are independent of the
     /// thread count: every shot and every column owns its RNG seed.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -284,7 +285,7 @@ impl StatevectorSimulator {
     /// [`qudit_core::error::CoreError::Cancelled`]. Checkpoints never mutate
     /// the state, so a cancelled run is bitwise identical to an uncancelled
     /// one right up to the step at which it stops. Every column of
-    /// [`StatevectorSimulator::run_ensemble`] runs this loop, so each column
+    /// [`StatevectorSimulator::run_ensemble_from`] runs this loop, so each column
     /// spends its own check-budget units.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
@@ -305,95 +306,52 @@ impl StatevectorSimulator {
         })
     }
 
-    /// Runs a precompiled circuit from `|0...0⟩` with the simulator's seed.
-    /// Equivalent to [`StatevectorSimulator::run_detailed`] on the source
-    /// circuit, minus the per-run compilation work.
-    ///
-    /// # Errors
-    /// Returns an error for invalid dimensions.
-    pub fn run_compiled(&self, compiled: &CompiledCircuit) -> Result<RunOutput> {
-        let initial =
-            QuditState::zero(compiled.topology.dims.clone()).map_err(CircuitError::Core)?;
-        self.run_compiled_from(compiled, &initial)
-    }
-
-    /// Runs a precompiled circuit from an arbitrary initial state.
+    /// Runs a precompiled circuit with the simulator's seed, from `initial`
+    /// or, with `None`, from `|0...0⟩`: the one compiled entry point. Rebind
+    /// the plan with [`CompiledCircuit::bind`] between runs to sweep
+    /// parameters.
     ///
     /// # Errors
     /// Returns an error if the initial state register differs from the
     /// compiled circuit's, or if this simulator's noise model differs from
     /// the one the plan was compiled against (gate-level channels are baked
     /// into the plan, so a mismatch would silently mix two models).
-    pub fn run_compiled_from(
+    pub fn run_compiled(
         &self,
         compiled: &CompiledCircuit,
-        initial: &QuditState,
+        initial: Option<&QuditState>,
     ) -> Result<RunOutput> {
         check_noise(&compiled.noise, &self.noise)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.run_prepared(&compiled.topology, &compiled.binds, initial, &mut rng)
     }
 
-    /// Rebinds a compiled plan to `params` and runs it from `|0...0⟩`: the
-    /// rebind-per-step entry point for variational sweeps (see
-    /// [`CompiledCircuit::bind`]).
+    /// Binds `params`, then runs from `|0...0⟩`. Kept with this exact
+    /// signature because `appbench` calls it; everything else binds with
+    /// [`CompiledCircuit::bind`] and runs [`StatevectorSimulator::run_compiled`].
     ///
     /// # Errors
-    /// Returns an error for a short binding, a register mismatch, or a noise
-    /// model mismatch.
+    /// Returns an error for a noise model mismatch (checked first, so the
+    /// plan keeps its binding) or a short binding.
     pub fn run_bound(&self, compiled: &mut CompiledCircuit, params: &[f64]) -> Result<RunOutput> {
-        // Validate before binding so a failed call leaves the plan untouched.
         check_noise(&compiled.noise, &self.noise)?;
         compiled.bind(params)?;
-        self.run_compiled(compiled)
+        self.run_compiled(compiled, None)
     }
 
-    /// Rebinds a compiled plan to `params` and runs it from an arbitrary
-    /// initial state.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding, a register mismatch, or a noise
-    /// model mismatch.
-    pub fn run_bound_from(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-        initial: &QuditState,
-    ) -> Result<RunOutput> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        check_noise(&compiled.noise, &self.noise)?;
-        compiled.bind(params)?;
-        self.run_compiled_from(compiled, initial)
-    }
-
-    /// Runs a population of bindings through one compiled plan from
-    /// `|0...0⟩` (see [`CompiledCircuit::bind_batch`]). Each column runs the
-    /// plan once with its own memoised binding overlay and the simulator's
-    /// seed, and columns fan out across the worker threads set by
-    /// [`StatevectorSimulator::with_threads`]. Column `b`'s output is
-    /// bitwise identical to `run_bound` on binding `b` — same state, same
-    /// measurement records, same health report — at any thread count.
+    /// Runs a population of bindings through one compiled plan (see
+    /// [`CompiledCircuit::bind_batch`]), every column from `initial`. Each
+    /// column runs the plan once with its own memoised binding overlay and
+    /// the simulator's seed, and columns fan out across the worker threads
+    /// set by [`StatevectorSimulator::with_threads`]. Column `b`'s output is
+    /// bitwise identical to [`StatevectorSimulator::run_compiled`] from
+    /// `initial` after binding `b` — same state, same measurement records,
+    /// same health report — at any thread count.
     ///
     /// Returns one `Result<RunOutput>` per column. Column-local failures
     /// (guard trips, zero-mass measurements) fail only their column; a
     /// register mismatch or a cancellation in any column fails the whole
     /// call.
-    ///
-    /// # Errors
-    /// Returns an error for a noise-model mismatch or cancellation.
-    pub fn run_ensemble(
-        &self,
-        compiled: &CompiledCircuit,
-        batch: &BatchBindings,
-    ) -> Result<Vec<Result<RunOutput>>> {
-        let initial =
-            QuditState::zero(compiled.topology.dims.clone()).map_err(CircuitError::Core)?;
-        self.run_ensemble_from(compiled, batch, &initial)
-    }
-
-    /// [`StatevectorSimulator::run_ensemble`] from an arbitrary shared
-    /// initial state. Every column starts from `initial` and uses the
-    /// simulator's seed, exactly as the serial `run_bound_from` loop would.
     ///
     /// # Errors
     /// Returns an error for a register or noise-model mismatch, or
@@ -406,14 +364,14 @@ impl StatevectorSimulator {
     ) -> Result<Vec<Result<RunOutput>>> {
         check_noise(&compiled.noise, &self.noise)?;
         let kernels = &compiled.topology;
+        check_register(initial.radix().dims(), &kernels.dims)?;
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        check_register(initial.radix().dims(), &kernels.dims)?;
         let threads = if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
         let columns = qudit_core::par::par_map_threads(batch.len(), threads, |b| {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            self.run_prepared(kernels, &batch.cols[b], initial, &mut rng)
+            self.run_prepared(kernels, &batch.cols[b], Some(initial), &mut rng)
         });
         // Cancellation is a property of the call, not of one column.
         for column in &columns {
@@ -430,43 +388,18 @@ impl StatevectorSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn run(&self, circuit: &Circuit) -> Result<QuditState> {
-        Ok(self.run_detailed(circuit)?.state)
+        Ok(self.run_compiled(&self.compile(circuit)?, None)?.state)
     }
 
-    /// Runs the circuit from `|0...0⟩` and returns state plus measurement
-    /// records.
-    ///
-    /// # Errors
-    /// Returns an error for invalid instructions.
-    pub fn run_detailed(&self, circuit: &Circuit) -> Result<RunOutput> {
-        let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-        self.run_from(circuit, &initial)
-    }
-
-    /// Runs the circuit from an arbitrary initial state.
+    /// Compiles the circuit and runs it from `initial`. Kept with this exact
+    /// signature because `appbench` calls it; everything else compiles once
+    /// and calls [`StatevectorSimulator::run_compiled`].
     ///
     /// # Errors
     /// Returns an error if the initial state register differs from the
     /// circuit's or an instruction is invalid.
     pub fn run_from(&self, circuit: &Circuit, initial: &QuditState) -> Result<RunOutput> {
-        self.run_from_with_rng(circuit, initial, &mut StdRng::seed_from_u64(self.seed))
-    }
-
-    /// Runs the circuit from an arbitrary initial state using a caller-owned
-    /// random number generator (used by the trajectory simulator to vary the
-    /// seed per trajectory).
-    ///
-    /// # Errors
-    /// Returns an error if the initial state register differs from the
-    /// circuit's or an instruction is invalid.
-    pub fn run_from_with_rng(
-        &self,
-        circuit: &Circuit,
-        initial: &QuditState,
-        rng: &mut StdRng,
-    ) -> Result<RunOutput> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.run_prepared(&kernels, &BindBuffers::default(), initial, rng)
+        self.run_compiled(&self.compile(circuit)?, Some(initial))
     }
 
     /// Runs a compiled execution plan, the shared path behind every shot and
@@ -482,16 +415,21 @@ impl StatevectorSimulator {
     ///
     /// Parameter-dependent steps resolve their operator through `binds` (the
     /// per-request overlay); pass an empty overlay for the compile-time
-    /// binding.
+    /// binding. With no `initial` state the run builds `|0...0⟩` in place.
     pub(crate) fn run_prepared(
         &self,
         kernels: &CircuitKernels,
         binds: &BindBuffers,
-        initial: &QuditState,
+        initial: Option<&QuditState>,
         rng: &mut StdRng,
     ) -> Result<RunOutput> {
-        check_register(initial.radix().dims(), &kernels.dims)?;
-        let mut state = initial.clone();
+        let mut state = match initial {
+            Some(initial) => {
+                check_register(initial.radix().dims(), &kernels.dims)?;
+                initial.clone()
+            }
+            None => QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?,
+        };
         let mut measurements = Vec::new();
         let mut scratch = RunScratch::default();
         let dims = &kernels.dims;
@@ -565,7 +503,7 @@ impl StatevectorSimulator {
             // Deterministic circuit: evolve once, then draw shots from the
             // precomputed cumulative distribution (binary search per shot).
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-            let out = self.run_detailed(circuit)?;
+            let out = self.run_compiled(&self.compile(circuit)?, None)?;
             let cdf = out.state.cdf();
             let radix = out.state.radix();
             for _ in 0..shots {
@@ -584,14 +522,13 @@ impl StatevectorSimulator {
             // and its outcome is independent of the thread count.
             let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
             let binds = BindBuffers::default();
-            let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
             let threads =
                 if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
             let run_shot = |shot: usize| -> Result<Vec<usize>> {
                 let mut shot_rng = StdRng::seed_from_u64(
                     self.seed.wrapping_add(0x9E37_79B9).wrapping_mul(shot as u64 + 1),
                 );
-                let out = self.run_prepared(&kernels, &binds, &initial, &mut shot_rng)?;
+                let out = self.run_prepared(&kernels, &binds, None, &mut shot_rng)?;
                 let mut digits = out.state.sample(&mut shot_rng);
                 apply_readout_flip(
                     &mut digits,
@@ -659,6 +596,10 @@ mod tests {
     use crate::noise::{KrausChannel, NoiseModel};
     use qudit_core::complex::Complex64;
 
+    fn run_recorded(sim: &StatevectorSimulator, c: &Circuit) -> RunOutput {
+        sim.run_compiled(&sim.compile(c).unwrap(), None).unwrap()
+    }
+
     #[test]
     fn ghz_qutrit_state_probabilities() {
         // F on qudit 0 then CSUM 0->1 gives the maximally correlated state.
@@ -684,7 +625,7 @@ mod tests {
         c.push(Gate::fourier(3), &[0]).unwrap();
         c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
         c.measure(&[0]).unwrap();
-        let out = StatevectorSimulator::with_seed(3).run_detailed(&c).unwrap();
+        let out = run_recorded(&StatevectorSimulator::with_seed(3), &c);
         assert_eq!(out.measurements.len(), 1);
         let observed = out.measurements[0].1[0];
         // After collapse, qudit 1 is perfectly correlated.
@@ -697,7 +638,7 @@ mod tests {
         let mut c = Circuit::uniform(1, 4);
         c.push(Gate::fourier(4), &[0]).unwrap();
         c.reset(0).unwrap();
-        let out = StatevectorSimulator::with_seed(11).run_detailed(&c).unwrap();
+        let out = run_recorded(&StatevectorSimulator::with_seed(11), &c);
         assert!((out.state.amplitude(&[0]).unwrap().abs() - 1.0).abs() < 1e-10);
     }
 
@@ -705,7 +646,8 @@ mod tests {
     fn initial_state_register_mismatch_errors() {
         let c = Circuit::uniform(2, 3);
         let bad = QuditState::zero(vec![3]).unwrap();
-        assert!(StatevectorSimulator::new().run_from(&c, &bad).is_err());
+        let sim = StatevectorSimulator::new();
+        assert!(sim.run_compiled(&sim.compile(&c).unwrap(), Some(&bad)).is_err());
     }
 
     #[test]
@@ -801,8 +743,8 @@ mod tests {
         c.push(Gate::fourier(3), &[0]).unwrap();
         c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
         c.measure_all();
-        let a = StatevectorSimulator::with_seed(77).run_detailed(&c).unwrap();
-        let b = StatevectorSimulator::with_seed(77).run_detailed(&c).unwrap();
+        let a = run_recorded(&StatevectorSimulator::with_seed(77), &c);
+        let b = run_recorded(&StatevectorSimulator::with_seed(77), &c);
         assert_eq!(a.measurements, b.measurements);
         let overlap: Complex64 = a.state.inner(&b.state).unwrap();
         assert!((overlap.abs() - 1.0).abs() < 1e-12);

@@ -140,8 +140,9 @@ impl TrajectorySimulator {
     /// Attaches a runtime health-guard configuration (disabled by default;
     /// see [`qudit_core::guard`]), forwarded to every trajectory's
     /// statevector run. Per-trajectory [`RunHealth`] reports are summed;
-    /// retrieve the aggregate with
-    /// [`TrajectorySimulator::expectation_detailed`].
+    /// [`TrajectorySimulator::expectation_compiled`] and
+    /// [`TrajectorySimulator::outcome_distribution_compiled`] return the
+    /// aggregate.
     #[must_use]
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
@@ -174,8 +175,8 @@ impl TrajectorySimulator {
 
     /// Compiles a circuit against this simulator's noise model and fusion
     /// configuration into the reusable execution plan all trajectories
-    /// share. The plan is rebindable ([`CompiledCircuit::bind`]); pair it
-    /// with [`TrajectorySimulator::expectation_bound`] for parameter sweeps.
+    /// share. The plan is rebindable ([`CompiledCircuit::bind`]), so one
+    /// compile serves a whole parameter sweep.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
@@ -277,120 +278,52 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         observable: &Observable,
     ) -> Result<TrajectoryEstimate> {
-        Ok(self.expectation_detailed(circuit, observable)?.0)
+        Ok(self.expectation_compiled(&self.compile(circuit)?, observable)?.0)
     }
 
-    /// Like [`TrajectorySimulator::expectation`], but also returns the summed
+    /// Trajectory-averaged expectation through a precompiled plan (see
+    /// [`TrajectorySimulator::compile`]; rebind it with
+    /// [`CompiledCircuit::bind`] between calls), plus the summed
     /// [`RunHealth`] report of all trajectories (all-zero when the guard is
     /// disabled): total checkpoints run, worst observed drift, repairs, and
     /// worker-pool chunk retries across the whole ensemble.
     ///
     /// # Errors
-    /// Returns an error for invalid instructions, observable mismatches, or
-    /// [`qudit_core::error::CoreError::NumericalHealth`] when an enabled
-    /// guard detects damage it is not allowed to repair.
-    pub fn expectation_detailed(
-        &self,
-        circuit: &Circuit,
-        observable: &Observable,
-    ) -> Result<(TrajectoryEstimate, RunHealth)> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.expectation_prepared(&kernels, &BindBuffers::default(), observable)
-    }
-
-    /// Trajectory-averaged expectation through a precompiled plan (see
-    /// [`TrajectorySimulator::compile`]): the fusion pass, stride plans and
-    /// noise channels are reused across calls.
-    ///
-    /// # Errors
-    /// Returns an error for an observable/dimension mismatch or a noise model
-    /// mismatch.
+    /// Returns an error for an observable/dimension mismatch, a noise model
+    /// mismatch, or [`qudit_core::error::CoreError::NumericalHealth`] when an
+    /// enabled guard detects damage it is not allowed to repair.
     pub fn expectation_compiled(
         &self,
         compiled: &CompiledCircuit,
         observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        check_noise(&compiled.noise, &self.noise)?;
-        Ok(self.expectation_prepared(&compiled.topology, &compiled.binds, observable)?.0)
-    }
-
-    /// Rebinds a compiled plan to `params` and estimates the observable: the
-    /// rebind-per-step entry point for noisy variational sweeps.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn expectation_bound(
-        &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-        observable: &Observable,
-    ) -> Result<TrajectoryEstimate> {
-        // Validate before binding so a failed call leaves the plan untouched.
-        check_noise(&compiled.noise, &self.noise)?;
-        compiled.bind(params)?;
-        self.expectation_compiled(compiled, observable)
-    }
-
-    fn expectation_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-        observable: &Observable,
     ) -> Result<(TrajectoryEstimate, RunHealth)> {
+        check_noise(&compiled.noise, &self.noise)?;
         let mut values = Vec::with_capacity(self.n_trajectories);
         let health = self.fold_trajectory_groups(
-            kernels,
-            binds,
+            &compiled.topology,
+            &compiled.binds,
             |state, _| observable.expectation(state),
             |&mut v| values.push(v),
         )?;
         Ok((estimate(&values), health))
     }
 
-    /// Trajectory-averaged probability of each full-register basis outcome.
+    /// Trajectory-averaged probability of each full-register basis outcome
+    /// through a precompiled plan, plus the summed [`RunHealth`] report.
     ///
     /// # Errors
-    /// Returns an error for invalid instructions.
-    pub fn outcome_distribution(&self, circuit: &Circuit) -> Result<Vec<f64>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        self.outcome_distribution_prepared(&kernels, &BindBuffers::default())
-    }
-
-    /// Trajectory-averaged outcome distribution through a precompiled plan.
-    ///
-    /// # Errors
-    /// Returns an error for invalid dimensions or a noise model mismatch.
-    pub fn outcome_distribution_compiled(&self, compiled: &CompiledCircuit) -> Result<Vec<f64>> {
-        check_noise(&compiled.noise, &self.noise)?;
-        self.outcome_distribution_prepared(&compiled.topology, &compiled.binds)
-    }
-
-    /// Rebinds a compiled plan to `params` and returns the trajectory-
-    /// averaged outcome distribution.
-    ///
-    /// # Errors
-    /// Returns an error for a short binding or a noise model mismatch.
-    pub fn outcome_distribution_bound(
+    /// Returns an error for a noise model mismatch or, under an enabled
+    /// guard, damage it is not allowed to repair.
+    pub fn outcome_distribution_compiled(
         &self,
-        compiled: &mut CompiledCircuit,
-        params: &[f64],
-    ) -> Result<Vec<f64>> {
-        // Validate before binding so a failed call leaves the plan untouched.
+        compiled: &CompiledCircuit,
+    ) -> Result<(Vec<f64>, RunHealth)> {
         check_noise(&compiled.noise, &self.noise)?;
-        compiled.bind(params)?;
-        self.outcome_distribution_compiled(compiled)
-    }
-
-    fn outcome_distribution_prepared(
-        &self,
-        kernels: &CircuitKernels,
-        binds: &BindBuffers,
-    ) -> Result<Vec<f64>> {
-        let total_dim: usize = kernels.dims.iter().product();
+        let total_dim: usize = compiled.dims().iter().product();
         let mut acc = vec![0.0; total_dim];
-        self.fold_trajectory_groups(
-            kernels,
-            binds,
+        let health = self.fold_trajectory_groups(
+            &compiled.topology,
+            &compiled.binds,
             |state, _| Ok(state.probabilities()),
             |probs| {
                 for (a, p) in acc.iter_mut().zip(probs.iter()) {
@@ -401,7 +334,7 @@ impl TrajectorySimulator {
         for p in &mut acc {
             *p /= self.n_trajectories as f64;
         }
-        Ok(acc)
+        Ok((acc, health))
     }
 
     /// Samples `shots_per_trajectory` measurements from each trajectory and
@@ -471,9 +404,7 @@ impl TrajectorySimulator {
         if let Some(token) = &self.cancel {
             sv = sv.with_cancel(token.clone());
         }
-        let initial = QuditState::zero(circuit.dims().to_vec()).map_err(CircuitError::Core)?;
-        let mut rng = StdRng::seed_from_u64(self.traj_seed(index));
-        Ok(sv.run_from_with_rng(circuit, &initial, &mut rng)?.state)
+        Ok(sv.run_compiled(&sv.compile(circuit)?, None)?.state)
     }
 
     fn traj_seed(&self, index: usize) -> u64 {
@@ -667,7 +598,7 @@ mod tests {
         let mut c = Circuit::uniform(2, 3);
         c.push(Gate::fourier(3), &[0]).unwrap();
         let sim = TrajectorySimulator::new(50).with_noise(NoiseModel::depolarizing(0.05, 0.1));
-        let dist = sim.outcome_distribution(&c).unwrap();
+        let (dist, _) = sim.outcome_distribution_compiled(&sim.compile(&c).unwrap()).unwrap();
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 

@@ -198,18 +198,16 @@ fn cancellation_respects_guard_cadence() {
 
 #[test]
 fn statevector_cadence_beyond_plan_runs_exactly_one_check() {
-    let out = StatevectorSimulator::new()
-        .with_guard(GuardConfig::enabled().with_cadence(1000))
-        .run_detailed(&unitary_circuit())
-        .unwrap();
+    let sim = StatevectorSimulator::new().with_guard(GuardConfig::enabled().with_cadence(1000));
+    let out = sim.run_compiled(&sim.compile(&unitary_circuit()).unwrap(), None).unwrap();
     assert_eq!(out.health.checks_run, 1);
 
     // One final check per trajectory, on the batched executor too.
-    let (_, health) = TrajectorySimulator::new(5)
+    let sim = TrajectorySimulator::new(5)
         .with_noise(NoiseModel::depolarizing(0.05, 0.02))
-        .with_guard(GuardConfig::enabled().with_cadence(1000))
-        .expectation_detailed(&unitary_circuit(), &Observable::number(0, 3))
-        .unwrap();
+        .with_guard(GuardConfig::enabled().with_cadence(1000));
+    let plan = sim.compile(&unitary_circuit()).unwrap();
+    let (_, health) = sim.expectation_compiled(&plan, &Observable::number(0, 3)).unwrap();
     assert_eq!(health.checks_run, 5);
 }
 
@@ -219,6 +217,6 @@ fn density_cadence_beyond_plan_runs_exactly_one_check() {
         .with_noise(NoiseModel::depolarizing(0.05, 0.02))
         .with_guard(GuardConfig::enabled().with_cadence(1000));
     let compiled = sim.compile(&unitary_circuit()).unwrap();
-    let (_, health) = sim.run_compiled_detailed(&compiled).unwrap();
+    let (_, health) = sim.run_compiled(&compiled, None).unwrap();
     assert_eq!(health.checks_run, 1);
 }

@@ -1,6 +1,6 @@
 //! Property tests for the ensemble executors (`qudit_circuit::sim`): a
-//! population of bindings run through `run_ensemble` must be **bitwise
-//! identical**, column for column, to the serial `run_bound` loop — states,
+//! population of bindings run through `run_ensemble_from` must be **bitwise
+//! identical**, column for column, to the serial bind-and-run loop — states,
 //! measurement records, and guard health reports alike — and the batched
 //! trajectory executor (lazily splitting branch-prefix groups) must
 //! reproduce a test-side serial oracle bitwise: `run_single` folded over
@@ -18,8 +18,9 @@ use rand::{Rng, SeedableRng};
 use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
-    apply_readout_flip, CancelToken, DensityMatrixSimulator, FusionConfig, GuardConfig,
-    GuardPolicy, HealthMetric, RunHealth, StatevectorSimulator, TrajectorySimulator,
+    apply_readout_flip, BatchBindings, CancelToken, CompiledCircuit, DensityMatrixSimulator,
+    FusionConfig, GuardConfig, GuardPolicy, HealthMetric, RunHealth, RunOutput,
+    StatevectorSimulator, TrajectorySimulator,
 };
 use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
@@ -226,6 +227,23 @@ fn random_population(rng: &mut StdRng, num_params: usize, size: usize) -> Vec<Ve
     (0..size).map(|_| (0..num_params).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect()).collect()
 }
 
+/// The ensemble side: every column of `batch` from `|0...0⟩`.
+fn run_population(
+    sim: &StatevectorSimulator,
+    plan: &CompiledCircuit,
+    batch: &BatchBindings,
+) -> Result<Vec<Result<RunOutput, CircuitError>>, CircuitError> {
+    let zero = QuditState::zero(plan.dims().to_vec()).unwrap();
+    sim.run_ensemble_from(plan, batch, &zero)
+}
+
+/// The serial side: one fresh handle of `plan`, bound to `params` and run.
+fn run_serial(sim: &StatevectorSimulator, plan: &CompiledCircuit, params: &[f64]) -> RunOutput {
+    let mut plan = plan.clone();
+    plan.bind(params).unwrap();
+    sim.run_compiled(&plan, None).unwrap()
+}
+
 // ---------------------------------------------------------------------------
 // Parameter-batched statevector runs.
 // ---------------------------------------------------------------------------
@@ -249,11 +267,10 @@ fn ensemble_population_is_bitwise_identical_to_serial_run_bound() {
         let batch = plan.bind_batch(&population).unwrap();
         assert_eq!(batch.len(), population.len());
 
-        let ensemble = sim.run_ensemble(&plan, &batch).unwrap();
+        let ensemble = run_population(&sim, &plan, &batch).unwrap();
         assert_eq!(ensemble.len(), population.len());
         for (b, params) in population.iter().enumerate() {
-            let mut serial_plan = plan.clone();
-            let serial = sim.run_bound(&mut serial_plan, params).unwrap();
+            let serial = run_serial(&sim, &plan, params);
             let col = ensemble[b].as_ref().unwrap_or_else(|e| {
                 panic!("trial {trial}, column {b}: ensemble run failed: {e:?}")
             });
@@ -278,9 +295,8 @@ fn ensemble_width_one_and_duplicate_bindings_behave() {
     // Duplicate bindings share the simulator seed, so every column replays
     // the identical serial run.
     let batch = plan.bind_batch(&[theta.clone(), theta.clone(), theta.clone()]).unwrap();
-    let ensemble = sim.run_ensemble(&plan, &batch).unwrap();
-    let mut serial_plan = plan.clone();
-    let serial = sim.run_bound(&mut serial_plan, &theta).unwrap();
+    let ensemble = run_population(&sim, &plan, &batch).unwrap();
+    let serial = run_serial(&sim, &plan, &theta);
     for (b, col) in ensemble.iter().enumerate() {
         let col = col.as_ref().unwrap();
         assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "column {b}");
@@ -289,7 +305,7 @@ fn ensemble_width_one_and_duplicate_bindings_behave() {
     // Empty populations are a no-op.
     let empty = plan.bind_batch(&[]).unwrap();
     assert!(empty.is_empty());
-    assert!(sim.run_ensemble(&plan, &empty).unwrap().is_empty());
+    assert!(run_population(&sim, &plan, &empty).unwrap().is_empty());
 }
 
 #[test]
@@ -305,7 +321,7 @@ fn ensemble_population_matches_density_backend_at_tolerance() {
         let plan = sim.compile(&c).unwrap();
         let population = random_population(&mut rng, num_params, 4);
         let batch = plan.bind_batch(&population).unwrap();
-        let ensemble = sim.run_ensemble(&plan, &batch).unwrap();
+        let ensemble = run_population(&sim, &plan, &batch).unwrap();
         let dsim = DensityMatrixSimulator::new();
         for (b, params) in population.iter().enumerate() {
             let col = ensemble[b].as_ref().unwrap();
@@ -343,7 +359,9 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
         assert_eq!(est.mean, mean, "trial {trial}: means must be bitwise identical");
         assert_eq!(est.std_error, std_error, "trial {trial}");
         assert_eq!(est.n_trajectories, 70);
-        assert_eq!(sim.outcome_distribution(&c).unwrap(), dist, "trial {trial}");
+        let (batched_dist, _) =
+            sim.outcome_distribution_compiled(&sim.compile(&c).unwrap()).unwrap();
+        assert_eq!(batched_dist, dist, "trial {trial}");
         assert_eq!(sim.sample_counts(&c, 5).unwrap(), counts, "trial {trial}");
     }
 }
@@ -370,7 +388,6 @@ fn trajectory_health_is_the_merge_of_serial_run_healths() {
     let noise = NoiseModel::cavity(0.05, 0.08, 0.1).with_readout_flip(0.07);
     let obs = Observable::number(2, 4);
     let (seed, n) = (4242u64, 70);
-    let zero = QuditState::zero(c.dims().to_vec()).unwrap();
     for (cadence, tol) in [(1, -1.0), (2, -1.0), (3, 1e-9)] {
         let guard = GuardConfig::enabled()
             .with_policy(GuardPolicy::RenormalizeAndCount)
@@ -385,21 +402,19 @@ fn trajectory_health_is_the_merge_of_serial_run_healths() {
             let sv = StatevectorSimulator::with_seed(traj_seed)
                 .with_noise(noise.clone())
                 .with_guard(guard);
-            let mut rng = StdRng::seed_from_u64(traj_seed);
-            let out = sv.run_from_with_rng(&c, &zero, &mut rng).unwrap();
+            let out = sv.run_compiled(&sv.compile(&c).unwrap(), None).unwrap();
             serial.merge(&out.health);
             values.push(obs.expectation(&out.state).unwrap());
         }
         let mean = values.iter().sum::<f64>() / n as f64;
         assert!(serial.renormalizations > 0 || tol > 0.0, "tol -1 must repair");
         for threads in [1, 3] {
-            let (est, health) = TrajectorySimulator::new(n)
+            let sim = TrajectorySimulator::new(n)
                 .with_seed(seed)
                 .with_noise(noise.clone())
                 .with_guard(guard)
-                .with_threads(threads)
-                .expectation_detailed(&c, &obs)
-                .unwrap();
+                .with_threads(threads);
+            let (est, health) = sim.expectation_compiled(&sim.compile(&c).unwrap(), &obs).unwrap();
             let at = format!("cadence {cadence}, tol {tol}, {threads} threads");
             assert_eq!(est.mean.to_bits(), mean.to_bits(), "{at}");
             assert_eq!(health.checks_run, serial.checks_run, "{at}");
@@ -438,9 +453,9 @@ fn every_channel_shape_stays_bitwise_in_both_executors() {
         let sim = StatevectorSimulator::with_seed(77).with_noise(noise);
         let plan = sim.compile(&c).unwrap();
         let population = random_population(&mut rng, 2, 4);
-        let ensemble = sim.run_ensemble(&plan, &plan.bind_batch(&population).unwrap()).unwrap();
+        let ensemble = run_population(&sim, &plan, &plan.bind_batch(&population).unwrap()).unwrap();
         for (b, params) in population.iter().enumerate() {
-            let serial = sim.run_bound(&mut plan.clone(), params).unwrap();
+            let serial = run_serial(&sim, &plan, params);
             let col = ensemble[b].as_ref().unwrap();
             assert_eq!(col.state.amplitudes(), serial.state.amplitudes(), "shape {shape}, col {b}");
         }
@@ -462,22 +477,19 @@ fn batched_trajectory_compiled_and_bound_paths_match_serial() {
         theta = (0..2).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
         let bound = c.with_bound(&theta).unwrap();
         let (mean, std_error, dist, _) = serial_fold(&sim, (13, 0.0), &bound, &obs, 0);
-        let est = sim.expectation_bound(&mut plan, &theta, &obs).unwrap();
+        plan.bind(&theta).unwrap();
+        let (est, _) = sim.expectation_compiled(&plan, &obs).unwrap();
         assert_eq!(est.mean, mean, "round {round}");
         assert_eq!(est.std_error, std_error, "round {round}");
-        assert_eq!(
-            sim.outcome_distribution_bound(&mut plan, &theta).unwrap(),
-            dist,
-            "round {round}"
-        );
+        assert_eq!(sim.outcome_distribution_compiled(&plan).unwrap().0, dist, "round {round}");
     }
     // Compiled (no rebind) path too, at the last binding.
     let (mean, std_error, dist, _) =
         serial_fold(&sim, (13, 0.0), &c.with_bound(&theta).unwrap(), &obs, 0);
-    let est = sim.expectation_compiled(&plan, &obs).unwrap();
+    let (est, _) = sim.expectation_compiled(&plan, &obs).unwrap();
     assert_eq!(est.mean, mean);
     assert_eq!(est.std_error, std_error);
-    assert_eq!(sim.outcome_distribution_compiled(&plan).unwrap(), dist);
+    assert_eq!(sim.outcome_distribution_compiled(&plan).unwrap().0, dist);
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +512,7 @@ fn cancellation_mid_batch_fails_the_whole_ensemble_pass() {
     let batch = plan.bind_batch(&population).unwrap();
     // The budget trips at the first cadence boundary: the whole pass fails
     // with the standard Cancelled error rather than per-column failures.
-    let err = sim.run_ensemble(&plan, &batch).unwrap_err();
+    let err = run_population(&sim, &plan, &batch).unwrap_err();
     assert!(
         matches!(err, CircuitError::Core(CoreError::Cancelled { .. })),
         "expected whole-pass cancellation, got {err:?}"
@@ -543,7 +555,7 @@ fn non_finite_binding_fails_only_its_own_column() {
     let population: Vec<Vec<f64>> = vec![vec![0.2], vec![f64::NAN], vec![1.1], vec![1.6]];
     let sim = StatevectorSimulator::with_seed(5).with_guard(GuardConfig::enabled().with_cadence(1));
     let plan = sim.compile(&c).unwrap();
-    let ensemble = sim.run_ensemble(&plan, &plan.bind_batch(&population).unwrap()).unwrap();
+    let ensemble = run_population(&sim, &plan, &plan.bind_batch(&population).unwrap()).unwrap();
     assert_eq!(ensemble.len(), population.len());
     for (b, col) in ensemble.iter().enumerate() {
         if b == 1 {
@@ -555,7 +567,7 @@ fn non_finite_binding_fails_only_its_own_column() {
             }
         } else {
             let out = col.as_ref().unwrap_or_else(|e| panic!("column {b} poisoned: {e:?}"));
-            let clean = sim.run_bound(&mut plan.clone(), &population[b]).unwrap();
+            let clean = run_serial(&sim, &plan, &population[b]);
             assert_eq!(out.state.amplitudes(), clean.state.amplitudes(), "column {b}");
             assert_eq!(out.health, clean.health, "column {b}");
         }

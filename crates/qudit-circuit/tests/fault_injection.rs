@@ -11,13 +11,27 @@ use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
     CancelReason, CancelToken, DensityMatrixSimulator, GuardConfig, GuardPolicy, HealthMetric,
-    StatevectorSimulator, TrajectorySimulator,
+    RunHealth, RunOutput, StatevectorSimulator, TrajectoryEstimate, TrajectorySimulator,
 };
 use qudit_circuit::{Circuit, Gate, Observable};
 use qudit_core::error::CoreError;
 use qudit_core::guard::inject::{self, Fault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Compiles `c` and runs it from `|0...0⟩`.
+fn run_recorded(sim: &StatevectorSimulator, c: &Circuit) -> Result<RunOutput, CircuitError> {
+    sim.run_compiled(&sim.compile(c)?, None)
+}
+
+/// Compiles `c` and estimates `obs` with the summed trajectory health.
+fn estimate_with_health(
+    sim: &TrajectorySimulator,
+    c: &Circuit,
+    obs: &Observable,
+) -> Result<(TrajectoryEstimate, RunHealth), CircuitError> {
+    sim.expectation_compiled(&sim.compile(c)?, obs)
+}
 
 /// Deterministic pseudo-random mixed-radix circuit: single-qudit Fourier /
 /// shift / phase gates and two-qudit CSUMs.
@@ -64,7 +78,7 @@ fn nan_poke_detected_on_statevector() {
     let c = random_circuit(&[3, 4], 12, 11);
     let sim = StatevectorSimulator::new().with_guard(GuardConfig::enabled());
     inject::arm(Fault::NanPoke { step: 0, index: 0 });
-    let err = sim.run_detailed(&c).unwrap_err();
+    let err = run_recorded(&sim, &c).unwrap_err();
     inject::disarm_all();
     assert_health_error(err, HealthMetric::NonFinite);
 }
@@ -75,7 +89,7 @@ fn nan_poke_detected_on_density_matrix() {
     let sim = DensityMatrixSimulator::new().with_guard(GuardConfig::enabled());
     let compiled = sim.compile(&c).unwrap();
     inject::arm(Fault::NanPoke { step: 0, index: 0 });
-    let err = sim.run_compiled_detailed(&compiled).unwrap_err();
+    let err = sim.run_compiled(&compiled, None).unwrap_err();
     inject::disarm_all();
     assert_health_error(err, HealthMetric::NonFinite);
 }
@@ -102,14 +116,14 @@ fn amplitude_perturbation_detected_and_repaired() {
     // an amplitude strictly increases the norm: detection is deterministic.
     inject::arm(Fault::AmplitudePerturb { step: 0, index: 0, delta: 0.5 });
     let fail = StatevectorSimulator::new().with_guard(GuardConfig::enabled());
-    let err = fail.run_detailed(&c).unwrap_err();
+    let err = run_recorded(&fail, &c).unwrap_err();
     inject::disarm_all();
     assert_health_error(err, HealthMetric::Norm);
 
     inject::arm(Fault::AmplitudePerturb { step: 0, index: 0, delta: 0.5 });
     let repair = StatevectorSimulator::new()
         .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount));
-    let out = repair.run_detailed(&c).unwrap();
+    let out = run_recorded(&repair, &c).unwrap();
     inject::disarm_all();
     assert!(out.health.renormalizations >= 1, "repair not recorded: {:?}", out.health);
     assert!((out.state.norm_sqr() - 1.0).abs() < 1e-9, "state left unnormalised");
@@ -121,9 +135,7 @@ fn norm_drift_detected_and_repaired_on_both_exact_backends() {
 
     // Statevector.
     inject::arm(Fault::NormScale { step: 0, factor: 1.001 });
-    let err = StatevectorSimulator::new()
-        .with_guard(GuardConfig::enabled())
-        .run_detailed(&c)
+    let err = run_recorded(&StatevectorSimulator::new().with_guard(GuardConfig::enabled()), &c)
         .unwrap_err();
     inject::disarm_all();
     assert_health_error(err, HealthMetric::Norm);
@@ -132,16 +144,15 @@ fn norm_drift_detected_and_repaired_on_both_exact_backends() {
     let dsim = DensityMatrixSimulator::new().with_guard(GuardConfig::enabled());
     let compiled = dsim.compile(&c).unwrap();
     inject::arm(Fault::NormScale { step: 0, factor: 1.001 });
-    let err = dsim.run_compiled_detailed(&compiled).unwrap_err();
+    let err = dsim.run_compiled(&compiled, None).unwrap_err();
     inject::disarm_all();
     assert_health_error(err, HealthMetric::Trace);
 
     // Both repairable under RenormalizeAndCount.
     inject::arm(Fault::NormScale { step: 0, factor: 1.001 });
-    let out = StatevectorSimulator::new()
-        .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount))
-        .run_detailed(&c)
-        .unwrap();
+    let repair = StatevectorSimulator::new()
+        .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount));
+    let out = run_recorded(&repair, &c).unwrap();
     inject::disarm_all();
     assert!(out.health.renormalizations >= 1);
 
@@ -149,7 +160,7 @@ fn norm_drift_detected_and_repaired_on_both_exact_backends() {
         .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::RenormalizeAndCount));
     let compiled = dsim.compile(&c).unwrap();
     inject::arm(Fault::NormScale { step: 0, factor: 1.001 });
-    let (rho, health) = dsim.run_compiled_detailed(&compiled).unwrap();
+    let (rho, health) = dsim.run_compiled(&compiled, None).unwrap();
     inject::disarm_all();
     assert!(health.renormalizations >= 1);
     assert!((rho.trace() - 1.0).abs() < 1e-9, "trace left unrepaired");
@@ -168,7 +179,7 @@ fn superop_corruption_triggers_fallback_and_reproduces_clean_result() {
     let plain = DensityMatrixSimulator::new();
     let compiled = plain.compile(&c).unwrap();
     assert!(compiled.superop_stats().super_steps >= 1, "expected a superoperator sweep");
-    let clean = plain.run_compiled(&compiled).unwrap();
+    let (clean, _) = plain.run_compiled(&compiled, None).unwrap();
 
     let guarded = DensityMatrixSimulator::new()
         .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::FallBack));
@@ -177,7 +188,7 @@ fn superop_corruption_triggers_fallback_and_reproduces_clean_result() {
     for step in 0..compiled.num_steps() {
         inject::arm(Fault::SuperopCorrupt { step, delta: 0.5 });
     }
-    let (rho, health) = guarded.run_compiled_detailed(&compiled).unwrap();
+    let (rho, health) = guarded.run_compiled(&compiled, None).unwrap();
     inject::disarm_all();
     assert!(health.fallbacks >= 1, "fallback not engaged: {health:?}");
     assert!(
@@ -197,7 +208,7 @@ fn superop_corruption_detected_by_checkpoint_under_fail_policy() {
     for step in 0..compiled.num_steps() {
         inject::arm(Fault::SuperopCorrupt { step, delta: 0.5 });
     }
-    let err = sim.run_compiled_detailed(&compiled).unwrap_err();
+    let err = sim.run_compiled(&compiled, None).unwrap_err();
     inject::disarm_all();
     // The corrupted sweep inflates the trace; the cadence checkpoint flags it.
     assert_health_error(err, HealthMetric::Trace);
@@ -213,11 +224,11 @@ fn chunk_panic_is_retried_and_bitwise_identical_on_trajectories() {
         .with_noise(noise)
         .with_guard(GuardConfig::enabled());
 
-    let (clean, clean_health) = sim.expectation_detailed(&c, &obs).unwrap();
+    let (clean, clean_health) = estimate_with_health(&sim, &c, &obs).unwrap();
     assert_eq!(clean_health.retries, 0);
 
     inject::arm(Fault::ChunkPanic { chunk: 1 });
-    let (recovered, health) = sim.expectation_detailed(&c, &obs).unwrap();
+    let (recovered, health) = estimate_with_health(&sim, &c, &obs).unwrap();
     inject::disarm_all();
     assert_eq!(health.retries, 1, "panicked chunk not retried: {health:?}");
     assert_eq!(recovered.mean, clean.mean, "retried run is not bitwise identical");
@@ -235,9 +246,9 @@ fn slow_chunk_changes_nothing() {
         .with_noise(NoiseModel::depolarizing(0.02, 0.02))
         .with_guard(GuardConfig::enabled());
 
-    let (clean, _) = sim.expectation_detailed(&c, &obs).unwrap();
+    let (clean, _) = estimate_with_health(&sim, &c, &obs).unwrap();
     inject::arm(Fault::ChunkSlow { chunk: 1, millis: 50 });
-    let (slowed, health) = sim.expectation_detailed(&c, &obs).unwrap();
+    let (slowed, health) = estimate_with_health(&sim, &c, &obs).unwrap();
     inject::disarm_all();
     assert_eq!(health.retries, 0);
     assert_eq!(slowed.mean, clean.mean);
@@ -260,8 +271,8 @@ fn clean_guarded_runs_are_bitwise_identical_across_backends() {
         // Statevector (stochastic unravelling, same seed).
         let plain = StatevectorSimulator::with_seed(9).with_noise(noise.clone());
         let guarded = plain.clone().with_guard(guard);
-        let a = plain.run_detailed(&c).unwrap();
-        let b = guarded.run_detailed(&c).unwrap();
+        let a = run_recorded(&plain, &c).unwrap();
+        let b = run_recorded(&guarded, &c).unwrap();
         assert_eq!(a.state.amplitudes(), b.state.amplitudes(), "statevector diverged");
         assert_eq!(a.measurements, b.measurements);
         assert_eq!(b.health.renormalizations, 0, "false positive: {:?}", b.health);
@@ -273,7 +284,7 @@ fn clean_guarded_runs_are_bitwise_identical_across_backends() {
         let rho_a = plain.run(&c).unwrap();
         let guarded = plain.clone().with_guard(guard);
         let compiled = guarded.compile(&c).unwrap();
-        let (rho_b, health) = guarded.run_compiled_detailed(&compiled).unwrap();
+        let (rho_b, health) = guarded.run_compiled(&compiled, None).unwrap();
         assert_eq!((rho_a.matrix() - rho_b.matrix()).max_abs(), 0.0, "density matrix diverged");
         assert_eq!(health.renormalizations, 0);
         assert!(health.checks_run >= 1);
@@ -283,7 +294,7 @@ fn clean_guarded_runs_are_bitwise_identical_across_backends() {
         let est_a = plain.expectation(&c, &Observable::number(0, dims[0])).unwrap();
         let guarded = plain.clone().with_guard(guard);
         let (est_b, health) =
-            guarded.expectation_detailed(&c, &Observable::number(0, dims[0])).unwrap();
+            estimate_with_health(&guarded, &c, &Observable::number(0, dims[0])).unwrap();
         assert_eq!(est_a.mean, est_b.mean, "trajectory estimate diverged");
         assert_eq!(health.renormalizations, 0);
         assert!(health.checks_run >= 8, "expected at least one check per trajectory");
@@ -295,11 +306,10 @@ fn guarded_fail_policy_never_trips_on_healthy_random_circuits() {
     for seed in 0..6u64 {
         let c = random_circuit(&[3, 4], 16, seed * 13 + 5);
         let noise = NoiseModel::cavity(0.05, 0.05, 0.0);
-        StatevectorSimulator::new()
+        let sim = StatevectorSimulator::new()
             .with_noise(noise.clone())
-            .with_guard(GuardConfig::enabled())
-            .run_detailed(&c)
-            .expect("false positive on statevector");
+            .with_guard(GuardConfig::enabled());
+        run_recorded(&sim, &c).expect("false positive on statevector");
         DensityMatrixSimulator::new()
             .with_noise(noise.clone())
             .with_guard(GuardConfig::enabled())
@@ -325,7 +335,7 @@ fn statevector_checkpoint_count_is_exact() {
             StatevectorSimulator::new().with_guard(GuardConfig::enabled().with_cadence(cadence));
         let compiled = sim.compile(&c).unwrap();
         let steps = compiled.num_steps();
-        let out = sim.run_compiled(&compiled).unwrap();
+        let out = sim.run_compiled(&compiled, None).unwrap();
         // One check per full cadence window plus the final checkpoint.
         assert_eq!(out.health.checks_run, steps / cadence + 1, "cadence {cadence}, {steps} steps");
 
@@ -338,7 +348,7 @@ fn statevector_checkpoint_count_is_exact() {
             .with_threads(3)
             .with_guard(GuardConfig::enabled().with_cadence(cadence));
         let steps = traj.compile(&c).unwrap().num_steps();
-        let (_, health) = traj.expectation_detailed(&c, &Observable::number(1, 3)).unwrap();
+        let (_, health) = estimate_with_health(&traj, &c, &Observable::number(1, 3)).unwrap();
         assert_eq!(
             health.checks_run,
             n_traj * (steps / cadence + 1),
@@ -355,14 +365,14 @@ fn density_checkpoint_count_is_exact() {
         .with_noise(NoiseModel::depolarizing(0.01, 0.01))
         .with_guard(GuardConfig::enabled().with_cadence(cadence));
     let compiled = sim.compile(&c).unwrap();
-    let (_, health) = sim.run_compiled_detailed(&compiled).unwrap();
+    let (_, health) = sim.run_compiled(&compiled, None).unwrap();
     assert_eq!(health.checks_run, compiled.num_steps() / cadence + 1);
 }
 
 #[test]
 fn disabled_guard_reports_all_zero_health() {
     let c = random_circuit(&[3], 6, 3);
-    let out = StatevectorSimulator::new().run_detailed(&c).unwrap();
+    let out = run_recorded(&StatevectorSimulator::new(), &c).unwrap();
     assert_eq!(out.health, Default::default());
 }
 
@@ -438,12 +448,11 @@ fn guard_failure_takes_precedence_over_cancellation_on_statevector() {
     // are fusion barriers, so the plan keeps more than two steps.
     let c = random_circuit(&[3, 4], 12, 11);
     assert_guard_beats_cancel(2, |guard, token| {
-        StatevectorSimulator::new()
+        let sim = StatevectorSimulator::new()
             .with_noise(NoiseModel::depolarizing(0.05, 0.02))
             .with_guard(guard)
-            .with_cancel(token)
-            .run_detailed(&c)
-            .unwrap_err()
+            .with_cancel(token);
+        run_recorded(&sim, &c).unwrap_err()
     });
 }
 
@@ -455,7 +464,7 @@ fn guard_failure_takes_precedence_over_cancellation_on_density_matrix() {
             .with_noise(NoiseModel::depolarizing(0.05, 0.02))
             .with_guard(guard)
             .with_cancel(token);
-        sim.run_compiled_detailed(&sim.compile(&c).unwrap()).unwrap_err()
+        sim.run_compiled(&sim.compile(&c).unwrap(), None).unwrap_err()
     });
 }
 

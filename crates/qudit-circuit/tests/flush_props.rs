@@ -107,7 +107,8 @@ fn statevector_wire_local_equals_unfused() {
         let runs: Vec<_> = [wire_local(), unfused()]
             .into_iter()
             .map(|cfg| {
-                StatevectorSimulator::with_seed(seed).with_fusion(cfg).run_detailed(&c).unwrap()
+                let sim = StatevectorSimulator::with_seed(seed).with_fusion(cfg);
+                sim.run_compiled(&sim.compile(&c).unwrap(), None).unwrap()
             })
             .collect();
         // Bitwise identical measurement records: the RNG-stream alignment

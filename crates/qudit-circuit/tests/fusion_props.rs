@@ -120,11 +120,11 @@ fn fused_equals_unfused_with_mid_circuit_measurements() {
         }
         c.measure_all();
         let seed = 31 + trial;
-        let fused = StatevectorSimulator::with_seed(seed).run_detailed(&c).unwrap();
-        let unfused = StatevectorSimulator::with_seed(seed)
-            .with_fusion(FusionConfig::disabled())
-            .run_detailed(&c)
-            .unwrap();
+        let run =
+            |sim: StatevectorSimulator| sim.run_compiled(&sim.compile(&c).unwrap(), None).unwrap();
+        let fused = run(StatevectorSimulator::with_seed(seed));
+        let unfused =
+            run(StatevectorSimulator::with_seed(seed).with_fusion(FusionConfig::disabled()));
         assert_eq!(fused.measurements, unfused.measurements, "trial {trial}");
         amplitudes_match(&fused.state, &unfused.state);
     }
@@ -209,23 +209,11 @@ fn compiled_circuit_reuse_matches_fresh_runs() {
     #[cfg(debug_assertions)]
     qudit_verify::verify_statevector(&c, &compiled, &qudit_verify::VerifyConfig::default())
         .unwrap();
-    let fresh = sim.run_detailed(&c).unwrap();
+    let fresh = sim.run_compiled(&sim.compile(&c).unwrap(), None).unwrap();
     for _ in 0..3 {
-        let rerun = sim.run_compiled(&compiled).unwrap();
+        let rerun = sim.run_compiled(&compiled, None).unwrap();
         amplitudes_match(&rerun.state, &fresh.state);
     }
-}
-
-#[test]
-fn compiled_circuit_rejects_mismatched_noise_model() {
-    let mut c = Circuit::uniform(2, 3);
-    c.push(Gate::fourier(3), &[0]).unwrap();
-    let compiled = StatevectorSimulator::new().compile(&c).unwrap();
-    // Same (noiseless) model: fine.
-    assert!(StatevectorSimulator::with_seed(9).run_compiled(&compiled).is_ok());
-    // Different model: the plan's baked-in channels would not match.
-    let noisy = StatevectorSimulator::new().with_noise(NoiseModel::depolarizing(0.05, 0.1));
-    assert!(noisy.run_compiled(&compiled).is_err());
 }
 
 #[test]

@@ -71,12 +71,11 @@ fn trajectory_outcome_distribution_is_thread_invariant() {
         let dists: Vec<Vec<f64>> = threads
             .iter()
             .map(|&threads| {
-                TrajectorySimulator::new(n)
+                let sim = TrajectorySimulator::new(n)
                     .with_seed(3)
                     .with_noise(noise.clone())
-                    .with_threads(threads)
-                    .outcome_distribution(&c)
-                    .unwrap()
+                    .with_threads(threads);
+                sim.outcome_distribution_compiled(&sim.compile(&c).unwrap()).unwrap().0
             })
             .collect();
         for dist in &dists[1..] {
@@ -164,7 +163,7 @@ fn density_run_is_bitwise_thread_invariant() {
     let stats = plan.superop_stats();
     assert!(stats.unitary_steps > 0 && stats.super_steps > 0 && stats.kraus_steps > 0, "{stats:?}");
     let bits = |threads| -> Vec<(u64, u64)> {
-        let rho = sim(threads).run_compiled(&plan).unwrap();
+        let (rho, _) = sim(threads).run_compiled(&plan, None).unwrap();
         rho.matrix().as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     };
     let serial = bits(1);

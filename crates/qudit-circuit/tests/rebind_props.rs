@@ -13,11 +13,14 @@ use rand::{Rng, SeedableRng};
 
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{
-    DensityMatrixSimulator, FusionConfig, StatevectorSimulator, SuperopConfig, TrajectorySimulator,
+    DensityMatrixSimulator, FusionConfig, RunOutput, StatevectorSimulator, SuperopConfig,
+    TrajectorySimulator,
 };
-use qudit_circuit::{Circuit, Gate, Observable, Param};
+use qudit_circuit::{Circuit, CircuitError, Gate, Observable, Param};
+use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
-use qudit_core::Complex64;
+use qudit_core::state::QuditState;
+use qudit_core::{Complex64, CoreError};
 
 const TOL: f64 = 1e-12;
 
@@ -149,6 +152,12 @@ fn random_binding(rng: &mut StdRng, num_params: usize) -> Vec<f64> {
     (0..num_params).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect()
 }
 
+/// Compiles `c` afresh and runs it from `|0...0⟩`: the rebuild side of every
+/// statevector comparison.
+fn run_rebuilt(sim: &StatevectorSimulator, c: &Circuit) -> RunOutput {
+    sim.run_compiled(&sim.compile(c).unwrap(), None).unwrap()
+}
+
 #[test]
 fn statevector_rebind_is_bitwise_identical_to_rebuild() {
     for trial in 0..20 {
@@ -163,8 +172,9 @@ fn statevector_rebind_is_bitwise_identical_to_rebuild() {
         // from-scratch compile of the bound circuit.
         for round in 0..2 {
             let theta = random_binding(&mut rng, num_params);
-            let rebound = sim.run_bound(&mut plan, &theta).unwrap();
-            let rebuilt = sim.run_detailed(&c.with_bound(&theta).unwrap()).unwrap();
+            plan.bind(&theta).unwrap();
+            let rebound = sim.run_compiled(&plan, None).unwrap();
+            let rebuilt = run_rebuilt(&sim, &c.with_bound(&theta).unwrap());
             assert_eq!(
                 rebound.measurements, rebuilt.measurements,
                 "trial {trial}, round {round}: measurement records must be bitwise identical"
@@ -197,9 +207,13 @@ fn rebinding_back_to_an_earlier_binding_is_idempotent() {
     let mut plan = sim.compile(&c).unwrap();
     let theta1 = random_binding(&mut rng, 2);
     let theta2 = random_binding(&mut rng, 2);
-    let first = sim.run_bound(&mut plan, &theta1).unwrap();
-    let _ = sim.run_bound(&mut plan, &theta2).unwrap();
-    let again = sim.run_bound(&mut plan, &theta1).unwrap();
+    let mut run_at = |theta: &[f64]| {
+        plan.bind(theta).unwrap();
+        sim.run_compiled(&plan, None).unwrap()
+    };
+    let first = run_at(&theta1);
+    let _ = run_at(&theta2);
+    let again = run_at(&theta1);
     assert_eq!(first.state.amplitudes(), again.state.amplitudes());
 }
 
@@ -212,8 +226,9 @@ fn rebind_rejects_short_bindings_and_zero_binding_matches_compile() {
     assert_eq!(plan.num_params(), 3);
     assert!(plan.bind(&[0.1]).is_err(), "short bindings must be rejected");
     // A freshly compiled parameterized plan is bound at zeros.
-    let at_compile = sim.run_compiled(&plan).unwrap();
-    let at_zeros = sim.run_bound(&mut plan, &[0.0; 3]).unwrap();
+    let at_compile = sim.run_compiled(&plan, None).unwrap();
+    plan.bind(&[0.0; 3]).unwrap();
+    let at_zeros = sim.run_compiled(&plan, None).unwrap();
     assert_eq!(at_compile.state.amplitudes(), at_zeros.state.amplitudes());
 }
 
@@ -229,8 +244,9 @@ fn rebind_matches_rebuild_with_fusion_disabled_and_gate_noise() {
                 .with_fusion(fusion.clone());
             let mut plan = sim.compile(&c).unwrap();
             let theta = random_binding(&mut rng, 2);
-            let rebound = sim.run_bound(&mut plan, &theta).unwrap();
-            let rebuilt = sim.run_detailed(&c.with_bound(&theta).unwrap()).unwrap();
+            plan.bind(&theta).unwrap();
+            let rebound = sim.run_compiled(&plan, None).unwrap();
+            let rebuilt = run_rebuilt(&sim, &c.with_bound(&theta).unwrap());
             assert_eq!(rebound.measurements, rebuilt.measurements);
             assert_eq!(rebound.state.amplitudes(), rebuilt.state.amplitudes());
         }
@@ -248,13 +264,15 @@ fn trajectory_rebind_estimates_are_bitwise_identical_to_rebuild() {
         let mut plan = sim.compile(&c).unwrap();
         for _ in 0..2 {
             let theta = random_binding(&mut rng, 2);
-            let rebound = sim.expectation_bound(&mut plan, &theta, &obs).unwrap();
-            let rebuilt = sim.expectation(&c.with_bound(&theta).unwrap(), &obs).unwrap();
+            plan.bind(&theta).unwrap();
+            let rebuilt_plan = sim.compile(&c.with_bound(&theta).unwrap()).unwrap();
+            let (rebound, _) = sim.expectation_compiled(&plan, &obs).unwrap();
+            let (rebuilt, _) = sim.expectation_compiled(&rebuilt_plan, &obs).unwrap();
             assert_eq!(rebound.mean, rebuilt.mean, "trial {trial}");
             assert_eq!(rebound.std_error, rebuilt.std_error, "trial {trial}");
             // The averaged outcome distribution agrees bitwise too.
-            let dist_rebound = sim.outcome_distribution_bound(&mut plan, &theta).unwrap();
-            let dist_rebuilt = sim.outcome_distribution(&c.with_bound(&theta).unwrap()).unwrap();
+            let (dist_rebound, _) = sim.outcome_distribution_compiled(&plan).unwrap();
+            let (dist_rebuilt, _) = sim.outcome_distribution_compiled(&rebuilt_plan).unwrap();
             assert_eq!(dist_rebound, dist_rebuilt, "trial {trial}");
         }
     }
@@ -277,7 +295,8 @@ fn density_rebind_matches_rebuild_at_tolerance() {
             let mut plan = sim.compile(&c).unwrap();
             for _ in 0..2 {
                 let theta = random_binding(&mut rng, 2);
-                let rebound = sim.run_bound(&mut plan, &theta).unwrap();
+                plan.bind(&theta).unwrap();
+                let (rebound, _) = sim.run_compiled(&plan, None).unwrap();
                 let rebuilt = sim.run(&c.with_bound(&theta).unwrap()).unwrap();
                 let diff = (rebound.matrix() - rebuilt.matrix()).max_abs();
                 assert!(diff < TOL, "trial {trial}: rebound vs rebuilt diff {diff}");
@@ -324,8 +343,9 @@ fn rebound_shot_counts_are_bitwise_identical_to_rebuild() {
     // Rebound plan and rebuilt circuit land on bitwise-identical states and
     // records under the simulator's fixed seed...
     let mut plan = sim.compile(&c).unwrap();
-    let rebound = sim.run_bound(&mut plan, &theta).unwrap();
-    let rebuilt = sim.run_detailed(&bound).unwrap();
+    plan.bind(&theta).unwrap();
+    let rebound = sim.run_compiled(&plan, None).unwrap();
+    let rebuilt = run_rebuilt(&sim, &bound);
     assert_eq!(rebound.measurements, rebuilt.measurements);
     assert_eq!(rebound.state.amplitudes(), rebuilt.state.amplitudes());
     // ...and the per-shot sampler sees identical counts for the bound
@@ -333,4 +353,158 @@ fn rebound_shot_counts_are_bitwise_identical_to_rebuild() {
     let counts_a = sim.sample_counts(&bound, 200).unwrap();
     let counts_b = sim.sample_counts(&c.with_bound(&theta).unwrap(), 200).unwrap();
     assert_eq!(counts_a, counts_b);
+}
+
+/// One input to a compiled entry point in the typed-error table below.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    /// Bind these parameters, then run.
+    Bind(&'a [f64]),
+    /// Run with whatever binding the plan holds.
+    Run,
+    /// Run from an initial state (or against an observable) on another
+    /// register.
+    Register,
+    /// Run under a simulator whose noise model differs from the plan's.
+    Noise,
+}
+
+/// A compiled entry point under test: runs one [`Input`] and returns the
+/// result's raw bits, or `None` where the entry takes no register input.
+type Entry<'a> = Box<dyn FnMut(Input) -> Option<Result<Vec<u64>, CircuitError>> + 'a>;
+
+fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+fn state_bits(state: &QuditState) -> Vec<u64> {
+    bits(state.amplitudes().iter().flat_map(|a| [a.re, a.im]))
+}
+
+#[test]
+fn every_compiled_entry_rejects_bad_inputs_and_keeps_its_binding() {
+    // Every compiled entry of the three back-ends, and the statevector batch
+    // entry, rejects a register mismatch, a noise mismatch and a short
+    // binding with a typed error. A rejected bind leaves the previous
+    // binding in effect: the next run is bitwise the run before it.
+    let mut rng = StdRng::seed_from_u64(3131);
+    let (c, dims) = random_param_circuit(&mut rng, 2, true);
+    let theta = random_binding(&mut rng, 2);
+    let wrong = dims[1..].to_vec();
+    let noise = NoiseModel::depolarizing(0.02, 0.05);
+    let other = NoiseModel::cavity(0.05, 0.1, 0.0);
+    let obs = Observable::number(0, dims[0]);
+
+    let sv = |noise: &NoiseModel| StatevectorSimulator::with_seed(8).with_noise(noise.clone());
+    let (sim, other_sim) = (sv(&noise), sv(&other));
+    let mut plan = sim.compile(&c).unwrap();
+    let zero = QuditState::zero(dims.clone()).unwrap();
+    let bad = QuditState::zero(wrong.clone()).unwrap();
+    let statevector: Entry = Box::new(move |input| {
+        let out = match input {
+            Input::Bind(params) => plan.bind(params).and_then(|()| sim.run_compiled(&plan, None)),
+            Input::Run => sim.run_compiled(&plan, None),
+            Input::Register => sim.run_compiled(&plan, Some(&bad)),
+            Input::Noise => other_sim.run_compiled(&plan, None),
+        };
+        Some(out.map(|out| state_bits(&out.state)))
+    });
+
+    let (sim, other_sim) = (sv(&noise), sv(&other));
+    let plan = sim.compile(&c).unwrap();
+    let mut binding = theta.clone();
+    let bad = QuditState::zero(wrong.clone()).unwrap();
+    let ensemble: Entry = Box::new(move |input| {
+        let run = |sim: &StatevectorSimulator, binding: &[f64], initial| {
+            let batch = plan.bind_batch(&[binding.to_vec()])?;
+            let column = sim.run_ensemble_from(&plan, &batch, initial)?.remove(0);
+            Ok(state_bits(&column?.state))
+        };
+        Some(match input {
+            Input::Bind(params) => run(&sim, params, &zero).inspect(|_| binding = params.to_vec()),
+            Input::Run => run(&sim, &binding, &zero),
+            // Even an empty population checks the register.
+            Input::Register => {
+                let empty = plan.bind_batch(&[]).unwrap();
+                sim.run_ensemble_from(&plan, &empty, &bad).map(|_| Vec::new())
+            }
+            Input::Noise => run(&other_sim, &binding, &zero),
+        })
+    });
+
+    let dm = |noise: &NoiseModel| DensityMatrixSimulator::new().with_noise(noise.clone());
+    let (sim, other_sim) = (dm(&noise), dm(&other));
+    let mut plan = sim.compile(&c).unwrap();
+    let bad = DensityMatrix::zero(wrong.clone()).unwrap();
+    let density: Entry = Box::new(move |input| {
+        let out = match input {
+            Input::Bind(params) => plan.bind(params).and_then(|()| sim.run_compiled(&plan, None)),
+            Input::Run => sim.run_compiled(&plan, None),
+            Input::Register => sim.run_compiled(&plan, Some(&bad)),
+            Input::Noise => other_sim.run_compiled(&plan, None),
+        };
+        Some(out.map(|(rho, _)| bits(rho.matrix().as_slice().iter().flat_map(|a| [a.re, a.im]))))
+    });
+
+    let traj =
+        |noise: &NoiseModel| TrajectorySimulator::new(12).with_seed(4).with_noise(noise.clone());
+    let (sim, other_sim) = (traj(&noise), traj(&other));
+    let mut plan = sim.compile(&c).unwrap();
+    let bad_obs = Observable::number(dims.len(), 2);
+    let expectation: Entry = Box::new(move |input| {
+        let out = match input {
+            Input::Bind(params) => {
+                plan.bind(params).and_then(|()| sim.expectation_compiled(&plan, &obs))
+            }
+            Input::Run => sim.expectation_compiled(&plan, &obs),
+            Input::Register => sim.expectation_compiled(&plan, &bad_obs),
+            Input::Noise => other_sim.expectation_compiled(&plan, &obs),
+        };
+        Some(out.map(|(est, _)| bits([est.mean, est.std_error])))
+    });
+
+    let (sim, other_sim) = (traj(&noise), traj(&other));
+    let mut plan = sim.compile(&c).unwrap();
+    let distribution: Entry = Box::new(move |input| {
+        let out = match input {
+            Input::Bind(params) => {
+                plan.bind(params).and_then(|()| sim.outcome_distribution_compiled(&plan))
+            }
+            Input::Run => sim.outcome_distribution_compiled(&plan),
+            Input::Register => return None,
+            Input::Noise => other_sim.outcome_distribution_compiled(&plan),
+        };
+        Some(out.map(|(dist, _)| bits(dist)))
+    });
+
+    let table = [
+        ("statevector run_compiled", statevector),
+        ("statevector run_ensemble_from", ensemble),
+        ("density run_compiled", density),
+        ("trajectory expectation_compiled", expectation),
+        ("trajectory outcome_distribution_compiled", distribution),
+    ];
+    for (name, mut entry) in table {
+        let before = entry(Input::Bind(&theta)).unwrap().unwrap();
+        match entry(Input::Bind(&theta[..1])).unwrap() {
+            Err(CircuitError::InvalidGate(_)) => {}
+            other => panic!("{name}: short binding gave {other:?}"),
+        }
+        assert_eq!(entry(Input::Run).unwrap().unwrap(), before, "{name}: failed bind changed plan");
+        match entry(Input::Noise).unwrap() {
+            Err(CircuitError::Unsupported(_)) => {}
+            other => panic!("{name}: noise mismatch gave {other:?}"),
+        }
+        match entry(Input::Register) {
+            None => {}
+            Some(Err(CircuitError::InvalidTargets(_)))
+            | Some(Err(CircuitError::Core(CoreError::InvalidSubsystem { .. }))) => {}
+            Some(other) => panic!("{name}: register mismatch gave {other:?}"),
+        }
+        assert_eq!(
+            entry(Input::Run).unwrap().unwrap(),
+            before,
+            "{name}: rejected run changed plan"
+        );
+    }
 }

@@ -7,8 +7,9 @@
 //! poisons every downstream shot. The guard subsystem turns those silent
 //! corruptions into **detected, reported, and optionally repaired** events:
 //!
-//! * [`GuardConfig`] — cadence, tolerance and policy, threaded into the
-//!   `run_compiled`-family entry points of all three circuit simulators.
+//! * [`GuardConfig`] — cadence, tolerance and policy, threaded into all
+//!   three circuit simulators, whose compiled entry points each return
+//!   the run's [`RunHealth`].
 //! * [`HealthMonitor`] — the per-run checkpoint engine. Every `cadence`
 //!   execution steps (and always once at the end of a run) it scans the
 //!   evolving state for non-finite values and checks the backend's

@@ -754,7 +754,7 @@ fn run_once(shared: &Shared, job: &Job, guard: GuardConfig) -> Result<Vec<f64>, 
                 .with_threads(cfg.threads_per_job)
                 .with_guard(guard)
                 .with_cancel(job.token.clone());
-            let out = sim.run_compiled(&plan)?;
+            let out = sim.run_compiled(&plan, None)?;
             Ok(out.state.probabilities())
         }
         JobKind::DensityDiagonal => {
@@ -785,7 +785,7 @@ fn run_once(shared: &Shared, job: &Job, guard: GuardConfig) -> Result<Vec<f64>, 
                 .with_threads(cfg.threads_per_job)
                 .with_guard(guard)
                 .with_cancel(job.token.clone());
-            let rho = sim.run_compiled(&plan)?;
+            let (rho, _) = sim.run_compiled(&plan, None)?;
             let m = rho.matrix();
             Ok((0..m.rows()).map(|i| m[(i, i)].re).collect())
         }

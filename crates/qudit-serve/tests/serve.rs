@@ -404,7 +404,10 @@ fn queued_payloads_match_a_direct_simulator_run_on_one_and_two_workers() {
     let mut plan = sim.compile(&parameterized_circuit()).unwrap();
     let expected: Vec<Vec<f64>> = thetas
         .iter()
-        .map(|&theta| sim.run_bound(&mut plan, &[theta]).unwrap().state.probabilities())
+        .map(|&theta| {
+            plan.bind(&[theta]).unwrap();
+            sim.run_compiled(&plan, None).unwrap().state.probabilities()
+        })
         .collect();
     assert_ne!(expected[0], expected[1], "the angles must give different distributions");
     for workers in [1, 2] {
@@ -429,7 +432,8 @@ fn queued_density_payloads_match_a_direct_simulator_run_on_one_and_two_workers()
         let expected: Vec<Vec<f64>> = thetas
             .iter()
             .map(|&theta| {
-                let rho = sim.run_bound(&mut plan, &[theta]).unwrap();
+                plan.bind(&[theta]).unwrap();
+                let (rho, _) = sim.run_compiled(&plan, None).unwrap();
                 (0..rho.dim()).map(|i| rho.matrix()[(i, i)].re).collect()
             })
             .collect();
