@@ -217,6 +217,18 @@ fn compiled_circuit_reuse_matches_fresh_runs() {
 }
 
 #[test]
+fn compiled_circuit_rejects_mismatched_noise_model() {
+    let mut c = Circuit::uniform(2, 3);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    let compiled = StatevectorSimulator::new().compile(&c).unwrap();
+    // Same (noiseless) model: fine.
+    assert!(StatevectorSimulator::with_seed(9).run_compiled(&compiled, None).is_ok());
+    // Different model: the plan's baked-in channels would not match.
+    let noisy = StatevectorSimulator::new().with_noise(NoiseModel::depolarizing(0.05, 0.1));
+    assert!(noisy.run_compiled(&compiled, None).is_err());
+}
+
+#[test]
 fn trajectory_estimates_agree_with_and_without_fusion() {
     let mut c = Circuit::uniform(3, 3);
     c.push(Gate::fourier(3), &[0]).unwrap();

@@ -245,6 +245,16 @@ fn compiled_density_circuit_reuse_matches_fresh_runs() {
 }
 
 #[test]
+fn compiled_density_circuit_rejects_mismatched_noise_model() {
+    let mut c = Circuit::uniform(2, 3);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    let compiled = DensityMatrixSimulator::new().compile(&c).unwrap();
+    assert!(DensityMatrixSimulator::new().run_compiled(&compiled, None).is_ok());
+    let noisy = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(0.05, 0.1));
+    assert!(noisy.run_compiled(&compiled, None).is_err());
+}
+
+#[test]
 fn noisy_single_qudit_gate_folds_with_its_channel() {
     // A single-qudit gate with its attached depolarising channel is one
     // superoperator sweep (k² ≤ sandwich + channel sweep), and a run of them
