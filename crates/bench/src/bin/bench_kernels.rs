@@ -329,6 +329,35 @@ fn density_run_noisy() -> Row {
     row("density_run_noisy", detail, 1, timing, Some(1.5))
 }
 
+fn superop_sweep_sparse() -> Row {
+    let w = rows::loss_sweep();
+    let start = w.rho.matrix().as_slice();
+    let (mut dense, mut sparse) = (start.to_vec(), start.to_vec());
+    let (mut dense_scratch, mut sparse_scratch) = (Vec::new(), Vec::new());
+    // Each call restarts from the same ρ, so repeated loss never drives the
+    // entries toward subnormals.
+    let timing = paired(
+        1000,
+        || {
+            dense.copy_from_slice(start);
+            w.plan.apply(&w.kind, &w.sup, &mut dense, 1, &mut dense_scratch).unwrap();
+        },
+        || {
+            sparse.copy_from_slice(start);
+            w.plan.apply_compressed(&w.compressed, &mut sparse, 1, &mut sparse_scratch).unwrap();
+        },
+    );
+    let (d, gamma) = rows::LOSS_SWEEP;
+    let detail = format!(
+        "photon loss {gamma} on mode 0 of a two-mode d={d} register (rho {n}x{n}), one sweep of \
+         its {k2}x{k2} superoperator ({} nonzeros): row-compressed vs dense gather kernel, 1 thread",
+        w.compressed.nnz(),
+        n = d * d,
+        k2 = d * d,
+    );
+    row("superop_sweep_sparse", detail, 1000, timing, Some(2.5))
+}
+
 fn density_run_noisy_percall() -> Row {
     let (sim, per_term) = density_sims();
     let circuit = rows::sqed();
@@ -663,6 +692,7 @@ fn main() {
         lindblad_evolve(),
         density_run_noisy(),
         density_run_noisy_percall(),
+        superop_sweep_sparse(),
         statevector_run_guarded(),
         density_run_noisy_guarded(),
         qaoa_rebind_sweep(),

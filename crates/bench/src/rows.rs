@@ -8,14 +8,17 @@
 use cavity_sim::lindblad::LindbladSystem;
 use qopt::qaoa::{QaoaConfig, QuditQaoa};
 use qudit_circuit::gates::annihilation;
-use qudit_circuit::noise::NoiseModel;
+use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::StatevectorSimulator;
 use qudit_circuit::{Circuit, Gate, Param};
-use qudit_core::complex::c64;
+use qudit_core::apply::OpKind;
+use qudit_core::complex::{c64, Complex64};
 use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
-use qudit_core::radix::embed_operator;
+use qudit_core::radix::{embed_operator, Radix};
+use qudit_core::sparse::RowCompressed;
 use qudit_core::state::QuditState;
+use qudit_core::superop::SuperPlan;
 use qudit_serve::{JobOutcome, JobSpec, ServeConfig, ServeEngine, ServeStats};
 
 use crate::{small_sqed_circuit, table1_coloring_problem};
@@ -38,6 +41,46 @@ pub const QAOA: (usize, usize, u64) = (3, 24, 33);
 
 /// Workers, QAOA/reservoir job pairs and QAOA layers of the serving row.
 pub const SERVE: (usize, usize, usize) = (4, 12, 8);
+
+/// Mode dimension and loss probability of the sparse-sweep row: one
+/// digital-reservoir loss channel on a two-mode register.
+pub const LOSS_SWEEP: (usize, f64) = (5, 0.1);
+
+/// The sparse-sweep row's instance: the superoperator of photon loss on
+/// mode 0 of a two-mode [`LOSS_SWEEP`] register (55 of 625 entries nonzero
+/// at d = 5), its sweep plan and classification, its row-compressed copy,
+/// and an excited starting ρ.
+pub struct LossSweep {
+    /// Sweep plan of mode 0 on the doubled register.
+    pub plan: SuperPlan,
+    /// The superoperator, stored dense.
+    pub sup: CMatrix,
+    /// Its exact classification (dense).
+    pub kind: OpKind,
+    /// The same superoperator, row-compressed.
+    pub compressed: RowCompressed,
+    /// Starting state: one photon in each mode, in superposition with the
+    /// vacuum.
+    pub rho: DensityMatrix,
+}
+
+/// Builds [`LossSweep`].
+pub fn loss_sweep() -> LossSweep {
+    let (d, gamma) = LOSS_SWEEP;
+    let radix = Radix::new(vec![d, d]).expect("valid dims");
+    let plan = SuperPlan::new(&radix, &[0]).expect("valid target");
+    let channel = KrausChannel::photon_loss(d, gamma).expect("valid loss probability");
+    let sup = SuperPlan::kraus_superop(channel.operators()).expect("square Kraus operators");
+    let kind = OpKind::classify(&sup);
+    let compressed = RowCompressed::from_dense(&sup, Complex64::ONE);
+    let amp = c64(0.5, 0.0);
+    let mut psi = vec![Complex64::ZERO; d * d];
+    for idx in [0, 1, d, d + 1] {
+        psi[idx] = amp;
+    }
+    let state = QuditState::from_amplitudes(vec![d, d], psi).expect("normalised state");
+    LossSweep { plan, sup, kind, compressed, rho: DensityMatrix::from_pure(&state) }
+}
 
 /// The common workload: the [`SQED`] chain.
 pub fn sqed() -> Circuit {

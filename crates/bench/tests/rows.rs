@@ -50,6 +50,22 @@ fn superop_batching_engages_and_matches_the_per_term_path() {
 }
 
 #[test]
+fn compressed_loss_sweep_matches_the_dense_sweep() {
+    // `superop_sweep_sparse`: the superoperator is dense by class but
+    // mostly zeros, and both sides compute the same sweep.
+    let w = rows::loss_sweep();
+    assert_eq!(w.kind, qudit_core::OpKind::Dense);
+    assert_eq!(w.compressed.nnz(), 55, "photon loss at d = 5 has 55 nonzero superop entries");
+    let mut dense = w.rho.matrix().as_slice().to_vec();
+    w.plan.apply(&w.kind, &w.sup, &mut dense, 1, &mut Vec::new()).unwrap();
+    let mut sparse = w.rho.matrix().as_slice().to_vec();
+    w.plan.apply_compressed(&w.compressed, &mut sparse, 1, &mut Vec::new()).unwrap();
+    let diff = dense.iter().zip(&sparse).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
+    assert!(diff < 1e-12, "compressed and dense sweeps differ by {diff}");
+    assert!(dense != w.rho.matrix().as_slice(), "the sweep must change the excited state");
+}
+
+#[test]
 fn wire_local_syndrome_plan_crosses_readouts_and_matches_unfused() {
     // `syndrome_extraction_wire_local`.
     let (rounds, seed) = rows::SYNDROME;

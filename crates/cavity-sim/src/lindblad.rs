@@ -27,7 +27,7 @@
 //!
 //! Cavity operators are sparse: ladder, number and hopping terms have `O(N)`
 //! nonzeros in an `N × N` space. `G`, `G†` and every `L_k`, `L_k†` are
-//! therefore stored row-compressed (row starts plus `(column, value)`
+//! therefore stored as [`RowCompressed`] (row starts plus `(column, value)`
 //! entries), and every product in the right-hand side is a sparse × dense
 //! product, `out += A·ρ` or `out += ρ·A`, costing `O(nnz · N)` instead of a
 //! dense `O(N³)` one. Scalars are folded into the stored operators (`γ_k`
@@ -43,68 +43,9 @@ use qudit_core::density::DensityMatrix;
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::{embed_operator, Radix};
+use qudit_core::sparse::RowCompressed;
 
 use crate::error::{CavityError, Result};
-
-/// A square operator in row-compressed form: row `i`'s nonzero entries are
-/// `entries[row_start[i]..row_start[i + 1]]`, each a `(column, value)`
-/// pair in ascending column order.
-#[derive(Debug, Clone)]
-struct RowCompressed {
-    row_start: Vec<usize>,
-    entries: Vec<(usize, Complex64)>,
-}
-
-impl RowCompressed {
-    /// The nonzero entries of `s · m`.
-    fn from_dense(m: &CMatrix, s: Complex64) -> Self {
-        let mut row_start = Vec::with_capacity(m.rows() + 1);
-        let mut entries = Vec::new();
-        row_start.push(0);
-        for i in 0..m.rows() {
-            let row = m.row(i).iter().enumerate();
-            entries.extend(row.filter(|(_, v)| **v != Complex64::ZERO).map(|(j, &v)| (j, s * v)));
-            row_start.push(entries.len());
-        }
-        Self { row_start, entries }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[(usize, Complex64)] {
-        &self.entries[self.row_start[i]..self.row_start[i + 1]]
-    }
-
-    /// `out += A · x` for `A = self`: each output row gathers the rows of
-    /// `x` named by the corresponding row of `A`.
-    fn add_left_product(&self, x: &CMatrix, out: &mut CMatrix) {
-        let n = x.cols();
-        let xs = x.as_slice();
-        for (i, orow) in out.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            for &(k, a) in self.row(i) {
-                for (o, &b) in orow.iter_mut().zip(&xs[k * n..(k + 1) * n]) {
-                    *o = a.mul_add(b, *o);
-                }
-            }
-        }
-    }
-
-    /// `out += x · A` for `A = self`: each nonzero `x[i, k]` scatters row `k`
-    /// of `A` into output row `i`.
-    fn add_right_product(&self, x: &CMatrix, out: &mut CMatrix) {
-        let n = x.cols();
-        let rows = out.as_mut_slice().chunks_exact_mut(n).zip(x.as_slice().chunks_exact(n));
-        for (orow, xrow) in rows {
-            for (k, &xk) in xrow.iter().enumerate() {
-                if xk == Complex64::ZERO {
-                    continue;
-                }
-                for &(j, a) in self.row(k) {
-                    orow[j] = xk.mul_add(a, orow[j]);
-                }
-            }
-        }
-    }
-}
 
 /// A collapse operator `L` and its rate-weighted adjoint `γ L†`, both
 /// row-compressed, so its jump term `γ (L ρ) L†` is two unscaled products;

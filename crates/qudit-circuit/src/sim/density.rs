@@ -324,28 +324,49 @@ impl DensityMatrixSimulator {
                          rho: &mut DensityMatrix,
                          monitor: &mut HealthMonitor| {
             match step {
-                DensityStep::Unitary { plan, kind, op } => {
-                    let (kind, op) = compiled.binds.resolve(&mut bind_cursor, step_index, kind, op);
-                    rho.apply_unitary_prepared(plan, kind, op, &mut scratch)
+                DensityStep::Unitary { plan, kind, op, conj } => {
+                    let (kind, op, conj) = match compiled.binds.entry(&mut bind_cursor, step_index)
+                    {
+                        Some(o) => {
+                            let conj = o.conj.as_ref().ok_or_else(|| {
+                                CircuitError::InvalidGate(format!(
+                                    "binding of sandwich step {step_index} lacks its column factor"
+                                ))
+                            })?;
+                            (&o.kind, &o.op, conj)
+                        }
+                        None => (kind, op, conj),
+                    };
+                    rho.apply_unitary_prepared(plan, kind, op, conj, &mut scratch)
                         .map_err(CircuitError::Core)?;
                 }
-                DensityStep::Super { plan, kind, sup, fallback, defect_tol } => {
+                DensityStep::Super { plan, kind, sup, compressed, fallback, defect_tol } => {
+                    // Only binding-independent sweeps carry a compressed
+                    // form, so an override never meets one.
                     let (kind, sup) =
                         compiled.binds.resolve(&mut bind_cursor, step_index, kind, sup);
+                    let compressed = compressed.as_ref();
                     // Fault injection corrupts a *clone* of the sweep, so the
-                    // fallback path below reproduces the clean result.
+                    // fallback path below reproduces the clean result. A
+                    // compressed sweep runs the corrupted clone compressed.
                     #[cfg(feature = "fault-inject")]
                     let corrupted =
                         qudit_core::guard::inject::superop_corruption(step_index).map(|delta| {
                             let mut c = sup.clone();
                             c[(0, 0)] += qudit_core::complex::c64(delta, 0.0);
                             let kind = qudit_core::apply::OpKind::classify(&c);
-                            (c, kind)
+                            let rc = compressed.map(|_| {
+                                qudit_core::sparse::RowCompressed::from_dense(
+                                    &c,
+                                    qudit_core::complex::Complex64::ONE,
+                                )
+                            });
+                            (c, kind, rc)
                         });
                     #[cfg(feature = "fault-inject")]
-                    let (sup, kind) = match &corrupted {
-                        Some((c, k)) => (c, k),
-                        None => (sup, kind),
+                    let (sup, kind, compressed) = match &corrupted {
+                        Some((c, k, rc)) => (c, k, rc.as_ref()),
+                        None => (sup, kind, compressed),
                     };
                     let mut degraded = false;
                     if monitor.is_enabled()
@@ -380,8 +401,18 @@ impl DensityMatrixSimulator {
                         }
                     }
                     if !degraded {
-                        rho.apply_superop_prepared(plan, kind, sup, threads, &mut scratch)
-                            .map_err(CircuitError::Core)?;
+                        match compressed {
+                            Some(rc) => plan.apply_compressed(
+                                rc,
+                                rho.matrix_mut().as_mut_slice(),
+                                threads,
+                                &mut scratch,
+                            ),
+                            None => {
+                                rho.apply_superop_prepared(plan, kind, sup, threads, &mut scratch)
+                            }
+                        }
+                        .map_err(CircuitError::Core)?;
                     }
                 }
                 DensityStep::Kraus(ch) => {

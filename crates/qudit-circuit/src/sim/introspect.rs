@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::matrix::CMatrix;
+use qudit_core::sparse::RowCompressed;
 use qudit_core::superop::{SandwichPlan, SuperPlan};
 
 use crate::error::Result;
@@ -182,7 +183,7 @@ impl<'a> PlanView<'a> {
     /// classification)` triples, ascending by step (empty = the compile-time
     /// all-zero binding).
     pub fn overrides(&self) -> impl Iterator<Item = (usize, &'a CMatrix, &'a OpKind)> {
-        self.compiled.binds.overrides.iter().map(|(s, op, kind)| (*s, op, kind))
+        self.compiled.binds.overrides.iter().map(|o| (o.step, &o.op, &o.kind))
     }
 }
 
@@ -224,6 +225,9 @@ pub enum DensityStepView<'a> {
         sup: &'a CMatrix,
         /// The compile-time classification.
         kind: &'a OpKind,
+        /// `sup` row-compressed, when the compiler chose to run the sweep in
+        /// that form (see `SuperopConfig::COMPRESS_FILL`).
+        compressed: Option<&'a RowCompressed>,
         /// Number of recorded degradation constituents (zero for
         /// parameter-dependent sweeps).
         fallback_len: usize,
@@ -278,12 +282,15 @@ impl<'a> DensityPlanView<'a> {
     /// Panics if `index` is out of range.
     pub fn step(&self, index: usize) -> DensityStepView<'a> {
         match &self.kernels.steps[index] {
-            DensityStep::Unitary { plan, kind, op } => DensityStepView::Unitary { plan, op, kind },
-            DensityStep::Super { plan, kind, sup, fallback, defect_tol } => {
+            DensityStep::Unitary { plan, kind, op, .. } => {
+                DensityStepView::Unitary { plan, op, kind }
+            }
+            DensityStep::Super { plan, kind, sup, compressed, fallback, defect_tol } => {
                 DensityStepView::Super {
                     plan,
                     sup,
                     kind,
+                    compressed: compressed.as_ref(),
                     fallback_len: fallback.len(),
                     defect_tol: *defect_tol,
                 }
@@ -326,7 +333,7 @@ impl<'a> DensityPlanView<'a> {
 
     /// This handle's binding overlay (see [`PlanView::overrides`]).
     pub fn overrides(&self) -> impl Iterator<Item = (usize, &'a CMatrix, &'a OpKind)> {
-        self.compiled.binds.overrides.iter().map(|(s, op, kind)| (*s, op, kind))
+        self.compiled.binds.overrides.iter().map(|o| (o.step, &o.op, &o.kind))
     }
 }
 
@@ -427,4 +434,25 @@ pub fn corrupt_density_scale_super(
         panic!("corrupt_density_scale_super requires a superoperator sweep");
     };
     sup.scale_inplace(qudit_core::complex::c64(factor, 0.0));
+}
+
+/// Adds `delta` to the `entry`-th stored entry of a density sweep's
+/// row-compressed superoperator, as a compression that drifted from its
+/// dense matrix would.
+///
+/// # Panics
+/// Panics if step `index` is not a compressed superoperator sweep or
+/// `entry` is out of range.
+#[doc(hidden)]
+pub fn corrupt_density_compressed_entry(
+    compiled: &mut CompiledDensityCircuit,
+    index: usize,
+    entry: usize,
+    delta: f64,
+) {
+    let kernels = Arc::make_mut(&mut compiled.topology);
+    let DensityStep::Super { compressed: Some(rc), .. } = &mut kernels.steps[index] else {
+        panic!("corrupt_density_compressed_entry requires a compressed superoperator sweep");
+    };
+    rc.perturb_entry(entry, qudit_core::complex::c64(delta, 0.0));
 }

@@ -491,7 +491,7 @@ impl CircuitKernels {
             if let ExecStep::Apply { recipe: Some(recipe), .. } = step {
                 let op = recipe.realize(params)?;
                 let kind = OpKind::classify(&op);
-                overrides.push((index, op, kind));
+                overrides.push(Override { step: index, op, kind, conj: None });
             }
         }
         binds.overrides = overrides;
@@ -541,7 +541,7 @@ impl CircuitKernels {
                         (op, kind)
                     }
                 };
-                cols[b].overrides.push((index, op, kind));
+                cols[b].overrides.push(Override { step: index, op, kind, conj: None });
             }
         }
         Ok(cols)
@@ -561,15 +561,38 @@ impl CircuitKernels {
 /// step it is resolving.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BindBuffers {
-    /// `(step index, realized operator, exact classification)`, ascending.
-    pub overrides: Vec<(usize, CMatrix, OpKind)>,
+    /// One entry per re-materialised step, ascending by step index.
+    pub overrides: Vec<Override>,
+}
+
+/// One re-materialised step of a [`BindBuffers`] overlay.
+#[derive(Debug, Clone)]
+pub(crate) struct Override {
+    pub step: usize,
+    /// The realized operator (or composed superoperator).
+    pub op: CMatrix,
+    /// Its exact classification.
+    pub kind: OpKind,
+    /// The column-side factor `conj(op)` of a density sandwich step (see
+    /// [`SandwichPlan::column_factor`]); `None` on every other step.
+    pub conj: Option<(CMatrix, OpKind)>,
 }
 
 impl BindBuffers {
+    /// The override of `step`, if the binding re-materialised it. `cursor`
+    /// must start at zero and be advanced only by this method (or
+    /// [`BindBuffers::resolve`]), with `step` values in ascending order (the
+    /// run-loop access pattern).
+    pub fn entry(&self, cursor: &mut usize, step: usize) -> Option<&Override> {
+        while *cursor < self.overrides.len() && self.overrides[*cursor].step < step {
+            *cursor += 1;
+        }
+        self.overrides.get(*cursor).filter(|o| o.step == step)
+    }
+
     /// Resolves the operator of `step`: the override when the binding
-    /// re-materialised this step, the compiled base otherwise. `cursor` must
-    /// start at zero and be advanced only by this method, with `step` values
-    /// in ascending order (the run-loop access pattern).
+    /// re-materialised this step, the compiled base otherwise (cursor rules
+    /// as in [`BindBuffers::entry`]).
     pub fn resolve<'a>(
         &'a self,
         cursor: &mut usize,
@@ -577,12 +600,9 @@ impl BindBuffers {
         base_kind: &'a OpKind,
         base_op: &'a CMatrix,
     ) -> (&'a OpKind, &'a CMatrix) {
-        while *cursor < self.overrides.len() && self.overrides[*cursor].0 < step {
-            *cursor += 1;
-        }
-        match self.overrides.get(*cursor) {
-            Some((s, op, kind)) if *s == step => (kind, op),
-            _ => (base_kind, base_op),
+        match self.entry(cursor, step) {
+            Some(o) => (&o.kind, &o.op),
+            None => (base_kind, base_op),
         }
     }
 }
@@ -604,6 +624,7 @@ pub(crate) struct RunScratch {
 // Density-side compilation: superoperator batching over vectorised ρ.
 // --------------------------------------------------------------------------
 
+use qudit_core::sparse::RowCompressed;
 use qudit_core::superop::{SandwichPlan, SuperPlan};
 use qudit_core::Radix;
 
@@ -634,9 +655,32 @@ impl Default for SuperopConfig {
 }
 
 impl SuperopConfig {
+    /// Largest nonzero fraction at which the density compiler stores a
+    /// binding-independent, [`OpKind::Dense`] superoperator sweep
+    /// row-compressed as well (it then runs through
+    /// [`SuperPlan::apply_compressed`]): a `k² × k²` superoperator is
+    /// compressed when `nnz ≤ COMPRESS_FILL · k⁴`. A constant, not a setting,
+    /// set from a paired sweep of compressed against dense sweeps at
+    /// `k² ∈ {9, 16, 25, 81, 256}`: the compressed sweep ran 1.4–1.7× faster
+    /// at fill 0.5, 1.05–1.3× at fill 0.7 and broke even near 0.85, so 0.5
+    /// keeps a clear margin on every size measured.
+    pub const COMPRESS_FILL: f64 = 0.5;
+
     /// A configuration with batching switched off (per-term execution).
     pub fn disabled() -> Self {
         Self { enabled: false, ..Self::default() }
+    }
+
+    /// The compressed form of a sweep's superoperator `sup` of exact class
+    /// `kind`, when the compiler stores one: `kind` is dense and at most
+    /// [`SuperopConfig::COMPRESS_FILL`] of its entries are nonzero.
+    pub(crate) fn compress(sup: &CMatrix, kind: &OpKind) -> Option<RowCompressed> {
+        if !matches!(kind, OpKind::Dense) {
+            return None;
+        }
+        let compressed = RowCompressed::from_dense(sup, Complex64::ONE);
+        let entries = (sup.rows() * sup.cols()) as f64;
+        (compressed.nnz() as f64 <= Self::COMPRESS_FILL * entries).then_some(compressed)
     }
 }
 
@@ -680,8 +724,9 @@ pub(crate) struct DensityChannel {
 #[derive(Debug, Clone)]
 pub(crate) enum DensityStep {
     /// A standalone deterministic map, applied as the two-sided sandwich
-    /// `ρ → U ρ U†` (cheaper than its superoperator for `k > 2`).
-    Unitary { plan: SandwichPlan, kind: OpKind, op: CMatrix },
+    /// `ρ → U ρ U†` (cheaper than its superoperator for `k > 2`). `conj` is
+    /// the sandwich's column-side factor `conj(U)` with its classification.
+    Unitary { plan: SandwichPlan, kind: OpKind, op: CMatrix, conj: (CMatrix, OpKind) },
     /// One superoperator sweep over vectorised ρ: a whole channel — possibly
     /// with folded adjacent unitaries and further channels — in one pass.
     /// `fallback` records the constituent operations in program order so a
@@ -692,10 +737,14 @@ pub(crate) enum DensityStep {
     /// hard instead). `defect_tol` is the compile-time trace-preservation
     /// allowance (base tolerance plus the constituents' construction
     /// tolerances, so intentionally lossy channels stay legal).
+    /// `compressed` is `sup` row-compressed, present exactly when the sweep
+    /// is binding-independent and [`SuperopConfig::compress`] selects it; the
+    /// run loop then sweeps the compressed form.
     Super {
         plan: SuperPlan,
         kind: OpKind,
         sup: CMatrix,
+        compressed: Option<RowCompressed>,
         fallback: Vec<SuperFallback>,
         defect_tol: f64,
     },
@@ -1027,12 +1076,13 @@ impl DensityKernels {
                 DensityRecipe::Sandwich { step, recipe } => {
                     let op = recipe.realize(params)?;
                     let kind = OpKind::classify(&op);
-                    overrides.push((*step, op, kind));
+                    let conj = Some(SandwichPlan::column_factor(&op));
+                    overrides.push(Override { step: *step, op, kind, conj });
                 }
                 DensityRecipe::Super { step, parts, targets } => {
-                    let sup = compose_super_parts(parts, params, targets, &self.dims)?;
-                    let kind = OpKind::classify(&sup);
-                    overrides.push((*step, sup, kind));
+                    let op = compose_super_parts(parts, params, targets, &self.dims)?;
+                    let kind = OpKind::classify(&op);
+                    overrides.push(Override { step: *step, op, kind, conj: None });
                 }
             }
         }
@@ -1088,7 +1138,8 @@ impl DensityFrontier<'_> {
                 }
                 self.stats.unitary_steps += 1;
                 let plan = SandwichPlan::new(self.radix, &targets).map_err(CircuitError::Core)?;
-                self.steps.push(DensityStep::Unitary { plan, kind, op });
+                let conj = SandwichPlan::column_factor(&op);
+                self.steps.push(DensityStep::Unitary { plan, kind, op, conj });
             }
             DensityItem::Channel { kernel, .. } => {
                 self.stats.kraus_steps += 1;
@@ -1174,6 +1225,9 @@ impl DensityFrontier<'_> {
         }
         let plan = SuperPlan::new(self.radix, &block.targets).map_err(CircuitError::Core)?;
         let kind = OpKind::classify(&sup);
+        // A rebind replaces a parametric sweep's matrix, so only constant
+        // sweeps carry a compressed form.
+        let compressed = if parametric { None } else { SuperopConfig::compress(&sup, &kind) };
         self.stats.super_steps += 1;
         self.stats.max_super_dim = self.stats.max_super_dim.max(block.sub_dim);
         if ids.len() >= 2 {
@@ -1188,7 +1242,7 @@ impl DensityFrontier<'_> {
             });
         }
         self.step_items.push(ids);
-        self.steps.push(DensityStep::Super { plan, kind, sup, fallback, defect_tol });
+        self.steps.push(DensityStep::Super { plan, kind, sup, compressed, fallback, defect_tol });
         Ok(())
     }
 

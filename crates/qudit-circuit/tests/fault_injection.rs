@@ -9,6 +9,8 @@
 
 use qudit_circuit::error::CircuitError;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
+use qudit_circuit::sim::introspect::{self, DensityStepView};
+use qudit_circuit::sim::CompiledDensityCircuit;
 use qudit_circuit::sim::{
     CancelReason, CancelToken, DensityMatrixSimulator, GuardConfig, GuardPolicy, HealthMetric,
     RunHealth, RunOutput, StatevectorSimulator, TrajectoryEstimate, TrajectorySimulator,
@@ -16,6 +18,8 @@ use qudit_circuit::sim::{
 use qudit_circuit::{Circuit, Gate, Observable};
 use qudit_core::error::CoreError;
 use qudit_core::guard::inject::{self, Fault};
+use qudit_core::random::haar_state;
+use qudit_core::DensityMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -211,6 +215,59 @@ fn superop_corruption_detected_by_checkpoint_under_fail_policy() {
     let err = sim.run_compiled(&compiled, None).unwrap_err();
     inject::disarm_all();
     // The corrupted sweep inflates the trace; the cadence checkpoint flags it.
+    assert_health_error(err, HealthMetric::Trace);
+}
+
+/// Photon loss alone on both modes of a 2-qudit register, from an excited
+/// state: each channel compiles to a row-compressed sweep (14 of 81
+/// superoperator entries are nonzero), so the corruption tests below reach
+/// the compressed kernel.
+fn compressed_loss_plan(sim: &DensityMatrixSimulator) -> (CompiledDensityCircuit, DensityMatrix) {
+    let mut c = Circuit::uniform(2, 3);
+    c.push_channel(KrausChannel::photon_loss(3, 0.2).unwrap(), &[0]).unwrap();
+    c.push_channel(KrausChannel::photon_loss(3, 0.2).unwrap(), &[1]).unwrap();
+    let compiled = sim.compile(&c).unwrap();
+    let view = introspect::density(&compiled);
+    assert_eq!(view.num_steps(), 2);
+    for s in 0..view.num_steps() {
+        assert!(
+            matches!(view.step(s), DensityStepView::Super { compressed: Some(_), .. }),
+            "step {s} must be a compressed sweep"
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(77);
+    let initial = DensityMatrix::from_pure(&haar_state(&mut rng, vec![3, 3]).unwrap());
+    (compiled, initial)
+}
+
+#[test]
+fn compressed_superop_corruption_triggers_fallback_and_reproduces_clean_result() {
+    let plain = DensityMatrixSimulator::new();
+    let (compiled, initial) = compressed_loss_plan(&plain);
+    let (clean, _) = plain.run_compiled(&compiled, Some(&initial)).unwrap();
+
+    let guarded = DensityMatrixSimulator::new()
+        .with_guard(GuardConfig::enabled().with_policy(GuardPolicy::FallBack));
+    inject::arm(Fault::SuperopCorrupt { step: 1, delta: 0.5 });
+    let (rho, health) = guarded.run_compiled(&compiled, Some(&initial)).unwrap();
+    inject::disarm_all();
+    assert_eq!(health.fallbacks, 1, "fallback not engaged: {health:?}");
+    assert!(
+        (rho.matrix() - clean.matrix()).max_abs() < 1e-12,
+        "fallback result diverged from clean run"
+    );
+}
+
+#[test]
+fn compressed_superop_corruption_detected_by_checkpoint_under_fail_policy() {
+    // Fail policy has no pre-sweep check: the corrupted matrix runs through
+    // the compressed kernel, and only its inflated trace shows the fault.
+    let sim = DensityMatrixSimulator::new().with_guard(GuardConfig::enabled());
+    let (compiled, initial) = compressed_loss_plan(&sim);
+    sim.run_compiled(&compiled, Some(&initial)).unwrap();
+    inject::arm(Fault::SuperopCorrupt { step: 0, delta: 0.5 });
+    let err = sim.run_compiled(&compiled, Some(&initial)).unwrap_err();
+    inject::disarm_all();
     assert_health_error(err, HealthMetric::Trace);
 }
 

@@ -9,10 +9,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
-use qudit_circuit::sim::{DensityMatrixSimulator, FusionConfig, SuperopConfig};
+use qudit_circuit::sim::introspect::{self, DensityStepView};
+use qudit_circuit::sim::{
+    CompiledDensityCircuit, DensityMatrixSimulator, FusionConfig, SuperopConfig,
+};
 use qudit_circuit::{Circuit, Gate};
-use qudit_core::random::haar_unitary;
-use qudit_core::DensityMatrix;
+use qudit_core::random::{haar_state, haar_unitary};
+use qudit_core::{Complex64, DensityMatrix};
 
 const TOL: f64 = 1e-12;
 
@@ -298,4 +301,79 @@ fn measurement_compiles_to_diagonal_superop_sweeps() {
     compare(&c, &NoiseModel::noiseless(), "measurement dephasing");
     let compiled = DensityMatrixSimulator::new().compile(&c).unwrap();
     assert!(compiled.superop_stats().super_steps >= 1);
+}
+
+/// Number of row-compressed superoperator sweeps in a compiled plan.
+fn compressed_sweeps(plan: &CompiledDensityCircuit) -> usize {
+    let view = introspect::density(plan);
+    (0..view.num_steps())
+        .filter(|&s| matches!(view.step(s), DensityStepView::Super { compressed: Some(_), .. }))
+        .count()
+}
+
+#[test]
+fn compressed_sweeps_equal_per_term_on_lossy_circuits() {
+    // Cavity noise puts photon loss after every gate. A loss superoperator
+    // (alone, or folded with a diagonal or monomial gate) is dense by class
+    // but mostly zeros, so those sweeps compile row-compressed; the per-term
+    // path shares none of that code.
+    let mut total = 0usize;
+    for trial in 0..10 {
+        let mut rng = StdRng::seed_from_u64(9700 + trial);
+        let dims = random_dims(&mut rng);
+        let mut c = Circuit::new(dims.clone());
+        for _ in 0..8 {
+            push_random_gate(&mut c, &dims, &mut rng);
+            if rng.gen::<f64>() < 0.3 {
+                push_random_channel(&mut c, &dims, &mut rng);
+            }
+        }
+        let noise = NoiseModel::cavity(0.05, 0.1, 0.0);
+        let plan = DensityMatrixSimulator::new().with_noise(noise.clone()).compile(&c).unwrap();
+        total += compressed_sweeps(&plan);
+        compare(&c, &noise, &format!("lossy trial {trial}"));
+    }
+    assert!(total > 0, "no lossy circuit compiled a compressed sweep");
+}
+
+#[test]
+fn sweeps_run_in_the_form_the_fill_rule_selects() {
+    // A mixture of two random unitaries has a fully dense superoperator, so
+    // its sweep stays dense and runs bitwise like `apply_superop_prepared`;
+    // photon loss (14 of 81 entries nonzero at d = 3) runs compressed,
+    // bitwise like `SuperPlan::apply_compressed`.
+    let mut rng = StdRng::seed_from_u64(9800);
+    let (u, v) = (haar_unitary(&mut rng, 3).unwrap(), haar_unitary(&mut rng, 3).unwrap());
+    let mixture = KrausChannel::new(
+        "mixture",
+        vec![3],
+        vec![u.scaled_real(0.6f64.sqrt()), v.scaled_real(0.4f64.sqrt())],
+    )
+    .unwrap();
+    let loss = KrausChannel::photon_loss(3, 0.3).unwrap();
+    let initial = DensityMatrix::from_pure(&haar_state(&mut rng, vec![3, 2]).unwrap());
+    for (channel, expect_compressed) in [(mixture, false), (loss, true)] {
+        let mut c = Circuit::new(vec![3, 2]);
+        c.push_channel(channel, &[0]).unwrap();
+        let sim = DensityMatrixSimulator::new();
+        let plan = sim.compile(&c).unwrap();
+        let view = introspect::density(&plan);
+        assert_eq!(view.num_steps(), 1);
+        let DensityStepView::Super { plan: sweep, sup, kind, compressed, .. } = view.step(0) else {
+            panic!("a lone multi-operator channel compiles to one sweep");
+        };
+        let nonzeros = sup.as_slice().iter().filter(|v| **v != Complex64::ZERO).count();
+        let entries = (sup.rows() * sup.cols()) as f64;
+        assert_eq!(nonzeros as f64 <= SuperopConfig::COMPRESS_FILL * entries, expect_compressed);
+        assert_eq!(compressed.is_some(), expect_compressed);
+        let (ran, _) = sim.run_compiled(&plan, Some(&initial)).unwrap();
+        let mut direct = initial.clone();
+        match compressed {
+            Some(rc) => sweep
+                .apply_compressed(rc, direct.matrix_mut().as_mut_slice(), 1, &mut Vec::new())
+                .unwrap(),
+            None => direct.apply_superop_prepared(sweep, kind, sup, 1, &mut Vec::new()).unwrap(),
+        }
+        assert_eq!(ran.matrix().as_slice(), direct.matrix().as_slice());
+    }
 }

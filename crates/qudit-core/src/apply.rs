@@ -22,6 +22,14 @@
 //! dense operator for a structured one; gates constructed by the gate
 //! library produce exact zeros in their sparsity patterns.
 //!
+//! A dense operator that is still mostly zeros (the superoperator of a
+//! photon-loss channel) can also run row-compressed
+//! ([`ApplyPlan::apply_compressed`]): per block, a gather, one compressed
+//! row product per output and a scatter. That is an execution form chosen
+//! by the caller, not a fourth [`OpKind`]: which nonzero fraction pays
+//! depends on the caller's cost trade-off, whereas the three kinds are exact
+//! structural facts of the matrix.
+//!
 //! The same plan drives measurement-side kernels: marginal probabilities,
 //! collapse, expectation values, reduced density matrices and Kraus-branch
 //! norms, all without the per-amplitude digit decompositions the seed used.
@@ -30,6 +38,7 @@ use crate::complex::Complex64;
 use crate::error::{CoreError, Result};
 use crate::matrix::CMatrix;
 use crate::radix::Radix;
+use crate::sparse::RowCompressed;
 
 /// Dot product `Σ_c a[c] · b[c]` with four independent accumulators, so the
 /// complex multiply-add latency chain is a quarter as deep as a single
@@ -210,6 +219,15 @@ impl OpKind {
     }
 }
 
+/// The operator one sweep applies: a dense-stored operator with its exact
+/// classification, or a row-compressed one. Every kernel arm of
+/// [`ApplyPlan`] dispatches on it.
+#[derive(Clone, Copy)]
+enum Sweep<'a> {
+    Classified(&'a OpKind, &'a CMatrix),
+    Compressed(&'a RowCompressed),
+}
+
 /// A reusable stride plan for one `(register, targets)` pair (see module
 /// docs). Plans are immutable after construction and `Sync`, so one plan can
 /// serve many threads; per-thread mutable scratch is passed into the kernels.
@@ -378,29 +396,45 @@ impl ApplyPlan {
     }
 
     /// Number of independently-updatable work units the apply kernels
-    /// iterate for this `(plan, kind)` pair: the contiguous panel count for
-    /// the uniform-stride dense fast path, the spectator-block count
-    /// otherwise. [`ApplyPlan::apply_parallel`] chunks this range.
-    fn parallel_units(&self, kind: &OpKind) -> usize {
-        match (kind, self.uniform_stride) {
-            (OpKind::Dense, Some(s)) if s > 1 => self.total_dim / (self.sub_dim * s),
+    /// iterate for this sweep: the contiguous panel count for the
+    /// uniform-stride dense fast path, the spectator-block count otherwise.
+    /// [`ApplyPlan::apply_parallel`] chunks this range.
+    fn parallel_units(&self, sweep: Sweep<'_>) -> usize {
+        match (sweep, self.uniform_stride) {
+            (Sweep::Classified(OpKind::Dense, _), Some(s)) if s > 1 => {
+                self.total_dim / (self.sub_dim * s)
+            }
             _ => self.spectator_count,
         }
     }
 
-    /// Applies `op` to the work units in `units` (see
+    /// Applies the sweep's operator to the work units in `units` (see
     /// [`ApplyPlan::parallel_units`]) of an amplitude slice: the one apply
     /// kernel body. Each unit's update reads and writes only that unit's
     /// indices, so any partition of the unit range reproduces the serial
-    /// result ([`ApplyPlan::apply`], which runs all units) bitwise.
+    /// result (which runs all units) bitwise.
     fn apply_units(
         &self,
-        kind: &OpKind,
-        op: &CMatrix,
+        sweep: Sweep<'_>,
         data: &mut [Complex64],
         units: std::ops::Range<usize>,
         scratch: &mut Vec<Complex64>,
     ) {
+        let (kind, op) = match sweep {
+            Sweep::Classified(kind, op) => (kind, op),
+            Sweep::Compressed(op) => {
+                scratch.resize(self.sub_dim, Complex64::ZERO);
+                self.for_each_block_range(units.start, units.end, |base| {
+                    for (j, slot) in scratch.iter_mut().enumerate() {
+                        *slot = data[base + self.sub_offsets[j]];
+                    }
+                    for (row, &off) in self.sub_offsets.iter().enumerate() {
+                        data[base + off] = op.row_dot(row, scratch);
+                    }
+                });
+                return;
+            }
+        };
         match kind {
             OpKind::Diagonal(diag) => {
                 if let Some(s) = self.uniform_stride {
@@ -498,15 +532,14 @@ impl ApplyPlan {
     /// Parallel variant of [`ApplyPlan::apply`]: the independent work units
     /// (spectator blocks, or contiguous panels on the uniform-stride dense
     /// path) are split into contiguous chunks evaluated on the
-    /// [`crate::par`] worker pool. Runs [`ApplyPlan::apply`] with the
-    /// caller's `scratch` when `threads <= 1` or the work is too small to
-    /// amortise dispatch. Because every unit's update is confined to that
-    /// unit's indices and performs the same arithmetic as the serial kernel,
-    /// the result is **bitwise identical** for every thread count.
+    /// [`crate::par`] worker pool. Runs serially in the caller's `scratch`
+    /// when `threads <= 1` or the work is too small to amortise dispatch.
+    /// Because every unit's update is confined to that unit's indices and
+    /// performs the same arithmetic as the serial kernel, the result is
+    /// **bitwise identical** for every thread count.
     ///
     /// # Errors
     /// Returns an error if `op` or the slice have the wrong dimension.
-    #[allow(unsafe_code)] // disjoint-unit writes through a shared pointer; see SAFETY below
     pub fn apply_parallel(
         &self,
         kind: &OpKind,
@@ -515,21 +548,57 @@ impl ApplyPlan {
         threads: usize,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
+        self.sweep(Sweep::Classified(kind, op), amps, threads, scratch)
+    }
+
+    /// Applies a row-compressed operator: per block, gather the `sub_dim`
+    /// amplitudes, write one compressed row product per output, scatter
+    /// back. It costs `nnz` multiply-adds per block against `sub_dim²` for
+    /// the dense gather kernel, so it pays for a dense operator that is
+    /// still mostly zeros. The blocks are chunked across up to `threads`
+    /// pool workers exactly as in [`ApplyPlan::apply_parallel`], so the
+    /// result is **bitwise identical** for every thread count.
+    ///
+    /// # Errors
+    /// Returns an error if `op` is not `sub_dim × sub_dim` or the slice does
+    /// not hold the register.
+    pub fn apply_compressed(
+        &self,
+        op: &RowCompressed,
+        amps: &mut [Complex64],
+        threads: usize,
+        scratch: &mut Vec<Complex64>,
+    ) -> Result<()> {
+        self.sweep(Sweep::Compressed(op), amps, threads, scratch)
+    }
+
+    /// The chunked dispatch behind [`ApplyPlan::apply_parallel`] and
+    /// [`ApplyPlan::apply_compressed`].
+    #[allow(unsafe_code)] // disjoint-unit writes through a shared pointer; see SAFETY below
+    fn sweep(
+        &self,
+        sweep: Sweep<'_>,
+        amps: &mut [Complex64],
+        threads: usize,
+        scratch: &mut Vec<Complex64>,
+    ) -> Result<()> {
         /// Minimum multiply-adds of total work before chunk dispatch pays.
         const MIN_PARALLEL_WORK: usize = 1 << 14;
-        let units = self.parallel_units(kind);
-        let work = match kind {
-            OpKind::Dense => self.total_dim * self.sub_dim,
-            _ => self.total_dim,
+        // Validate everything up front so no kernel (nor a pool worker) can
+        // index out of bounds or observe a shape mismatch.
+        self.check_sweep(sweep, amps.len())?;
+        let units = self.parallel_units(sweep);
+        let work = match sweep {
+            Sweep::Classified(OpKind::Dense, _) => self.total_dim * self.sub_dim,
+            Sweep::Classified(..) => self.total_dim,
+            Sweep::Compressed(op) => self.spectator_count * op.nnz(),
         };
         if threads <= 1 || units < 2 * threads || work < MIN_PARALLEL_WORK {
             // Serial fallback through the same per-unit kernels the chunked
             // path runs, so thread-count invariance holds by construction.
-            return self.apply(kind, op, amps, scratch);
+            self.apply_units(sweep, amps, 0..units, scratch);
+            return Ok(());
         }
-        // Validate everything up front so the pool workers cannot index out
-        // of bounds or observe a shape mismatch.
-        self.check_apply(kind, op, amps.len())?;
 
         /// A shareable raw view of the amplitude slice. Workers write
         /// pairwise-disjoint index sets, so the aliasing is benign.
@@ -561,7 +630,7 @@ impl ApplyPlan {
             // `par_map_threads` returns, so no access outlives `amps`.
             let data = unsafe { std::slice::from_raw_parts_mut(shared.ptr, shared.len) };
             let mut scratch = Vec::new();
-            self.apply_units(kind, op, data, start..end, &mut scratch);
+            self.apply_units(sweep, data, start..end, &mut scratch);
         });
         Ok(())
     }
@@ -589,15 +658,22 @@ impl ApplyPlan {
         Ok(())
     }
 
-    /// The shape checks of [`ApplyPlan::apply`]: the slice must hold the
-    /// register and the operator (or its classification) must span the
-    /// target subspace, so the per-unit kernels never index out of bounds.
-    fn check_apply(&self, kind: &OpKind, op: &CMatrix, len: usize) -> Result<()> {
+    /// The shape checks of every sweep: the slice must hold the register
+    /// and the operator (or its classification) must span the target
+    /// subspace, so the per-unit kernels never index out of bounds.
+    fn check_sweep(&self, sweep: Sweep<'_>, len: usize) -> Result<()> {
         self.check_span(len)?;
-        match kind {
-            OpKind::Diagonal(diag) => self.check_op(diag.len()),
-            OpKind::Monomial { rows, .. } => self.check_op(rows.len()),
-            OpKind::Dense => self.check_op_matrix(op),
+        match sweep {
+            Sweep::Classified(OpKind::Diagonal(diag), _) => self.check_op(diag.len()),
+            Sweep::Classified(OpKind::Monomial { rows, .. }, _) => self.check_op(rows.len()),
+            Sweep::Classified(OpKind::Dense, op) => self.check_op_matrix(op),
+            Sweep::Compressed(op) if op.rows() != self.sub_dim || op.cols() != self.sub_dim => {
+                Err(CoreError::ShapeMismatch {
+                    expected: format!("{0}x{0} operator", self.sub_dim),
+                    found: format!("{}x{} row-compressed", op.rows(), op.cols()),
+                })
+            }
+            Sweep::Compressed(_) => Ok(()),
         }
     }
 
@@ -615,9 +691,7 @@ impl ApplyPlan {
         amps: &mut [Complex64],
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        self.check_apply(kind, op, amps.len())?;
-        self.apply_units(kind, op, amps, 0..self.parallel_units(kind), scratch);
-        Ok(())
+        self.sweep(Sweep::Classified(kind, op), amps, 1, scratch)
     }
 
     /// Computes `‖op · ψ‖²` without materialising `op · ψ`: one sweep per
@@ -1052,6 +1126,14 @@ mod tests {
         for len in [5, 7, 12] {
             let mut amps = vec![Complex64::ONE; len];
             assert!(plan.apply(&kind, &x, &mut amps, &mut scratch).is_err(), "len {len}");
+        }
+        // The compressed kernel checks its operator's shape the same way,
+        // non-square included.
+        for wrong in [shift_x(3), CMatrix::from_fn(2, 3, |i, j| c64((i + j) as f64, 0.0))] {
+            let rc = RowCompressed::from_dense(&wrong, Complex64::ONE);
+            let mut amps = vec![Complex64::ONE; 6];
+            assert!(plan.apply_compressed(&rc, &mut amps, 1, &mut scratch).is_err());
+            assert!(amps.iter().all(|a| *a == Complex64::ONE), "state must be untouched");
         }
     }
 

@@ -198,13 +198,15 @@ impl DensityMatrix {
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) -> Result<()> {
         let plan = SandwichPlan::new(&self.radix, targets)?;
         let kind = OpKind::classify(u);
+        let conj = SandwichPlan::column_factor(u);
         let mut scratch = Vec::new();
-        Self::sandwich(&plan, u, &kind, &mut self.matrix, &mut scratch)
+        Self::sandwich(&plan, u, &kind, &conj, &mut self.matrix, &mut scratch)
     }
 
-    /// [`DensityMatrix::apply_unitary`] through a precomputed [`SandwichPlan`]
-    /// and [`OpKind`], the plan-reuse path the circuit simulators use:
-    /// `scratch` is caller-owned working memory.
+    /// [`DensityMatrix::apply_unitary`] through a precomputed [`SandwichPlan`],
+    /// [`OpKind`] and column-side factor `conj` (from
+    /// [`SandwichPlan::column_factor`]), the plan-reuse path the circuit
+    /// simulators use: `scratch` is caller-owned working memory.
     ///
     /// # Errors
     /// Returns an error if the plan or operator dimensions do not match.
@@ -213,9 +215,10 @@ impl DensityMatrix {
         plan: &SandwichPlan,
         kind: &OpKind,
         u: &CMatrix,
+        conj: &(CMatrix, OpKind),
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
-        Self::sandwich(plan, u, kind, &mut self.matrix, scratch)
+        Self::sandwich(plan, u, kind, conj, &mut self.matrix, scratch)
     }
 
     /// Applies a Kraus channel `ρ → Σ_k K_k ρ K_k†` on the listed targets.
@@ -231,7 +234,11 @@ impl DensityMatrix {
     }
 
     /// [`DensityMatrix::apply_kraus`] through a precomputed [`SandwichPlan`]
-    /// and per-operator [`OpKind`]s (plan-reuse path for the circuit simulators).
+    /// and per-operator [`OpKind`]s (plan-reuse path for the circuit
+    /// simulators). Each term's column factor `conj(K)` is derived per call:
+    /// storing it would double the plan memory of a many-term channel (the
+    /// 81 operators of two-qutrit depolarising noise), and this per-term path
+    /// is the reference rather than the hot path.
     ///
     /// # Errors
     /// Returns an error for invalid dimensions or an empty Kraus list.
@@ -255,11 +262,12 @@ impl DensityMatrix {
         let n = self.dim();
         let mut acc = CMatrix::zeros(n, n);
         let mut term = self.matrix.clone();
-        for (i, (k, kind)) in kraus.iter().zip(kinds.iter()).enumerate() {
+        for (i, (k, kind)) in kraus.iter().zip(kinds).enumerate() {
             if i > 0 {
                 term.as_mut_slice().copy_from_slice(self.matrix.as_slice());
             }
-            Self::sandwich(plan, k, kind, &mut term, scratch)?;
+            let conj = SandwichPlan::column_factor(k);
+            Self::sandwich(plan, k, kind, &conj, &mut term, scratch)?;
             acc += &term;
         }
         self.matrix = acc;
@@ -311,18 +319,18 @@ impl DensityMatrix {
     /// `m → K m K†` through a precomputed plan: two sweeps over `vec(m)`,
     /// the state of the doubled register. `K` acts on the row copy of the
     /// targets; the right action by `K†`, `(m K†)[i, j] = Σ_c m[i, c]
-    /// conj(K[j, c])`, is `conj(K)` on the column copy.
+    /// conj(K[j, c])`, is `conj(K)` (the precomputed `conj` factor) on the
+    /// column copy.
     fn sandwich(
         plan: &SandwichPlan,
         k: &CMatrix,
         kind: &OpKind,
+        (conj_k, conj_kind): &(CMatrix, OpKind),
         m: &mut CMatrix,
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
         plan.row.apply(kind, k, m.as_mut_slice(), scratch)?;
-        let conj_k = k.conj();
-        let conj_kind = OpKind::classify(&conj_k);
-        plan.col.apply(&conj_kind, &conj_k, m.as_mut_slice(), scratch)
+        plan.col.apply(conj_kind, conj_k, m.as_mut_slice(), scratch)
     }
 
     /// Diagonal of the density matrix: probabilities of each computational
@@ -364,7 +372,7 @@ impl DensityMatrix {
         }
         let n = self.dim();
         let data = self.matrix.as_slice();
-        let offsets = plan.sub_offsets().to_vec();
+        let offsets = plan.sub_offsets();
         let mut acc = Complex64::ZERO;
         plan.for_each_block(|base| {
             for (i, &off_i) in offsets.iter().enumerate() {

@@ -43,7 +43,9 @@
 //! `2k` doubled targets, and the whole Kraus sum applies as **one** sweep of
 //! the superoperator `Σ K ⊗ conj(K)` — with the diagonal/monomial fast
 //! paths inherited from [`apply::OpKind`] classification of the
-//! superoperator itself.
+//! superoperator itself. A mostly-zero dense superoperator can instead run
+//! as a row-compressed sweep ([`sparse::RowCompressed`], the one sparse
+//! operator type, which the Lindblad integrator in `cavity-sim` also uses).
 //!
 //! Repeated shot sampling goes through [`sampling::Cdf`], a cumulative
 //! distribution with O(log dim) binary-search draws. In-place integrator
@@ -94,6 +96,7 @@ pub mod par;
 pub mod radix;
 pub mod random;
 pub mod sampling;
+pub mod sparse;
 pub mod state;
 pub mod superop;
 
@@ -106,6 +109,7 @@ pub use guard::{GuardConfig, GuardPolicy, HealthMetric, RunHealth};
 pub use matrix::CMatrix;
 pub use radix::Radix;
 pub use sampling::Cdf;
+pub use sparse::RowCompressed;
 pub use state::QuditState;
 pub use superop::{SandwichPlan, SuperPlan};
 

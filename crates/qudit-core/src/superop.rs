@@ -31,12 +31,23 @@
 //! (`m = d`) and dephasing (`m = d + 1`) channels. Callers with few Kraus
 //! terms on a large subspace should keep the per-term path; the circuit
 //! layer's density compiler makes that choice per channel.
+//!
+//! A dense `S` that is still mostly zeros can run row-compressed
+//! ([`SuperPlan::apply_compressed`] with a [`RowCompressed`] copy of `S`):
+//! the sweep then costs `N²·nnz(S)/k²` multiply-adds, so a photon-loss
+//! superoperator (`nnz = Σ_{i,j<d} (min(i, j) + 1)`, 55 of 625 entries at
+//! `d = 5`) costs about a tenth of its dense sweep. Compression trades the
+//! dense kernel's four-accumulator inner product for a gather through the
+//! column index, so it pays only below a nonzero fraction; the density
+//! compiler picks it at compile time from that fraction (see
+//! `SuperopConfig::COMPRESS_FILL` in `qudit-circuit`).
 
 use crate::apply::{ApplyPlan, OpKind};
 use crate::complex::Complex64;
 use crate::error::{CoreError, Result};
 use crate::matrix::CMatrix;
 use crate::radix::Radix;
+use crate::sparse::RowCompressed;
 
 /// The doubled register `dims ++ dims` of vectorised ρ and the column-side
 /// copy `T + n` of the channel targets `T`.
@@ -103,6 +114,15 @@ impl SandwichPlan {
     #[inline]
     pub fn sub_dim(&self) -> usize {
         self.sub_dim
+    }
+
+    /// The column-side factor of the sandwich `K ρ K†`: `conj(K)` with its
+    /// exact [`OpKind`]. Compiled unitary steps store it next to `K`, so a
+    /// run neither copies nor classifies the conjugate per call.
+    pub fn column_factor(k: &CMatrix) -> (CMatrix, OpKind) {
+        let conj = k.conj();
+        let kind = OpKind::classify(&conj);
+        (conj, kind)
     }
 }
 
@@ -229,6 +249,22 @@ impl SuperPlan {
         scratch: &mut Vec<Complex64>,
     ) -> Result<()> {
         self.plan.apply_parallel(kind, sup, rho_data, threads, scratch)
+    }
+
+    /// [`SuperPlan::apply`] for a superoperator stored row-compressed (see
+    /// [`ApplyPlan::apply_compressed`]); bitwise identical for every thread
+    /// count.
+    ///
+    /// # Errors
+    /// Returns an error if `sup` or the slice have the wrong dimension.
+    pub fn apply_compressed(
+        &self,
+        sup: &RowCompressed,
+        rho_data: &mut [Complex64],
+        threads: usize,
+        scratch: &mut Vec<Complex64>,
+    ) -> Result<()> {
+        self.plan.apply_compressed(sup, rho_data, threads, scratch)
     }
 }
 

@@ -4,7 +4,8 @@
 //! into the full Hilbert space and applies it as a dense matrix-vector
 //! product — for dense, diagonal and monomial (permutation-like) operators,
 //! in any target order. The density-matrix kernels are checked the same way
-//! against dense `U ρ U†` and `Σ K ρ K†` products.
+//! against dense `U ρ U†` and `Σ K ρ K†` products, and so are row-compressed
+//! sweeps, on states and on vectorised ρ.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +16,9 @@ use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::{embed_operator, Radix};
 use qudit_core::random::{haar_state, haar_unitary};
+use qudit_core::sparse::RowCompressed;
 use qudit_core::state::QuditState;
+use qudit_core::superop::SuperPlan;
 
 const TOL: f64 = 1e-10;
 
@@ -292,6 +295,77 @@ fn density_kernels_match_dense_products_on_random_registers() {
         assert_eq!(got.len(), k);
         for (g, e) in got.iter().zip(expected.iter()) {
             assert!((g - e).abs() < 1e-12, "{context}: marginal {g} vs {e}");
+        }
+    }
+}
+
+/// A random `d × d` operator with about `fill` of its entries nonzero.
+fn random_sparse(rng: &mut StdRng, d: usize, fill: f64) -> CMatrix {
+    CMatrix::from_fn(d, d, |_, _| {
+        if rng.gen::<f64>() < fill {
+            c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
+        } else {
+            Complex64::ZERO
+        }
+    })
+}
+
+#[test]
+fn compressed_sweeps_match_dense_products_on_random_registers() {
+    let mut rng = StdRng::seed_from_u64(0x5BA2);
+    let mut scratch = Vec::new();
+
+    // On states: against the operator embedded into the full space.
+    for trial in 0..40 {
+        let (dims, targets) = random_register(&mut rng);
+        let radix = Radix::new(dims.clone()).unwrap();
+        let plan = ApplyPlan::new(&radix, &targets).unwrap();
+        let op = random_sparse(&mut rng, plan.sub_dim(), 0.3);
+        let compressed = RowCompressed::from_dense(&op, Complex64::ONE);
+        let state = haar_state(&mut rng, dims.clone()).unwrap();
+        let mut fast = state.amplitudes().to_vec();
+        plan.apply_compressed(&compressed, &mut fast, 1, &mut scratch).unwrap();
+        let full = embed_operator(&radix, &op, &targets).unwrap();
+        let reference = full.matvec(state.amplitudes()).unwrap();
+        for (a, b) in fast.iter().zip(reference.iter()) {
+            assert!((*a - *b).abs() < 1e-12, "trial {trial}: dims {dims:?}, targets {targets:?}");
+        }
+    }
+
+    // On vectorised ρ: a sparse Kraus channel's superoperator swept
+    // compressed against the dense `Σ K ρ K†`, bitwise across thread counts.
+    // The last case (36 doubled-register blocks of ~6000 stored entries)
+    // is large enough for the chunked parallel path.
+    let mut cases: Vec<(Vec<usize>, Vec<usize>)> = density_cases(&mut rng)
+        .into_iter()
+        .filter(|(dims, targets)| targets.iter().map(|&t| dims[t]).product::<usize>() <= 12)
+        .collect();
+    cases.push((vec![3, 2, 4, 3], vec![2, 0]));
+    for (trial, (dims, targets)) in cases.into_iter().enumerate() {
+        let radix = Radix::new(dims.clone()).unwrap();
+        let k = radix.subspace_dim(&targets).unwrap();
+        let context = format!("trial {trial}: dims {dims:?}, targets {targets:?}");
+        let kraus: Vec<CMatrix> =
+            (0..3).map(|_| random_sparse(&mut rng, k, 0.25).scaled_real(0.4)).collect();
+        let sup = SuperPlan::kraus_superop(&kraus).unwrap();
+        let compressed = RowCompressed::from_dense(&sup, Complex64::ONE);
+        let plan = SuperPlan::new(&radix, &targets).unwrap();
+        let rho = random_density(&mut rng, &dims);
+
+        let mut serial = rho.clone();
+        plan.apply_compressed(&compressed, serial.matrix_mut().as_mut_slice(), 1, &mut scratch)
+            .unwrap();
+        let mut reference = CMatrix::zeros(radix.total_dim(), radix.total_dim());
+        for op in &kraus {
+            reference += &dense_sandwich(&radix, op, &targets, rho.matrix());
+        }
+        let diff = (serial.matrix() - &reference).max_abs();
+        assert!(diff < 1e-12, "{context}: compressed sweep diff {diff}");
+        for threads in [2usize, 3] {
+            let mut parallel = rho.clone();
+            let data = parallel.matrix_mut().as_mut_slice();
+            plan.apply_compressed(&compressed, data, threads, &mut scratch).unwrap();
+            assert_eq!(parallel, serial, "{context}: threads {threads}");
         }
     }
 }

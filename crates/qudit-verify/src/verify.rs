@@ -33,6 +33,9 @@
 //!   sampled bindings, and `diagonal-at-every-binding` claims hold there.
 //! * **Trace preservation** — each sweep's compile-time defect allowance
 //!   equals the documented formula and its matrix sits within it.
+//! * **Compressed sweeps** — a sweep carries a row-compressed form exactly
+//!   when the fill rule selects it, and that form holds the superoperator's
+//!   nonzero entries and nothing else.
 //! * **Guard accounting** — [`verify_run_health`] checks the checkpoint
 //!   count formula against a run's reported health.
 
@@ -46,6 +49,7 @@ use qudit_core::complex::{c64, Complex64};
 use qudit_core::guard::{GuardConfig, RunHealth};
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::{embed_operator, Radix};
+use qudit_core::sparse::RowCompressed;
 use qudit_core::superop::{SandwichPlan, SuperPlan};
 
 /// The property a failed verification violated.
@@ -141,6 +145,9 @@ pub struct VerifyReport {
     pub fused_blocks: usize,
     /// Superoperator sweeps proven.
     pub sweeps: usize,
+    /// Sweeps whose row-compressed form was checked against their
+    /// superoperator.
+    pub compressed_sweeps: usize,
     /// Per-term Kraus steps checked.
     pub kraus_steps: usize,
     /// Density constituent items checked.
@@ -1847,7 +1854,7 @@ fn verify_dm_inner(
                 check_density_plan(cv.plan, rebuild, cv.targets, "channel", s)?;
                 check_channel(cv.channel, cv.plan.sub_dim(), Some(channel), config.tol, s)?;
             }
-            DensityStepView::Super { plan, sup, kind, fallback_len, defect_tol } => {
+            DensityStepView::Super { plan, sup, kind, compressed, fallback_len, defect_tol } => {
                 report.sweeps += 1;
                 let mut union: Vec<usize> = Vec::new();
                 for &id in ids {
@@ -1876,6 +1883,8 @@ fn verify_dm_inner(
                         "structure classification is unsound for the sweep".into(),
                     );
                 }
+                check_compressed(sup, compressed, parametric, s)?;
+                report.compressed_sweeps += usize::from(compressed.is_some());
                 // Budget and cost rule.
                 if k_u > config.superop.max_dim {
                     return fail(
@@ -1992,6 +2001,64 @@ fn verify_dm_inner(
 
     report.steps = view.num_steps();
     Ok(report)
+}
+
+/// Checks a sweep's row-compressed form: it exists exactly when the
+/// compiler's fill rule selects it (a binding-independent sweep whose
+/// superoperator is dense in the checker's own structure lattice with at
+/// most [`SuperopConfig::COMPRESS_FILL`] of its entries nonzero), and its
+/// stored entries are the nonzero entries of `sup`, row by row in ascending
+/// column order, with equal values.
+fn check_compressed(
+    sup: &CMatrix,
+    compressed: Option<&RowCompressed>,
+    parametric: bool,
+    s: usize,
+) -> Result<(), VerifyError> {
+    let nonzeros = sup.as_slice().iter().filter(|v| **v != Complex64::ZERO).count();
+    let entries = (sup.rows() * sup.cols()) as f64;
+    let expected = !parametric
+        && Struct::of(sup) == Struct::Dense
+        && nonzeros as f64 <= SuperopConfig::COMPRESS_FILL * entries;
+    if compressed.is_some() != expected {
+        return fail(
+            Check::CostRule,
+            s,
+            format!(
+                "sweep with {nonzeros} of {entries} nonzero entries (parametric={parametric}) \
+                 {} a compressed form",
+                if expected { "lacks" } else { "carries" }
+            ),
+        );
+    }
+    let Some(rc) = compressed else { return Ok(()) };
+    if rc.rows() != sup.rows() || rc.cols() != sup.cols() {
+        return fail(
+            Check::PlanConsistency,
+            s,
+            format!(
+                "compressed sweep is {}×{} for a {}×{} superoperator",
+                rc.rows(),
+                rc.cols(),
+                sup.rows(),
+                sup.cols()
+            ),
+        );
+    }
+    for r in 0..sup.rows() {
+        let dense = sup.row(r).iter().enumerate().filter(|(_, v)| **v != Complex64::ZERO);
+        let stored = rc.row(r);
+        let matches = dense.clone().count() == stored.len()
+            && dense.zip(stored).all(|((c, v), (sc, sv))| c == *sc && v == sv);
+        if !matches {
+            return fail(
+                Check::PlanConsistency,
+                s,
+                format!("compressed sweep row {r} differs from the superoperator's nonzeros"),
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Builds the checker's model of a derived channel item: single-operator

@@ -232,6 +232,7 @@ fn statevector_bound_plans_verify_after_each_rebind() {
 #[test]
 fn density_plans_verify_on_mixed_circuits_with_noise() {
     let mut total_sweeps = 0usize;
+    let mut total_compressed = 0usize;
     for trial in 0..12 {
         let mut rng = StdRng::seed_from_u64(35_000 + trial);
         let n = rng.gen_range(2..=3);
@@ -245,8 +246,10 @@ fn density_plans_verify_on_mixed_circuits_with_noise() {
             verify_density(&c, &plan, &cfg).unwrap_or_else(|e| panic!("trial {trial}: {e}"));
         assert!(report.items > 0);
         total_sweeps += report.sweeps;
+        total_compressed += report.compressed_sweeps;
     }
     assert!(total_sweeps > 0, "corpus never exercised a superoperator sweep");
+    assert!(total_compressed > 0, "corpus never exercised a compressed sweep");
 }
 
 #[test]

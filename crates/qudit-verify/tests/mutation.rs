@@ -6,9 +6,9 @@
 
 use qudit_circuit::noise::KrausChannel;
 use qudit_circuit::sim::introspect::{
-    self, corrupt_density_drop_step, corrupt_density_scale_super, corrupt_drop_override,
-    corrupt_drop_step, corrupt_retarget_step, corrupt_scale_step_op, corrupt_swap_steps,
-    DensityStepView,
+    self, corrupt_density_compressed_entry, corrupt_density_drop_step, corrupt_density_scale_super,
+    corrupt_drop_override, corrupt_drop_step, corrupt_retarget_step, corrupt_scale_step_op,
+    corrupt_swap_steps, DensityStepView,
 };
 use qudit_circuit::sim::{DensityMatrixSimulator, FusionConfig, GuardConfig, StatevectorSimulator};
 use qudit_circuit::{Circuit, Gate, Param};
@@ -150,6 +150,30 @@ fn miscomposed_sweep_is_flagged() {
         matches!(err.check, Check::TracePreservation | Check::Semantics),
         "scaled superoperator must fail trace preservation or semantics, got {err}"
     );
+}
+
+#[test]
+fn drifted_compressed_sweep_is_flagged() {
+    // Photon loss alone compiles to a row-compressed sweep (14 of 81
+    // superoperator entries nonzero at d = 3).
+    let mut c = Circuit::new(vec![3, 2]);
+    c.push_channel(KrausChannel::photon_loss(3, 0.3).unwrap(), &[0]).unwrap();
+    let plan = DensityMatrixSimulator::new().compile(&c).unwrap();
+    let report = verify_density(&c, &plan, &VerifyConfig::default()).unwrap();
+    assert_eq!(report.compressed_sweeps, 1, "corpus assumption: the loss sweep is compressed");
+
+    // One stored entry drifts from the dense superoperator.
+    let mut drifted = plan.clone();
+    corrupt_density_compressed_entry(&mut drifted, 0, 3, 1e-3);
+    let err = verify_density(&c, &drifted, &VerifyConfig::default()).unwrap_err();
+    assert_eq!(err.check, Check::PlanConsistency, "{err}");
+
+    // A superoperator the fill rule no longer selects (all zeros is
+    // diagonal) must not keep its compressed form.
+    let mut zeroed = plan;
+    corrupt_density_scale_super(&mut zeroed, 0, 0.0);
+    let err = verify_density(&c, &zeroed, &VerifyConfig::default()).unwrap_err();
+    assert_eq!(err.check, Check::CostRule, "{err}");
 }
 
 #[test]
