@@ -16,6 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use qopt::qaoa::QuditQaoa;
 use qudit_circuit::circuit::{Circuit, Instruction};
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator};
@@ -381,6 +382,33 @@ pub fn trajectory_loop(
     let mean = values.iter().sum::<f64>() / n;
     let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
     (mean, (var / n).sqrt())
+}
+
+/// NDAR shot sampling as `QuditQaoa::sample_assignments` did it before it
+/// moved onto the trajectory executor: for every shot the bound circuit is
+/// compiled again and run one state at a time, seeded like trajectory `t`
+/// of `TrajectorySimulator::with_seed(seed)`, then sampled once from the
+/// `seed + 77` stream. Returns the decoded assignments with their values.
+pub fn ndar_shot_sampling(
+    qaoa: &QuditQaoa,
+    seed: u64,
+    (gammas, betas): (&[f64], &[f64]),
+    noise: &NoiseModel,
+    shots: usize,
+) -> Vec<(Vec<usize>, usize)> {
+    let circuit = qaoa.circuit(gammas, betas).expect("angles match the layer count");
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(77));
+    (0..shots)
+        .map(|t| {
+            let sim =
+                StatevectorSimulator::with_seed(trajectory_seed(seed, t)).with_noise(noise.clone());
+            let plan = sim.compile(&circuit).expect("valid circuit");
+            let state = sim.run_compiled(&plan, None).expect("valid run").state;
+            let logical = qaoa.decode(&state.sample(&mut rng));
+            let value = qaoa.problem().properly_colored(&logical);
+            (logical, value)
+        })
+        .collect()
 }
 
 #[cfg(test)]

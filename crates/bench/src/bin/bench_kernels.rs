@@ -500,6 +500,32 @@ fn batched_trajectories() -> Row {
     row("batched_trajectories", detail, reps, timing, Some(2.0))
 }
 
+fn ndar_shot_sampling() -> Row {
+    // One NDAR round's shots share one compile and run as branch-prefix
+    // groups, instead of one compile and one one-state run per shot.
+    let (qaoa, noise) = (rows::ndar_qaoa(), rows::ndar_noise());
+    let (_, _, seed, round) = rows::NDAR;
+    let (gammas, betas) = rows::NDAR_ANGLES;
+    let reps = 1;
+    let timing = paired(
+        reps,
+        || {
+            round.map(|shots| {
+                baseline::ndar_shot_sampling(&qaoa, seed, (&gammas, &betas), &noise, shots)
+            })
+        },
+        || round.map(|shots| qaoa.sample_assignments(&gammas, &betas, &noise, shots).unwrap()),
+    );
+    let detail = format!(
+        "{} + {} shots of one NDAR round, 1-layer coloring QAOA dim {}, cavity photon loss; \
+         sample_assignments on the trajectory executor vs compile + one-state run per shot",
+        round[0],
+        round[1],
+        qaoa.ansatz().unwrap().total_dim()
+    );
+    row("ndar_shot_sampling", detail, reps, timing, Some(1.5))
+}
+
 fn par_map_overhead(threads: usize, reps: usize) -> Row {
     // Many small calls with trivial per-item work measure the per-call
     // fork-join cost, which the persistent pool eliminates.
@@ -698,6 +724,7 @@ fn main() {
         qaoa_rebind_sweep(),
         ensemble_qaoa_population(),
         batched_trajectories(),
+        ndar_shot_sampling(),
         par_map_overhead(1, 500),
         par_map_overhead(2, 1),
         par_map_overhead(4, 1),

@@ -42,6 +42,29 @@ pub const QAOA: (usize, usize, u64) = (3, 24, 33);
 /// Workers, QAOA/reservoir job pairs and QAOA layers of the serving row.
 pub const SERVE: (usize, usize, usize) = (4, 12, 8);
 
+/// The shot-sampling row's NDAR instance: nodes and graph seed of the
+/// coloring problem, the QAOA seed, and the shots of one NDAR round (the
+/// optimum's samples plus the round's samples).
+pub const NDAR: (usize, u64, u64, [usize; 2]) = (6, 11, 5, [64, 12]);
+
+/// The `ndar_coloring` workload's NDAR-QAOA instance, [`NDAR`]: one-layer
+/// 3-coloring QAOA on `table1_coloring_problem(6, 11)` (dim 729).
+pub fn ndar_qaoa() -> QuditQaoa {
+    let (nodes, graph_seed, seed, _) = NDAR;
+    QuditQaoa::new(
+        table1_coloring_problem(nodes, graph_seed),
+        QaoaConfig { layers: 1, seed, ..Default::default() },
+    )
+}
+
+/// The `ndar_coloring` workload's photon-loss model.
+pub fn ndar_noise() -> NoiseModel {
+    NoiseModel::cavity(0.15, 0.3, 0.0)
+}
+
+/// The angles `(γ, β)` the shot-sampling row samples at.
+pub const NDAR_ANGLES: ([f64; 1], [f64; 1]) = ([0.6], [0.4]);
+
 /// Mode dimension and loss probability of the sparse-sweep row: one
 /// digital-reservoir loss channel on a two-mode register.
 pub const LOSS_SWEEP: (usize, f64) = (5, 0.1);

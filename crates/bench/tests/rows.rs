@@ -3,7 +3,7 @@
 //! guarantees that a row's optimized path computes the same thing as its
 //! baseline, and that the optimisation it claims to time engages.
 
-use bench::{rows, syndrome_extraction_circuit};
+use bench::{baseline, rows, syndrome_extraction_circuit};
 use qudit_circuit::sim::{
     DensityMatrixSimulator, FusionConfig, GuardConfig, StatevectorSimulator, SuperopConfig,
 };
@@ -133,4 +133,17 @@ fn cached_and_compile_per_request_serving_agree_bitwise() {
     assert!(sv.hits >= 1 && dm.hits >= 1, "every job consults the cache: {stats:?}");
     let (sv, dm) = (percompile_stats.statevector_cache, percompile_stats.density_cache);
     assert_eq!((sv.hits, dm.hits), (0, 0), "a zero-capacity cache never hits");
+}
+
+#[test]
+fn ndar_shot_sampling_matches_the_per_shot_baseline_bitwise() {
+    // `ndar_shot_sampling`: both sides draw the same assignments.
+    let (qaoa, noise) = (rows::ndar_qaoa(), rows::ndar_noise());
+    let (_, _, seed, round) = rows::NDAR;
+    let (gammas, betas) = rows::NDAR_ANGLES;
+    for shots in round {
+        let fast = qaoa.sample_assignments(&gammas, &betas, &noise, shots).unwrap();
+        let slow = baseline::ndar_shot_sampling(&qaoa, seed, (&gammas, &betas), &noise, shots);
+        assert_eq!(fast, slow, "{shots} shots");
+    }
 }

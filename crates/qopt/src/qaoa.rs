@@ -443,7 +443,10 @@ impl QuditQaoa {
     }
 
     /// Samples `shots` assignments (decoded to logical colours) with their
-    /// objective values.
+    /// objective values: one trajectory per shot through the trajectory
+    /// executor under `noise` (deterministic when noiseless), one compile of
+    /// the bound circuit, and one outcome per trajectory drawn in trajectory
+    /// order from a stream seeded `seed + 77`, readout error included.
     ///
     /// # Errors
     /// Returns an error if simulation fails.
@@ -454,32 +457,20 @@ impl QuditQaoa {
         noise: &NoiseModel,
         shots: usize,
     ) -> Result<Vec<(Vec<usize>, usize)>> {
-        let circuit = self.circuit(gammas, betas)?;
+        let sim =
+            TrajectorySimulator::new(shots).with_seed(self.config.seed).with_noise(noise.clone());
+        let plan = sim.compile(&self.circuit(gammas, betas)?)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(77));
-        let mut out = Vec::with_capacity(shots);
-        if noise.is_noiseless() {
-            let state = StatevectorSimulator::with_seed(self.config.seed)
-                .run(&circuit)
-                .map_err(QoptError::Circuit)?;
-            for _ in 0..shots {
-                let physical = state.sample(&mut rng);
-                let logical = self.decode(&physical);
+        // `new(0)` clamps to one trajectory, which then draws nothing.
+        let (physical, _) = sim.sample_compiled(&plan, shots.min(1), &mut rng)?;
+        Ok(physical
+            .iter()
+            .map(|digits| {
+                let logical = self.decode(digits);
                 let value = self.problem.properly_colored(&logical);
-                out.push((logical, value));
-            }
-        } else {
-            let sim = TrajectorySimulator::new(shots)
-                .with_seed(self.config.seed)
-                .with_noise(noise.clone());
-            for t in 0..shots {
-                let state = sim.run_single(&circuit, t).map_err(QoptError::Circuit)?;
-                let physical = state.sample(&mut rng);
-                let logical = self.decode(&physical);
-                let value = self.problem.properly_colored(&logical);
-                out.push((logical, value));
-            }
-        }
-        Ok(out)
+                (logical, value)
+            })
+            .collect())
     }
 }
 

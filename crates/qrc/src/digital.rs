@@ -15,12 +15,10 @@
 use qudit_circuit::noise::KrausChannel;
 use qudit_circuit::sim::{CompiledDensityCircuit, DensityMatrixSimulator};
 use qudit_circuit::{gates, Circuit, Gate, Param};
-use qudit_core::complex::c64;
 use qudit_core::density::DensityMatrix;
-use qudit_core::matrix::CMatrix;
 
-use crate::error::{QrcError, Result};
-use crate::reservoir::ReservoirParams;
+use crate::error::Result;
+use crate::reservoir::{feature_observables, FeatureObservable, ReservoirParams};
 
 /// The gate-based reservoir: one compiled, rebindable segment circuit plus
 /// the observable feature map shared with the analog reservoir.
@@ -34,8 +32,8 @@ pub struct DigitalReservoir {
     /// Per-slice evolution time (the drive angle per unit input is
     /// `input_gain · dt`).
     slice_dt: f64,
-    /// Observables as `(label, operator, mode indices)`.
-    observables: Vec<(String, CMatrix, Vec<usize>)>,
+    /// The feature map shared with the analog reservoir.
+    observables: Vec<FeatureObservable>,
     dims: Vec<usize>,
 }
 
@@ -46,24 +44,7 @@ impl DigitalReservoir {
     /// # Errors
     /// Returns an error for inconsistent parameters.
     pub fn new(params: ReservoirParams) -> Result<Self> {
-        if params.modes < 1 {
-            return Err(QrcError::InvalidConfig("reservoir needs at least one mode".into()));
-        }
-        if params.levels < 2 {
-            return Err(QrcError::InvalidConfig("each mode needs at least 2 levels".into()));
-        }
-        if params.frequencies.len() != params.modes {
-            return Err(QrcError::InvalidConfig(format!(
-                "expected {} mode frequencies, got {}",
-                params.modes,
-                params.frequencies.len()
-            )));
-        }
-        if params.substeps == 0 || params.step_time <= 0.0 || params.virtual_nodes == 0 {
-            return Err(QrcError::InvalidConfig(
-                "step_time, substeps and virtual_nodes must be positive".into(),
-            ));
-        }
+        params.validate()?;
         let d = params.levels;
         let dims = vec![d; params.modes];
         let segment_time = params.step_time / params.virtual_nodes as f64;
@@ -115,24 +96,7 @@ impl DigitalReservoir {
 
         let sim = DensityMatrixSimulator::new();
         let plan = sim.compile(&segment)?;
-
-        // Observable set: per-mode n, x, p, n² plus pairwise n_i n_j — the
-        // same feature map as the analog reservoir.
-        let x_op = &a + &a.dagger();
-        let p_op = (&a.dagger() - &a).scaled(c64(0.0, 1.0));
-        let n2_op = n_op.matmul(&n_op).expect("square");
-        let mut observables = Vec::new();
-        for i in 0..params.modes {
-            observables.push((format!("n{i}"), n_op.clone(), vec![i]));
-            observables.push((format!("x{i}"), x_op.clone(), vec![i]));
-            observables.push((format!("p{i}"), p_op.clone(), vec![i]));
-            observables.push((format!("n{i}^2"), n2_op.clone(), vec![i]));
-        }
-        for i in 0..params.modes {
-            for j in (i + 1)..params.modes {
-                observables.push((format!("n{i}n{j}"), n_op.kron(&n_op), vec![i, j]));
-            }
-        }
+        let observables = feature_observables(params.modes, d);
         Ok(Self { params, sim, plan, slice_dt: dt, observables, dims })
     }
 

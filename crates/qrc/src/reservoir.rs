@@ -84,6 +84,55 @@ impl ReservoirParams {
     pub fn effective_neurons(&self) -> usize {
         self.levels.pow(self.modes as u32)
     }
+
+    /// The checks both reservoirs make on construction.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.modes < 1 {
+            return Err(QrcError::InvalidConfig("reservoir needs at least one mode".into()));
+        }
+        if self.levels < 2 {
+            return Err(QrcError::InvalidConfig("each mode needs at least 2 levels".into()));
+        }
+        if self.frequencies.len() != self.modes {
+            return Err(QrcError::InvalidConfig(format!(
+                "expected {} mode frequencies, got {}",
+                self.modes,
+                self.frequencies.len()
+            )));
+        }
+        if self.substeps == 0 || self.step_time <= 0.0 || self.virtual_nodes == 0 {
+            return Err(QrcError::InvalidConfig(
+                "step_time, substeps and virtual_nodes must be positive".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A measured observable: `(label, operator, mode indices)`.
+pub(crate) type FeatureObservable = (String, CMatrix, Vec<usize>);
+
+/// The feature map both reservoirs read out, in feature order: per-mode
+/// `n`, `x`, `p`, `n²`, then pairwise `n_i n_j`.
+pub(crate) fn feature_observables(modes: usize, levels: usize) -> Vec<FeatureObservable> {
+    let a = gates::annihilation(levels);
+    let n_op = gates::number_operator(levels);
+    let x_op = &a + &a.dagger();
+    let p_op = (&a.dagger() - &a).scaled(c64(0.0, 1.0));
+    let n2_op = n_op.matmul(&n_op).expect("square");
+    let mut observables = Vec::new();
+    for i in 0..modes {
+        observables.push((format!("n{i}"), n_op.clone(), vec![i]));
+        observables.push((format!("x{i}"), x_op.clone(), vec![i]));
+        observables.push((format!("p{i}"), p_op.clone(), vec![i]));
+        observables.push((format!("n{i}^2"), n2_op.clone(), vec![i]));
+    }
+    for i in 0..modes {
+        for j in (i + 1)..modes {
+            observables.push((format!("n{i}n{j}"), n_op.kron(&n_op), vec![i, j]));
+        }
+    }
+    observables
 }
 
 /// The quantum reservoir: an open coupled-oscillator system plus the
@@ -92,8 +141,8 @@ impl ReservoirParams {
 pub struct QuantumReservoir {
     params: ReservoirParams,
     system: LindbladSystem,
-    /// Observables as `(label, operator, mode indices)`.
-    observables: Vec<(String, CMatrix, Vec<usize>)>,
+    /// The feature map (see [`feature_observables`]).
+    observables: Vec<FeatureObservable>,
 }
 
 impl QuantumReservoir {
@@ -102,24 +151,7 @@ impl QuantumReservoir {
     /// # Errors
     /// Returns an error for inconsistent parameters.
     pub fn new(params: ReservoirParams) -> Result<Self> {
-        if params.modes < 1 {
-            return Err(QrcError::InvalidConfig("reservoir needs at least one mode".into()));
-        }
-        if params.levels < 2 {
-            return Err(QrcError::InvalidConfig("each mode needs at least 2 levels".into()));
-        }
-        if params.frequencies.len() != params.modes {
-            return Err(QrcError::InvalidConfig(format!(
-                "expected {} mode frequencies, got {}",
-                params.modes,
-                params.frequencies.len()
-            )));
-        }
-        if params.substeps == 0 || params.step_time <= 0.0 || params.virtual_nodes == 0 {
-            return Err(QrcError::InvalidConfig(
-                "step_time, substeps and virtual_nodes must be positive".into(),
-            ));
-        }
+        params.validate()?;
         let d = params.levels;
         let dims = vec![d; params.modes];
         let mut system = LindbladSystem::new(dims).map_err(QrcError::Cavity)?;
@@ -137,23 +169,7 @@ impl QuantumReservoir {
                 .add_hamiltonian_term(&hop, &[i, i + 1], params.coupling)
                 .map_err(QrcError::Cavity)?;
         }
-
-        // Observable set: per-mode n, x, p, n² plus pairwise n_i n_j.
-        let x_op = &a + &a.dagger();
-        let p_op = (&a.dagger() - &a).scaled(c64(0.0, 1.0));
-        let n2_op = n_op.matmul(&n_op).expect("square");
-        let mut observables = Vec::new();
-        for i in 0..params.modes {
-            observables.push((format!("n{i}"), n_op.clone(), vec![i]));
-            observables.push((format!("x{i}"), x_op.clone(), vec![i]));
-            observables.push((format!("p{i}"), p_op.clone(), vec![i]));
-            observables.push((format!("n{i}^2"), n2_op.clone(), vec![i]));
-        }
-        for i in 0..params.modes {
-            for j in (i + 1)..params.modes {
-                observables.push((format!("n{i}n{j}"), n_op.kron(&n_op), vec![i, j]));
-            }
-        }
+        let observables = feature_observables(params.modes, d);
         Ok(Self { params, system, observables })
     }
 

@@ -3,8 +3,9 @@
 //! Since PR 3 the simulator consumes circuits through a **density-compiled**
 //! plan: the shared fused [`ExecStep`](crate::sim::fusion) pipeline is
 //! re-compiled into [`DensityStep`]s, where every channel whose superoperator
-//! `Σ K ⊗ conj(K)` is profitable executes as a *single* strided sweep over
-//! vectorised ρ (see [`qudit_core::superop`]), and channel-adjacent unitary
+//! `Σ K ⊗ conj(K)` is profitable executes as a *single* unit-stride sweep
+//! over vectorised ρ, read as the state of a doubled register (see
+//! [`qudit_core::superop`]), and channel-adjacent unitary
 //! runs fold into the same sweep under a fusion-style cost rule. Both
 //! compilation stages flush **wire-locally**: a plan step may be re-ordered
 //! past a disjoint-support measurement or channel (exact, by commutation —
@@ -27,7 +28,7 @@ use crate::circuit::Circuit;
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::sim::apply_readout_flip;
+use crate::sim::draw_shot;
 use crate::sim::driver::{check_noise, check_register, StepDriver};
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{
@@ -508,10 +509,10 @@ impl DensityMatrixSimulator {
     ) -> Result<HashMap<Vec<usize>, usize>> {
         let rho = self.run(circuit)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let cdf = rho.cdf();
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         for _ in 0..shots {
-            let mut digits = rho.sample(&mut rng);
-            apply_readout_flip(&mut digits, circuit.dims(), self.noise.readout_flip, &mut rng);
+            let digits = draw_shot(&cdf, rho.radix(), self.noise.readout_flip, &mut rng);
             *counts.entry(digits).or_insert(0) += 1;
         }
         Ok(counts)

@@ -1,7 +1,7 @@
 //! Precompiled execution plans shared across shots and trajectories.
 //!
-//! Running a stochastic circuit many times (Monte-Carlo trajectories,
-//! per-shot re-runs) repeats the same per-instruction setup work every run:
+//! Running a stochastic circuit many times (Monte-Carlo trajectories, one
+//! per stochastic shot) repeats the same per-instruction setup work every run:
 //! building the stride geometry for each gate's targets, classifying each
 //! operator's structure, and constructing the noise model's Kraus channels.
 //! [`CircuitKernels`] hoists all of that out of the run loop — and, since

@@ -22,7 +22,8 @@
 //!
 //! The density-matrix back-end re-compiles the shared plan one step further:
 //! every channel whose superoperator `Σ K ⊗ conj(K)` is profitable executes
-//! as a single strided sweep over vectorised ρ (see [`qudit_core::superop`]),
+//! as a single unit-stride sweep over vectorised ρ, read as the state of a
+//! doubled register (see [`qudit_core::superop`]),
 //! and channel-adjacent unitary runs fold into the same sweep under a
 //! fusion-style cost rule (configurable via [`SuperopConfig`], on by
 //! default). [`DensityMatrixSimulator::compile`] exposes the compiled
@@ -55,7 +56,9 @@ pub use qudit_core::cancel::{CancelReason, CancelToken};
 
 use rand::Rng;
 
+use qudit_core::sampling::Cdf;
 use qudit_core::state::QuditState;
+use qudit_core::Radix;
 
 use crate::error::Result;
 use crate::noise::KrausChannel;
@@ -135,6 +138,22 @@ pub fn apply_readout_flip<R: Rng + ?Sized>(
             *digit = new;
         }
     }
+}
+
+/// One end-of-circuit shot, the draw convention of every sampler: an
+/// outcome drawn from `cdf` (the ground outcome when the distribution has no
+/// mass), as digits of `radix`, then its readout flips at `p_flip`, all from
+/// `rng`.
+pub(crate) fn draw_shot<R: Rng + ?Sized>(
+    cdf: &Cdf,
+    radix: &Radix,
+    p_flip: f64,
+    rng: &mut R,
+) -> Vec<usize> {
+    let chosen = cdf.try_draw(rng).unwrap_or(0);
+    let mut digits = radix.digits_of(chosen).expect("index in range");
+    apply_readout_flip(&mut digits, radix.dims(), p_flip, rng);
+    digits
 }
 
 #[cfg(test)]

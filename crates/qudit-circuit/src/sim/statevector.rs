@@ -19,7 +19,8 @@ use crate::sim::driver::{check_noise, check_register, StepDriver};
 use crate::sim::ensemble::BatchBindings;
 use crate::sim::fusion::{FusionConfig, FusionStats};
 use crate::sim::kernels::{BindBuffers, CircuitKernels, ExecStep, RunScratch};
-use crate::sim::{apply_channel_prepared, apply_readout_flip};
+use crate::sim::trajectory::TrajectorySimulator;
+use crate::sim::{apply_channel_prepared, apply_readout_flip, draw_shot};
 
 /// Output of a state-vector run: the final state and any recorded
 /// measurement outcomes (in program order).
@@ -245,10 +246,12 @@ impl StatevectorSimulator {
         self
     }
 
-    /// Sets the worker-thread count (`0` = automatic) for the parallel shot
-    /// loop in [`StatevectorSimulator::sample_counts`] and the column loop of
-    /// [`StatevectorSimulator::run_ensemble_from`]. Results are independent of the
-    /// thread count: every shot and every column owns its RNG seed.
+    /// Sets the worker-thread count (`0` = automatic) for the trajectory
+    /// executor that samples stochastic circuits in
+    /// [`StatevectorSimulator::sample_counts`] and the column loop of
+    /// [`StatevectorSimulator::run_ensemble_from`]. Results are independent
+    /// of the thread count: every trajectory and every column owns its RNG
+    /// seed, and shots are drawn in trajectory order.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -402,10 +405,11 @@ impl StatevectorSimulator {
         self.run_compiled(&self.compile(circuit)?, Some(initial))
     }
 
-    /// Runs a compiled execution plan, the shared path behind every shot and
-    /// trajectory loop: fused superblocks, stride plans, operator
-    /// classifications and noise channels are reused, and one scratch buffer
-    /// serves the whole run.
+    /// Runs a compiled execution plan on one state, the step loop behind
+    /// [`StatevectorSimulator::run_compiled`] and every column of
+    /// [`StatevectorSimulator::run_ensemble_from`]: fused superblocks, stride
+    /// plans, operator classifications and noise channels are reused, and
+    /// one scratch buffer serves the whole run.
     ///
     /// The plan may be a wire-local re-ordering of the source circuit (a
     /// fused block disjoint from a measurement can execute after it — see
@@ -484,9 +488,12 @@ impl StatevectorSimulator {
 
     /// Samples `shots` end-of-circuit computational-basis measurements.
     ///
-    /// If the circuit is fully deterministic (no measurement, reset or
-    /// channel instructions and no noise model), the state is computed once
-    /// and sampled `shots` times; otherwise the circuit is re-run per shot.
+    /// A fully deterministic circuit (no measurement, reset or channel
+    /// instructions and no noise model) is run once and sampled `shots`
+    /// times. A stochastic one runs `shots` trajectories through the
+    /// trajectory executor, built from this simulator's seed, noise, fusion,
+    /// threads, guard and cancel token, and draws one shot from each. Both
+    /// draw from one stream seeded `seed + 1`.
     ///
     /// Returned keys are digit strings of the full register.
     ///
@@ -497,60 +504,26 @@ impl StatevectorSimulator {
         circuit: &Circuit,
         shots: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
-        let stochastic = self.circuit_is_stochastic(circuit);
+        if self.circuit_is_stochastic(circuit) {
+            let mut trajectories = TrajectorySimulator::new(shots)
+                .with_seed(self.seed)
+                .with_noise(self.noise.clone())
+                .with_fusion(self.fusion.clone())
+                .with_threads(self.threads)
+                .with_guard(self.guard);
+            if let Some(token) = &self.cancel {
+                trajectories = trajectories.with_cancel(token.clone());
+            }
+            // `new(0)` clamps to one trajectory, which then draws nothing.
+            return trajectories.sample_counts(circuit, shots.min(1));
+        }
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
+        let state = self.run_compiled(&self.compile(circuit)?, None)?.state;
+        let cdf = state.cdf();
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        if !stochastic {
-            // Deterministic circuit: evolve once, then draw shots from the
-            // precomputed cumulative distribution (binary search per shot).
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-            let out = self.run_compiled(&self.compile(circuit)?, None)?;
-            let cdf = out.state.cdf();
-            let radix = out.state.radix();
-            for _ in 0..shots {
-                // A run output is normalised, so the distribution always has
-                // mass; the guarded draw keeps the degenerate case (an
-                // underflowed probability vector) on the documented
-                // ground-outcome convention instead of a zero-weight draw.
-                let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                let mut digits = radix.digits_of(chosen).expect("index in range");
-                apply_readout_flip(&mut digits, circuit.dims(), self.noise.readout_flip, &mut rng);
-                *counts.entry(digits).or_insert(0) += 1;
-            }
-        } else {
-            // Stochastic circuit: every shot re-runs the circuit with its own
-            // index-derived seed, so the shot loop is embarrassingly parallel
-            // and its outcome is independent of the thread count.
-            let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-            let binds = BindBuffers::default();
-            let threads =
-                if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
-            let run_shot = |shot: usize| -> Result<Vec<usize>> {
-                let mut shot_rng = StdRng::seed_from_u64(
-                    self.seed.wrapping_add(0x9E37_79B9).wrapping_mul(shot as u64 + 1),
-                );
-                let out = self.run_prepared(&kernels, &binds, None, &mut shot_rng)?;
-                let mut digits = out.state.sample(&mut shot_rng);
-                apply_readout_flip(
-                    &mut digits,
-                    circuit.dims(),
-                    self.noise.readout_flip,
-                    &mut shot_rng,
-                );
-                Ok(digits)
-            };
-            // With a token attached, the shot sweep also polls it between
-            // pool chunks, so a long sampling job stops within one chunk.
-            let shot_digits = match &self.cancel {
-                Some(token) => {
-                    qudit_core::par::par_map_threads_counted_cancel(shots, threads, token, run_shot)
-                        .map_err(CircuitError::Core)?
-                        .0
-                }
-                None => qudit_core::par::par_map_threads(shots, threads, run_shot),
-            };
-            for digits in shot_digits {
-                *counts.entry(digits?).or_insert(0) += 1;
-            }
+        for _ in 0..shots {
+            let digits = draw_shot(&cdf, state.radix(), self.noise.readout_flip, &mut rng);
+            *counts.entry(digits).or_insert(0) += 1;
         }
         Ok(counts)
     }

@@ -13,7 +13,9 @@
 //! across [`qudit_core::par`] worker threads, and results reduce in
 //! trajectory order — so every estimate is **bitwise identical** to folding
 //! [`TrajectorySimulator::run_single`] over `0..n`, regardless of thread
-//! count. The per-instruction stride plans, operator classifications and
+//! count. Sampling draws every shot from one caller-supplied stream, in
+//! trajectory order, so sampled outcomes share that contract. The
+//! per-instruction stride plans, operator classifications and
 //! noise channels are precompiled once and shared (read-only) by all
 //! trajectories — including the wire-local fused plan, which may re-order
 //! disjoint-support blocks past mid-circuit measurements (see
@@ -25,29 +27,35 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use qudit_core::cancel::CancelToken;
 use qudit_core::guard::{GuardConfig, RunHealth};
 use qudit_core::par;
 use qudit_core::state::QuditState;
+use qudit_core::{Complex64, Radix};
 
 use crate::circuit::Circuit;
 use crate::error::{CircuitError, Result};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
+use crate::sim::draw_shot;
 use crate::sim::driver::{check_noise, StepDriver};
 use crate::sim::ensemble::run_trajectory_chunk;
 use crate::sim::fusion::FusionConfig;
 use crate::sim::kernels::{BindBuffers, CircuitKernels};
 use crate::sim::statevector::{CompiledCircuit, StatevectorSimulator};
 
-/// Upper bound on trajectories per chunk. Bounds a chunk's memory (at most
-/// one `dim`-amplitude state per member, when every member has split into
-/// its own group) while leaving enough members per chunk for branch-prefix
+/// Upper bound on trajectories per chunk: enough members for branch-prefix
 /// grouping to amortise deterministic steps and branch-probability work.
 /// Smaller ensembles split into one chunk per worker thread instead.
 const ENSEMBLE_CHUNK: usize = 64;
+
+/// Upper bound on the bytes of one chunk's states, at most one
+/// `dim`-amplitude state per member once every member has split into its own
+/// group. It narrows chunks only for registers above 128 states (every
+/// sQED trajectory run, dim 81, keeps 64-member chunks).
+const CHUNK_BYTES: usize = 128 * 1024;
 
 /// A Monte-Carlo trajectory simulator.
 ///
@@ -120,9 +128,8 @@ impl TrajectorySimulator {
 
     /// Sets the worker-thread count (`0` = automatic). Trajectory chunks fan
     /// out across this many workers, and the chunk width shrinks to
-    /// `⌈n/threads⌉` when that is below the 64-trajectory cap so every
-    /// worker gets a chunk. Estimates are bitwise independent of this
-    /// setting.
+    /// `⌈n/threads⌉` when that is below the chunk cap so every worker gets a
+    /// chunk. Estimates and samples are bitwise independent of this setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -140,9 +147,7 @@ impl TrajectorySimulator {
     /// Attaches a runtime health-guard configuration (disabled by default;
     /// see [`qudit_core::guard`]), forwarded to every trajectory's
     /// statevector run. Per-trajectory [`RunHealth`] reports are summed;
-    /// [`TrajectorySimulator::expectation_compiled`] and
-    /// [`TrajectorySimulator::outcome_distribution_compiled`] return the
-    /// aggregate.
+    /// every `*_compiled` entry returns the aggregate.
     #[must_use]
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
@@ -190,14 +195,16 @@ impl TrajectorySimulator {
 
     /// Runs every trajectory through the batched executor (see
     /// [`crate::sim::ensemble`]) and folds the results **in trajectory
-    /// order**, the one trajectory executor behind every estimate.
+    /// order**, the one trajectory executor behind every estimate and
+    /// sample.
     ///
-    /// Trajectories split into chunks of `min(ENSEMBLE_CHUNK, ⌈n/threads⌉)`;
-    /// each chunk evolves as lazily splitting groups by Kraus-branch prefix,
-    /// one state per group, and `group_f(state, members)` maps each final
-    /// group state once, on the worker that ran the chunk. Up to `threads`
-    /// chunks at a time fan out across the worker pool, so peak memory holds
-    /// one wave of group values, not one value per trajectory. `fold` is
+    /// Trajectories split into chunks of `min(ENSEMBLE_CHUNK, CHUNK_BYTES /
+    /// state bytes, ⌈n/threads⌉)` members (at least one); each chunk evolves
+    /// as lazily splitting groups by Kraus-branch prefix, one state per
+    /// group, and `group_f(state, members)` maps each final group state
+    /// once, on the worker that ran the chunk. Up to `threads` chunks at a
+    /// time fan out across the worker pool, so peak memory holds one wave of
+    /// group values, not one value per trajectory. `fold` is
     /// then called once per trajectory, in ascending order, with its group's
     /// value — the fold order of a one-state-at-a-time loop — so consumers
     /// that are pure functions of the per-trajectory final states are
@@ -214,9 +221,10 @@ impl TrajectorySimulator {
     ) -> Result<RunHealth> {
         let n = self.n_trajectories;
         let threads = self.resolved_threads();
-        let width = ENSEMBLE_CHUNK.min(n.div_ceil(threads));
-        let n_chunks = n.div_ceil(width);
         let initial = QuditState::zero(kernels.dims.clone()).map_err(CircuitError::Core)?;
+        let state_bytes = initial.dim() * std::mem::size_of::<Complex64>();
+        let width = ENSEMBLE_CHUNK.min(CHUNK_BYTES / state_bytes).max(1).min(n.div_ceil(threads));
+        let n_chunks = n.div_ceil(width);
         let driver = StepDriver { guard: self.guard, cancel: self.cancel.as_ref() };
         let flip = self.noise.readout_flip;
         let run_chunk = |start: usize| {
@@ -337,10 +345,47 @@ impl TrajectorySimulator {
         Ok((acc, health))
     }
 
-    /// Samples `shots_per_trajectory` measurements from each trajectory and
-    /// aggregates the counts. Each branch-prefix group builds its outcome CDF
-    /// once; every member trajectory then draws from it with its own RNG
-    /// stream.
+    /// Samples `shots_per_trajectory` end-of-circuit computational-basis
+    /// measurements from every trajectory through a precompiled plan, plus
+    /// the summed [`RunHealth`] report: the compiled entry for sampling.
+    ///
+    /// Each branch-prefix group builds its outcome CDF once, on the worker.
+    /// The draws then run in ascending trajectory order from `rng`, the one
+    /// sampling stream: each shot draws an outcome (the ground outcome if the
+    /// distribution has no mass) and then the noise model's readout flips.
+    /// So the shots are bitwise those of drawing from each
+    /// [`TrajectorySimulator::run_single`] final state in turn, at any
+    /// thread count. Returns `n · shots_per_trajectory` full-register digit
+    /// strings, trajectory by trajectory.
+    ///
+    /// # Errors
+    /// Returns an error for a noise model mismatch or, under an enabled
+    /// guard, damage it is not allowed to repair.
+    pub fn sample_compiled<R: Rng + ?Sized>(
+        &self,
+        compiled: &CompiledCircuit,
+        shots_per_trajectory: usize,
+        rng: &mut R,
+    ) -> Result<(Vec<Vec<usize>>, RunHealth)> {
+        check_noise(&compiled.noise, &self.noise)?;
+        let radix = Radix::new(compiled.dims().to_vec()).map_err(CircuitError::Core)?;
+        let mut shots = Vec::with_capacity(self.n_trajectories * shots_per_trajectory);
+        let health = self.fold_trajectory_groups(
+            &compiled.topology,
+            &compiled.binds,
+            |state, _| Ok(state.cdf()),
+            |cdf| {
+                for _ in 0..shots_per_trajectory {
+                    shots.push(draw_shot(cdf, &radix, self.noise.readout_flip, rng));
+                }
+            },
+        )?;
+        Ok((shots, health))
+    }
+
+    /// Compiles the circuit, samples `shots_per_trajectory` measurements
+    /// from every trajectory ([`TrajectorySimulator::sample_compiled`], on a
+    /// stream seeded `seed + 1`) and counts them.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
@@ -349,50 +394,21 @@ impl TrajectorySimulator {
         circuit: &Circuit,
         shots_per_trajectory: usize,
     ) -> Result<HashMap<Vec<usize>, usize>> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
-        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        self.fold_trajectory_groups(
-            &kernels,
-            &BindBuffers::default(),
-            |state, members| {
-                let cdf = state.cdf();
-                let radix = state.radix();
-                let mut group_counts: HashMap<Vec<usize>, usize> = HashMap::new();
-                for &t in members {
-                    let mut rng = StdRng::seed_from_u64(self.traj_seed(t).wrapping_add(0xABCD));
-                    for _ in 0..shots_per_trajectory {
-                        // Trajectory states are normalised; the guarded draw
-                        // keeps a degenerate (underflowed) distribution on
-                        // the documented ground-outcome convention instead
-                        // of a zero-weight draw.
-                        let chosen = cdf.try_draw(&mut rng).unwrap_or(0);
-                        let mut digits = radix.digits_of(chosen).expect("index in range");
-                        crate::sim::apply_readout_flip(
-                            &mut digits,
-                            &kernels.dims,
-                            self.noise.readout_flip,
-                            &mut rng,
-                        );
-                        *group_counts.entry(digits).or_insert(0) += 1;
-                    }
-                }
-                Ok(group_counts)
-            },
-            // Counts are integers, so merging whole groups (the first member
-            // drains the map) gives the same totals as any per-trajectory
-            // order.
-            |group_counts| {
-                for (digits, n) in group_counts.drain() {
-                    *counts.entry(digits).or_insert(0) += n;
-                }
-            },
-        )?;
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
+        let (shots, _) =
+            self.sample_compiled(&self.compile(circuit)?, shots_per_trajectory, &mut rng)?;
+        let mut counts = HashMap::new();
+        for digits in shots {
+            *counts.entry(digits).or_insert(0) += 1;
+        }
         Ok(counts)
     }
 
     /// Runs a single trajectory with an index-derived seed, one state vector
     /// at a time: the final state is bitwise identical to trajectory `index`
-    /// of every ensemble estimate under the same configuration.
+    /// of every ensemble estimate and sample under the same configuration.
+    /// No library path calls it; it is the serial oracle the executor is
+    /// tested against.
     ///
     /// # Errors
     /// Returns an error for invalid instructions.
@@ -591,6 +607,38 @@ mod tests {
             (run(FusionConfig::default()).unwrap(), run(FusionConfig::disabled()).unwrap());
         let differing = fused.amplitudes().iter().zip(unfused.amplitudes()).filter(|(a, b)| a != b);
         assert!(differing.count() > 0, "fusion setting ignored by run_single");
+    }
+
+    #[test]
+    fn byte_capped_chunks_sample_bitwise_like_serial_trajectories() {
+        // Dim 625: a chunk holds at most 128 KiB / (16 · 625) = 13 members,
+        // so 40 trajectories on one thread run as chunks of 13, 13, 13, 1.
+        let mut c = Circuit::uniform(4, 5);
+        for q in 0..4 {
+            c.push(Gate::fourier(5), &[q]).unwrap();
+        }
+        c.push(Gate::csum(5, 5), &[0, 1]).unwrap();
+        c.push(Gate::csum(5, 5), &[2, 3]).unwrap();
+        c.measure(&[1]).unwrap();
+        let noise = NoiseModel::cavity(0.1, 0.2, 0.0).with_readout_flip(0.05);
+        let radix = Radix::new(c.dims().to_vec()).unwrap();
+        for threads in [1, 3] {
+            let sim = TrajectorySimulator::new(40)
+                .with_seed(4)
+                .with_threads(threads)
+                .with_noise(noise.clone());
+            let plan = sim.compile(&c).unwrap();
+            let (shots, _) = sim.sample_compiled(&plan, 2, &mut StdRng::seed_from_u64(9)).unwrap();
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut serial = Vec::new();
+            for t in 0..40 {
+                let cdf = sim.run_single(&c, t).unwrap().cdf();
+                for _ in 0..2 {
+                    serial.push(draw_shot(&cdf, &radix, 0.05, &mut rng));
+                }
+            }
+            assert_eq!(shots, serial, "{threads} threads");
+        }
     }
 
     #[test]

@@ -82,8 +82,8 @@ fn pre_tripped_token_cancels_statevector_at_entry() {
 
 #[test]
 fn pre_tripped_token_cancels_stochastic_sampling_sweep() {
-    // The barriered circuit has measurements, so sampling takes the
-    // per-shot parallel path — the token is checked at pool entry.
+    // The barriered circuit has measurements, so sampling runs through the
+    // trajectory executor, which checks the token before its first wave.
     let token = CancelToken::new();
     token.cancel();
     let err = StatevectorSimulator::new()

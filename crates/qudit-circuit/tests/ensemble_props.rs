@@ -190,9 +190,9 @@ type SerialFold = (f64, f64, Vec<f64>, HashMap<Vec<usize>, usize>);
 
 /// The trajectory executor's serial oracle: `run_single(c, t)` for every
 /// `t`, one state vector at a time, folded in trajectory order into the
-/// estimate, the distribution, and `shots` draws per trajectory from the
-/// executor's per-trajectory sampling stream (`traj_seed(t) + 0xABCD` for
-/// the simulator seed `seed`).
+/// estimate, the distribution, and `shots` draws per trajectory from the one
+/// sampling stream `sample_counts` draws from (seeded `seed + 1` for the
+/// simulator seed `seed`).
 fn serial_fold(
     sim: &TrajectorySimulator,
     (seed, readout_flip): (u64, f64),
@@ -202,14 +202,11 @@ fn serial_fold(
 ) -> SerialFold {
     let n = sim.n_trajectories();
     let (mut values, mut dist, mut counts) = (Vec::new(), vec![0.0; c.total_dim()], HashMap::new());
+    let mut rng = StdRng::seed_from_u64(seed + 1);
     for t in 0..n {
         let state = sim.run_single(c, t).unwrap();
         values.push(obs.expectation(&state).unwrap());
         dist.iter_mut().zip(state.probabilities()).for_each(|(a, p)| *a += p);
-        let traj_seed = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((t as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = StdRng::seed_from_u64(traj_seed.wrapping_add(0xABCD));
         let cdf = state.cdf();
         for _ in 0..shots {
             let mut digits = state.radix().digits_of(cdf.try_draw(&mut rng).unwrap()).unwrap();
@@ -364,6 +361,24 @@ fn batched_trajectories_are_bitwise_identical_to_serial_fold() {
         assert_eq!(batched_dist, dist, "trial {trial}");
         assert_eq!(sim.sample_counts(&c, 5).unwrap(), counts, "trial {trial}");
     }
+}
+
+#[test]
+fn stochastic_statevector_sampling_draws_one_shot_from_each_serial_trajectory() {
+    // A stochastic circuit samples through the trajectory executor: shot
+    // `t` is one draw, from the `seed + 1` stream, from trajectory `t`.
+    let mut c = Circuit::uniform(2, 3);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
+    c.measure(&[1]).unwrap();
+    c.push(Gate::fourier(3), &[1]).unwrap();
+    let noise = NoiseModel::cavity(0.1, 0.2, 0.0).with_readout_flip(0.05);
+    let (seed, shots) = (40, 90);
+    let trajectories = TrajectorySimulator::new(shots).with_seed(seed).with_noise(noise.clone());
+    let obs = Observable::number(0, 3);
+    let (.., counts) = serial_fold(&trajectories, (seed, 0.05), &c, &obs, 1);
+    let sv = StatevectorSimulator::with_seed(seed).with_noise(noise);
+    assert_eq!(sv.sample_counts(&c, shots).unwrap(), counts);
 }
 
 #[test]

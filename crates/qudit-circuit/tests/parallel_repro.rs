@@ -1,11 +1,11 @@
-//! Parallel-execution invariants: trajectory and shot loops and density
-//! runs must produce results that are bitwise independent of the
+//! Parallel-execution invariants: trajectory estimates and samples and
+//! density runs must produce results that are bitwise independent of the
 //! worker-thread count, and reproducible from a fixed seed.
 //!
-//! The trajectory executor's chunk width is `min(64, ⌈n/threads⌉)`, so the
-//! trajectory suites also sweep `UNEVEN_SIZES × {1, 3}` threads: widths that
-//! do not divide `n`, a single trajectory, and ensembles that need more
-//! than one wave of chunks.
+//! The trajectory executor's chunk width is `min(64, ⌈n/threads⌉)` on these
+//! small registers, so the trajectory suites also sweep `UNEVEN_SIZES ×
+//! {1, 3}` threads: widths that do not divide `n`, a single trajectory, and
+//! ensembles that need more than one wave of chunks.
 
 use qudit_circuit::gate::Gate;
 use qudit_circuit::noise::NoiseModel;
@@ -130,7 +130,7 @@ fn parallel_estimates_are_reproducible_for_fixed_seed() {
 #[test]
 fn stochastic_statevector_shots_are_thread_invariant() {
     let mut c = noisy_circuit();
-    c.measure(&[0]).unwrap(); // forces per-shot re-runs
+    c.measure(&[0]).unwrap(); // forces one trajectory per shot
     let serial =
         StatevectorSimulator::with_seed(33).with_threads(1).sample_counts(&c, 400).unwrap();
     let parallel =

@@ -330,10 +330,11 @@ fn density_parallel_sweeps_are_bitwise_thread_invariant() {
 
 #[test]
 fn rebound_shot_counts_are_bitwise_identical_to_rebuild() {
-    // sample_counts re-runs the plan per shot with index-derived seeds, and
-    // channel branch selection / readout flips consume further variates;
-    // bitwise-equal counts between the rebound-plan circuit and the rebuilt
-    // circuit pin the whole RNG stream alignment.
+    // sample_counts runs one trajectory per shot with index-derived seeds,
+    // channel branch selection consumes further variates, and the shots and
+    // their readout flips draw from one shared stream; bitwise-equal counts
+    // between the rebound-plan circuit and the rebuilt circuit pin the whole
+    // RNG stream alignment.
     let mut rng = StdRng::seed_from_u64(909);
     let (c, _) = random_param_circuit(&mut rng, 2, true);
     let theta = random_binding(&mut rng, 2);
@@ -348,8 +349,8 @@ fn rebound_shot_counts_are_bitwise_identical_to_rebuild() {
     let rebuilt = run_rebuilt(&sim, &bound);
     assert_eq!(rebound.measurements, rebuilt.measurements);
     assert_eq!(rebound.state.amplitudes(), rebuilt.state.amplitudes());
-    // ...and the per-shot sampler sees identical counts for the bound
-    // circuit however the binding was produced.
+    // ...and the trajectory-executor sampler sees identical counts for the
+    // bound circuit however the binding was produced.
     let counts_a = sim.sample_counts(&bound, 200).unwrap();
     let counts_b = sim.sample_counts(&c.with_bound(&theta).unwrap(), 200).unwrap();
     assert_eq!(counts_a, counts_b);

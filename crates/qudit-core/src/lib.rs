@@ -32,9 +32,9 @@
 //!   than a left fold.
 //! * [`par`] — a dependency-free **persistent worker pool** (lazily spawned,
 //!   channel-fed contiguous chunks) whose `par_map` preserves index order,
-//!   so the circuit simulators' trajectory/shot loops parallelise with
-//!   results bitwise identical to the serial order, at any thread count,
-//!   without per-call thread spawn/join overhead. `QUDIT_NUM_THREADS`
+//!   so the circuit simulators' trajectory chunks and population columns
+//!   parallelise with results bitwise identical to the serial order, at any
+//!   thread count, without per-call thread spawn/join overhead. `QUDIT_NUM_THREADS`
 //!   overrides the default worker count.
 //!
 //! On the density-matrix side, [`superop::SuperPlan`] lifts the same stride

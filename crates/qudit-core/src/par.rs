@@ -1,12 +1,12 @@
 //! Dependency-free parallelism for embarrassingly parallel loops, backed by
 //! a persistent worker pool.
 //!
-//! The trajectory and shot loops in the circuit simulators are index-parallel:
-//! iteration `i` derives its own RNG seed from `i`, so iterations share no
-//! state and the result is a pure function of the index. [`par_map`] evaluates
-//! such a loop on pool worker threads and reassembles the results **in index
-//! order**, so the output is bitwise identical to the serial loop regardless
-//! of thread count or scheduling.
+//! The trajectory chunks and population columns in the circuit simulators
+//! are index-parallel: iteration `i` derives its own RNG seed from `i`, so
+//! iterations share no state and the result is a pure function of the
+//! index. [`par_map`] evaluates such a loop on pool worker threads and
+//! reassembles the results **in index order**, so the output is bitwise
+//! identical to the serial loop regardless of thread count or scheduling.
 //!
 //! ## The pool
 //!

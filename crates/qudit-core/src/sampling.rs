@@ -5,8 +5,8 @@
 //! each shot with a binary search, taking `shots` samples from
 //! `O(shots · dim)` to `O(dim + shots · log dim)`. The same sampler backs
 //! [`crate::state::QuditState::sample_counts`],
-//! [`crate::density::DensityMatrix::sample_counts`] and the circuit
-//! simulators' parallel shot loops.
+//! [`crate::density::DensityMatrix::sample_counts`] and every circuit
+//! simulator's sampler.
 //!
 //! ## Degenerate distributions
 //!

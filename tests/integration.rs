@@ -5,7 +5,9 @@
 use qudit_cavity::cavity::device::Device;
 use qudit_cavity::cavity::lindblad::LindbladSystem;
 use qudit_cavity::circuit::noise::NoiseModel;
-use qudit_cavity::circuit::sim::{DensityMatrixSimulator, StatevectorSimulator};
+use qudit_cavity::circuit::sim::{
+    DensityMatrixSimulator, StatevectorSimulator, TrajectorySimulator,
+};
 use qudit_cavity::circuit::{Circuit, Gate};
 use qudit_cavity::compiler::mapping::{map_circuit, MappingStrategy};
 use qudit_cavity::compiler::resource::estimate_resources;
@@ -20,6 +22,8 @@ use qudit_cavity::qopt::qaoa::{QaoaConfig, QuditQaoa};
 use qudit_cavity::qrc::pipeline::evaluate_quantum;
 use qudit_cavity::qrc::reservoir::ReservoirParams;
 use qudit_cavity::qrc::tasks::memory_task;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn trotterised_sqed_circuit_compiles_and_runs_end_to_end() {
@@ -146,4 +150,60 @@ fn umbrella_crate_reexports_are_consistent() {
     assert_eq!(state.dim(), 9);
     let device = Device::forecast();
     assert_eq!(device.num_modes(), 40);
+}
+
+#[test]
+fn zero_shots_sample_nothing_on_every_sampler() {
+    // `TrajectorySimulator::new(0)` clamps to one trajectory, so every
+    // sampler that delegates to the trajectory executor must still draw
+    // nothing for zero shots.
+    let mut c = Circuit::uniform(2, 3);
+    c.push(Gate::fourier(3), &[0]).unwrap();
+    c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
+    let mut measured = c.clone();
+    measured.measure(&[0]).unwrap();
+    let noise = NoiseModel::cavity(0.1, 0.2, 0.0);
+    let traj = TrajectorySimulator::new(0).with_noise(noise.clone());
+    let plan = traj.compile(&c).unwrap();
+    let qaoa = QuditQaoa::new(
+        ColoringProblem::new(Graph::complete(3).unwrap(), 3).unwrap(),
+        QaoaConfig::default(),
+    );
+    let sample = |model: &NoiseModel| qaoa.sample_assignments(&[0.4], &[0.3], model, 0).unwrap();
+    let sizes = [
+        (
+            "statevector, deterministic",
+            StatevectorSimulator::new().sample_counts(&c, 0).unwrap().len(),
+        ),
+        (
+            "statevector, measured",
+            StatevectorSimulator::new().sample_counts(&measured, 0).unwrap().len(),
+        ),
+        (
+            "statevector, noisy",
+            StatevectorSimulator::new()
+                .with_noise(noise.clone())
+                .sample_counts(&c, 0)
+                .unwrap()
+                .len(),
+        ),
+        (
+            "density",
+            DensityMatrixSimulator::new()
+                .with_noise(noise.clone())
+                .sample_counts(&c, 0)
+                .unwrap()
+                .len(),
+        ),
+        ("trajectory counts", traj.sample_counts(&c, 0).unwrap().len()),
+        (
+            "trajectory compiled",
+            traj.sample_compiled(&plan, 0, &mut StdRng::seed_from_u64(1)).unwrap().0.len(),
+        ),
+        ("qaoa, noiseless", sample(&NoiseModel::noiseless()).len()),
+        ("qaoa, cavity noise", sample(&noise).len()),
+    ];
+    for (sampler, size) in sizes {
+        assert_eq!(size, 0, "{sampler} sampled {size} outcomes from zero shots");
+    }
 }
