@@ -458,7 +458,6 @@ fn ensemble_qaoa_population() -> Row {
     let sim = StatevectorSimulator::with_seed(seed);
     let plan = sim.compile(&rows::qaoa().ansatz().unwrap()).unwrap();
     let mut serial_plan = plan.clone();
-    let zero = qudit_core::state::QuditState::zero(plan.dims().to_vec()).unwrap();
     let reps = 4;
     let timing = paired(
         reps,
@@ -468,7 +467,7 @@ fn ensemble_qaoa_population() -> Row {
                 black_box(sim.run_compiled(&serial_plan, None).unwrap());
             }
         },
-        || sim.run_ensemble_from(&plan, &plan.bind_batch(&sweep).unwrap(), &zero).unwrap(),
+        || sim.run_ensemble_from(&plan, &plan.bind_batch(&sweep).unwrap(), None).unwrap(),
     );
     let detail = format!(
         "{len}-member binding population, 5-node 3-coloring QAOA p={layers}; one bind_batch + \

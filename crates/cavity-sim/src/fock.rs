@@ -87,11 +87,6 @@ pub fn mean_photon_number(state: &QuditState) -> f64 {
     state.amplitudes().iter().enumerate().map(|(n, a)| n as f64 * a.norm_sqr()).sum()
 }
 
-/// Photon-number distribution of a single-mode state.
-pub fn photon_distribution(state: &QuditState) -> Vec<f64> {
-    state.probabilities()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -251,7 +251,7 @@ impl TrotterSweep {
             times.iter().map(|&t| vec![t / self.steps as f64]).collect();
         let batch = self.plan.bind_batch(&population).map_err(LgtError::Circuit)?;
         self.sim
-            .run_ensemble_from(&self.plan, &batch, initial)
+            .run_ensemble_from(&self.plan, &batch, Some(initial))
             .map_err(LgtError::Circuit)?
             .into_iter()
             .map(|col| Ok(col.map_err(LgtError::Circuit)?.state))

@@ -13,7 +13,6 @@ use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator, TrajectorySimula
 use qudit_circuit::{Circuit, Gate, Param};
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::Radix;
-use qudit_core::state::QuditState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -130,8 +129,7 @@ impl QaoaEvaluator {
         match &mut self.backend {
             QaoaBackend::Statevector { sim, plan } => {
                 let batch = plan.bind_batch(population).map_err(QoptError::Circuit)?;
-                let zero = QuditState::zero(plan.dims().to_vec())?;
-                let outputs = sim.run_ensemble_from(plan, &batch, &zero)?;
+                let outputs = sim.run_ensemble_from(plan, &batch, None)?;
                 outputs
                     .into_iter()
                     .map(|col| Ok(col.map_err(QoptError::Circuit)?.state.probabilities()))

@@ -156,13 +156,6 @@ impl Gate {
         Ok(Self { name: name.into(), dims, matrix, form: None })
     }
 
-    /// Creates a gate from a possibly non-unitary matrix without the
-    /// unitarity check. Intended for effective non-unitary operators in
-    /// trajectory simulations; regular circuits should use [`Gate::custom`].
-    pub fn custom_unchecked(name: impl Into<String>, dims: Vec<usize>, matrix: CMatrix) -> Self {
-        Self { name: name.into(), dims, matrix, form: None }
-    }
-
     /// Creates the gate `exp(-i H t)` from a Hermitian generator.
     ///
     /// # Errors

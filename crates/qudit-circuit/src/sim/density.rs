@@ -83,13 +83,6 @@ impl CompiledDensityCircuit {
         self.topology.num_params
     }
 
-    /// `true` if `self` and `other` share the same underlying plan topology
-    /// (they are clones of one compiled plan). Bindings are per-handle and do
-    /// not affect sharing.
-    pub fn shares_topology_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.topology, &other.topology)
-    }
-
     /// Re-materialises the parameter-dependent density steps at the given
     /// binding into **this handle's** overlay: sandwich steps re-realize
     /// their unitary, superoperator sweeps re-compose their recorded

@@ -12,26 +12,25 @@
 //!
 //! ## Algorithm
 //!
-//! A frontier of **open blocks** is maintained per qudit wire; open blocks
-//! have pairwise disjoint supports by construction. For each fusable gate:
-//!
-//! * If no open block touches the gate's wires, the gate opens a new block.
-//! * Otherwise the gate and every open block it touches are merged — but only
-//!   when the merge passes the **cost rule** and the **budget**, below.
-//!   Blocks that cannot merge are closed (emitted) first; closing order is
-//!   irrelevant because open blocks commute (disjoint supports).
+//! Fusion runs on the block frontier it shares with the density compiler
+//! (`sim::frontier`): open blocks with pairwise disjoint supports, a greedy
+//! merge of each fusable gate with the open blocks it touches (partial
+//! merges allowed), touched blocks that cannot merge closed first, and
+//! wire-local flushing. Fusion supplies the frontier's merge rule (the
+//! **cost rule** and **budget**, below) and emits a closed block as one
+//! fused block step.
 //!
 //! Measurements, resets, explicit channels, noisy gates (gates the noise
 //! model decorates with channels) and lossy barriers are fusion barriers.
 //! Flushing is **wire-local**: a barrier closes **only the open blocks
-//! whose supports overlap its wires** — a measurement's targets,
+//! whose supports overlap its wires**: a measurement's targets,
 //! a reset's qudit, a channel's targets, a noisy gate's targets (its
 //! attached channels act on those same wires), and every wire for a lossy
 //! barrier (idle loss decays the whole register). Blocks on disjoint wires
 //! stay open and keep fusing *through* the barrier, which is what gives
 //! syndrome-extraction-style circuits (repeated ancilla measure + reset
-//! rounds) a fusion benefit at all. Noiseless barriers are dropped from the execution plan, which lets
-//! fusion reach across Trotter-step boundaries.
+//! rounds) a fusion benefit at all. Noiseless barriers are dropped from the
+//! execution plan, which lets fusion reach across Trotter-step boundaries.
 //!
 //! ### Why deferring blocks past a barrier is sound
 //!
@@ -52,8 +51,8 @@
 //! uniform variate lands within ~1 ulp of an outcome boundary —
 //! probability ~1e-16 per draw. Away from that knife edge sampling is
 //! bitwise identical, which `tests/flush_props.rs` pins for its seeded
-//! workloads. The pass `debug_assert`s the disjointness invariant at every
-//! barrier.
+//! workloads. The frontier `debug_assert`s the disjointness invariant at
+//! every wire-local flush.
 //!
 //! ## Cost rule and budget
 //!
@@ -71,6 +70,7 @@ use qudit_core::matrix::CMatrix;
 
 use crate::circuit::{Circuit, Instruction};
 use crate::error::Result;
+use crate::sim::frontier::{Block, BlockPass, Frontier};
 
 /// Configuration of the gate-fusion pass (see the module docs).
 ///
@@ -167,12 +167,46 @@ pub(crate) enum FusedInst {
     Passthrough { index: usize },
 }
 
-/// An open (still-growing) block on the fusion frontier.
-struct OpenBlock {
-    targets: Vec<usize>,
-    sub_dim: usize,
-    /// Absorbed instruction indices, ascending (= program order).
-    gates: Vec<usize>,
+/// Fusion's side of the shared [`Frontier`]: the cost rule and budget, and
+/// the fused plan closed blocks are emitted into.
+struct FusionPass<'a> {
+    config: &'a FusionConfig,
+    out: Vec<FusedInst>,
+    stats: FusionStats,
+}
+
+impl BlockPass for FusionPass<'_> {
+    /// The summed subspace dimension of the parts of one merge, and the
+    /// largest part. An open block is priced by its dimension alone, so the
+    /// rule reads `block.dim`, never a block's stored pair.
+    type Cost = (usize, usize);
+
+    fn merge(
+        &self,
+        (parts, largest): (usize, usize),
+        block: &Block<Self::Cost>,
+        union: &[usize],
+        dim: usize,
+    ) -> Option<Self::Cost> {
+        let parts = parts + block.dim;
+        let largest = largest.max(block.dim);
+        // A merge that leaves the support equal to its largest constituent's
+        // is never growth; anything bigger must respect the cache budget.
+        let grows = dim > largest;
+        let within_budget =
+            !grows || (union.len() <= self.config.max_qudits && dim <= self.config.max_dim);
+        (dim <= parts && within_budget).then_some((parts, largest))
+    }
+
+    fn close(&mut self, block: Block<Self::Cost>) -> Result<()> {
+        self.stats.unitary_steps_out += 1;
+        self.stats.max_block_dim = self.stats.max_block_dim.max(block.dim);
+        if block.members.len() >= 2 {
+            self.stats.multi_gate_blocks += 1;
+        }
+        self.out.push(FusedInst::Block { targets: block.targets, gates: block.members });
+        Ok(())
+    }
 }
 
 /// Runs the fusion pass over `circuit`.
@@ -186,196 +220,48 @@ pub(crate) fn fuse(
     drop_noop_barriers: bool,
     config: &FusionConfig,
 ) -> Result<(Vec<FusedInst>, FusionStats)> {
-    let dims = circuit.dims();
-    let mut out = Vec::with_capacity(circuit.len());
-    let mut stats = FusionStats::default();
-
-    // Slot-map of open blocks; slots are append-only (freed entries become
-    // `None`), so the slot index doubles as a deterministic creation order.
-    let mut open: Vec<Option<OpenBlock>> = Vec::new();
-    let mut wire: Vec<Option<usize>> = vec![None; circuit.num_qudits()];
-
-    let close = |open: &mut Vec<Option<OpenBlock>>,
-                 wire: &mut Vec<Option<usize>>,
-                 out: &mut Vec<FusedInst>,
-                 stats: &mut FusionStats,
-                 slot: usize| {
-        let block = open[slot].take().expect("closing a live block");
-        for &t in &block.targets {
-            wire[t] = None;
-        }
-        stats.unitary_steps_out += 1;
-        stats.max_block_dim = stats.max_block_dim.max(block.sub_dim);
-        if block.gates.len() >= 2 {
-            stats.multi_gate_blocks += 1;
-        }
-        out.push(FusedInst::Block { targets: block.targets, gates: block.gates });
+    let mut pass = FusionPass {
+        config,
+        out: Vec::with_capacity(circuit.len()),
+        stats: FusionStats::default(),
     };
-    let flush_all = |open: &mut Vec<Option<OpenBlock>>,
-                     wire: &mut Vec<Option<usize>>,
-                     out: &mut Vec<FusedInst>,
-                     stats: &mut FusionStats| {
-        for slot in 0..open.len() {
-            if open[slot].is_some() {
-                close(open, wire, out, stats, slot);
-            }
-        }
-    };
-    // Closes only the open blocks whose supports overlap `targets`; the
-    // survivors commute with the barrier (disjoint supports), so they may
-    // keep growing and be emitted after it.
-    let flush_touching = |open: &mut Vec<Option<OpenBlock>>,
-                          wire: &mut Vec<Option<usize>>,
-                          out: &mut Vec<FusedInst>,
-                          stats: &mut FusionStats,
-                          targets: &[usize]| {
-        let mut slots: Vec<usize> = targets.iter().filter_map(|&t| wire[t]).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            close(open, wire, out, stats, slot);
-        }
-    };
-    // Barrier handling shared by every non-fusable instruction: wire-local
-    // flushing when the barrier's wires are known, global otherwise (a lossy
-    // barrier decays every wire). `barrier_crossings` counts the blocks that
-    // survived, and the disjointness debug assertion is exactly the
-    // commutation precondition the re-ordered plan relies on.
-    let flush_for_barrier = |open: &mut Vec<Option<OpenBlock>>,
-                             wire: &mut Vec<Option<usize>>,
-                             out: &mut Vec<FusedInst>,
-                             stats: &mut FusionStats,
-                             wires: Option<&[usize]>| {
-        match wires {
-            Some(w) => {
-                flush_touching(open, wire, out, stats, w);
-                debug_assert!(
-                    open.iter().flatten().all(|b| b.targets.iter().all(|t| !w.contains(t))),
-                    "a block overlapping a barrier survived the flush"
-                );
-            }
-            None => flush_all(open, wire, out, stats),
-        }
-        stats.barrier_crossings += open.iter().filter(|b| b.is_some()).count();
-    };
-
+    let mut frontier = Frontier::new(circuit.dims());
     for (index, inst) in circuit.instructions().iter().enumerate() {
-        match inst {
+        // Every other instruction is a barrier on the wires it acts on. A
+        // noisy gate's channels act on its own targets; a lossy barrier
+        // decays every wire (`None`).
+        let wires: Option<&[usize]> = match inst {
             Instruction::Unitary { gate, targets } if config.enabled && fusable[index] => {
-                stats.unitaries_in += 1;
-                let mut slots: Vec<usize> = targets.iter().filter_map(|&t| wire[t]).collect();
-                slots.sort_unstable();
-                slots.dedup();
-
-                if !slots.is_empty() {
-                    // Greedily build the merge set: starting from the gate's
-                    // own support, accept each touched block (in creation
-                    // order) that keeps the running union within the cost
-                    // rule and budget; the rest are closed. Partial merges
-                    // matter: a dense pair gate can still absorb a
-                    // single-qudit run on one of its wires even when a
-                    // neighbouring pair block is too expensive to join.
-                    let gate_dim = gate.matrix().rows();
-                    let mut union: Vec<usize> = targets.clone();
-                    union.sort_unstable();
-                    let mut union_dim: usize = union.iter().map(|&t| dims[t]).product();
-                    let mut parts_dim = gate_dim;
-                    let mut largest_part = gate_dim;
-                    let mut accepted = Vec::new();
-                    for &s in &slots {
-                        let block = open[s].as_ref().expect("live slot");
-                        let mut tentative = union.clone();
-                        tentative.extend(block.targets.iter().copied());
-                        tentative.sort_unstable();
-                        tentative.dedup();
-                        let t_dim: usize = tentative.iter().map(|&t| dims[t]).product();
-                        let t_parts = parts_dim + block.sub_dim;
-                        let t_largest = largest_part.max(block.sub_dim);
-                        // A merge that leaves the support equal to its
-                        // largest constituent's is never growth; anything
-                        // bigger must respect the cache budget.
-                        let grows = t_dim > t_largest;
-                        let within_budget = !grows
-                            || (tentative.len() <= config.max_qudits && t_dim <= config.max_dim);
-                        if t_dim <= t_parts && within_budget {
-                            accepted.push(s);
-                            union = tentative;
-                            union_dim = t_dim;
-                            parts_dim = t_parts;
-                            largest_part = t_largest;
-                        }
-                    }
-                    // Close the touched-but-unmerged blocks first; they hold
-                    // earlier gates and commute with everything still open.
-                    for &s in &slots {
-                        if !accepted.contains(&s) {
-                            close(&mut open, &mut wire, &mut out, &mut stats, s);
-                        }
-                    }
-                    if !accepted.is_empty() {
-                        // Absorb the accepted blocks' members plus this gate;
-                        // sorting restores program order (disjoint supports
-                        // commute, so program order is a valid application
-                        // order for the eventual block product).
-                        let mut gates = vec![index];
-                        for &s in &accepted {
-                            let block = open[s].take().expect("live slot");
-                            for &t in &block.targets {
-                                wire[t] = None;
-                            }
-                            gates.extend(block.gates);
-                        }
-                        gates.sort_unstable();
-                        let slot = open.len();
-                        for &t in &union {
-                            wire[t] = Some(slot);
-                        }
-                        open.push(Some(OpenBlock { targets: union, sub_dim: union_dim, gates }));
-                        continue;
-                    }
-                }
-
-                // Open a new block holding just this gate, canonicalised to
-                // ascending target order. A gate larger than the growth
-                // budget still becomes its own (single-gate) block.
-                let mut sorted = targets.clone();
-                sorted.sort_unstable();
-                let sub_dim = gate.matrix().rows();
-                let slot = open.len();
-                for &t in &sorted {
-                    wire[t] = Some(slot);
-                }
-                open.push(Some(OpenBlock { targets: sorted, sub_dim, gates: vec![index] }));
+                pass.stats.unitaries_in += 1;
+                let dim = gate.matrix().rows();
+                frontier.offer(index, targets.clone(), (dim, dim), &mut pass)?;
+                continue;
             }
+            // A barrier without idle loss is a scheduling hint only; not
+            // flushing lets fusion reach across Trotter-step boundaries.
+            Instruction::Barrier if drop_noop_barriers && config.enabled => continue,
             Instruction::Unitary { targets, .. } => {
-                // A noisy gate (or fusion disabled): it executes verbatim,
-                // and the model's channels act on its own targets, so those
-                // wires are its barrier support.
-                stats.unitaries_in += 1;
-                stats.unitary_steps_out += 1;
-                flush_for_barrier(&mut open, &mut wire, &mut out, &mut stats, Some(targets));
-                out.push(FusedInst::Gate { index });
+                pass.stats.unitaries_in += 1;
+                pass.stats.unitary_steps_out += 1;
+                Some(targets)
             }
-            Instruction::Barrier if drop_noop_barriers && config.enabled => {
-                // A barrier without idle loss is a scheduling hint only; not
-                // flushing lets fusion reach across Trotter-step boundaries.
+            Instruction::Measure { targets } | Instruction::Channel { targets, .. } => {
+                Some(targets)
             }
-            _ => {
-                let wires: Option<&[usize]> = match inst {
-                    Instruction::Measure { targets } => Some(targets),
-                    Instruction::Reset { target } => Some(std::slice::from_ref(target)),
-                    Instruction::Channel { targets, .. } => Some(targets),
-                    // A lossy barrier applies idle loss to every qudit.
-                    Instruction::Barrier => None,
-                    Instruction::Unitary { .. } => unreachable!("handled above"),
-                };
-                flush_for_barrier(&mut open, &mut wire, &mut out, &mut stats, wires);
-                out.push(FusedInst::Passthrough { index });
-            }
-        }
+            Instruction::Reset { target } => Some(std::slice::from_ref(target)),
+            Instruction::Barrier => None,
+        };
+        // The blocks still open commute with the barrier (disjoint
+        // supports); `barrier_crossings` counts them.
+        frontier.flush(wires, &mut pass)?;
+        pass.stats.barrier_crossings += frontier.open_blocks();
+        pass.out.push(match inst {
+            Instruction::Unitary { .. } => FusedInst::Gate { index },
+            _ => FusedInst::Passthrough { index },
+        });
     }
-    flush_all(&mut open, &mut wire, &mut out, &mut stats);
-    Ok((out, stats))
+    frontier.drain(&mut pass)?;
+    Ok((pass.out, pass.stats))
 }
 
 /// Embeds `matrix` (indexed by `from_targets` order) into the subspace of

@@ -17,12 +17,21 @@
 //! disjoint from a measurement/reset/channel can be emitted *after* it (the
 //! two commute exactly, see [`crate::sim::fusion`]). Both plan consumers —
 //! the shared [`ExecStep`] list the statevector/trajectory runners walk, and
-//! the [`DensityKernels`] superoperator frontier — therefore only rely on
+//! the [`DensityKernels`] superoperator compiler — therefore only rely on
 //! step order *within* a wire's light-cone, never on global program order.
-//! The density frontier applies the same wire-local rule: a per-term
-//! `Kraus` fallback or an over-budget sandwich closes only the open
-//! superoperator blocks it touches, and idle-loss barrier channels flush
-//! (or absorb into) exactly the per-qudit blocks of the wires they decay.
+//!
+//! The density compiler folds on the same block frontier as fusion
+//! (`sim::frontier`), with its own merge rule (see
+//! [`DensityKernels::compile`]) and its own closed-block form: a sandwich
+//! for a lone unitary, one composed superoperator sweep otherwise. So the
+//! same wire-local rule applies: a per-term `Kraus` fallback or an
+//! over-budget sandwich closes only the open blocks it touches, and
+//! idle-loss barrier channels flush (or absorb into) exactly the per-qudit
+//! blocks of the wires they decay. Both the fused-block recipe
+//! ([`OpRecipe`]) and a sweep's superoperator are products of constant and
+//! per-binding factors, multiplied by one fold ([`compose`]).
+
+use std::borrow::Cow;
 
 use qudit_core::apply::{matmul_structured, ApplyPlan, OpKind};
 use qudit_core::matrix::CMatrix;
@@ -32,6 +41,7 @@ use crate::circuit::{Circuit, Instruction};
 use crate::error::{CircuitError, Result};
 use crate::gate::Gate;
 use crate::noise::{check_probability, KrausChannel, NoiseModel};
+use crate::sim::frontier::{Block, BlockPass, Frontier};
 use crate::sim::fusion::{embed_to, fuse, FusedInst, FusionConfig, FusionStats};
 
 /// How to (re-)materialise one apply step's operator under a parameter
@@ -42,8 +52,10 @@ use crate::sim::fusion::{embed_to, fuse, FusedInst, FusionConfig, FusionStats};
 /// therefore bitwise-identical sampling streams).
 #[derive(Debug, Clone)]
 pub(crate) struct OpRecipe {
-    /// Constituents, program order.
-    parts: Vec<RecipePart>,
+    /// Constituents, program order: binding-independent gates pre-embedded
+    /// into `targets` at compile time, free-parameter gates with their own
+    /// targets, realized and embedded per binding.
+    parts: Vec<Factor<(Gate, Vec<usize>)>>,
     /// Support the realized operator is indexed in: ascending for fused
     /// blocks, the gate's own target order for verbatim gates.
     pub(crate) targets: Vec<usize>,
@@ -51,15 +63,38 @@ pub(crate) struct OpRecipe {
     dims: Vec<usize>,
 }
 
-/// One constituent of an [`OpRecipe`]. Binding-independent constituents are
-/// embedded into the recipe's support once, at compile time; only free
-/// constituents are re-realized and re-embedded per binding.
+/// One factor of a program-order operator product ([`compose`]): constant
+/// and pre-embedded into the product's support at compile time, so rebinds
+/// never re-embed it, or free and realized per binding.
 #[derive(Debug, Clone)]
-enum RecipePart {
-    /// Pre-embedded constant operator.
+pub(crate) enum Factor<F> {
     Const(CMatrix),
-    /// Free-parameter gate, realized per binding.
-    Free { gate: Gate, targets: Vec<usize> },
+    Free(F),
+}
+
+/// The product of `factors` in program order, each later factor multiplying
+/// from the left: constant factors by reference, free ones through
+/// `realize`, which also embeds them into the product's support. Structured
+/// factors compose without a dense matmul (see [`matmul_structured`]), and
+/// only a product whose first factor is constant pays one clone (the
+/// accumulator seed). Compile and rebind both come through here, so a rebind
+/// reproduces the compiled operator bitwise.
+fn compose<F>(
+    factors: &[Factor<F>],
+    mut realize: impl FnMut(&F) -> Result<CMatrix>,
+) -> Result<CMatrix> {
+    let mut acc: Option<CMatrix> = None;
+    for factor in factors {
+        let next = match factor {
+            Factor::Const(m) => Cow::Borrowed(m),
+            Factor::Free(free) => Cow::Owned(realize(free)?),
+        };
+        acc = Some(match acc {
+            None => next.into_owned(),
+            Some(prev) => matmul_structured(&next, &prev).map_err(CircuitError::Core)?,
+        });
+    }
+    acc.ok_or_else(|| CircuitError::InvalidGate("empty operator product".into()))
 }
 
 impl OpRecipe {
@@ -73,9 +108,9 @@ impl OpRecipe {
             .into_iter()
             .map(|(gate, gate_targets)| {
                 if gate.free_param().is_some() {
-                    Ok(RecipePart::Free { gate, targets: gate_targets })
+                    Ok(Factor::Free((gate, gate_targets)))
                 } else {
-                    Ok(RecipePart::Const(embed_to(
+                    Ok(Factor::Const(embed_to(
                         &targets,
                         &target_dims,
                         &gate_targets,
@@ -90,7 +125,7 @@ impl OpRecipe {
     /// `true` if any constituent carries a free parameter (i.e. the operator
     /// must be re-materialised on rebind).
     pub(crate) fn has_free(&self) -> bool {
-        self.parts.iter().any(|p| matches!(p, RecipePart::Free { .. }))
+        self.parts.iter().any(|p| matches!(p, Factor::Free(_)))
     }
 
     /// The free-parameter indices this recipe reads, ascending and deduped.
@@ -102,8 +137,8 @@ impl OpRecipe {
             .parts
             .iter()
             .filter_map(|p| match p {
-                RecipePart::Free { gate, .. } => gate.free_param(),
-                RecipePart::Const(_) => None,
+                Factor::Free((gate, _)) => gate.free_param(),
+                Factor::Const(_) => None,
             })
             .collect();
         idx.sort_unstable();
@@ -116,38 +151,19 @@ impl OpRecipe {
     /// constituent is diagonal.
     pub(crate) fn diagonal_for_all_bindings(&self) -> bool {
         self.parts.iter().all(|p| match p {
-            RecipePart::Const(m) => matches!(OpKind::classify(m), OpKind::Diagonal(_)),
-            RecipePart::Free { gate, .. } => gate.has_diagonal_generator(),
+            Factor::Const(m) => matches!(OpKind::classify(m), OpKind::Diagonal(_)),
+            Factor::Free((gate, _)) => gate.has_diagonal_generator(),
         })
     }
 
     /// Materialises the operator at the given binding: each free constituent
     /// is realized ([`Gate::bound_matrix`]) and embedded into the recipe's
-    /// support, then all constituents multiply in program order (structured
-    /// factors compose without a dense matmul, see [`matmul_structured`]).
+    /// support, then all constituents multiply in program order
+    /// ([`compose`]).
     pub(crate) fn realize(&self, params: &[f64]) -> Result<CMatrix> {
-        // Constant parts are multiplied by reference — only a recipe whose
-        // first part is constant pays one clone (the accumulator seed).
-        let mut acc: Option<CMatrix> = None;
-        for part in &self.parts {
-            acc = Some(match (part, acc) {
-                (RecipePart::Const(m), None) => m.clone(),
-                (RecipePart::Const(m), Some(prev)) => {
-                    matmul_structured(m, &prev).map_err(CircuitError::Core)?
-                }
-                (RecipePart::Free { gate, targets }, acc) => {
-                    let embedded =
-                        embed_to(&self.targets, &self.dims, targets, &gate.bound_matrix(params)?)?;
-                    match acc {
-                        None => embedded,
-                        Some(prev) => {
-                            matmul_structured(&embedded, &prev).map_err(CircuitError::Core)?
-                        }
-                    }
-                }
-            });
-        }
-        acc.ok_or_else(|| CircuitError::InvalidGate("empty operator recipe".into()))
+        compose(&self.parts, |(gate, targets)| {
+            embed_to(&self.targets, &self.dims, targets, &gate.bound_matrix(params)?)
+        })
     }
 }
 
@@ -479,13 +495,7 @@ impl CircuitKernels {
     /// Returns an error if `params` supplies fewer than
     /// [`CircuitKernels::num_params`] values.
     pub(crate) fn bind_into(&self, params: &[f64], binds: &mut BindBuffers) -> Result<()> {
-        if params.len() < self.num_params {
-            return Err(CircuitError::InvalidGate(format!(
-                "binding supplies {} parameters but the plan needs {}",
-                params.len(),
-                self.num_params
-            )));
-        }
+        check_binding(params, self.num_params)?;
         let mut overrides = Vec::new();
         for (index, step) in self.steps.iter().enumerate() {
             if let ExecStep::Apply { recipe: Some(recipe), .. } = step {
@@ -515,13 +525,7 @@ impl CircuitKernels {
     /// [`CircuitKernels::num_params`] values.
     pub(crate) fn bind_batch_into(&self, population: &[Vec<f64>]) -> Result<Vec<BindBuffers>> {
         for params in population {
-            if params.len() < self.num_params {
-                return Err(CircuitError::InvalidGate(format!(
-                    "binding supplies {} parameters but the plan needs {}",
-                    params.len(),
-                    self.num_params
-                )));
-            }
+            check_binding(params, self.num_params)?;
         }
         let mut cols: Vec<BindBuffers> =
             population.iter().map(|_| BindBuffers::default()).collect();
@@ -546,6 +550,18 @@ impl CircuitKernels {
         }
         Ok(cols)
     }
+}
+
+/// Rejects a binding that supplies fewer than the `num_params` values a
+/// plan reads; every bind entry of both plan kinds checks through here.
+fn check_binding(params: &[f64], num_params: usize) -> Result<()> {
+    if params.len() < num_params {
+        return Err(CircuitError::InvalidGate(format!(
+            "binding supplies {} parameters but the plan needs {num_params}",
+            params.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Per-request parameter-binding overlay over an immutable (`Arc`-shared)
@@ -765,21 +781,6 @@ pub(crate) enum SuperFallback {
     Kraus { channel: KrausChannel, targets: Vec<usize> },
 }
 
-/// One constituent of a rebindable superoperator sweep: either a constant
-/// superoperator (channel, measurement dephasing, reset, idle loss, or a
-/// bound unitary's `U ⊗ conj(U)`) or a parameter-dependent unitary whose
-/// superoperator is re-derived from its [`OpRecipe`] at every binding.
-#[derive(Debug, Clone)]
-pub(crate) enum SuperPart {
-    /// Binding-independent superoperator, **pre-embedded** into the sweep's
-    /// doubled union support at compile time so rebinds never re-embed it.
-    Const { sup: CMatrix },
-    /// Parameter-dependent unitary; its superoperator is
-    /// `U(θ) ⊗ conj(U(θ))` with `U(θ)` realized by the recipe, embedded per
-    /// binding.
-    Parametric { recipe: OpRecipe },
-}
-
 /// Embeds a superoperator over `from` targets into the doubled union support
 /// `union ∪ (union + n)` of a register with the given dims.
 fn embed_super(sup: &CMatrix, from: &[usize], union: &[usize], dims: &[usize]) -> Result<CMatrix> {
@@ -802,9 +803,13 @@ fn embed_super(sup: &CMatrix, from: &[usize], union: &[usize], dims: &[usize]) -
 pub(crate) enum DensityRecipe {
     /// A sandwich step: re-realize the unitary.
     Sandwich { step: usize, recipe: OpRecipe },
-    /// A superoperator sweep: re-compose the (embedded) part superoperators
-    /// over the sweep's ascending union support.
-    Super { step: usize, parts: Vec<SuperPart>, targets: Vec<usize> },
+    /// A superoperator sweep: re-compose the part superoperators over the
+    /// sweep's ascending union support. A constant part is a channel,
+    /// measurement dephasing, reset, idle loss or bound unitary superoperator
+    /// embedded into the doubled union support; a free part is a
+    /// parameter-dependent unitary whose `U(θ) ⊗ conj(U(θ))` is re-derived
+    /// from its recipe at every binding.
+    Super { step: usize, parts: Vec<Factor<OpRecipe>>, targets: Vec<usize> },
 }
 
 /// Why a density-compiler constituent item exists: its relation to the
@@ -862,43 +867,19 @@ pub(crate) struct DensityKernels {
     pub num_params: usize,
 }
 
-/// Composes the superoperator of a sweep from its parts: each part's
-/// superoperator is embedded into the doubled union support and multiplied in
-/// program order (structured factors short-circuit the dense matmul). Shared
-/// verbatim by compile and rebind, so re-binding reproduces the compiled
-/// composition bitwise.
+/// Composes the superoperator of a sweep from its parts ([`compose`]): a
+/// free part's unitary is realized and its superoperator embedded into the
+/// doubled union support.
 fn compose_super_parts(
-    parts: &[SuperPart],
+    parts: &[Factor<OpRecipe>],
     params: &[f64],
     union: &[usize],
     dims: &[usize],
 ) -> Result<CMatrix> {
-    // Constant (pre-embedded) parts multiply by reference; only a sweep whose
-    // first part is constant pays one clone (the accumulator seed).
-    let mut acc: Option<CMatrix> = None;
-    for part in parts {
-        acc = Some(match (part, acc) {
-            (SuperPart::Const { sup }, None) => sup.clone(),
-            (SuperPart::Const { sup }, Some(prev)) => {
-                matmul_structured(sup, &prev).map_err(CircuitError::Core)?
-            }
-            (SuperPart::Parametric { recipe }, acc) => {
-                let embedded = embed_super(
-                    &SuperPlan::unitary_superop(&recipe.realize(params)?),
-                    &recipe.targets,
-                    union,
-                    dims,
-                )?;
-                match acc {
-                    None => embedded,
-                    Some(prev) => {
-                        matmul_structured(&embedded, &prev).map_err(CircuitError::Core)?
-                    }
-                }
-            }
-        });
-    }
-    acc.ok_or_else(|| CircuitError::InvalidGate("empty superoperator composition".into()))
+    compose(parts, |recipe| {
+        let sup = SuperPlan::unitary_superop(&recipe.realize(params)?);
+        embed_super(&sup, &recipe.targets, union, dims)
+    })
 }
 
 /// Structure class of an operator or superoperator, used by the density
@@ -957,29 +938,11 @@ enum DensityItem {
     Channel { kernel: ChannelKernel, sup: Option<(CMatrix, OpKind)> },
 }
 
-/// An open (still-growing) superoperator block on the density compiler's
-/// frontier. Like fusion's open blocks, live blocks have pairwise disjoint
-/// supports, so they commute and closing order is irrelevant. Blocks are
-/// structural — they record which items they absorbed; the composed
-/// superoperator is materialised at close time (and a single-unitary block
-/// closes as a plain sandwich, so noiseless circuits never pay the
-/// Kronecker).
-struct OpenSuper {
-    /// Ascending union support.
-    targets: Vec<usize>,
-    sub_dim: usize,
-    /// Absorbed item indices (ascending = program order after sorting).
-    items: Vec<usize>,
-    class: Structure,
-    /// Sum of the constituents' standalone sweep costs (the cost of *not*
-    /// folding), used by the merge rule.
-    cost: usize,
-}
-
 impl DensityKernels {
     /// Compiles the shared execution plan into the density-specific plan:
     /// channels become superoperator sweeps where profitable, and adjacent
-    /// operations merge under the cost rule below.
+    /// operations merge on the block frontier shared with fusion, under the
+    /// cost rule below (the frontier's merge rule for this pass).
     ///
     /// ## Cost rule
     ///
@@ -1006,44 +969,41 @@ impl DensityKernels {
     /// compiler used.
     pub(crate) fn compile(kernels: &CircuitKernels, config: &SuperopConfig) -> Result<Self> {
         let radix = Radix::new(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let zeros = vec![0.0f64; kernels.num_params];
         let (items, item_origins) = collect_density_items(kernels, config, &radix)?;
-        let mut builder = DensityFrontier {
+        let mut pass = DensityPass {
             radix: &radix,
             dims: &kernels.dims,
             config,
-            zeros,
+            zeros: vec![0.0f64; kernels.num_params],
             items: items.into_iter().map(Some).collect(),
-            open: Vec::new(),
-            wire: vec![None; kernels.dims.len()],
             steps: Vec::new(),
             step_items: Vec::new(),
             rebind: Vec::new(),
             stats: SuperopStats::default(),
         };
-
-        if !config.enabled {
-            for id in 0..builder.items.len() {
-                builder.emit_verbatim(id)?;
-            }
-        } else {
-            for id in 0..builder.items.len() {
-                builder.push_item(id)?;
-            }
-            for slot in 0..builder.open.len() {
-                if builder.open[slot].is_some() {
-                    builder.close(slot)?;
+        let mut frontier = Frontier::new(&kernels.dims);
+        for id in 0..pass.items.len() {
+            let (targets, cost) = pass.price(id)?;
+            match cost {
+                Some(cost) => frontier.offer(id, targets, cost, &mut pass)?,
+                None => {
+                    // Too large to ever join a sweep (an unprofitable or
+                    // over-budget channel, or batching is off): emit
+                    // verbatim, flushing overlaps first.
+                    frontier.flush(Some(&targets), &mut pass)?;
+                    pass.emit_verbatim(id)?;
                 }
             }
         }
+        frontier.drain(&mut pass)?;
         Ok(Self {
             dims: kernels.dims.clone(),
-            steps: builder.steps,
+            steps: pass.steps,
             item_origins,
-            step_items: builder.step_items,
+            step_items: pass.step_items,
             fusion_stats: kernels.stats,
-            stats: builder.stats,
-            rebind: builder.rebind,
+            stats: pass.stats,
+            rebind: pass.rebind,
             num_params: kernels.num_params,
         })
     }
@@ -1061,13 +1021,7 @@ impl DensityKernels {
     /// # Errors
     /// Returns an error if `params` supplies fewer than `num_params` values.
     pub(crate) fn bind_into(&self, params: &[f64], binds: &mut BindBuffers) -> Result<()> {
-        if params.len() < self.num_params {
-            return Err(CircuitError::InvalidGate(format!(
-                "binding supplies {} parameters but the plan needs {}",
-                params.len(),
-                self.num_params
-            )));
-        }
+        check_binding(params, self.num_params)?;
         // `rebind` entries were pushed at `steps.len()` during compilation,
         // so they are already ascending by step index.
         let mut overrides = Vec::with_capacity(self.rebind.len());
@@ -1091,8 +1045,9 @@ impl DensityKernels {
     }
 }
 
-/// Working state of the density compiler's superoperator frontier.
-struct DensityFrontier<'a> {
+/// The density compiler's side of the shared [`Frontier`]: the cost rule
+/// and budget, and the density plan closed blocks are emitted into.
+struct DensityPass<'a> {
     radix: &'a Radix,
     dims: &'a [usize],
     config: &'a SuperopConfig,
@@ -1100,9 +1055,6 @@ struct DensityFrontier<'a> {
     zeros: Vec<f64>,
     /// Constituents, consumed (taken) as their blocks close.
     items: Vec<Option<DensityItem>>,
-    /// Slot-map of open blocks (freed entries become `None`).
-    open: Vec<Option<OpenSuper>>,
-    wire: Vec<Option<usize>>,
     steps: Vec<DensityStep>,
     /// Item indices consumed by each emitted step, parallel to `steps`.
     step_items: Vec<Vec<usize>>,
@@ -1110,25 +1062,138 @@ struct DensityFrontier<'a> {
     stats: SuperopStats,
 }
 
-impl DensityFrontier<'_> {
-    /// The conservative structure class of an item for the (binding-
-    /// independent) cost model.
-    fn item_class(item: &DensityItem) -> Structure {
-        match item {
-            DensityItem::Unitary { kind, recipe, .. } => match recipe {
-                Some(r) if r.diagonal_for_all_bindings() => Structure::Diagonal,
-                Some(_) => Structure::Dense,
-                None => Structure::of(kind),
-            },
-            DensityItem::Channel { sup, .. } => match sup {
-                Some((_, kind)) => Structure::of(kind),
-                None => Structure::Dense,
-            },
-        }
+/// The density cost rule's price of folded items: the predicted structure
+/// class of their product, and the sum of their standalone sweep costs (the
+/// cost of *not* folding).
+type Price = (Structure, usize);
+
+impl BlockPass for DensityPass<'_> {
+    type Cost = Price;
+
+    fn merge(
+        &self,
+        (class, cost): Price,
+        block: &Block<Self::Cost>,
+        _union: &[usize],
+        dim: usize,
+    ) -> Option<Self::Cost> {
+        let (block_class, block_cost) = block.cost;
+        let class = class.join(block_class);
+        let cost = cost + block_cost;
+        (dim <= self.config.max_dim && class.sweep_cost(dim) <= cost).then_some((class, cost))
     }
 
-    /// Emits an item verbatim (batching disabled): unitaries as sandwiches,
-    /// channels on the per-term Kraus path.
+    /// A single-unitary block becomes a sandwich step (so noiseless circuits
+    /// never pay the Kronecker), anything else one composed superoperator
+    /// sweep.
+    fn close(&mut self, block: Block<Self::Cost>) -> Result<()> {
+        let Block { targets, dim, members: ids, .. } = block;
+        if let [id] = ids[..] {
+            if let Some(DensityItem::Unitary { .. }) = self.items[id].as_ref() {
+                return self.emit_verbatim(id);
+            }
+        }
+        let mut parts = Vec::with_capacity(ids.len());
+        let mut fallback = Vec::with_capacity(ids.len());
+        let mut parametric = false;
+        // Base slack for the compose/kron rounding, widened by each
+        // constituent's own construction tolerance so intentionally lossy
+        // channels (see `KrausChannel::new_with_tolerance`) stay legal.
+        let mut defect_tol = qudit_core::guard::GuardConfig::DEFAULT_TOL;
+        for id in ids.iter() {
+            // Constant parts embed into the union once, here; only the
+            // parametric parts re-embed on rebind.
+            parts.push(match self.items[*id].take().expect("items are consumed once") {
+                DensityItem::Unitary { recipe: Some(recipe), .. } => {
+                    parametric = true;
+                    Factor::Free(recipe)
+                }
+                DensityItem::Unitary { targets: from, op, recipe: None, tol, .. } => {
+                    defect_tol += tol;
+                    let sup =
+                        embed_super(&SuperPlan::unitary_superop(&op), &from, &targets, self.dims)?;
+                    fallback.push(SuperFallback::Unitary { targets: from, op });
+                    Factor::Const(sup)
+                }
+                DensityItem::Channel { kernel, sup } => {
+                    let (sup, _) = sup.expect("merged channels carry their superoperator");
+                    defect_tol += kernel.channel.tolerance();
+                    let part =
+                        Factor::Const(embed_super(&sup, &kernel.targets, &targets, self.dims)?);
+                    let (channel, targets) = (kernel.channel, kernel.targets);
+                    fallback.push(SuperFallback::Kraus { channel, targets });
+                    part
+                }
+            });
+        }
+        if parametric {
+            // A rebind recomposes the sweep but would leave these payloads
+            // stale, so a defect on a parametric sweep fails hard instead.
+            fallback.clear();
+        }
+        let sup = compose_super_parts(&parts, &self.zeros, &targets, self.dims)?;
+        let defect = SuperPlan::trace_defect(&sup, dim);
+        if defect > defect_tol || defect.is_nan() {
+            return Err(CircuitError::InvalidChannel(format!(
+                "folded superoperator on qudits {targets:?} is not trace preserving \
+                 (defect {defect:.3e}, allowed {defect_tol:.3e})"
+            )));
+        }
+        let plan = SuperPlan::new(self.radix, &targets).map_err(CircuitError::Core)?;
+        let kind = OpKind::classify(&sup);
+        // A rebind replaces a parametric sweep's matrix, so only constant
+        // sweeps carry a compressed form.
+        let compressed = if parametric { None } else { SuperopConfig::compress(&sup, &kind) };
+        self.stats.super_steps += 1;
+        self.stats.max_super_dim = self.stats.max_super_dim.max(dim);
+        if ids.len() >= 2 {
+            self.stats.multi_op_supers += 1;
+            self.stats.ops_folded += ids.len();
+        }
+        if parametric {
+            self.rebind.push(DensityRecipe::Super { step: self.steps.len(), parts, targets });
+        }
+        self.step_items.push(ids);
+        self.steps.push(DensityStep::Super { plan, kind, sup, compressed, fallback, defect_tol });
+        Ok(())
+    }
+}
+
+impl DensityPass<'_> {
+    /// An item's targets and its standalone price for the (binding-
+    /// independent) cost rule, or `None` when it never joins a sweep: a
+    /// unitary over [`SuperopConfig::max_dim`], a channel without a
+    /// profitable superoperator, or any item with batching off. The class is
+    /// conservative for parametric unitaries (see [`DensityKernels::compile`]).
+    fn price(&self, id: usize) -> Result<(Vec<usize>, Option<Price>)> {
+        let (targets, cost) = match self.items[id].as_ref().expect("items are priced once") {
+            DensityItem::Unitary { targets, kind, recipe, .. } => {
+                let k = self.radix.subspace_dim(targets).map_err(CircuitError::Core)?;
+                let class = match recipe {
+                    Some(r) if r.diagonal_for_all_bindings() => Structure::Diagonal,
+                    Some(_) => Structure::Dense,
+                    None => Structure::of(kind),
+                };
+                let cost = match class {
+                    Structure::Diagonal => 2,
+                    Structure::Monomial => 4,
+                    Structure::Dense => 2 * k,
+                };
+                (targets, (k <= self.config.max_dim).then_some((class, cost)))
+            }
+            DensityItem::Channel { kernel, sup } => {
+                let price = sup.as_ref().map(|(_, kind)| {
+                    let class = Structure::of(kind);
+                    (class, class.sweep_cost(kernel.plan.sub_dim()))
+                });
+                (&kernel.targets, price)
+            }
+        };
+        Ok((targets.clone(), cost.filter(|_| self.config.enabled)))
+    }
+
+    /// Emits an item verbatim: a unitary as a sandwich, a channel on the
+    /// per-term Kraus path.
     fn emit_verbatim(&mut self, id: usize) -> Result<()> {
         self.step_items.push(vec![id]);
         match self.items[id].take().expect("items are consumed once") {
@@ -1154,196 +1219,6 @@ impl DensityFrontier<'_> {
                 }));
             }
         }
-        Ok(())
-    }
-
-    /// Closes the block in `slot`: a single-unitary block becomes a sandwich
-    /// step, anything else one composed superoperator sweep.
-    fn close(&mut self, slot: usize) -> Result<()> {
-        let block = self.open[slot].take().expect("closing a live block");
-        for &t in &block.targets {
-            self.wire[t] = None;
-        }
-        let mut ids = block.items;
-        ids.sort_unstable();
-        if ids.len() == 1 {
-            if let Some(DensityItem::Unitary { .. }) = self.items[ids[0]].as_ref() {
-                return self.emit_verbatim(ids[0]);
-            }
-        }
-        let mut parts = Vec::with_capacity(ids.len());
-        let mut fallback = Vec::with_capacity(ids.len());
-        let mut parametric = false;
-        // Base slack for the compose/kron rounding, widened by each
-        // constituent's own construction tolerance so intentionally lossy
-        // channels (see `KrausChannel::new_with_tolerance`) stay legal.
-        let mut defect_tol = qudit_core::guard::GuardConfig::DEFAULT_TOL;
-        for id in ids.iter() {
-            // Constant parts embed into the union once, here; only the
-            // parametric parts re-embed on rebind.
-            parts.push(match self.items[*id].take().expect("items are consumed once") {
-                DensityItem::Unitary { recipe: Some(recipe), .. } => {
-                    parametric = true;
-                    SuperPart::Parametric { recipe }
-                }
-                DensityItem::Unitary { targets, op, recipe: None, tol, .. } => {
-                    defect_tol += tol;
-                    let sup = embed_super(
-                        &SuperPlan::unitary_superop(&op),
-                        &targets,
-                        &block.targets,
-                        self.dims,
-                    )?;
-                    fallback.push(SuperFallback::Unitary { targets, op });
-                    SuperPart::Const { sup }
-                }
-                DensityItem::Channel { kernel, sup } => {
-                    let (sup, _) = sup.expect("merged channels carry their superoperator");
-                    defect_tol += kernel.channel.tolerance();
-                    let part = SuperPart::Const {
-                        sup: embed_super(&sup, &kernel.targets, &block.targets, self.dims)?,
-                    };
-                    let (channel, targets) = (kernel.channel, kernel.targets);
-                    fallback.push(SuperFallback::Kraus { channel, targets });
-                    part
-                }
-            });
-        }
-        if parametric {
-            // A rebind recomposes the sweep but would leave these payloads
-            // stale, so a defect on a parametric sweep fails hard instead.
-            fallback.clear();
-        }
-        let sup = compose_super_parts(&parts, &self.zeros, &block.targets, self.dims)?;
-        let defect = SuperPlan::trace_defect(&sup, block.sub_dim);
-        if defect > defect_tol || defect.is_nan() {
-            return Err(CircuitError::InvalidChannel(format!(
-                "folded superoperator on qudits {:?} is not trace preserving \
-                 (defect {defect:.3e}, allowed {defect_tol:.3e})",
-                block.targets
-            )));
-        }
-        let plan = SuperPlan::new(self.radix, &block.targets).map_err(CircuitError::Core)?;
-        let kind = OpKind::classify(&sup);
-        // A rebind replaces a parametric sweep's matrix, so only constant
-        // sweeps carry a compressed form.
-        let compressed = if parametric { None } else { SuperopConfig::compress(&sup, &kind) };
-        self.stats.super_steps += 1;
-        self.stats.max_super_dim = self.stats.max_super_dim.max(block.sub_dim);
-        if ids.len() >= 2 {
-            self.stats.multi_op_supers += 1;
-            self.stats.ops_folded += ids.len();
-        }
-        if parametric {
-            self.rebind.push(DensityRecipe::Super {
-                step: self.steps.len(),
-                parts,
-                targets: block.targets,
-            });
-        }
-        self.step_items.push(ids);
-        self.steps.push(DensityStep::Super { plan, kind, sup, compressed, fallback, defect_tol });
-        Ok(())
-    }
-
-    /// Closes every open block whose support intersects `targets`; the
-    /// remaining blocks commute with the emitted step (disjoint supports).
-    /// This is the same wire-local flush rule the fusion pass applies to its
-    /// unitary frontier.
-    fn flush_touching(&mut self, targets: &[usize]) -> Result<()> {
-        let mut slots: Vec<usize> = targets.iter().filter_map(|&t| self.wire[t]).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            self.close(slot)?;
-        }
-        Ok(())
-    }
-
-    /// Feeds one item to the frontier: greedy merge against the touched open
-    /// blocks (in creation order) under the cost rule and budget, closing the
-    /// blocks that cannot merge.
-    fn push_item(&mut self, id: usize) -> Result<()> {
-        let item = self.items[id].as_ref().expect("items are pushed once");
-        let item_class = Self::item_class(item);
-        let (targets, eligible, item_cost) = match item {
-            DensityItem::Unitary { targets, .. } => {
-                let k = self.radix.subspace_dim(targets).map_err(CircuitError::Core)?;
-                let cost = match item_class {
-                    Structure::Diagonal => 2,
-                    Structure::Monomial => 4,
-                    Structure::Dense => 2 * k,
-                };
-                (targets.clone(), k <= self.config.max_dim, cost)
-            }
-            DensityItem::Channel { kernel, sup } => {
-                let cost = match sup {
-                    Some((_, kind)) => Structure::of(kind).sweep_cost(kernel.plan.sub_dim()),
-                    None => 0,
-                };
-                (kernel.targets.clone(), sup.is_some(), cost)
-            }
-        };
-        if !eligible {
-            // Too large to ever join a sweep (or an unprofitable/over-budget
-            // channel): emit verbatim, flushing overlaps first.
-            self.flush_touching(&targets)?;
-            return self.emit_verbatim(id);
-        }
-
-        let mut slots: Vec<usize> = targets.iter().filter_map(|&t| self.wire[t]).collect();
-        slots.sort_unstable();
-        slots.dedup();
-
-        let mut union: Vec<usize> = targets.clone();
-        union.sort_unstable();
-        let mut union_dim = self.radix.subspace_dim(&union).map_err(CircuitError::Core)?;
-        let mut parts_cost = item_cost;
-        let mut class = item_class;
-        let mut accepted = Vec::new();
-        for &s in &slots {
-            let block = self.open[s].as_ref().expect("live slot");
-            let mut tentative = union.clone();
-            tentative.extend(block.targets.iter().copied());
-            tentative.sort_unstable();
-            tentative.dedup();
-            let t_dim = self.radix.subspace_dim(&tentative).map_err(CircuitError::Core)?;
-            let t_class = class.join(block.class);
-            if t_dim <= self.config.max_dim && t_class.sweep_cost(t_dim) <= parts_cost + block.cost
-            {
-                accepted.push(s);
-                union = tentative;
-                union_dim = t_dim;
-                parts_cost += block.cost;
-                class = t_class;
-            }
-        }
-        for &s in &slots {
-            if !accepted.contains(&s) {
-                self.close(s)?;
-            }
-        }
-
-        let mut item_ids = vec![id];
-        for &s in &accepted {
-            let block = self.open[s].take().expect("live slot");
-            for &t in &block.targets {
-                self.wire[t] = None;
-            }
-            item_ids.extend(block.items);
-        }
-
-        let slot = self.open.len();
-        for &t in &union {
-            self.wire[t] = Some(slot);
-        }
-        self.open.push(Some(OpenSuper {
-            targets: union,
-            sub_dim: union_dim,
-            items: item_ids,
-            class,
-            cost: parts_cost,
-        }));
         Ok(())
     }
 }

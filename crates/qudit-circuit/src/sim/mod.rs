@@ -35,6 +35,7 @@ pub mod introspect;
 mod density;
 mod driver;
 mod ensemble;
+mod frontier;
 mod kernels;
 mod statevector;
 mod trajectory;

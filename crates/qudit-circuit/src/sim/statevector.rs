@@ -98,14 +98,6 @@ impl CompiledCircuit {
             .count()
     }
 
-    /// `true` if `self` and `other` share the same underlying plan topology
-    /// (they are clones of one compiled plan). Bindings are per-handle and do
-    /// not affect sharing; a plan-cache hit hands out handles for which this
-    /// holds.
-    pub fn shares_topology_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.topology, &other.topology)
-    }
-
     /// Re-materialises the operators of the parameter-dependent (possibly
     /// fused) apply steps at the given binding into **this handle's** overlay
     /// — without re-running fusion, stride-plan construction, or the plan's
@@ -343,7 +335,10 @@ impl StatevectorSimulator {
     }
 
     /// Runs a population of bindings through one compiled plan (see
-    /// [`CompiledCircuit::bind_batch`]), every column from `initial`. Each
+    /// [`CompiledCircuit::bind_batch`]), every column from `initial` or, with
+    /// `None`, from `|0...0⟩` built in place (as in
+    /// [`StatevectorSimulator::run_compiled`]; a bare `&QuditState` converts
+    /// to `Some`). Each
     /// column runs the plan once with its own memoised binding overlay and
     /// the simulator's seed, and columns fan out across the worker threads
     /// set by [`StatevectorSimulator::with_threads`]. Column `b`'s output is
@@ -359,22 +354,25 @@ impl StatevectorSimulator {
     /// # Errors
     /// Returns an error for a register or noise-model mismatch, or
     /// cancellation.
-    pub fn run_ensemble_from(
+    pub fn run_ensemble_from<'a>(
         &self,
         compiled: &CompiledCircuit,
         batch: &BatchBindings,
-        initial: &QuditState,
+        initial: impl Into<Option<&'a QuditState>>,
     ) -> Result<Vec<Result<RunOutput>>> {
         check_noise(&compiled.noise, &self.noise)?;
         let kernels = &compiled.topology;
-        check_register(initial.radix().dims(), &kernels.dims)?;
+        let initial = initial.into();
+        if let Some(initial) = initial {
+            check_register(initial.radix().dims(), &kernels.dims)?;
+        }
         if batch.is_empty() {
             return Ok(Vec::new());
         }
         let threads = if self.threads == 0 { qudit_core::par::max_threads() } else { self.threads };
         let columns = qudit_core::par::par_map_threads(batch.len(), threads, |b| {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            self.run_prepared(kernels, &batch.cols[b], Some(initial), &mut rng)
+            self.run_prepared(kernels, &batch.cols[b], initial, &mut rng)
         });
         // Cancellation is a property of the call, not of one column.
         for column in &columns {

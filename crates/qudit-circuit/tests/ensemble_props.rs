@@ -26,7 +26,6 @@ use qudit_circuit::{Circuit, Gate, Observable, Param};
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
 use qudit_core::random::haar_unitary;
-use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 
 const TOL: f64 = 1e-12;
@@ -230,8 +229,7 @@ fn run_population(
     plan: &CompiledCircuit,
     batch: &BatchBindings,
 ) -> Result<Vec<Result<RunOutput, CircuitError>>, CircuitError> {
-    let zero = QuditState::zero(plan.dims().to_vec()).unwrap();
-    sim.run_ensemble_from(plan, batch, &zero)
+    sim.run_ensemble_from(plan, batch, None)
 }
 
 /// The serial side: one fresh handle of `plan`, bound to `params` and run.

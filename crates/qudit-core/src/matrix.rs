@@ -347,17 +347,6 @@ impl CMatrix {
         out
     }
 
-    /// Kronecker product of an ordered list of factors.
-    ///
-    /// Returns the `1x1` identity for an empty list.
-    pub fn kron_all(factors: &[&CMatrix]) -> CMatrix {
-        let mut acc = CMatrix::identity(1);
-        for f in factors {
-            acc = acc.kron(f);
-        }
-        acc
-    }
-
     /// Hermitian part `(A + A†) / 2`.
     pub fn hermitian_part(&self) -> CMatrix {
         let dag = self.dagger();
@@ -396,18 +385,6 @@ impl CMatrix {
     /// Returns `true` if all entries are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|z| z.is_finite())
-    }
-
-    /// Embeds this operator, acting on a subsystem of dimension `self.rows()`,
-    /// into an identity on the rest of a register — convenience wrapper used
-    /// by tests. For the general case use [`crate::radix::embed_operator`].
-    pub fn promote_left(&self, left_dim: usize) -> CMatrix {
-        CMatrix::identity(left_dim).kron(self)
-    }
-
-    /// See [`CMatrix::promote_left`]; identity appended on the right.
-    pub fn promote_right(&self, right_dim: usize) -> CMatrix {
-        self.kron(&CMatrix::identity(right_dim))
     }
 
     fn check_same_shape(&self, other: &CMatrix) -> Result<()> {

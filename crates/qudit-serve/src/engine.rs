@@ -69,9 +69,6 @@ pub struct ServeConfig {
     pub retry_backoff: Duration,
     /// Ready-plan capacity of each plan cache; `0` compiles per request.
     pub plan_cache_capacity: usize,
-    /// Worker-pool threads each job may use internally (1 = jobs are the
-    /// unit of parallelism, the usual serving configuration).
-    pub threads_per_job: usize,
     /// Numerical-health guard applied to every run; retries escalate its
     /// policy (`RenormalizeAndCount`, then `FallBack`) on top of this base.
     pub guard: GuardConfig,
@@ -91,7 +88,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             plan_cache_capacity: 32,
-            threads_per_job: 1,
             guard: GuardConfig::enabled(),
             noise: NoiseModel::noiseless(),
             seed: 0x5E27E,
@@ -142,12 +138,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-job internal thread budget.
-    pub fn with_threads_per_job(mut self, threads: usize) -> Self {
-        self.threads_per_job = threads;
-        self
-    }
-
     /// Sets the base numerical-health guard.
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
@@ -182,26 +172,25 @@ pub enum JobKind {
     InjectPanic,
 }
 
-/// A job submission: circuit, computation kind, optional parameter binding,
-/// priority and deadline.
+/// A job submission: circuit, computation kind, optional parameter binding
+/// and deadline.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     circuit: Circuit,
     kind: JobKind,
     params: Option<Vec<f64>>,
-    priority: u8,
     deadline: Option<Duration>,
 }
 
 impl JobSpec {
     /// A statevector job returning outcome probabilities.
     pub fn statevector(circuit: Circuit) -> Self {
-        Self { circuit, kind: JobKind::StatevectorProbs, params: None, priority: 0, deadline: None }
+        Self { circuit, kind: JobKind::StatevectorProbs, params: None, deadline: None }
     }
 
     /// A density-matrix job returning diagonal populations.
     pub fn density(circuit: Circuit) -> Self {
-        Self { circuit, kind: JobKind::DensityDiagonal, params: None, priority: 0, deadline: None }
+        Self { circuit, kind: JobKind::DensityDiagonal, params: None, deadline: None }
     }
 
     /// A job whose execution panics (fault-injection builds only), for
@@ -212,7 +201,6 @@ impl JobSpec {
             circuit: Circuit::new(vec![2]),
             kind: JobKind::InjectPanic,
             params: None,
-            priority: 0,
             deadline: None,
         }
     }
@@ -220,13 +208,6 @@ impl JobSpec {
     /// Binds the circuit's free parameters before the run.
     pub fn with_params(mut self, params: Vec<f64>) -> Self {
         self.params = Some(params);
-        self
-    }
-
-    /// Sets the scheduling priority (higher runs first; FIFO within equal
-    /// priority).
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -412,7 +393,7 @@ struct Shared {
     next_id: AtomicU64,
 }
 
-/// The serving engine: a worker pool fed by a bounded priority queue, with
+/// The serving engine: a worker pool fed by a bounded FIFO queue, with
 /// shared single-flight plan caches. See the crate-level docs for the job
 /// lifecycle.
 pub struct ServeEngine {
@@ -495,7 +476,7 @@ impl ServeEngine {
                     state = shared.space.wait(state).expect("engine state poisoned");
                 }
                 Backpressure::ShedOldest => {
-                    if let Some(old) = state.queue.shed_oldest() {
+                    if let Some(old) = state.queue.pop_oldest() {
                         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                         old.cell.resolve(JobOutcome::Shed);
                     }
@@ -503,7 +484,7 @@ impl ServeEngine {
                 }
             }
         }
-        state.queue.push(spec.priority, job);
+        state.queue.push(job);
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         drop(state);
         shared.work.notify_one();
@@ -595,7 +576,7 @@ fn worker_loop(shared: &Shared) {
             loop {
                 // Shutdown overrides pause: the queue must drain.
                 if state.shutdown || !state.paused {
-                    if let Some(job) = state.queue.pop_best() {
+                    if let Some(job) = state.queue.pop_oldest() {
                         state.in_flight += 1;
                         break job;
                     }
@@ -749,9 +730,10 @@ fn run_once(shared: &Shared, job: &Job, guard: GuardConfig) -> Result<Vec<f64>, 
             if let Some(params) = &job.params {
                 plan.bind(params)?;
             }
+            // Jobs are the unit of parallelism: each runs on one thread.
             let sim = StatevectorSimulator::with_seed(seed)
                 .with_noise(cfg.noise.clone())
-                .with_threads(cfg.threads_per_job)
+                .with_threads(1)
                 .with_guard(guard)
                 .with_cancel(job.token.clone());
             let out = sim.run_compiled(&plan, None)?;
@@ -782,7 +764,7 @@ fn run_once(shared: &Shared, job: &Job, guard: GuardConfig) -> Result<Vec<f64>, 
             let sim = DensityMatrixSimulator::new()
                 .with_seed(seed)
                 .with_noise(cfg.noise.clone())
-                .with_threads(cfg.threads_per_job)
+                .with_threads(1)
                 .with_guard(guard)
                 .with_cancel(job.token.clone());
             let (rho, _) = sim.run_compiled(&plan, None)?;

@@ -1,5 +1,5 @@
 //! Resilient serving layer for the qudit simulators: a cancellable job
-//! engine with per-job deadlines and priorities, bounded-queue backpressure,
+//! engine with per-job deadlines, bounded FIFO-queue backpressure,
 //! retry escalation for transient numerical faults, per-job panic isolation,
 //! graceful shutdown, and a shared single-flight plan cache.
 //!

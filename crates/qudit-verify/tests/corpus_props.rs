@@ -15,7 +15,6 @@ use qudit_circuit::sim::{
 use qudit_circuit::{Circuit, Gate, Param};
 use qudit_core::matrix::CMatrix;
 use qudit_core::random::haar_unitary;
-use qudit_core::state::QuditState;
 use qudit_core::Complex64;
 use qudit_verify::{
     expected_guard_checks, verify_density, verify_density_bound, verify_ensemble_health,
@@ -334,9 +333,8 @@ fn ensemble_columns_each_satisfy_the_checkpoint_formula() {
         let sim = StatevectorSimulator::new().with_guard(guard);
         let plan = sim.compile(&c).unwrap();
         let batch = plan.bind_batch(&vec![Vec::new(); 5]).unwrap();
-        let zero = QuditState::zero(dims.clone()).unwrap();
         let healths: Vec<_> = sim
-            .run_ensemble_from(&plan, &batch, &zero)
+            .run_ensemble_from(&plan, &batch, None)
             .unwrap()
             .into_iter()
             .map(|column| column.unwrap().health)
