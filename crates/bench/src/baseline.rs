@@ -242,7 +242,7 @@ pub fn run_statevector(circuit: &Circuit, noise: &NoiseModel, rng: &mut StdRng) 
     state
 }
 
-/// PR-1-style scoped fork-join `par_map`: spawns and joins OS threads on
+/// PR-1-style scoped fork-join map: spawns and joins OS threads on
 /// every call (`std::thread::scope`), the behaviour the persistent pool in
 /// `qudit_core::par` replaced. Kept as the spawn-overhead yardstick.
 pub fn par_map_scoped<T, F>(n: usize, threads: usize, f: F) -> Vec<T>

@@ -10,8 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use qudit_circuit::noise::NoiseModel;
-
 use crate::dispersive::DispersiveParams;
 use crate::error::{CavityError, Result};
 use crate::transmon::TransmonParams;
@@ -188,11 +186,6 @@ impl Device {
         self.modules.len()
     }
 
-    /// Per-mode dimensions in global mode order.
-    pub fn mode_dims(&self) -> Vec<usize> {
-        self.modules.iter().flat_map(|m| m.modes.iter().map(|mode| mode.dim)).collect()
-    }
-
     /// Total Hilbert-space dimension of the machine (`Π d_i`), as a log10 so
     /// it does not overflow for the forecast device.
     pub fn log10_hilbert_dim(&self) -> f64 {
@@ -313,21 +306,6 @@ impl Device {
         let eb = self.single_mode_error(b, duration_us)?;
         Ok(combine_errors(&[ea, eb]))
     }
-
-    /// A circuit-level [`NoiseModel`] calibrated to this device: photon loss
-    /// per gate derived from the *worst* mode's T1 and the primitive
-    /// durations. Useful as a quick pessimistic model; per-mode accuracy
-    /// comes from using the compiler's mapped error estimates instead.
-    pub fn to_noise_model(&self) -> NoiseModel {
-        let worst_t1 = self
-            .modules
-            .iter()
-            .flat_map(|m| m.modes.iter().map(|mode| mode.t1_us))
-            .fold(f64::INFINITY, f64::min);
-        let loss_1q = 1.0 - (-self.durations.snap_us / worst_t1).exp();
-        let loss_2q = 1.0 - (-self.durations.csum_intra_us / worst_t1).exp();
-        NoiseModel::cavity(loss_1q, loss_2q, 0.0)
-    }
 }
 
 /// Combines independent error probabilities: `1 − Π(1 − p_i)`.
@@ -344,7 +322,7 @@ mod tests {
         let dev = Device::forecast();
         assert_eq!(dev.num_modules(), 10);
         assert_eq!(dev.num_modes(), 40);
-        assert!(dev.mode_dims().iter().all(|&d| d == 10));
+        assert!((0..40).all(|m| dev.mode(m).unwrap().dim == 10));
         // The paper claims the Hilbert space exceeds 100 qubits.
         assert!(dev.equivalent_qubits() > 100.0);
         // Millisecond-scale T1.
@@ -423,16 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn device_noise_model_is_nontrivial() {
-        let nm = Device::testbed().to_noise_model();
-        assert!(!nm.is_noiseless());
-    }
-
-    #[test]
     fn single_module_constructor() {
         let dev = Device::single_module(3, 5, 1000.0);
         assert_eq!(dev.num_modes(), 3);
-        assert_eq!(dev.mode_dims(), vec![5, 5, 5]);
+        assert!((0..3).all(|m| dev.mode(m).unwrap().dim == 5));
         assert!(dev.are_connected(0, 2).unwrap());
     }
 }

@@ -10,8 +10,6 @@ use qudit_circuit::gates;
 use qudit_core::matrix::CMatrix;
 use serde::{Deserialize, Serialize};
 
-use crate::error::{CavityError, Result};
-use crate::lindblad::LindbladSystem;
 use crate::transmon::TransmonParams;
 
 /// Parameters of a dispersively coupled cavity mode.
@@ -71,94 +69,10 @@ pub fn dispersive_hamiltonian(
     h
 }
 
-/// Assembles an open cavity–transmon system (one cavity mode, one transmon)
-/// with dissipation rates derived from the coherence times. Time units are
-/// microseconds (rates in µs⁻¹, Hamiltonian entries in rad/µs).
-///
-/// # Errors
-/// Returns an error if parameters are invalid.
-pub fn cavity_transmon_system(
-    cavity_dim: usize,
-    cavity_t1_us: f64,
-    params: &DispersiveParams,
-    transmon: &TransmonParams,
-) -> Result<LindbladSystem> {
-    if cavity_t1_us <= 0.0 {
-        return Err(CavityError::InvalidParameter(format!(
-            "cavity T1 must be positive, got {cavity_t1_us}"
-        )));
-    }
-    let tdim = transmon.levels;
-    let mut sys = LindbladSystem::new(vec![cavity_dim, tdim])?;
-    let h = dispersive_hamiltonian(cavity_dim, params, transmon);
-    sys.add_full_hamiltonian(&h, 1.0)?;
-    // Cavity photon loss.
-    sys.add_collapse(&gates::annihilation(cavity_dim), &[0], 1.0 / cavity_t1_us)?;
-    // Transmon relaxation and pure dephasing.
-    sys.add_collapse(&gates::annihilation(tdim), &[1], transmon.relaxation_rate())?;
-    let dephasing_rate = transmon.pure_dephasing_rate();
-    if dephasing_rate > 0.0 {
-        sys.add_collapse(&gates::number_operator(tdim), &[1], 2.0 * dephasing_rate)?;
-    }
-    Ok(sys)
-}
-
-/// The multi-mode generalisation: several cavity modes sharing a single
-/// transmon, `H = Σ_i χ_i n_i ⊗ n_t + cross-Kerr_{ij} n_i n_j`.
-/// Mode `i` occupies register slot `i`; the transmon is the last slot.
-///
-/// # Errors
-/// Returns an error if the parameter lists disagree in length.
-pub fn multimode_dispersive_system(
-    mode_dims: &[usize],
-    mode_t1_us: &[f64],
-    chis_mhz: &[f64],
-    cross_kerr_khz: f64,
-    transmon: &TransmonParams,
-) -> Result<LindbladSystem> {
-    if mode_dims.len() != mode_t1_us.len() || mode_dims.len() != chis_mhz.len() {
-        return Err(CavityError::InvalidParameter(
-            "mode_dims, mode_t1_us and chis_mhz must have the same length".into(),
-        ));
-    }
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let tdim = transmon.levels;
-    let mut dims = mode_dims.to_vec();
-    dims.push(tdim);
-    let mut sys = LindbladSystem::new(dims)?;
-    let transmon_slot = mode_dims.len();
-    let n_t = gates::number_operator(tdim);
-    for (i, (&d, &chi)) in mode_dims.iter().zip(chis_mhz.iter()).enumerate() {
-        let n_i = gates::number_operator(d);
-        sys.add_hamiltonian_term(&n_i.kron(&n_t), &[i, transmon_slot], two_pi * chi)?;
-        sys.add_collapse(&gates::annihilation(d), &[i], 1.0 / mode_t1_us[i])?;
-    }
-    // Mode–mode cross-Kerr (transmon-mediated).
-    if cross_kerr_khz != 0.0 {
-        for i in 0..mode_dims.len() {
-            for j in (i + 1)..mode_dims.len() {
-                let n_i = gates::number_operator(mode_dims[i]);
-                let n_j = gates::number_operator(mode_dims[j]);
-                sys.add_hamiltonian_term(
-                    &n_i.kron(&n_j),
-                    &[i, j],
-                    two_pi * cross_kerr_khz / 1000.0,
-                )?;
-            }
-        }
-    }
-    // Transmon decoherence.
-    sys.add_collapse(&gates::annihilation(tdim), &[transmon_slot], transmon.relaxation_rate())?;
-    let deph = transmon.pure_dephasing_rate();
-    if deph > 0.0 {
-        sys.add_collapse(&gates::number_operator(tdim), &[transmon_slot], 2.0 * deph)?;
-    }
-    Ok(sys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lindblad::LindbladSystem;
     use qudit_core::density::DensityMatrix;
     use qudit_core::state::QuditState;
 
@@ -192,9 +106,16 @@ mod tests {
 
     #[test]
     fn cavity_transmon_system_photon_decay_rate() {
+        // The dispersive Hamiltonian of a cavity (T1 = 1000 µs) coupled to a
+        // relaxing, dephasing transmon, in microseconds.
         let t = TransmonParams::typical();
-        let sys = cavity_transmon_system(4, 1000.0, &DispersiveParams::typical(), &t).unwrap();
-        assert!(sys.num_collapse_operators() >= 2);
+        let mut sys = LindbladSystem::new(vec![4, t.levels]).unwrap();
+        sys.add_full_hamiltonian(&dispersive_hamiltonian(4, &DispersiveParams::typical(), &t), 1.0)
+            .unwrap();
+        sys.add_collapse(&gates::annihilation(4), &[0], 1.0 / 1000.0).unwrap();
+        sys.add_collapse(&gates::annihilation(t.levels), &[1], t.relaxation_rate()).unwrap();
+        let dephasing = gates::number_operator(t.levels);
+        sys.add_collapse(&dephasing, &[1], 2.0 * t.pure_dephasing_rate()).unwrap();
         // One photon decays with the cavity T1, essentially unaffected by the
         // (idle, ground-state) transmon.
         let psi = QuditState::basis(vec![4, t.levels], &[1, 0]).unwrap();
@@ -203,21 +124,5 @@ mod tests {
         let n = rho.expectation(&gates::number_operator(4), &[0]).unwrap().re;
         let expected = (-100.0_f64 / 1000.0).exp();
         assert!((n - expected).abs() < 2e-3, "n = {n} vs {expected}");
-    }
-
-    #[test]
-    fn multimode_system_validates_lengths_and_builds() {
-        let t = TransmonParams::typical();
-        assert!(multimode_dispersive_system(&[3, 3], &[1000.0], &[1.0, 1.0], 0.0, &t).is_err());
-        let sys =
-            multimode_dispersive_system(&[3, 3], &[1000.0, 800.0], &[1.0, 1.2], 2.0, &t).unwrap();
-        assert_eq!(sys.radix().dims(), &[3, 3, t.levels]);
-        assert!(sys.hamiltonian().is_hermitian(1e-9));
-    }
-
-    #[test]
-    fn invalid_cavity_t1_rejected() {
-        let t = TransmonParams::typical();
-        assert!(cavity_transmon_system(4, 0.0, &DispersiveParams::typical(), &t).is_err());
     }
 }

@@ -37,23 +37,6 @@ pub fn coherent_state(d: usize, alpha: Complex64) -> Result<QuditState> {
     QuditState::from_amplitudes(vec![d], coherent_amplitudes(d, alpha))
 }
 
-/// An even (`+`) or odd (`−`) Schrödinger-cat state
-/// `|α⟩ ± |−α⟩` (normalised), truncated to `d` levels.
-///
-/// # Errors
-/// Returns an error for invalid dimensions or a numerically zero state (odd
-/// cat with `α = 0`).
-pub fn cat_state(d: usize, alpha: Complex64, even: bool) -> Result<QuditState> {
-    let plus = coherent_amplitudes(d, alpha);
-    let minus = coherent_amplitudes(d, -alpha);
-    let sign = if even { 1.0 } else { -1.0 };
-    let amps: Vec<Complex64> =
-        plus.iter().zip(minus.iter()).map(|(a, b)| *a + b.scale(sign)).collect();
-    let mut state = QuditState::from_amplitudes(vec![d], amps)?;
-    state.normalize()?;
-    Ok(state)
-}
-
 /// Density matrix of a thermal state with mean photon number `nbar`,
 /// truncated to `d` levels and renormalised.
 ///
@@ -82,11 +65,6 @@ pub fn thermal_density(d: usize, nbar: f64) -> Result<CMatrix> {
     Ok(CMatrix::diag(&probs.iter().map(|&p| c64(p, 0.0)).collect::<Vec<_>>()))
 }
 
-/// Mean photon number of a single-mode state.
-pub fn mean_photon_number(state: &QuditState) -> f64 {
-    state.amplitudes().iter().enumerate().map(|(n, a)| n as f64 * a.norm_sqr()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +75,8 @@ mod tests {
         let d = 30;
         let s = coherent_state(d, alpha).unwrap();
         assert!((s.norm() - 1.0).abs() < 1e-12);
-        let n_mean = mean_photon_number(&s);
+        let n_mean: f64 =
+            s.amplitudes().iter().enumerate().map(|(n, a)| n as f64 * a.norm_sqr()).sum();
         assert!((n_mean - alpha.norm_sqr()).abs() < 1e-6);
         // Variance equals the mean for a Poisson distribution.
         let n2: f64 =
@@ -114,9 +93,17 @@ mod tests {
 
     #[test]
     fn cat_states_have_definite_parity() {
+        // |α⟩ ± |−α⟩: coherent amplitudes of −α alternate in sign with n.
         let d = 25;
-        let even = cat_state(d, c64(1.2, 0.0), true).unwrap();
-        let odd = cat_state(d, c64(1.2, 0.0), false).unwrap();
+        let alpha = c64(1.2, 0.0);
+        let cat = |sign: f64| {
+            let (plus, minus) = (coherent_amplitudes(d, alpha), coherent_amplitudes(d, -alpha));
+            let amps = plus.iter().zip(&minus).map(|(a, b)| *a + b.scale(sign)).collect();
+            let mut state = QuditState::from_amplitudes(vec![d], amps).unwrap();
+            state.normalize().unwrap();
+            state
+        };
+        let (even, odd) = (cat(1.0), cat(-1.0));
         for (n, amp) in even.amplitudes().iter().enumerate() {
             if n % 2 == 1 {
                 assert!(amp.abs() < 1e-12, "even cat has odd component at n={n}");

@@ -102,11 +102,6 @@ impl LindbladSystem {
         &self.hamiltonian
     }
 
-    /// Number of collapse operators.
-    pub fn num_collapse_operators(&self) -> usize {
-        self.collapse.len()
-    }
-
     /// Adds `coeff · op` (acting on the listed modes) to the Hamiltonian.
     ///
     /// # Errors

@@ -165,11 +165,6 @@ impl PrimitiveSchedule {
         self.ops.iter().map(|o| 1.0 - o.error).product()
     }
 
-    /// Estimated total error probability.
-    pub fn total_error(&self) -> f64 {
-        1.0 - self.success_probability()
-    }
-
     /// Number of two-mode primitives (the expensive ones).
     pub fn two_mode_count(&self) -> usize {
         self.ops.iter().filter(|o| o.modes.len() >= 2).count()
@@ -266,8 +261,8 @@ mod tests {
         assert_eq!(sched.ops.len(), 3);
         assert_eq!(sched.two_mode_count(), 1);
         assert!((sched.total_duration_us() - (0.05 + 1.0 + 4.0)).abs() < 1e-9);
-        assert!(sched.total_error() > 0.0 && sched.total_error() < 1.0);
-        assert!((sched.success_probability() + sched.total_error() - 1.0).abs() < 1e-12);
+        let total_error = 1.0 - sched.success_probability();
+        assert!(total_error > 0.0 && total_error < 1.0);
     }
 
     #[test]

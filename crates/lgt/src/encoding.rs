@@ -24,14 +24,6 @@ pub enum Encoding {
 }
 
 impl Encoding {
-    /// Number of hardware carriers per lattice site of dimension `d`.
-    pub fn carriers_per_site(self, d: usize) -> usize {
-        match self {
-            Encoding::DirectQudit => 1,
-            Encoding::BinaryQubit => qubits_for(d),
-        }
-    }
-
     /// Human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -232,8 +224,6 @@ mod tests {
         assert_eq!(qubits_for(4), 2);
         assert_eq!(qubits_for(5), 3);
         assert_eq!(qubits_for(8), 3);
-        assert_eq!(Encoding::BinaryQubit.carriers_per_site(3), 2);
-        assert_eq!(Encoding::DirectQudit.carriers_per_site(9), 1);
     }
 
     #[test]

@@ -155,26 +155,6 @@ pub fn dominant_frequency(times: &[f64], signal: &[f64]) -> f64 {
     2.0 * std::f64::consts::PI * best_k as f64 / (total_time * refine as f64)
 }
 
-/// Relative root-mean-square deviation between two signals (the noisy-signal
-/// quality metric used by the encoding-comparison experiment).
-pub fn relative_rms_deviation(reference: &[f64], candidate: &[f64]) -> f64 {
-    let n = reference.len().min(candidate.len());
-    if n == 0 {
-        return 0.0;
-    }
-    let mut num = 0.0;
-    let mut den = 0.0;
-    let mean = reference.iter().take(n).sum::<f64>() / n as f64;
-    for i in 0..n {
-        num += (reference[i] - candidate[i]).powi(2);
-        den += (reference[i] - mean).powi(2);
-    }
-    if den < 1e-15 {
-        return num.sqrt();
-    }
-    (num / den).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_rms_deviation_properties() {
-        let a = vec![1.0, 2.0, 3.0, 2.0];
-        assert!(relative_rms_deviation(&a, &a) < 1e-12);
-        let b = vec![1.1, 2.1, 3.1, 2.1];
-        assert!(relative_rms_deviation(&a, &b) > 0.0);
-    }
-
-    #[test]
     fn noiseless_dynamics_oscillates_near_exact_gap_scale() {
         let h = sqed_chain(&small_params()).unwrap();
         let protocol = DynamicsProtocol {
@@ -252,7 +224,11 @@ mod tests {
         };
         let clean = run_dynamics(&h, 1, &protocol, &NoiseModel::noiseless()).unwrap();
         let noisy = run_dynamics(&h, 1, &protocol, &NoiseModel::depolarizing(0.02, 0.02)).unwrap();
-        let deviation = relative_rms_deviation(&clean.signal, &noisy.signal);
+        // Relative RMS deviation of the noisy signal from the clean one.
+        let mean = clean.signal.iter().sum::<f64>() / clean.signal.len() as f64;
+        let num: f64 = clean.signal.iter().zip(&noisy.signal).map(|(a, b)| (a - b).powi(2)).sum();
+        let den: f64 = clean.signal.iter().map(|a| (a - mean).powi(2)).sum();
+        let deviation = (num / den).sqrt();
         assert!(deviation > 0.01, "deviation {deviation}");
     }
 }

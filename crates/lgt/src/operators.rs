@@ -6,7 +6,7 @@
 //! (truncated at the boundaries). These are exactly the "diagonal and ladder
 //! operators" the paper's simulation section builds its Hamiltonians from.
 
-use qudit_core::complex::{c64, Complex64};
+use qudit_core::complex::Complex64;
 use qudit_core::matrix::CMatrix;
 
 /// Centred electric-field eigenvalue of level `k` in a `d`-level truncation.
@@ -38,25 +38,12 @@ pub fn l_minus(d: usize) -> CMatrix {
     l_plus(d).dagger()
 }
 
-/// The Hermitian "cosine of the link phase" operator
-/// `Û_cos = (L̂+ + L̂−)/2`, the truncated analogue of `cos θ̂`.
-pub fn u_cos(d: usize) -> CMatrix {
-    let plus = l_plus(d);
-    let minus = l_minus(d);
-    CMatrix::from_fn(d, d, |i, j| (plus.get(i, j) + minus.get(i, j)).scale(0.5))
-}
-
 /// Two-site hopping term `L̂+ ⊗ L̂− + L̂− ⊗ L̂+` (Hermitian), the
 /// nearest-neighbour interaction of the truncated gauge-matter Hamiltonian.
 pub fn hopping(d: usize) -> CMatrix {
     let pm = l_plus(d).kron(&l_minus(d));
     let mp = l_minus(d).kron(&l_plus(d));
     &pm + &mp
-}
-
-/// Two-site electric coupling `L̂z ⊗ L̂z`.
-pub fn zz_coupling(d: usize) -> CMatrix {
-    lz(d).kron(&lz(d))
 }
 
 /// Staggered-mass single-site term `(−1)^site · L̂z` is built by the caller;
@@ -67,12 +54,6 @@ pub fn staggered_sign(site: usize) -> f64 {
     } else {
         -1.0
     }
-}
-
-/// Site-local "matter occupation" observable used for correlators: the
-/// projector-weighted flux `|L̂z|`.
-pub fn abs_lz(d: usize) -> CMatrix {
-    CMatrix::diag(&(0..d).map(|k| c64(flux_value(d, k).abs(), 0.0)).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -116,10 +97,7 @@ mod tests {
     #[test]
     fn u_cos_and_hopping_are_hermitian() {
         for d in [2, 3, 4, 6] {
-            assert!(u_cos(d).is_hermitian(1e-12));
             assert!(hopping(d).is_hermitian(1e-12));
-            assert!(zz_coupling(d).is_hermitian(1e-12));
-            assert!(abs_lz(d).is_hermitian(1e-12));
         }
     }
 

@@ -11,7 +11,6 @@
 
 use qudit_circuit::gates;
 use qudit_core::complex::{c64, Complex64};
-use qudit_core::matrix::CMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -211,20 +210,12 @@ fn sample_from<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
     probs.len() - 1
 }
 
-/// Convenience: the ideal Fourier-readout matrix used by slot-1 decoding,
-/// exposed for tests and documentation.
-pub fn slot_basis(d: usize, slot: usize) -> CMatrix {
-    match slot {
-        0 => CMatrix::identity(d),
-        _ => gates::fourier(d),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::random_assignment;
     use crate::graph::Graph;
+    use qudit_core::matrix::CMatrix;
 
     #[test]
     fn packing_halves_the_qudit_count() {
@@ -276,9 +267,10 @@ mod tests {
 
     #[test]
     fn slot_bases_are_mutually_unbiased() {
+        // Slot 0 reads the computational basis, slot 1 the Fourier basis.
         let d = 3;
-        let b0 = slot_basis(d, 0);
-        let b1 = slot_basis(d, 1);
+        let b0 = CMatrix::identity(d);
+        let b1 = gates::fourier(d);
         let overlap = b0.dagger().matmul(&b1).unwrap();
         for i in 0..d {
             for j in 0..d {

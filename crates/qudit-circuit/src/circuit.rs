@@ -267,17 +267,6 @@ impl Circuit {
             .count()
     }
 
-    /// Per-gate-name counts, useful for resource estimates.
-    pub fn gate_histogram(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut hist = std::collections::BTreeMap::new();
-        for inst in &self.instructions {
-            if let Instruction::Unitary { gate, .. } = inst {
-                *hist.entry(gate.name().to_string()).or_insert(0) += 1;
-            }
-        }
-        hist
-    }
-
     /// Circuit depth: the number of layers under greedy ASAP scheduling where
     /// instructions touching disjoint qudits share a layer. Barriers close all
     /// layers.
@@ -481,8 +470,14 @@ mod tests {
         c.measure_all();
         assert_eq!(c.gate_count(), 4);
         assert_eq!(c.multi_qudit_gate_count(), 2);
-        assert_eq!(c.gate_histogram()["F3"], 2);
-        assert_eq!(c.gate_histogram()["CSUM3,3"], 2);
+        let named = |name: &str| {
+            c.instructions
+                .iter()
+                .filter(|i| matches!(i, Instruction::Unitary { gate, .. } if gate.name() == name))
+                .count()
+        };
+        assert_eq!(named("F3"), 2);
+        assert_eq!(named("CSUM3,3"), 2);
         assert_eq!(c.len(), 5);
     }
 

@@ -482,12 +482,6 @@ impl Gate {
         self.form.as_ref().and_then(|f| f.param.free_index())
     }
 
-    /// `true` if the gate carries a generator-based parameter (bound or
-    /// free).
-    pub fn is_parameterized(&self) -> bool {
-        self.form.is_some()
-    }
-
     /// `true` if the gate's generator is diagonal, in which case the realized
     /// matrix is diagonal at **every** binding. Always `false` for
     /// non-parameterized gates (whose structure is read off their matrix
@@ -550,13 +544,6 @@ impl Gate {
             matrix: self.matrix.dagger(),
             form,
         }
-    }
-
-    /// Renames the gate in place (builder style).
-    #[must_use]
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Returns `true` if the matrix is unitary to the given tolerance.
@@ -627,12 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn named_builder_changes_name() {
-        let g = Gate::shift_x(3).named("increment");
-        assert_eq!(g.name(), "increment");
-    }
-
-    #[test]
     fn parameterized_bound_matches_from_generator_bitwise() {
         // Dense generator (the QAOA ring mixer Hamiltonian).
         let mut h = CMatrix::zeros(4, 4);
@@ -651,7 +632,7 @@ mod tests {
     fn free_parameter_realizes_identity_until_bound() {
         let h = gates::number_operator(3);
         let g = Gate::parameterized("phase", vec![3], &h, Param::Free(2)).unwrap();
-        assert!(g.is_parameterized());
+        assert!(g.form.is_some());
         assert!(g.has_diagonal_generator());
         assert_eq!(g.free_param(), Some(2));
         assert!((g.matrix() - &CMatrix::identity(3)).max_abs() < 1e-15);

@@ -285,34 +285,6 @@ pub fn controlled_on_level(d_control: usize, trigger: usize, u: &CMatrix) -> CMa
     m
 }
 
-/// Embeds a qubit (2-level) unitary into the lowest two levels of a
-/// `d`-level qudit, acting as identity on the remaining levels.
-pub fn embed_qubit_gate(d: usize, u2: &CMatrix) -> CMatrix {
-    assert_eq!(u2.rows(), 2, "embed_qubit_gate expects a 2x2 matrix");
-    let mut m = CMatrix::identity(d);
-    for i in 0..2 {
-        for j in 0..2 {
-            m[(i, j)] = u2.get(i, j);
-        }
-    }
-    m
-}
-
-/// The qubit Hadamard (2x2), convenient for qubit-encoded baselines.
-pub fn hadamard_qubit() -> CMatrix {
-    let s = std::f64::consts::FRAC_1_SQRT_2;
-    CMatrix::from_fn(2, 2, |i, j| if i == 1 && j == 1 { c64(-s, 0.0) } else { c64(s, 0.0) })
-}
-
-/// Qubit rotation `exp(-i θ/2 (n_x X + n_y Y + n_z Z))` for qubit-encoded
-/// baselines.
-pub fn qubit_rotation(theta: f64, nx: f64, ny: f64, nz: f64) -> CMatrix {
-    let h =
-        CMatrix::from_rows(&[vec![c64(nz, 0.0), c64(nx, -ny)], vec![c64(nx, ny), c64(-nz, 0.0)]])
-            .expect("2x2");
-    expm_hermitian(&h, c64(0.0, -theta / 2.0)).expect("Hermitian generator")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,22 +510,6 @@ mod tests {
         assert!((g[(3 + 1, 3 + 1)] - Complex64::ONE).abs() < TOL);
         // control=2: shift applied, |2,0> -> |2,1>.
         assert!((g[(2 * 3 + 1, 2 * 3)] - Complex64::ONE).abs() < TOL);
-    }
-
-    #[test]
-    fn embedded_qubit_gate_leaves_upper_levels_alone() {
-        let h = embed_qubit_gate(5, &hadamard_qubit());
-        assert!(h.is_unitary(TOL));
-        assert!((h[(4, 4)] - Complex64::ONE).abs() < TOL);
-        assert!((h[(0, 0)] - c64(std::f64::consts::FRAC_1_SQRT_2, 0.0)).abs() < TOL);
-    }
-
-    #[test]
-    fn qubit_rotation_matches_known_values() {
-        // R_x(π) = -i X
-        let rx = qubit_rotation(PI, 1.0, 0.0, 0.0);
-        assert!((rx[(0, 1)] - c64(0.0, -1.0)).abs() < TOL);
-        assert!((rx[(1, 0)] - c64(0.0, -1.0)).abs() < TOL);
     }
 
     #[test]

@@ -169,22 +169,6 @@ impl KrausChannel {
         Self::new(format!("thermal({p_up:.2e})"), vec![d], vec![k0, k1])
     }
 
-    /// Coherent over-rotation error: applies `exp(-iεH)` deterministically for
-    /// a Hermitian generator `h`.
-    ///
-    /// # Errors
-    /// Returns an error if `h` has the wrong shape or is not Hermitian.
-    pub fn coherent_overrotation(d: usize, h: &CMatrix, epsilon: f64) -> Result<Self> {
-        if h.rows() != d || !h.is_hermitian(1e-8) {
-            return Err(CircuitError::InvalidChannel(
-                "over-rotation generator must be a d×d Hermitian matrix".into(),
-            ));
-        }
-        let u = qudit_core::linalg::expm_hermitian(h, c64(0.0, -epsilon))
-            .map_err(CircuitError::Core)?;
-        Self::new(format!("overrot({epsilon:.2e})"), vec![d], vec![u])
-    }
-
     /// Two-qudit depolarising channel built from tensor products of Weyl
     /// operators; the standard error model attached to entangling gates.
     ///
@@ -242,13 +226,6 @@ impl KrausChannel {
             acc += &kk;
         }
         (&acc - &CMatrix::identity(total)).max_abs() <= tol
-    }
-
-    /// Returns `true` if the channel is the identity map (single identity
-    /// Kraus operator).
-    pub fn is_identity(&self) -> bool {
-        self.operators.len() == 1
-            && (&self.operators[0] - &CMatrix::identity(self.operators[0].rows())).max_abs() < 1e-14
     }
 }
 
@@ -477,14 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn coherent_overrotation_is_unitary_channel() {
-        let h = gates::number_operator(3);
-        let ch = KrausChannel::coherent_overrotation(3, &h, 0.05).unwrap();
-        assert_eq!(ch.operators().len(), 1);
-        assert!(ch.is_trace_preserving(1e-9));
-    }
-
-    #[test]
     fn noise_model_attaches_channels_by_arity() {
         let nm = NoiseModel::depolarizing(1e-3, 1e-2);
         let dims = vec![3, 3, 3];
@@ -502,11 +471,5 @@ mod tests {
         assert!(!NoiseModel::depolarizing(0.01, 0.02).is_noiseless());
         let nm = NoiseModel::noiseless().with_readout_flip(0.01);
         assert!(!nm.is_noiseless());
-    }
-
-    #[test]
-    fn identity_channel_detection() {
-        assert!(KrausChannel::identity(4).is_identity());
-        assert!(!KrausChannel::depolarizing(4, 0.1).unwrap().is_identity());
     }
 }

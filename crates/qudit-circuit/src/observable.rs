@@ -66,11 +66,6 @@ impl Observable {
         &self.terms
     }
 
-    /// Number of terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Expectation value with respect to a pure state.
     ///
     /// # Errors
@@ -179,7 +174,7 @@ mod tests {
         let mut combined = Observable::new();
         combined.add_scaled(&obs, 0.5);
         assert!((combined.expectation(&s).unwrap() - 1.5).abs() < 1e-12);
-        assert_eq!(combined.num_terms(), 2);
+        assert_eq!(combined.terms.len(), 2);
     }
 
     #[test]

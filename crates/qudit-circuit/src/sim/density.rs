@@ -510,17 +510,6 @@ impl DensityMatrixSimulator {
         }
         Ok(counts)
     }
-
-    /// Fidelity of the circuit's noisy output with its noiseless output,
-    /// a convenient end-to-end circuit-quality metric.
-    ///
-    /// # Errors
-    /// Returns an error for circuits that contain non-unitary instructions.
-    pub fn fidelity_with_ideal(&self, circuit: &Circuit) -> Result<f64> {
-        let noisy = self.run(circuit)?;
-        let ideal_state = crate::sim::StatevectorSimulator::new().run(circuit)?;
-        noisy.fidelity_with_pure(&ideal_state).map_err(CircuitError::Core)
-    }
 }
 
 #[cfg(test)]
@@ -546,10 +535,11 @@ mod tests {
         let mut c = Circuit::uniform(2, 3);
         c.push(Gate::fourier(3), &[0]).unwrap();
         c.push(Gate::csum(3, 3), &[0, 1]).unwrap();
+        let ideal = crate::sim::StatevectorSimulator::new().run(&c).unwrap();
         let mut last = 1.0;
         for p in [0.0, 0.01, 0.05, 0.2] {
             let sim = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(p, p));
-            let f = sim.fidelity_with_ideal(&c).unwrap();
+            let f = sim.run(&c).unwrap().fidelity_with_pure(&ideal).unwrap();
             assert!(f <= last + 1e-9, "fidelity should not increase with noise");
             last = f;
         }

@@ -62,33 +62,17 @@ use qudit_core::state::QuditState;
 use qudit_core::Radix;
 
 use crate::error::Result;
-use crate::noise::KrausChannel;
 use kernels::{rescale_branch, ChannelKernel, RunScratch};
 
 /// Applies a Kraus channel to a pure state stochastically (quantum-trajectory
-/// unraveling): Kraus operator `K_k` is selected with probability
-/// `‖K_k|ψ⟩‖²` and the state renormalised.
-///
-/// Returns the index of the selected Kraus operator.
-///
-/// # Errors
-/// Returns an error if targets or dimensions are invalid.
-pub fn apply_channel_stochastic<R: Rng + ?Sized>(
-    state: &mut QuditState,
-    channel: &KrausChannel,
-    targets: &[usize],
-    rng: &mut R,
-) -> Result<usize> {
-    let kernel = ChannelKernel::new(state.radix(), channel.clone(), targets.to_vec())?;
-    apply_channel_prepared(state, &kernel, rng, &mut RunScratch::default())
-}
-
-/// [`apply_channel_stochastic`] through a precompiled [`ChannelKernel`]:
-/// one uniform draw, then [`ChannelKernel::select_branches`] computes the
-/// branch probabilities `‖K_k|ψ⟩‖²` in place (one marginal sweep for
-/// diagonal/monomial channels, one sweep per branch otherwise) and picks
-/// the branch. Only the selected operator is applied, and the state is
-/// rescaled by the already-known `1/√p_k` instead of re-summing its norm.
+/// unraveling) through a precompiled [`ChannelKernel`]: Kraus operator `K_k`
+/// is selected with probability `‖K_k|ψ⟩‖²` and the state renormalised, and
+/// the index `k` is returned. One uniform draw, then
+/// [`ChannelKernel::select_branches`] computes the branch probabilities in
+/// place (one marginal sweep for diagonal/monomial channels, one sweep per
+/// branch otherwise) and picks the branch. Only the selected operator is
+/// applied, and the state is rescaled by the already-known `1/√p_k` instead
+/// of re-summing its norm.
 /// The trajectory executor in `sim::ensemble` makes the same calls on each
 /// branch-prefix group's own state — one draw per member, one
 /// `apply_prepared` and [`rescale_branch`] per selected branch — which is
@@ -166,13 +150,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One stochastic channel event on `state`'s qudit 0.
+    fn apply_on_first(
+        state: &mut QuditState,
+        ch: &KrausChannel,
+        rng: &mut StdRng,
+    ) -> Result<usize> {
+        let kernel = ChannelKernel::new(state.radix(), ch.clone(), vec![0])?;
+        apply_channel_prepared(state, &kernel, rng, &mut RunScratch::default())
+    }
+
     #[test]
     fn stochastic_channel_preserves_normalisation() {
         let ch = KrausChannel::photon_loss(4, 0.3).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut state = QuditState::basis(vec![4, 4], &[3, 2]).unwrap();
         for _ in 0..20 {
-            apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
+            apply_on_first(&mut state, &ch, &mut rng).unwrap();
             assert!((state.norm() - 1.0).abs() < 1e-10);
         }
     }
@@ -189,7 +183,7 @@ mod tests {
         let mut acc = 0.0;
         for _ in 0..n_traj {
             let mut state = QuditState::basis(vec![d], &[3]).unwrap();
-            apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
+            apply_on_first(&mut state, &ch, &mut rng).unwrap();
             acc += state.expectation(&n_op, &[0]).unwrap().re;
         }
         let mean = acc / n_traj as f64;
@@ -204,12 +198,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut twin = rng.clone();
         let mut state = QuditState::basis(vec![3, 2], &[1, 1]).unwrap();
-        apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap();
+        apply_on_first(&mut state, &ch, &mut rng).unwrap();
         let _: f64 = twin.gen();
         assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
 
         state.amplitudes_mut().iter_mut().for_each(|a| *a = qudit_core::Complex64::ZERO);
-        let err = apply_channel_stochastic(&mut state, &ch, &[0], &mut rng).unwrap_err();
+        let err = apply_on_first(&mut state, &ch, &mut rng).unwrap_err();
         assert!(matches!(err, CircuitError::Core(CoreError::InvalidProbability(_))), "{err:?}");
     }
 

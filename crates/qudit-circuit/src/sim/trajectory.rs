@@ -249,11 +249,9 @@ impl TrajectorySimulator {
             }
             let len = threads.min(n_chunks - chunk);
             let run_wave = |i: usize| run_chunk(start + i * width);
-            let (results, retries) = match &self.cancel {
-                Some(token) => par::par_map_threads_counted_cancel(len, threads, token, run_wave)
-                    .map_err(CircuitError::Core)?,
-                None => par::par_map_threads_counted(len, threads, run_wave),
-            };
+            let (results, retries) =
+                par::par_map_threads_counted(len, threads, self.cancel.as_ref(), run_wave)
+                    .map_err(CircuitError::Core)?;
             health.retries += retries;
             for (i, result) in results.into_iter().enumerate() {
                 let (mut groups, chunk_health) = result?;

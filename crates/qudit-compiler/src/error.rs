@@ -11,13 +11,6 @@ pub type Result<T> = std::result::Result<T, CompilerError>;
 pub enum CompilerError {
     /// The synthesis target was invalid (wrong shape, not unitary, ...).
     InvalidTarget(String),
-    /// Synthesis did not reach the requested fidelity within its budget.
-    SynthesisFailed {
-        /// Best fidelity reached.
-        best_fidelity: f64,
-        /// Fidelity that was requested.
-        requested: f64,
-    },
     /// The circuit cannot be mapped onto the device (too many qudits,
     /// incompatible dimensions, ...).
     MappingFailed(String),
@@ -35,10 +28,6 @@ impl fmt::Display for CompilerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompilerError::InvalidTarget(msg) => write!(f, "invalid synthesis target: {msg}"),
-            CompilerError::SynthesisFailed { best_fidelity, requested } => write!(
-                f,
-                "synthesis reached fidelity {best_fidelity:.6} below the requested {requested:.6}"
-            ),
             CompilerError::MappingFailed(msg) => write!(f, "mapping failed: {msg}"),
             CompilerError::RoutingFailed(msg) => write!(f, "routing failed: {msg}"),
             CompilerError::Core(e) => write!(f, "core error: {e}"),
@@ -74,8 +63,8 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let e = CompilerError::SynthesisFailed { best_fidelity: 0.97, requested: 0.999 };
-        assert!(e.to_string().contains("0.97"));
+        let e = CompilerError::InvalidTarget("not square".into());
+        assert!(e.to_string().contains("not square"));
         let e: CompilerError = qudit_core::CoreError::InvalidDimension(1).into();
         assert!(e.to_string().contains("core error"));
     }

@@ -50,11 +50,6 @@ impl RoutedCircuit {
     pub fn estimated_fidelity(&self) -> f64 {
         self.ops.iter().map(|o| 1.0 - o.error.min(0.999_999)).product()
     }
-
-    /// Number of two-mode operations (including inserted SWAPs).
-    pub fn two_mode_op_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.modes.len() >= 2).count()
-    }
 }
 
 /// Routes a logical circuit onto the device given an initial mapping.
@@ -214,7 +209,7 @@ mod tests {
         let mapping = map_circuit(&c, &dev, MappingStrategy::RoundRobin).unwrap();
         let routed = route(&c, &dev, &mapping).unwrap();
         assert_eq!(routed.swap_count, 0);
-        assert_eq!(routed.two_mode_op_count(), 1);
+        assert_eq!(routed.ops.iter().filter(|o| o.modes.len() >= 2).count(), 1);
         // CSUM + 2 readouts.
         assert_eq!(routed.ops.len(), 3);
         assert!(routed.estimated_fidelity() > 0.0);

@@ -51,24 +51,10 @@ impl GivensDecomposition {
         snap.matmul(&u).expect("square")
     }
 
-    /// Number of adjacent-level rotations.
-    pub fn rotation_count(&self) -> usize {
-        self.rotations.len()
-    }
-
     /// Number of rotations with a non-negligible angle (|θ| > 1e-9), i.e.
     /// pulses that actually need to be played.
     pub fn nontrivial_rotation_count(&self) -> usize {
         self.rotations.iter().filter(|r| r.theta.abs() > 1e-9).count()
-    }
-
-    /// Primitive cost of the decomposition in cavity control pulses, using
-    /// the standard displacement–SNAP–displacement realisation of each
-    /// adjacent-level rotation plus one final SNAP:
-    /// returns `(snap_count, displacement_count)`.
-    pub fn primitive_counts(&self) -> (usize, usize) {
-        let nr = self.nontrivial_rotation_count();
-        (nr + 1, 2 * nr)
     }
 
     /// Reconstruction fidelity against a target unitary.
@@ -129,18 +115,6 @@ pub fn decompose_unitary(u: &CMatrix) -> Result<GivensDecomposition> {
     Ok(GivensDecomposition { d, rotations, phases })
 }
 
-/// Builds the full matrix of an adjacent-level rotation
-/// `R_{n,n+1}(θ, φ)` for direct use as a synthesis target.
-pub fn adjacent_rotation(d: usize, level: usize, theta: f64, phi: f64) -> CMatrix {
-    qudit_circuit::gates::rot_subspace(d, level, level + 1, theta, phi)
-}
-
-/// Convenience: number of adjacent-level rotations the exact decomposition of
-/// a generic (dense) `d × d` unitary requires, `d(d−1)/2`.
-pub fn generic_rotation_count(d: usize) -> usize {
-    d * (d - 1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +132,7 @@ mod tests {
             let dec = decompose_unitary(&u).unwrap();
             let f = dec.fidelity_against(&u).unwrap();
             assert!(f > 1.0 - 1e-9, "d = {d}, fidelity {f}");
-            assert!(dec.rotation_count() <= generic_rotation_count(d));
+            assert!(dec.rotations.len() <= d * (d - 1) / 2);
         }
     }
 
@@ -177,15 +151,12 @@ mod tests {
         let dec = decompose_unitary(&snap).unwrap();
         assert_eq!(dec.nontrivial_rotation_count(), 0);
         assert!(dec.fidelity_against(&snap).unwrap() > 1.0 - 1e-10);
-        let (snaps, disps) = dec.primitive_counts();
-        assert_eq!(snaps, 1);
-        assert_eq!(disps, 0);
     }
 
     #[test]
     fn single_subspace_rotation_is_recognised_as_cheap() {
         let d = 6;
-        let target = adjacent_rotation(d, 2, 1.1, 0.4);
+        let target = gates::rot_subspace(d, 2, 3, 1.1, 0.4);
         let dec = decompose_unitary(&target).unwrap();
         assert!(dec.fidelity_against(&target).unwrap() > 1.0 - 1e-9);
         // Only rotations touching levels 2-3 should be non-trivial.
@@ -225,10 +196,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let u3 = haar_unitary(&mut rng, 3).unwrap();
         let u6 = haar_unitary(&mut rng, 6).unwrap();
-        let c3 = decompose_unitary(&u3).unwrap().primitive_counts();
-        let c6 = decompose_unitary(&u6).unwrap().primitive_counts();
-        assert!(c6.1 > 3 * c3.1);
-        assert_eq!(generic_rotation_count(3), 3);
-        assert_eq!(generic_rotation_count(6), 15);
+        // A generic unitary needs all d(d−1)/2 adjacent-level rotations.
+        let n3 = decompose_unitary(&u3).unwrap().nontrivial_rotation_count();
+        let n6 = decompose_unitary(&u6).unwrap().nontrivial_rotation_count();
+        assert_eq!(n3, 3);
+        assert_eq!(n6, 15);
     }
 }

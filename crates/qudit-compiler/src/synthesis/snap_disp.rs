@@ -111,8 +111,7 @@ impl SnapDispSynthesizer {
     /// Synthesises the target `d × d` unitary.
     ///
     /// The returned fidelity is whatever the budget reached — callers decide
-    /// whether it is good enough (use [`SnapDispSynthesizer::synthesize_to`]
-    /// to turn an insufficient fidelity into an error).
+    /// whether it is good enough.
     ///
     /// # Errors
     /// Returns an error if the target is not unitary.
@@ -158,23 +157,6 @@ impl SnapDispSynthesizer {
             }
         }
         Ok(SnapDispSynthesis { params, fidelity: best_fid, iterations, d, sim_dim })
-    }
-
-    /// Like [`SnapDispSynthesizer::synthesize`] but fails if the requested
-    /// fidelity is not reached.
-    ///
-    /// # Errors
-    /// Returns [`CompilerError::SynthesisFailed`] when the budget is
-    /// exhausted below `self.target_fidelity`.
-    pub fn synthesize_to(&self, target: &CMatrix) -> Result<SnapDispSynthesis> {
-        let result = self.synthesize(target)?;
-        if result.fidelity < self.target_fidelity {
-            return Err(CompilerError::SynthesisFailed {
-                best_fidelity: result.fidelity,
-                requested: self.target_fidelity,
-            });
-        }
-        Ok(result)
     }
 }
 
@@ -265,18 +247,6 @@ mod tests {
                 .synthesize(&target)
                 .unwrap();
         assert!(deep.fidelity >= shallow.fidelity - 0.05);
-    }
-
-    #[test]
-    fn synthesize_to_enforces_threshold() {
-        let target = gates::fourier(4);
-        let synth = SnapDispSynthesizer {
-            layers: 1,
-            max_iterations: 50,
-            target_fidelity: 0.9999,
-            ..Default::default()
-        };
-        assert!(matches!(synth.synthesize_to(&target), Err(CompilerError::SynthesisFailed { .. })));
     }
 
     #[test]

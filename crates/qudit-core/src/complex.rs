@@ -24,9 +24,6 @@ pub struct Complex64 {
     pub im: f64,
 }
 
-/// Convenience alias matching the conventional `c64` spelling.
-pub type C64 = Complex64;
-
 /// Constructs a complex number from real and imaginary parts.
 #[inline(always)]
 pub const fn c64(re: f64, im: f64) -> Complex64 {
@@ -147,12 +144,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Returns `true` if `|self - other|` is at most `tol`.
-    #[inline]
-    pub fn approx_eq(self, other: Self, tol: f64) -> bool {
-        (self - other).abs() <= tol
     }
 }
 
@@ -406,7 +397,7 @@ mod tests {
     fn sum_iterator() {
         let v = [c64(1.0, 1.0), c64(2.0, -0.5), c64(-3.0, 0.0)];
         let s: Complex64 = v.iter().sum();
-        assert!(s.approx_eq(c64(0.0, 0.5), TOL));
+        assert!((s - c64(0.0, 0.5)).abs() <= TOL);
     }
 
     #[test]

@@ -142,15 +142,6 @@ impl DensityMatrix {
         sq.trace().re
     }
 
-    /// Von Neumann entropy `-Tr(ρ ln ρ)` in nats.
-    ///
-    /// # Errors
-    /// Propagates eigendecomposition failures.
-    pub fn von_neumann_entropy(&self) -> Result<f64> {
-        let eig = eigh(&self.matrix)?;
-        Ok(eig.values.iter().filter(|&&l| l > 1e-15).map(|&l| -l * l.ln()).sum())
-    }
-
     /// Checks physicality: Hermitian, unit trace and positive semi-definite
     /// (to within `tol`).
     ///
@@ -489,7 +480,9 @@ mod tests {
         let rho = DensityMatrix::maximally_mixed(vec![3, 3]).unwrap();
         assert!((rho.trace() - 1.0).abs() < 1e-12);
         assert!((rho.purity() - 1.0 / 9.0).abs() < 1e-12);
-        let s = rho.von_neumann_entropy().unwrap();
+        // Von Neumann entropy -Tr(ρ ln ρ) of the maximally mixed state is ln 9.
+        let eig = eigh(&rho.matrix).unwrap();
+        let s: f64 = eig.values.iter().filter(|&&l| l > 1e-15).map(|&l| -l * l.ln()).sum();
         assert!((s - (9f64).ln()).abs() < 1e-9);
     }
 

@@ -31,7 +31,7 @@
 //!   their floating-point summation order is a fixed interleaving rather
 //!   than a left fold.
 //! * [`par`] — a dependency-free **persistent worker pool** (lazily spawned,
-//!   channel-fed contiguous chunks) whose `par_map` preserves index order,
+//!   channel-fed contiguous chunks) whose maps preserve index order,
 //!   so the circuit simulators' trajectory chunks and population columns
 //!   parallelise with results bitwise identical to the serial order, at any
 //!   thread count, without per-call thread spawn/join overhead. `QUDIT_NUM_THREADS`

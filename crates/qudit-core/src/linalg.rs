@@ -316,16 +316,6 @@ pub fn solve_matrix(a: &CMatrix, b: &CMatrix) -> Result<CMatrix> {
     Ok(x)
 }
 
-/// Solves `A x = b` for a single right-hand-side vector.
-///
-/// # Errors
-/// See [`solve_matrix`].
-pub fn solve_vector(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>> {
-    let rhs = CMatrix::from_vec(b.len(), 1, b.to_vec())?;
-    let x = solve_matrix(a, &rhs)?;
-    Ok(x.into_vec())
-}
-
 /// Matrix inverse via LU solve against the identity.
 ///
 /// # Errors
@@ -511,8 +501,8 @@ mod tests {
         ])
         .unwrap();
         let x_true = vec![c64(1.0, -1.0), c64(0.5, 2.0)];
-        let b = a.matvec(&x_true).unwrap();
-        let x = solve_vector(&a, &b).unwrap();
+        let b = CMatrix::from_vec(2, 1, a.matvec(&x_true).unwrap()).unwrap();
+        let x = solve_matrix(&a, &b).unwrap().into_vec();
         assert!((x[0] - x_true[0]).abs() < 1e-10);
         assert!((x[1] - x_true[1]).abs() < 1e-10);
     }
@@ -524,7 +514,8 @@ mod tests {
             vec![c64(2.0, 0.0), c64(4.0, 0.0)],
         ])
         .unwrap();
-        assert!(solve_vector(&a, &[Complex64::ONE, Complex64::ONE]).is_err());
+        let b = CMatrix::from_vec(2, 1, vec![Complex64::ONE; 2]).unwrap();
+        assert!(solve_matrix(&a, &b).is_err());
     }
 
     #[test]

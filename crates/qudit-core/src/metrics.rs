@@ -89,35 +89,6 @@ pub fn average_gate_fidelity(u: &CMatrix, v: &CMatrix) -> Result<f64> {
     Ok((d * fp + 1.0) / (d + 1.0))
 }
 
-/// Hilbert–Schmidt inner-product overlap `|⟨A, B⟩| / (‖A‖ ‖B‖)` between two
-/// operators; 1 when they are proportional.
-pub fn operator_overlap(a: &CMatrix, b: &CMatrix) -> f64 {
-    let mut inner = Complex64::ZERO;
-    for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
-        inner += x.conj() * *y;
-    }
-    let na = a.frobenius_norm();
-    let nb = b.frobenius_norm();
-    if na < 1e-300 || nb < 1e-300 {
-        return 0.0;
-    }
-    inner.abs() / (na * nb)
-}
-
-/// Total variation distance between two classical probability distributions.
-///
-/// # Errors
-/// Returns an error if the distributions have different lengths.
-pub fn total_variation_distance(p: &[f64], q: &[f64]) -> Result<f64> {
-    if p.len() != q.len() {
-        return Err(CoreError::ShapeMismatch {
-            expected: format!("{} outcomes", p.len()),
-            found: format!("{} outcomes", q.len()),
-        });
-    }
-    Ok(0.5 * p.iter().zip(q.iter()).map(|(a, b)| (a - b).abs()).sum::<f64>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,23 +167,5 @@ mod tests {
         let s = matrix_sqrt_psd(&m).unwrap();
         let sq = s.matmul(&s).unwrap();
         assert!((&sq - &m).max_abs() < 1e-9);
-    }
-
-    #[test]
-    fn operator_overlap_proportional_operators() {
-        let a = CMatrix::identity(3);
-        let b = a.scaled(c64(0.0, 2.0));
-        assert!((operator_overlap(&a, &b) - 1.0).abs() < 1e-12);
-        let c = CMatrix::diag_real(&[1.0, -1.0, 0.0]);
-        assert!(operator_overlap(&a, &c) < 1e-12);
-    }
-
-    #[test]
-    fn tvd_properties() {
-        let p = [0.5, 0.5];
-        let q = [1.0, 0.0];
-        assert!((total_variation_distance(&p, &q).unwrap() - 0.5).abs() < 1e-12);
-        assert!(total_variation_distance(&p, &p).unwrap() < 1e-12);
-        assert!(total_variation_distance(&p, &[1.0]).is_err());
     }
 }

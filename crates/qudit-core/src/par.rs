@@ -4,9 +4,12 @@
 //! The trajectory chunks and population columns in the circuit simulators
 //! are index-parallel: iteration `i` derives its own RNG seed from `i`, so
 //! iterations share no state and the result is a pure function of the
-//! index. [`par_map`] evaluates such a loop on pool worker threads and
-//! reassembles the results **in index order**, so the output is bitwise
+//! index. [`par_map_threads`] evaluates such a loop on pool worker threads
+//! and reassembles the results **in index order**, so the output is bitwise
 //! identical to the serial loop regardless of thread count or scheduling.
+//! [`par_map_threads_counted`] is the same map for guarded runs: it also
+//! reports how many chunks were retried and takes an optional
+//! [`CancelToken`].
 //!
 //! ## The pool
 //!
@@ -33,17 +36,17 @@
 //!   only a second failure propagates the panic. [`par_map_threads_counted`]
 //!   reports the number of such retries so guarded runs can record them in
 //!   their health report (see [`crate::guard::RunHealth::retries`]).
-//! * Workers never call back into the pool: a nested `par_map` on a worker
-//!   thread runs serially, which keeps the queue deadlock-free.
+//! * Workers never call back into the pool: a nested map on a worker thread
+//!   runs serially, which keeps the queue deadlock-free.
 //!
 //! This module deliberately carries no dependency (the build environment has
 //! no registry access, so `rayon` is unavailable); when a real work-stealing
-//! pool becomes available the call sites only need `par_map` to keep its
-//! signature.
+//! pool becomes available the call sites only need the two maps to keep
+//! their signatures.
 //!
-//! Thread count resolution: an explicit request (e.g.
-//! [`crate::par::par_map_threads`] or a simulator's `with_threads`) wins;
-//! otherwise the `QUDIT_NUM_THREADS` environment variable; otherwise
+//! Thread count resolution: every map takes an explicit thread count, which
+//! callers resolve from a simulator's `with_threads` or, by default, from
+//! [`max_threads`]: the `QUDIT_NUM_THREADS` environment variable, otherwise
 //! [`std::thread::available_parallelism`]. The pool itself is sized from
 //! `max_threads()` at first use; later `QUDIT_NUM_THREADS` changes still
 //! affect the default chunk count, and chunking beyond the worker count is
@@ -142,70 +145,43 @@ fn requested_threads(raw: &str) -> Option<usize> {
     }
 }
 
-/// Maps `f` over `0..n` with the default thread count, preserving index order.
-///
-/// Equivalent to `(0..n).map(f).collect()` — including, exactly, the result
-/// order — but evaluated on the persistent worker pool when more than one
-/// thread is available.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_threads(n, max_threads(), f)
-}
-
 /// Maps `f` over `0..n` in up to `threads` contiguous chunks evaluated on the
-/// persistent worker pool, preserving index order. `threads <= 1` runs
-/// serially on the calling thread; the result is bitwise identical for every
-/// `threads` value. A chunk that panics is retried once serially before the
-/// panic propagates (see [`par_map_threads_counted`] to observe the count).
+/// persistent worker pool, preserving index order: the result equals
+/// `(0..n).map(f).collect()` bitwise for every `threads` value, and
+/// `threads <= 1` runs serially on the calling thread. A chunk that panics
+/// is retried once serially before the panic propagates (see
+/// [`par_map_threads_counted`] to observe the count).
 pub fn par_map_threads<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_threads_counted(n, threads, f).0
+    let Ok((values, _)) = par_map_threads_counted(n, threads, None, f) else {
+        unreachable!("only a tripped cancel token makes a chunk skip");
+    };
+    values
 }
 
-/// [`par_map_threads`] that additionally reports how many chunks panicked
-/// and were recovered by the serial retry. Guarded simulator runs surface
-/// the count as [`crate::guard::RunHealth::retries`].
-pub fn par_map_threads_counted<T, F>(n: usize, threads: usize, f: F) -> (Vec<T>, usize)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_impl(n, threads, None, f).expect("uncancellable map cannot be cancelled")
-}
-
-/// Cancellable [`par_map_threads_counted`]: the token is checked once on
-/// entry (consuming one check-budget unit, so budget spend is independent of
-/// the thread count) and polled **between chunks** — each chunk looks at the
-/// token right before evaluating its range and skips if it has tripped.
+/// [`par_map_threads`] that also reports how many chunks panicked and were
+/// recovered by the serial retry, and that stops on a tripped `cancel`
+/// token. Guarded simulator runs surface the count as
+/// [`crate::guard::RunHealth::retries`].
 ///
-/// The contract is all-or-nothing: either every chunk evaluated and the
-/// result is bitwise identical to the serial map, or no result is returned
-/// at all and the error reports the first chunk index that observed the
-/// trip. A run never yields a partially evaluated vector, which is what
-/// keeps cancelled sweeps reproducible. A tripped token is only reported if
-/// some chunk actually skipped — if all chunks beat the trip, the completed
-/// result is returned.
-pub fn par_map_threads_counted_cancel<T, F>(
-    n: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    f: F,
-) -> crate::error::Result<(Vec<T>, usize)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_impl(n, threads, Some(cancel), f)
-}
-
+/// A token is checked once on entry (consuming one check-budget unit, so
+/// budget spend is independent of the thread count) and polled **between
+/// chunks**: each chunk looks at the token right before evaluating its range
+/// and skips if it has tripped. The contract is all-or-nothing: either every
+/// chunk evaluated and the result is bitwise identical to the serial map, or
+/// no result is returned at all and the error reports the first chunk index
+/// that observed the trip. A run never yields a partially evaluated vector,
+/// which is what keeps cancelled sweeps reproducible. A tripped token is only
+/// reported if some chunk actually skipped — if all chunks beat the trip, the
+/// completed result is returned.
+///
+/// # Errors
+/// [`CoreError::Cancelled`] when `cancel` tripped before every chunk ran.
 #[allow(unsafe_code)] // one lifetime erasure, justified below
-fn par_map_impl<T, F>(
+pub fn par_map_threads_counted<T, F>(
     n: usize,
     threads: usize,
     cancel: Option<&CancelToken>,
@@ -448,23 +424,24 @@ mod tests {
         // The first evaluation of index 57 panics; the serial retry of its
         // chunk must recover the exact serial result and report one retry.
         let armed = AtomicBool::new(true);
-        let (out, retries) = par_map_threads_counted(200, 8, |i| {
+        let (out, retries) = par_map_threads_counted(200, 8, None, |i| {
             if i == 57 && armed.swap(false, Ordering::SeqCst) {
                 panic!("transient failure at {i}");
             }
             (i as u64).wrapping_mul(0x5851F42D)
-        });
+        })
+        .unwrap();
         assert_eq!(out, serial);
         assert_eq!(retries, 1);
     }
 
     #[test]
     fn counted_map_reports_zero_retries_on_clean_runs() {
-        let (out, retries) = par_map_threads_counted(64, 4, |i| i * 2);
+        let (out, retries) = par_map_threads_counted(64, 4, None, |i| i * 2).unwrap();
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(retries, 0);
         // Serial path also reports zero.
-        let (_, retries) = par_map_threads_counted(8, 1, |i| i);
+        let (_, retries) = par_map_threads_counted(8, 1, None, |i| i).unwrap();
         assert_eq!(retries, 0);
     }
 
@@ -474,7 +451,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let evaluated = AtomicUsize::new(0);
-        let err = par_map_threads_counted_cancel(100, 4, &token, |i| {
+        let err = par_map_threads_counted(100, 4, Some(&token), |i| {
             evaluated.fetch_add(1, Ordering::SeqCst);
             i
         })
@@ -488,7 +465,7 @@ mod tests {
         let token = CancelToken::new();
         let serial: Vec<u64> = (0..500).map(|i| (i as u64).wrapping_mul(0xABCD_EF12)).collect();
         for threads in [1, 2, 5, 9] {
-            let (out, retries) = par_map_threads_counted_cancel(500, threads, &token, |i| {
+            let (out, retries) = par_map_threads_counted(500, threads, Some(&token), |i| {
                 (i as u64).wrapping_mul(0xABCD_EF12)
             })
             .unwrap();
@@ -502,9 +479,9 @@ mod tests {
         // Budget consumption must not depend on the thread count: only the
         // entry check consumes; per-chunk polls are non-consuming.
         let token = CancelToken::new().with_check_budget(2);
-        par_map_threads_counted_cancel(64, 8, &token, |i| i).unwrap();
-        par_map_threads_counted_cancel(64, 8, &token, |i| i).unwrap();
-        let err = par_map_threads_counted_cancel(64, 8, &token, |i| i).unwrap_err();
+        par_map_threads_counted(64, 8, Some(&token), |i| i).unwrap();
+        par_map_threads_counted(64, 8, Some(&token), |i| i).unwrap();
+        let err = par_map_threads_counted(64, 8, Some(&token), |i| i).unwrap_err();
         assert!(matches!(err, CoreError::Cancelled { step: 0, .. }), "{err:?}");
     }
 
@@ -517,7 +494,7 @@ mod tests {
         // partial result.
         inject::arm(inject::Fault::ChunkSlow { chunk: 1, millis: 80 });
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(10));
-        let err = par_map_threads_counted_cancel(64, 2, &token, |i| i).unwrap_err();
+        let err = par_map_threads_counted(64, 2, Some(&token), |i| i).unwrap_err();
         inject::disarm_all();
         assert_eq!(
             err,

@@ -123,11 +123,6 @@ impl Radix {
         Ok(self.dims[k + 1..].iter().product())
     }
 
-    /// Iterates over all digit strings in flat-index order.
-    pub fn iter_digits(&self) -> DigitIter<'_> {
-        DigitIter { radix: self, next: 0, total: self.total_dim() }
-    }
-
     /// Validates that the listed subsystem indices are in range and distinct.
     pub fn check_targets(&self, targets: &[usize]) -> Result<()> {
         for (pos, &t) in targets.iter().enumerate() {
@@ -147,32 +142,6 @@ impl Radix {
     pub fn subspace_dim(&self, targets: &[usize]) -> Result<usize> {
         self.check_targets(targets)?;
         Ok(targets.iter().map(|&t| self.dims[t]).product())
-    }
-}
-
-/// Iterator over every digit string of a register, in flat-index order.
-#[derive(Debug)]
-pub struct DigitIter<'a> {
-    radix: &'a Radix,
-    next: usize,
-    total: usize,
-}
-
-impl Iterator for DigitIter<'_> {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.next >= self.total {
-            return None;
-        }
-        let digits = self.radix.digits_of(self.next).expect("index in range by construction");
-        self.next += 1;
-        Some(digits)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.total - self.next;
-        (rem, Some(rem))
     }
 }
 
@@ -274,15 +243,6 @@ mod tests {
         assert!(r.dim(2).is_err());
         assert!(r.check_targets(&[0, 0]).is_err());
         assert!(r.check_targets(&[2]).is_err());
-    }
-
-    #[test]
-    fn digit_iterator_visits_every_state_once() {
-        let r = Radix::new(vec![2, 3]).unwrap();
-        let all: Vec<Vec<usize>> = r.iter_digits().collect();
-        assert_eq!(all.len(), 6);
-        assert_eq!(all[0], vec![0, 0]);
-        assert_eq!(all[5], vec![1, 2]);
     }
 
     #[test]

@@ -72,17 +72,6 @@ pub fn random_density<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMatrix {
     rho
 }
 
-/// Samples a random probability distribution of the given length (flat
-/// Dirichlet).
-pub fn random_distribution<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
-    let mut v: Vec<f64> = (0..n).map(|_| -rng.gen::<f64>().max(1e-300).ln()).collect();
-    let s: f64 = v.iter().sum();
-    for x in &mut v {
-        *x /= s;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +117,6 @@ mod tests {
         assert!(rho.is_hermitian(1e-10));
         let eig = crate::linalg::eigh(&rho).unwrap();
         assert!(eig.values.iter().all(|&l| l > -1e-10));
-    }
-
-    #[test]
-    fn random_distribution_sums_to_one() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let p = random_distribution(&mut rng, 10);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(p.iter().all(|&x| x >= 0.0));
     }
 
     #[test]

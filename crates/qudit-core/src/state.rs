@@ -159,20 +159,6 @@ impl QuditState {
         self.amplitudes.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Tensor product `self ⊗ other` as a new, larger register.
-    pub fn tensor(&self, other: &QuditState) -> QuditState {
-        let mut dims = self.radix.dims().to_vec();
-        dims.extend_from_slice(other.radix.dims());
-        let radix = Radix::new(dims).expect("dimensions already validated");
-        let mut amplitudes = Vec::with_capacity(self.dim() * other.dim());
-        for a in &self.amplitudes {
-            for b in &other.amplitudes {
-                amplitudes.push(*a * *b);
-            }
-        }
-        QuditState { radix, amplitudes }
-    }
-
     /// Applies a unitary (or any linear operator) `op` acting on the listed
     /// target qudits, in place. `op` must be a square matrix of dimension
     /// equal to the product of the target dimensions, with index ordering
@@ -417,23 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn tensor_product_composes_registers() {
-        let a = QuditState::basis(vec![2], &[1]).unwrap();
-        let b = QuditState::basis(vec![3], &[2]).unwrap();
-        let ab = a.tensor(&b);
-        assert_eq!(ab.radix().dims(), &[2, 3]);
-        assert!((ab.amplitude(&[1, 2]).unwrap() - Complex64::ONE).abs() < 1e-12);
-    }
-
-    #[test]
     fn marginal_probabilities_of_product_state() {
-        let plus = QuditState::from_amplitudes(
-            vec![2],
-            vec![c64(FRAC_1_SQRT_2, 0.0), c64(FRAC_1_SQRT_2, 0.0)],
-        )
-        .unwrap();
-        let zero = QuditState::zero(vec![3]).unwrap();
-        let s = plus.tensor(&zero);
+        // |+⟩ ⊗ |0⟩ on a qubit and a qutrit.
+        let h = c64(FRAC_1_SQRT_2, 0.0);
+        let z = Complex64::ZERO;
+        let s = QuditState::from_amplitudes(vec![2, 3], vec![h, z, z, h, z, z]).unwrap();
         let marg = s.marginal_probabilities(&[0]).unwrap();
         assert!((marg[0] - 0.5).abs() < 1e-12);
         assert!((marg[1] - 0.5).abs() < 1e-12);
@@ -498,9 +472,10 @@ mod tests {
 
     #[test]
     fn reduced_density_matrix_of_product_state_is_pure() {
-        let a = QuditState::basis(vec![3], &[1]).unwrap();
-        let b = QuditState::uniform_superposition(vec![2]).unwrap();
-        let s = a.tensor(&b);
+        // |1⟩ ⊗ |+⟩ on a qutrit and a qubit.
+        let h = c64(FRAC_1_SQRT_2, 0.0);
+        let z = Complex64::ZERO;
+        let s = QuditState::from_amplitudes(vec![3, 2], vec![z, z, h, h, z, z]).unwrap();
         let rho = s.reduced_density_matrix(&[1]).unwrap();
         // Purity of the reduced state should be 1 for a product state.
         let purity = rho.matmul(&rho).unwrap().trace().re;

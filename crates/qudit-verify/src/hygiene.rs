@@ -13,6 +13,12 @@
 //! * **Hot-path panic ratchet** — `.unwrap()` / `.expect(` in the kernel
 //!   hot paths must not grow beyond the recorded per-file budgets, and
 //!   every budgeted file must still exist.
+//! * **No test-only public surface** (`test-only-pub`) — a `pub fn` in a
+//!   library crate (`crates/*/src`) that no other file names, and that its
+//!   own file's code before `#[cfg(test)]` names only at the definition, is
+//!   surface only its unit tests use. It is a finding unless the reviewed
+//!   `TEST_ONLY_KEEP` table lists it with a reason; a keep entry whose
+//!   function no longer exists is a finding too.
 //! * **Shims-only dependencies** — every dependency in every manifest
 //!   resolves by `path` or `workspace`, never the registry.
 //! * **Benchmark schema** — each `BENCH_<n>.json` parses and carries the
@@ -20,6 +26,7 @@
 //!   `"protocol"` field) records both sides' times and the speedup median
 //!   inside its quartiles on every row.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,6 +45,8 @@ pub enum HygieneRule {
     RegistryDependency,
     /// A malformed benchmark artefact.
     BenchSchema,
+    /// A library `pub fn` that only its own file's unit tests call.
+    TestOnlyPub,
 }
 
 impl fmt::Display for HygieneRule {
@@ -48,6 +57,7 @@ impl fmt::Display for HygieneRule {
             HygieneRule::PanicRatchet => "panic-ratchet",
             HygieneRule::RegistryDependency => "registry-dependency",
             HygieneRule::BenchSchema => "bench-schema",
+            HygieneRule::TestOnlyPub => "test-only-pub",
         })
     }
 }
@@ -83,7 +93,7 @@ impl fmt::Display for Violation {
 const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-core/src/apply.rs", 2),
     ("crates/qudit-core/src/superop.rs", 0),
-    ("crates/qudit-core/src/par.rs", 6),
+    ("crates/qudit-core/src/par.rs", 5),
     ("crates/qudit-circuit/src/sim/kernels.rs", 8),
     ("crates/qudit-circuit/src/sim/statevector.rs", 1),
     ("crates/qudit-circuit/src/sim/density.rs", 0),
@@ -94,6 +104,22 @@ const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("crates/qudit-circuit/src/sim/ensemble.rs", 0),
     // The step driver every run loop goes through.
     ("crates/qudit-circuit/src/sim/driver.rs", 0),
+];
+
+/// Library `pub fn`s kept although nothing but their own file's unit tests
+/// names them, as `(path, name)`. Every entry is a reviewed exception with
+/// its reason; an entry whose function no longer exists is a violation.
+const TEST_ONLY_KEEP: &[(&str, &str)] = &[
+    // `states_at` is documented and tested as bitwise equal to the
+    // one-time evolution, and the type's doc example is written around it.
+    ("crates/lgt/src/trotter.rs", "state_at"),
+    // The only way to build a multi-factor term; both `expectation` paths
+    // implement that case.
+    ("crates/qudit-circuit/src/observable.rs", "add_term"),
+    // The crate's documented dispersive cavity–transmon model, and the only
+    // code that gives meaning to the `DispersiveParams` every device module
+    // carries.
+    ("crates/cavity-sim/src/dispersive.rs", "dispersive_hamiltonian"),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
@@ -113,6 +139,7 @@ pub fn audit_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
     manifests.sort();
 
     let mut out = Vec::new();
+    let mut sources = Vec::with_capacity(rust_files.len());
     for rel in &rust_files {
         let src = fs::read_to_string(root.join(rel))?;
         let masked = mask_source(&src);
@@ -124,8 +151,10 @@ pub fn audit_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
         if let Some(&(_, budget)) = PANIC_BUDGETS.iter().find(|(p, _)| *p == rel_str) {
             check_panic_ratchet(rel, &masked, budget, &mut out);
         }
+        sources.push((rel_str, masked.code));
     }
     check_stale_budgets(PANIC_BUDGETS, &rust_files, &mut out);
+    check_test_only_pub(&sources, TEST_ONLY_KEEP, &mut out);
     for rel in &manifests {
         let src = fs::read_to_string(root.join(rel))?;
         check_manifest(rel, &src, &mut out);
@@ -335,11 +364,9 @@ fn find_tokens(code: &str, word: &str) -> Vec<usize> {
     let mut from = 0usize;
     while let Some(at) = code[from..].find(word) {
         let pos = from + at;
-        let before_ok =
-            pos == 0 || !(bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_');
+        let before_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
         let end = pos + word.len();
-        let after_ok =
-            end >= bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
+        let after_ok = end >= bytes.len() || !is_ident_byte(bytes[end]);
         if before_ok && after_ok {
             out.push(pos);
         }
@@ -406,8 +433,7 @@ fn check_unsafe_gate(path: &Path, masked: &Masked, out: &mut Vec<Violation>) {
 fn check_panic_ratchet(path: &Path, masked: &Masked, budget: usize, out: &mut Vec<Violation>) {
     // The ratchet covers shipping code only; unit tests below the
     // `#[cfg(test)]` marker unwrap freely.
-    let cut = masked.code.find("#[cfg(test)]").unwrap_or(masked.code.len());
-    let code = &masked.code[..cut];
+    let code = before_tests(&masked.code);
     let count = code.matches(".unwrap()").count() + code.matches(".expect(").count();
     if count > budget {
         out.push(Violation {
@@ -434,6 +460,106 @@ fn check_stale_budgets(budgets: &[(&str, usize)], files: &[PathBuf], out: &mut V
                 message: "panic budget names a file that no longer exists; move the entry to \
                           the file's new path or drop it"
                     .to_string(),
+            });
+        }
+    }
+}
+
+/// Shipping code: everything before the file's `#[cfg(test)]` marker.
+fn before_tests(code: &str) -> &str {
+    &code[..code.find("#[cfg(test)]").unwrap_or(code.len())]
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Every `pub fn` defined in masked `code`, as `(byte offset, name)`.
+/// `pub(crate) fn` and friends are not public and are skipped.
+fn pub_fns(code: &str) -> Vec<(usize, &str)> {
+    let bytes = code.as_bytes();
+    let mut out = Vec::new();
+    for pos in find_tokens(code, "fn") {
+        // Walk back over the qualifiers that may sit between `pub` and `fn`.
+        let mut end = pos;
+        let word = loop {
+            let head = code[..end].trim_end();
+            let start = head.bytes().rposition(|b| !is_ident_byte(b));
+            let word = &head[start.map_or(0, |s| s + 1)..];
+            if matches!(word, "const" | "unsafe" | "async" | "extern") {
+                end = head.len() - word.len();
+            } else {
+                break word;
+            }
+        };
+        if word != "pub" {
+            continue;
+        }
+        let rest = &code[pos + 2..];
+        let skip = rest.len() - rest.trim_start().len();
+        let start = pos + 2 + skip;
+        let len = bytes[start..].iter().take_while(|&&b| is_ident_byte(b)).count();
+        if len > 0 {
+            out.push((pos, &code[start..start + len]));
+        }
+    }
+    out
+}
+
+/// Flags every `pub fn` in a `crates/*/src` file that no other file names
+/// and that its own shipping code names only at the definition, unless
+/// `keep` lists it; flags every `keep` entry whose function is gone.
+/// `sources` holds `(repo-relative path, masked code)` for every walked
+/// `.rs` file, so doc comments and strings never count as a use.
+fn check_test_only_pub(
+    sources: &[(String, String)],
+    keep: &[(&str, &str)],
+    out: &mut Vec<Violation>,
+) {
+    // Number of files whose code names each identifier.
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for (_, code) in sources {
+        let idents: HashSet<&str> =
+            code.split(|c: char| !c.is_ascii() || !is_ident_byte(c as u8)).collect();
+        for ident in idents {
+            *files_naming.entry(ident).or_default() += 1;
+        }
+    }
+    let mut defined: HashSet<(&str, &str)> = HashSet::new();
+    for (path, code) in sources {
+        let mut parts = path.split('/');
+        let in_library =
+            parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src");
+        if !in_library {
+            continue;
+        }
+        let shipping = before_tests(code);
+        for (pos, name) in pub_fns(shipping) {
+            defined.insert((path.as_str(), name));
+            let test_only =
+                files_naming.get(name) == Some(&1) && find_tokens(shipping, name).len() == 1;
+            if test_only && !keep.contains(&(path.as_str(), name)) {
+                out.push(Violation {
+                    rule: HygieneRule::TestOnlyPub,
+                    path: PathBuf::from(path),
+                    line: Some(line_of(code, pos) + 1),
+                    message: format!(
+                        "`pub fn {name}` is named only by its own unit tests; delete it or list \
+                         it in TEST_ONLY_KEEP with the reason it stays"
+                    ),
+                });
+            }
+        }
+    }
+    for &(path, name) in keep {
+        if !defined.contains(&(path, name)) {
+            out.push(Violation {
+                rule: HygieneRule::TestOnlyPub,
+                path: PathBuf::from(path),
+                line: None,
+                message: format!(
+                    "TEST_ONLY_KEEP names `pub fn {name}`, which no longer exists; drop the entry"
+                ),
             });
         }
     }
@@ -853,6 +979,67 @@ mod tests {
         let mut out = Vec::new();
         check_stale_budgets(&budgets[..1], &files, &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// `(path, masked code)` pairs, as the auditor walks them.
+    fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        files.iter().map(|&(p, src)| (p.to_string(), mask_source(src).code)).collect()
+    }
+
+    const HELPER: &str = concat!(
+        "/// `helper` is mentioned in its own docs, which do not count.\n",
+        "pub fn helper() -> u8 { 1 }\n",
+        "pub fn used() -> u8 { 2 }\n",
+        "fn caller() -> u8 { used() }\n",
+        "#[cfg(test)]\n",
+        "mod tests { fn t() { assert_eq!(super::helper(), 1); } }\n",
+    );
+
+    #[test]
+    fn test_only_pub_flags_a_function_only_its_tests_call() {
+        let files = sources(&[("crates/a/src/lib.rs", HELPER)]);
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &[], &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, HygieneRule::TestOnlyPub);
+        assert_eq!(out[0].line, Some(2));
+        assert!(out[0].message.contains("`pub fn helper`"), "{out:?}");
+        // A reviewed keep entry silences it.
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &[("crates/a/src/lib.rs", "helper")], &mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn test_only_pub_passes_when_another_file_names_the_function() {
+        let files = sources(&[
+            ("crates/a/src/lib.rs", HELPER),
+            ("examples/demo.rs", "fn main() { a::helper(); }\n"),
+        ]);
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &[], &mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn test_only_pub_ignores_restricted_visibility_and_non_library_files() {
+        let restricted = HELPER.replace("pub fn helper", "pub(crate) fn helper");
+        let files =
+            sources(&[("crates/a/src/lib.rs", &restricted), ("crates/a/tests/t.rs", HELPER)]);
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &[], &mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn test_only_pub_flags_a_stale_keep_entry() {
+        let files = sources(&[("crates/a/src/lib.rs", "pub fn kept() {}\n")]);
+        let keep = [("crates/a/src/lib.rs", "kept"), ("crates/a/src/lib.rs", "gone")];
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &keep, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, HygieneRule::TestOnlyPub);
+        assert!(out[0].message.contains("`pub fn gone`"), "{out:?}");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`hygiene`] — a **repo auditor** behind the `repo_lint` binary: a
 //!   zero-dependency lexer that enforces the workspace's source-level
 //!   invariants (`SAFETY:` comments, `unsafe_code` lint gates, hot-path
-//!   panic bans, shims-only dependencies, benchmark schema).
+//!   panic bans, no test-only public functions, shims-only dependencies,
+//!   benchmark schema).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
