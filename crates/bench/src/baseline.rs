@@ -21,9 +21,11 @@ use qudit_circuit::circuit::{Circuit, Instruction};
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator};
 use qudit_circuit::Observable;
-use qudit_core::complex::Complex64;
+use qudit_core::complex::{c64, Complex64};
+use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
 use qudit_core::radix::Radix;
+use qudit_core::sparse::RowCompressed;
 use qudit_core::state::QuditState;
 
 /// Seed-style operator application: rebuilds target strides, sub-offsets and
@@ -276,16 +278,16 @@ where
 
 /// PR-1-style Lindblad RK4 step: `L†`/`L†L` cached (that much PR 1 did), but
 /// every right-hand-side evaluation and every RK4 stage allocates fresh
-/// matrices — ~10 full-dimension allocations per step. The in-place
-/// `Rk4Workspace` integrator in `cavity_sim::lindblad` replaced this.
+/// matrices — ~10 full-dimension allocations per step. The in-place,
+/// row-compressed `LindbladSystem::evolve` in `cavity_sim::lindblad`
+/// replaced this.
 pub fn lindblad_evolve_cloning(
     hamiltonian: &CMatrix,
     collapse: &[(CMatrix, f64)],
-    rho: &mut qudit_core::density::DensityMatrix,
+    rho: &mut DensityMatrix,
     t: f64,
     dt: f64,
 ) {
-    use qudit_core::complex::c64;
     let cached: Vec<(CMatrix, CMatrix, CMatrix, f64)> = collapse
         .iter()
         .map(|(l, rate)| {
@@ -384,6 +386,91 @@ pub fn trajectory_loop(
     (mean, (var / n).sqrt())
 }
 
+/// The Lindblad RK4 integrator as `cavity_sim::lindblad` ran it with a
+/// two-sided right-hand side: `G ρ + ρ G† + Σ_k γ_k (L_k ρ) L_k†` plus
+/// `−i D ρ + i ρ D` for the drive, with `G = −iH − ½ Σ_k γ_k L_k†L_k`,
+/// `G† = iH − ½ Σ_k γ_k L_k†L_k`, `L_k`, `γ_k L_k†` and both copies of the
+/// drive row-compressed. The generator and drive take four products per
+/// evaluation where the Hermitian right-hand side takes one. Evolves `rho`
+/// for time `t` with RK4 steps of size `dt` under each drive in turn, one
+/// segment per drive, compressing each drive once as one
+/// `evolve_with_drive` call did.
+pub fn lindblad_evolve_two_sided(
+    hamiltonian: &CMatrix,
+    collapse: &[(CMatrix, f64)],
+    drives: &[CMatrix],
+    rho: &mut DensityMatrix,
+    t: f64,
+    dt: f64,
+) {
+    let n = hamiltonian.rows();
+    let mut decay = CMatrix::zeros(n, n);
+    for (l, rate) in collapse {
+        decay.axpy(c64(*rate, 0.0), &l.dagger().matmul(l).expect("square")).expect("same shape");
+    }
+    let fold = |phase: Complex64| {
+        let g =
+            CMatrix::from_fn(n, n, |i, j| phase * hamiltonian[(i, j)] - decay[(i, j)].scale(0.5));
+        RowCompressed::from_dense(&g, Complex64::ONE)
+    };
+    let (generator, generator_dag) = (fold(c64(0.0, -1.0)), fold(c64(0.0, 1.0)));
+    let jumps: Vec<(RowCompressed, RowCompressed)> = collapse
+        .iter()
+        .map(|(l, rate)| {
+            let rate_l_dag = RowCompressed::from_dense(&l.dagger(), c64(*rate, 0.0));
+            (RowCompressed::from_dense(l, Complex64::ONE), rate_l_dag)
+        })
+        .collect();
+    let rhs_into = |rho: &CMatrix,
+                    drive: &(RowCompressed, RowCompressed),
+                    out: &mut CMatrix,
+                    scratch: &mut CMatrix| {
+        out.as_mut_slice().fill(Complex64::ZERO);
+        generator.add_left_product(rho, out);
+        generator_dag.add_right_product(rho, out);
+        drive.0.add_left_product(rho, out);
+        drive.1.add_right_product(rho, out);
+        for (l, rate_l_dag) in &jumps {
+            scratch.as_mut_slice().fill(Complex64::ZERO);
+            l.add_left_product(rho, scratch);
+            rate_l_dag.add_right_product(scratch, out);
+        }
+    };
+    for m in drives {
+        let d = (
+            RowCompressed::from_dense(m, c64(0.0, -1.0)),
+            RowCompressed::from_dense(m, c64(0.0, 1.0)),
+        );
+        let steps = (t / dt).round().max(1.0) as usize;
+        let h = t / steps as f64;
+        let zeros = || CMatrix::zeros(n, n);
+        let (mut k1, mut k2, mut k3, mut k4) = (zeros(), zeros(), zeros(), zeros());
+        let (mut stage, mut scratch) = (zeros(), zeros());
+        for _ in 0..steps {
+            rhs_into(rho.matrix(), &d, &mut k1, &mut scratch);
+
+            stage.copy_from(rho.matrix()).expect("same shape");
+            stage.axpy(c64(h / 2.0, 0.0), &k1).expect("same shape");
+            rhs_into(&stage, &d, &mut k2, &mut scratch);
+
+            stage.copy_from(rho.matrix()).expect("same shape");
+            stage.axpy(c64(h / 2.0, 0.0), &k2).expect("same shape");
+            rhs_into(&stage, &d, &mut k3, &mut scratch);
+
+            stage.copy_from(rho.matrix()).expect("same shape");
+            stage.axpy(c64(h, 0.0), &k3).expect("same shape");
+            rhs_into(&stage, &d, &mut k4, &mut scratch);
+
+            let m = rho.matrix_mut();
+            m.axpy(c64(h / 6.0, 0.0), &k1).expect("same shape");
+            m.axpy(c64(h / 3.0, 0.0), &k2).expect("same shape");
+            m.axpy(c64(h / 3.0, 0.0), &k3).expect("same shape");
+            m.axpy(c64(h / 6.0, 0.0), &k4).expect("same shape");
+            rho.normalize().expect("nonzero trace");
+        }
+    }
+}
+
 /// NDAR shot sampling as `QuditQaoa::sample_assignments` did it before it
 /// moved onto the trajectory executor: for every shot the bound circuit is
 /// compiled again and run one state at a time, seeded like trajectory `t`
@@ -455,6 +542,20 @@ mod tests {
         lindblad_evolve_cloning(&h, &collapse, &mut slow, t, dt);
         let diff = (fast.matrix() - slow.matrix()).max_abs();
         assert!(diff < 1e-10, "integrators diverged by {diff}");
+    }
+
+    #[test]
+    fn two_sided_lindblad_matches_the_hermitian_right_hand_side() {
+        let w = rows::driven_reservoir();
+        let (t, dt) = w.segment;
+        let mut fast = w.rho.clone();
+        for drive in &w.drives {
+            w.system.evolve_with_drive(&mut fast, t, dt, Some(drive)).unwrap();
+        }
+        let mut slow = w.rho.clone();
+        lindblad_evolve_two_sided(w.system.hamiltonian(), &w.collapse, &w.drives, &mut slow, t, dt);
+        let diff = (fast.matrix() - slow.matrix()).max_abs();
+        assert!(diff < 1e-12, "right-hand sides diverged by {diff:e}");
     }
 
     #[test]

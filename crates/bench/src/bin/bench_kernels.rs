@@ -299,6 +299,41 @@ fn lindblad_evolve() -> Row {
     row("lindblad_evolve", detail, 2, timing, Some(3.0))
 }
 
+fn lindblad_driven_reservoir() -> Row {
+    let w = rows::driven_reservoir();
+    let (t, dt) = w.segment;
+    let timing = paired(
+        1,
+        || {
+            let mut rho = w.rho.clone();
+            baseline::lindblad_evolve_two_sided(
+                w.system.hamiltonian(),
+                &w.collapse,
+                &w.drives,
+                &mut rho,
+                t,
+                dt,
+            );
+            rho
+        },
+        || {
+            let mut rho = w.rho.clone();
+            for drive in &w.drives {
+                w.system.evolve_with_drive(&mut rho, t, dt, Some(drive)).unwrap();
+            }
+            rho
+        },
+    );
+    let (d, samples) = rows::DRIVEN_RESERVOIR;
+    let detail = format!(
+        "qrc_forecast reservoir, two d={d} modes, {samples} inputs as {} driven segments of {} RK4 \
+         steps; Hermitian right-hand side (one generator-plus-drive product) vs two-sided (four)",
+        w.drives.len(),
+        (t / dt).round()
+    );
+    row("lindblad_driven_reservoir", detail, 1, timing, Some(1.2))
+}
+
 /// The noisy density rows' simulators: superop batching on, and the
 /// per-term Kraus path that is their shared baseline.
 fn density_sims() -> (DensityMatrixSimulator, DensityMatrixSimulator) {
@@ -715,6 +750,7 @@ fn main() {
         syndrome_extraction_wire_local(),
         measure_collapse(),
         lindblad_evolve(),
+        lindblad_driven_reservoir(),
         density_run_noisy(),
         density_run_noisy_percall(),
         superop_sweep_sparse(),

@@ -7,6 +7,8 @@
 
 use cavity_sim::lindblad::LindbladSystem;
 use qopt::qaoa::{QaoaConfig, QuditQaoa};
+use qrc::reservoir::{QuantumReservoir, ReservoirParams};
+use qrc::tasks::narma;
 use qudit_circuit::gates::annihilation;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::StatevectorSimulator;
@@ -142,6 +144,56 @@ pub fn lindblad_operators() -> (CMatrix, Vec<(CMatrix, f64)>) {
 pub fn lindblad_initial() -> DensityMatrix {
     let d = LINDBLAD.0;
     DensityMatrix::from_pure(&QuditState::basis(vec![d, d], &[2, 0]).expect("valid basis state"))
+}
+
+/// Mode dimension and input samples of the driven-reservoir row: the
+/// `qrc_forecast` analog reservoir (two modes, 12 RK4 steps per input over
+/// four read-out segments) driven by the first inputs of a NARMA-5 series.
+pub const DRIVEN_RESERVOIR: (usize, usize) = (5, 20);
+
+/// The driven-reservoir row's instance, [`DRIVEN_RESERVOIR`].
+pub struct DrivenReservoir {
+    /// The reservoir's open system.
+    pub system: LindbladSystem,
+    /// Its full-space collapse operators with their rates.
+    pub collapse: Vec<(CMatrix, f64)>,
+    /// One full-space drive per read-out segment, as `QuantumReservoir::run`
+    /// applies them.
+    pub drives: Vec<CMatrix>,
+    /// Duration and RK4 step of one segment.
+    pub segment: (f64, f64),
+    /// Starting state: the vacuum.
+    pub rho: DensityMatrix,
+}
+
+/// Builds [`DrivenReservoir`].
+pub fn driven_reservoir() -> DrivenReservoir {
+    let (d, samples) = DRIVEN_RESERVOIR;
+    let p = ReservoirParams { levels: d, substeps: 12, ..ReservoirParams::paper_reference() };
+    let system = QuantumReservoir::new(p.clone()).expect("valid parameters").system().clone();
+    let a = annihilation(d);
+    let embed = |op: &CMatrix, q: usize| embed_operator(system.radix(), op, &[q]).expect("valid");
+    let collapse = (0..p.modes).map(|q| (embed(&a, q), p.damping)).collect();
+    let quadrature = &a + &a.dagger();
+    let drives = narma(5, samples, 3101)
+        .inputs
+        .iter()
+        .flat_map(|&u| {
+            std::iter::repeat_n(
+                embed(&quadrature.scaled_real(p.input_gain * u), 0),
+                p.virtual_nodes,
+            )
+        })
+        .collect();
+    let segment_time = p.step_time / p.virtual_nodes as f64;
+    let dt = segment_time / (p.substeps / p.virtual_nodes) as f64;
+    DrivenReservoir {
+        system,
+        collapse,
+        drives,
+        segment: (segment_time, dt),
+        rho: DensityMatrix::zero(vec![d; p.modes]).expect("valid dims"),
+    }
 }
 
 /// The measurement row's state: a 4-qutrit GHZ state.

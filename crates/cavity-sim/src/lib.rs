@@ -7,11 +7,12 @@
 //! durations and device-calibrated error rates, and multi-cavity device
 //! models with per-mode coherence budgets.
 //!
-//! The Lindblad integrator ([`lindblad`]) folds the Hamiltonian and every
-//! `L†L` into one generator `G = −iH − ½ Σ γ L†L` and keeps `G`, `G†` and
-//! the collapse operators row-compressed, so each RK4 right-hand side costs
-//! `O(nnz · N)` sparse × dense products instead of dense `O(N³)` matrix
-//! products, and the step loop allocates nothing.
+//! The Lindblad integrator ([`lindblad`]) folds the Hamiltonian, the drive
+//! and every `L†L` into one generator `G = −i(H + D) − ½ Σ γ L†L` and keeps
+//! it and the collapse operators row-compressed. Each RK4 right-hand side is
+//! `X + X†` for `X = Gρ + ½ Σ γ (Lρ)L†`, formed with `O(nnz · N)` sparse ×
+//! dense products instead of dense `O(N³)` matrix products, so ρ stays
+//! exactly Hermitian and the step loop allocates nothing.
 //!
 //! This crate plays the role of the hardware the paper forecasts (≈10
 //! linearly connected SRF cavities × 4 modes × d ≈ 10 photons with

@@ -9,34 +9,32 @@
 //!
 //! # Generator form
 //!
-//! Registration folds the Hamiltonian and the anticommutator into one
-//! non-Hermitian generator `G = −iH − ½ Σ_k γ_k L_k†L_k`, so the right-hand
-//! side is
+//! The generator `G_d = −i(H + D) − ½ Σ_k γ_k L_k†L_k` folds the
+//! Hamiltonian, a drive `D` and the anticommutator into one operator, so
+//! for a Hermitian `ρ` the right-hand side is
 //!
 //! ```text
-//! dρ/dt = G ρ + ρ G† + Σ_k γ_k (L_k ρ) L_k†
+//! X = G_d ρ + ½ Σ_k γ_k (L_k ρ) L_k†,    dρ/dt = X + X†
 //! ```
 //!
-//! `G† = iH − ½ Σ_k γ_k L_k†L_k` is formed from `H` itself rather than as
-//! the adjoint of `G`, so the commutator stays exactly `−i[H, ρ]` for a
-//! Hamiltonian that is Hermitian only within the registration tolerance.
-//! A drive `D` enters the same way, as `−i D ρ + i ρ D`. It is constant over
-//! one call, so a piecewise-constant drive is one call per piece.
+//! Only `X` is computed; `X + X†` is formed in place in one pass over the
+//! pairs `i ≤ j`, so every slope, and with it `ρ`, stays exactly Hermitian.
+//! `H` and `D` enter through their Hermitian parts `½(M + M†)`, which for an
+//! exactly Hermitian `M` is `M` bit for bit; a drive outside the 1e-8 check
+//! the Hamiltonian also passes is rejected. The drive is constant over one
+//! call, so a piecewise-constant drive is one call per piece.
 //!
 //! # Storage and cost
 //!
 //! Cavity operators are sparse: ladder, number and hopping terms have `O(N)`
-//! nonzeros in an `N × N` space. `G`, `G†` and every `L_k`, `L_k†` are
-//! therefore stored as [`RowCompressed`] (row starts plus `(column, value)`
-//! entries), and every product in the right-hand side is a sparse × dense
-//! product, `out += A·ρ` or `out += ρ·A`, costing `O(nnz · N)` instead of a
-//! dense `O(N³)` one. Scalars are folded into the stored operators (`γ_k`
-//! into `L_k†`, `∓i` into the two copies of a drive), so no product rescales.
-//! With `K` collapse operators one evaluation makes `2 + 2K` such products
-//! (plus two for a drive); no dense matrix product runs inside the
-//! integration loop. The loop also allocates nothing: the RK4 slopes, the
-//! stage point, the `L ρ` scratch and the constant drive's row-compressed
-//! copies are all built once per call, before the first step.
+//! nonzeros in an `N × N` space. `G_d`, every `L_k` and every `½γ_k L_k†`
+//! (scalars folded in, so no product rescales) are stored as
+//! [`RowCompressed`], and every product is sparse × dense, `out += A·ρ` or
+//! `out += ρ·A`, costing `O(nnz · N)` instead of `O(N³)`. With `K` collapse
+//! operators one evaluation makes `1 + 2K` products, drive or not: `G_d` has
+//! a left product and no right one. The loop allocates nothing: `G_d` is
+//! row-compressed once per call, and the slopes, the stage point and the
+//! `L ρ` scratch are built before the first step.
 
 use qudit_core::complex::{c64, Complex64};
 use qudit_core::density::DensityMatrix;
@@ -47,13 +45,13 @@ use qudit_core::sparse::RowCompressed;
 
 use crate::error::{CavityError, Result};
 
-/// A collapse operator `L` and its rate-weighted adjoint `γ L†`, both
-/// row-compressed, so its jump term `γ (L ρ) L†` is two unscaled products;
-/// the `L†L` half of its dissipator is folded into the system generator.
+/// A collapse operator `L` and its half-rate-weighted adjoint `½γ L†`, both
+/// row-compressed, so its share `½γ (L ρ) L†` of `X` is two unscaled
+/// products; the `L†L` half of its dissipator is folded into the generator.
 #[derive(Debug, Clone)]
 struct CollapseOp {
     l: RowCompressed,
-    rate_l_dag: RowCompressed,
+    half_rate_l_dag: RowCompressed,
 }
 
 /// An open quantum system: Hamiltonian plus weighted collapse operators on a
@@ -65,10 +63,8 @@ pub struct LindbladSystem {
     /// `Σ_k γ_k L_k†L_k`, kept dense so the generator can be refolded when
     /// a term is added.
     decay: CMatrix,
-    /// `G = −iH − ½ Σ_k γ_k L_k†L_k`, the left factor of the generator.
+    /// `G = −iH − ½ Σ_k γ_k L_k†L_k`, the undriven generator.
     generator: RowCompressed,
-    /// `G† = iH − ½ Σ_k γ_k L_k†L_k`, the right factor.
-    generator_dag: RowCompressed,
     collapse: Vec<CollapseOp>,
 }
 
@@ -85,7 +81,6 @@ impl LindbladSystem {
         Ok(Self {
             radix,
             generator: RowCompressed::from_dense(&zero, Complex64::ONE),
-            generator_dag: RowCompressed::from_dense(&zero, Complex64::ONE),
             hamiltonian: zero.clone(),
             decay: zero,
             collapse: Vec::new(),
@@ -126,13 +121,9 @@ impl LindbladSystem {
     pub fn add_full_hamiltonian(&mut self, h: &CMatrix, coeff: f64) -> Result<&mut Self> {
         let mut sum = self.hamiltonian.clone();
         sum.axpy(c64(coeff, 0.0), h).map_err(CavityError::Core)?;
-        if !sum.is_hermitian(1e-8) {
-            return Err(CavityError::Core(CoreError::NotStructured(
-                "accumulated Hamiltonian is not Hermitian".into(),
-            )));
-        }
+        check_hermitian(&sum, "accumulated Hamiltonian")?;
         self.hamiltonian = sum;
-        self.refold_generator();
+        self.generator = self.fold_generator(None);
         Ok(self)
     }
 
@@ -162,46 +153,43 @@ impl LindbladSystem {
         self.decay.axpy(c64(rate, 0.0), &ldag_l).map_err(CavityError::Core)?;
         self.collapse.push(CollapseOp {
             l: RowCompressed::from_dense(&full, Complex64::ONE),
-            rate_l_dag: RowCompressed::from_dense(&l_dag, c64(rate, 0.0)),
+            half_rate_l_dag: RowCompressed::from_dense(&l_dag, c64(0.5 * rate, 0.0)),
         });
-        self.refold_generator();
+        self.generator = self.fold_generator(None);
         Ok(self)
     }
 
-    /// Rebuilds `G` and `G†` from the dense Hamiltonian and decay operator.
-    fn refold_generator(&mut self) {
+    /// `G_d = −i(H_h + D_h) − ½ Σ_k γ_k L_k†L_k`, row-compressed, where
+    /// `M_h = ½(M + M†)` is the Hermitian part; without a drive this is `G`.
+    fn fold_generator(&self, drive: Option<&CMatrix>) -> RowCompressed {
         let n = self.radix.total_dim();
-        let (h, k) = (&self.hamiltonian, &self.decay);
-        let fold = |phase: Complex64| {
-            CMatrix::from_fn(n, n, |i, j| phase * h[(i, j)] - k[(i, j)].scale(0.5))
-        };
-        self.generator = RowCompressed::from_dense(&fold(c64(0.0, -1.0)), Complex64::ONE);
-        self.generator_dag = RowCompressed::from_dense(&fold(c64(0.0, 1.0)), Complex64::ONE);
+        let hermitian = |m: &CMatrix, i: usize, j: usize| (m[(i, j)] + m[(j, i)].conj()).scale(0.5);
+        let g = CMatrix::from_fn(n, n, |i, j| {
+            let d = drive.map_or(Complex64::ZERO, |d| hermitian(d, i, j));
+            c64(0.0, -1.0) * (hermitian(&self.hamiltonian, i, j) + d)
+                - self.decay[(i, j)].scale(0.5)
+        });
+        RowCompressed::from_dense(&g, Complex64::ONE)
     }
 
-    /// Right-hand side `G ρ + ρ G† + Σ_k γ_k (L_k ρ) L_k†` (plus
-    /// `−i D ρ + i ρ D` for a drive `D`) evaluated at `rho`, written into
-    /// `out`; `scratch` holds each `L_k ρ`. Every product is sparse × dense
-    /// and nothing is allocated.
+    /// Right-hand side `X + X†` with `X = G_d ρ + ½ Σ_k γ_k (L_k ρ) L_k†`,
+    /// evaluated at `rho` and written into `out`; `scratch` holds each
+    /// `L_k ρ`. Every product is sparse × dense and nothing is allocated.
     fn rhs_into(
         &self,
+        generator: &RowCompressed,
         rho: &CMatrix,
-        drive: Option<&Drive>,
         out: &mut CMatrix,
         scratch: &mut CMatrix,
     ) {
         out.as_mut_slice().fill(Complex64::ZERO);
-        self.generator.add_left_product(rho, out);
-        self.generator_dag.add_right_product(rho, out);
-        if let Some(d) = drive {
-            d.left.add_left_product(rho, out);
-            d.right.add_right_product(rho, out);
-        }
+        generator.add_left_product(rho, out);
         for c in &self.collapse {
             scratch.as_mut_slice().fill(Complex64::ZERO);
             c.l.add_left_product(rho, scratch);
-            c.rate_l_dag.add_right_product(scratch, out);
+            c.half_rate_l_dag.add_right_product(scratch, out);
         }
+        add_adjoint_in_place(out);
     }
 
     /// Evolves `rho` for total time `t` with RK4 steps of size `dt`.
@@ -214,12 +202,14 @@ impl LindbladSystem {
 
     /// Evolves `rho` for total time `t` with RK4 steps of size `dt` under the
     /// static Hamiltonian plus a constant drive term `drive` (already
-    /// embedded in the full space). The drive is row-compressed once per
-    /// call; a piecewise-constant drive is one call per piece.
+    /// embedded in the full space). The drive is folded into the generator
+    /// once per call; a piecewise-constant drive is one call per piece.
     ///
     /// # Errors
-    /// Returns an error if the register differs, parameters are invalid, or
-    /// the drive's shape does not match the system dimension.
+    /// Returns an error if the register differs, parameters are invalid, the
+    /// drive's shape does not match the system dimension, or the drive is
+    /// not Hermitian within 1e-8 ([`CoreError::NotStructured`]); each of
+    /// these leaves `rho` untouched.
     pub fn evolve_with_drive(
         &self,
         rho: &mut DensityMatrix,
@@ -239,47 +229,37 @@ impl LindbladSystem {
             )));
         }
         let n = self.radix.total_dim();
-        let drive = match drive {
-            Some(m) if m.rows() != n || m.cols() != n => {
+        if let Some(m) = drive {
+            if m.rows() != n || m.cols() != n {
                 return Err(CavityError::Core(CoreError::ShapeMismatch {
                     expected: format!("{n}x{n} drive term"),
                     found: format!("{}x{} drive term", m.rows(), m.cols()),
                 }));
             }
-            Some(m) => Some(Drive {
-                left: RowCompressed::from_dense(m, c64(0.0, -1.0)),
-                right: RowCompressed::from_dense(m, c64(0.0, 1.0)),
-            }),
-            None => None,
-        };
-        let d = drive.as_ref();
+            check_hermitian(m, "drive term")?;
+        }
+        let driven = drive.map(|m| self.fold_generator(Some(m)));
+        let g = driven.as_ref().unwrap_or(&self.generator);
         let steps = (t / dt).round().max(1.0) as usize;
         let h = t / steps as f64;
         // The slopes, stage point and scratch serve the whole evolution: the
         // integration loop allocates nothing.
         let zeros = || CMatrix::zeros(n, n);
-        let (mut k1, mut k2, mut k3, mut k4) = (zeros(), zeros(), zeros(), zeros());
+        let mut k: [CMatrix; 4] = std::array::from_fn(|_| zeros());
         let (mut stage, mut scratch) = (zeros(), zeros());
         for _ in 0..steps {
-            self.rhs_into(rho.matrix(), d, &mut k1, &mut scratch);
-
-            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            stage.axpy(c64(h / 2.0, 0.0), &k1).map_err(CavityError::Core)?;
-            self.rhs_into(&stage, d, &mut k2, &mut scratch);
-
-            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            stage.axpy(c64(h / 2.0, 0.0), &k2).map_err(CavityError::Core)?;
-            self.rhs_into(&stage, d, &mut k3, &mut scratch);
-
-            stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
-            stage.axpy(c64(h, 0.0), &k3).map_err(CavityError::Core)?;
-            self.rhs_into(&stage, d, &mut k4, &mut scratch);
-
+            self.rhs_into(g, rho.matrix(), &mut k[0], &mut scratch);
+            // Stage `s` evaluates at `ρ + c_s h k_{s−1}`, `c = (½, ½, 1)`.
+            for (s, c) in [(1, 0.5), (2, 0.5), (3, 1.0)] {
+                let (done, next) = k.split_at_mut(s);
+                stage.copy_from(rho.matrix()).map_err(CavityError::Core)?;
+                stage.axpy(c64(c * h, 0.0), &done[s - 1]).map_err(CavityError::Core)?;
+                self.rhs_into(g, &stage, &mut next[0], &mut scratch);
+            }
             let m = rho.matrix_mut();
-            m.axpy(c64(h / 6.0, 0.0), &k1).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 3.0, 0.0), &k2).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 3.0, 0.0), &k3).map_err(CavityError::Core)?;
-            m.axpy(c64(h / 6.0, 0.0), &k4).map_err(CavityError::Core)?;
+            for (slope, w) in k.iter().zip([6.0, 3.0, 3.0, 6.0]) {
+                m.axpy(c64(h / w, 0.0), slope).map_err(CavityError::Core)?;
+            }
             // Guard against slow trace drift from the fixed-step integrator.
             rho.normalize().map_err(CavityError::Core)?;
         }
@@ -287,12 +267,29 @@ impl LindbladSystem {
     }
 }
 
-/// A constant drive term `D` as the two operators the right-hand side
-/// applies, `−iD` on the left of `ρ` and `iD` on its right.
-#[derive(Debug)]
-struct Drive {
-    left: RowCompressed,
-    right: RowCompressed,
+/// [`CoreError::NotStructured`] unless `m` is Hermitian within 1e-8.
+fn check_hermitian(m: &CMatrix, what: &str) -> Result<()> {
+    if m.is_hermitian(1e-8) {
+        Ok(())
+    } else {
+        Err(CavityError::Core(CoreError::NotStructured(format!("{what} is not Hermitian"))))
+    }
+}
+
+/// `x ← x + x†` in one pass over the pairs `i ≤ j`: `o_ij = a + conj(b)`
+/// and `o_ji = b + conj(a)` for `a = x_ij`, `b = x_ji`, so the result is
+/// exactly Hermitian and its diagonal exactly real.
+fn add_adjoint_in_place(x: &mut CMatrix) {
+    let n = x.rows();
+    let s = x.as_mut_slice();
+    for i in 0..n {
+        s[i * n + i] = c64(2.0 * s[i * n + i].re, 0.0);
+        for j in i + 1..n {
+            let (a, b) = (s[i * n + j], s[j * n + i]);
+            s[i * n + j] = a + b.conj();
+            s[j * n + i] = b + a.conj();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +435,30 @@ mod tests {
         assert_eq!(a.matrix(), b.matrix());
     }
 
+    #[test]
+    fn driven_lossy_evolution_keeps_rho_exactly_hermitian() {
+        let d = 4;
+        let a = gates::annihilation(d);
+        let mut sys = LindbladSystem::new(vec![d, d]).unwrap();
+        let hop = a.dagger().kron(&a);
+        sys.add_hamiltonian_term(&(&hop + &hop.dagger()), &[0, 1], 0.8).unwrap();
+        sys.add_hamiltonian_term(&gates::number_operator(d), &[1], 1.3).unwrap();
+        sys.add_collapse(&a, &[0], 0.15).unwrap();
+        sys.add_collapse(&gates::number_operator(d), &[1], 0.1).unwrap();
+        let drive = embed_operator(sys.radix(), &(&a + &a.dagger()), &[0]).unwrap();
+        let c = crate::fock::coherent_state(d, c64(0.5, -0.3)).unwrap();
+        let amps = c.amplitudes().iter().flat_map(|&x| c.amplitudes().iter().map(move |&y| x * y));
+        let psi = QuditState::from_amplitudes(vec![d, d], amps.collect()).unwrap();
+        let mut rho = DensityMatrix::from_pure(&psi);
+        assert_eq!(rho.matrix(), &rho.matrix().dagger());
+        for segment in 0..6 {
+            let eps = 0.9 * (0.7 * segment as f64).sin();
+            sys.evolve_with_drive(&mut rho, 0.25, 0.05, Some(&drive.scaled_real(eps))).unwrap();
+            assert_eq!(rho.matrix(), &rho.matrix().dagger(), "segment {segment}");
+        }
+        rho.validate(1e-9).unwrap();
+    }
+
     /// SplitMix64: a self-contained seeded generator for the randomized
     /// oracle, so the test needs no RNG dependency.
     struct SplitMix(u64);
@@ -523,13 +544,15 @@ mod tests {
                 collapse.push((embed_operator(&radix, &l, &targets).unwrap(), rate));
             }
             let n = radix.total_dim();
-            // A non-Hermitian drive on some seeds pins `−i[D, ρ]` for any D.
-            // The drive changes between segments and is constant within one.
+            // Odd seeds are driven by the Hermitian `x + x†`. Seeds ≡ 1 (mod 4)
+            // first offer the raw, non-Hermitian `x`, which must be a typed
+            // error that leaves ρ untouched. The drive changes between
+            // segments and is constant within one.
             let driven = seed % 2 == 1;
             let drive_targets = rng.targets(modes);
-            let x = rng.matrix(sub(&drive_targets));
-            let x = if seed % 4 == 1 { x } else { &x + &x.dagger() };
-            let x = embed_operator(&radix, &x, &drive_targets).unwrap();
+            let raw =
+                embed_operator(&radix, &rng.matrix(sub(&drive_targets)), &drive_targets).unwrap();
+            let x = &raw + &raw.dagger();
             let drive =
                 |segment: usize| driven.then(|| x.scaled_real((0.7 * segment as f64).cos()));
 
@@ -538,6 +561,14 @@ mod tests {
             let rho0 = mixed.scaled_real(1.0 / mixed.trace().re);
             let mut fast = DensityMatrix::from_matrix(dims.clone(), rho0.clone()).unwrap();
             let mut slow = DensityMatrix::from_matrix(dims.clone(), rho0).unwrap();
+            if seed % 4 == 1 {
+                let err = sys.evolve_with_drive(&mut fast, dt, dt, Some(&raw)).unwrap_err();
+                assert!(
+                    matches!(err, CavityError::Core(CoreError::NotStructured(_))),
+                    "seed {seed}: {err:?}"
+                );
+                assert_eq!(fast.matrix(), slow.matrix(), "seed {seed}: rejected drive moved ρ");
+            }
             for segment in 0..segments {
                 let d = drive(segment);
                 sys.evolve_with_drive(&mut fast, steps as f64 * dt, dt, d.as_ref()).unwrap();

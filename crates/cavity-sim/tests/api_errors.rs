@@ -1,7 +1,7 @@
 //! Regression tests for the cavity-sim public-API panic audit: every
 //! user-reachable degenerate input (zero-dimensional Fock spaces, empty or
-//! too-short mode lists, mismatched drive shapes, out-of-range register
-//! mappings) must return a typed error, never panic. The `expect`s that
+//! too-short mode lists, mismatched or non-Hermitian drives, out-of-range
+//! register mappings) must return a typed error, never panic. The `expect`s that
 //! remain in the crate guard internal invariants that validated constructors
 //! make unreachable.
 
@@ -11,6 +11,7 @@ use cavity_sim::fock::{fock_state, thermal_density};
 use cavity_sim::lindblad::LindbladSystem;
 use cavity_sim::primitives::{Primitive, PrimitiveSchedule};
 use qudit_circuit::gates;
+use qudit_core::complex::c64;
 use qudit_core::density::DensityMatrix;
 use qudit_core::error::CoreError;
 use qudit_core::matrix::CMatrix;
@@ -62,6 +63,32 @@ fn correctly_shaped_drive_term_is_still_accepted() {
     let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[0]).unwrap());
     let n = gates::number_operator(d);
     sys.evolve_with_drive(&mut rho, 0.1, 0.01, Some(&n)).unwrap();
+    rho.validate(1e-9).unwrap();
+}
+
+#[test]
+fn non_hermitian_drive_is_a_typed_error_and_leaves_rho_unchanged() {
+    let d = 3;
+    let sys = LindbladSystem::new(vec![d]).unwrap();
+    let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[1]).unwrap());
+    let before = rho.matrix().clone();
+    let drive = gates::annihilation(d);
+    let err = sys.evolve_with_drive(&mut rho, 0.1, 0.01, Some(&drive)).unwrap_err();
+    assert!(matches!(err, CavityError::Core(CoreError::NotStructured(_))), "got {err:?}");
+    assert_eq!(rho.matrix(), &before);
+}
+
+#[test]
+fn drive_hermitian_within_tolerance_is_accepted() {
+    // Off by 1e-10 from Hermitian: inside the 1e-8 check the Hamiltonian
+    // registration uses too, so the drive runs through its Hermitian part.
+    let d = 3;
+    let sys = LindbladSystem::new(vec![d]).unwrap();
+    let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[1]).unwrap());
+    let a = gates::annihilation(d);
+    let mut drive = &a + &a.dagger();
+    drive[(0, 1)] += c64(1e-10, 0.0);
+    sys.evolve_with_drive(&mut rho, 0.1, 0.01, Some(&drive)).unwrap();
     rho.validate(1e-9).unwrap();
 }
 

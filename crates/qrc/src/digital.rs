@@ -18,7 +18,7 @@ use qudit_circuit::{gates, Circuit, Gate, Param};
 use qudit_core::density::DensityMatrix;
 
 use crate::error::Result;
-use crate::reservoir::{feature_observables, FeatureObservable, ReservoirParams};
+use crate::reservoir::{feature_observables, observable_plans, FeatureObservable, ReservoirParams};
 
 /// The gate-based reservoir: one compiled, rebindable segment circuit plus
 /// the observable feature map shared with the analog reservoir.
@@ -125,6 +125,7 @@ impl DigitalReservoir {
     /// Returns an error if simulation fails.
     pub fn run(&mut self, inputs: &[f64]) -> Result<Vec<Vec<f64>>> {
         let mut rho = DensityMatrix::zero(self.dims.clone())?;
+        let plans = observable_plans(&self.observables, rho.radix())?;
         let mut features = Vec::with_capacity(inputs.len());
         for &u in inputs {
             // One bind per input sample: the drive angle for every slice of
@@ -134,8 +135,8 @@ impl DigitalReservoir {
             let mut row = Vec::with_capacity(self.feature_dim());
             for _segment in 0..self.params.virtual_nodes {
                 rho = self.sim.run_compiled(&self.plan, Some(&rho))?.0;
-                for (_, op, targets) in &self.observables {
-                    row.push(rho.expectation(op, targets)?.re);
+                for ((_, op, _), plan) in self.observables.iter().zip(&plans) {
+                    row.push(rho.expectation_prepared(plan, op)?.re);
                 }
             }
             features.push(row);

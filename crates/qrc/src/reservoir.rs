@@ -11,9 +11,11 @@
 
 use cavity_sim::lindblad::LindbladSystem;
 use qudit_circuit::gates;
+use qudit_core::apply::ApplyPlan;
 use qudit_core::complex::c64;
 use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
+use qudit_core::radix::Radix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -135,6 +137,18 @@ pub(crate) fn feature_observables(modes: usize, levels: usize) -> Vec<FeatureObs
     observables
 }
 
+/// One expectation plan per feature observable, in feature order, on
+/// `radix`.
+pub(crate) fn observable_plans(
+    observables: &[FeatureObservable],
+    radix: &Radix,
+) -> Result<Vec<ApplyPlan>> {
+    observables
+        .iter()
+        .map(|(_, _, targets)| ApplyPlan::new(radix, targets).map_err(QrcError::Core))
+        .collect()
+}
+
 /// The quantum reservoir: an open coupled-oscillator system plus the
 /// observable set defining its feature map.
 #[derive(Debug, Clone)]
@@ -178,6 +192,11 @@ impl QuantumReservoir {
         &self.params
     }
 
+    /// The open system the reservoir integrates.
+    pub fn system(&self) -> &LindbladSystem {
+        &self.system
+    }
+
     /// Dimension of the feature vector produced at every time step
     /// (observable count × virtual nodes).
     pub fn feature_dim(&self) -> usize {
@@ -216,7 +235,14 @@ impl QuantumReservoir {
         let d = self.params.levels;
         let dims = vec![d; self.params.modes];
         let mut rho = DensityMatrix::zero(dims).map_err(QrcError::Core)?;
-        let mut rng = shots.map(|(_, seed)| StdRng::seed_from_u64(seed));
+        // One plan per observable, and with shot noise each observable's
+        // square, serve every read-out of the run.
+        let plans = observable_plans(&self.observables, rho.radix())?;
+        let mut noise = shots.map(|(shots, seed)| {
+            let squares: Vec<CMatrix> =
+                self.observables.iter().map(|(_, op, _)| op.matmul(op).expect("square")).collect();
+            (shots, StdRng::seed_from_u64(seed), squares)
+        });
         let normal = Normal::new(0.0, 1.0).expect("valid normal");
 
         let a = gates::annihilation(d);
@@ -242,15 +268,15 @@ impl QuantumReservoir {
                 self.system
                     .evolve_with_drive(&mut rho, segment_time, dt, Some(&drive_full))
                     .map_err(QrcError::Cavity)?;
-                for (_, op, targets) in &self.observables {
-                    let mean = rho.expectation(op, targets).map_err(QrcError::Core)?.re;
-                    let value = if let (Some((shots, _)), Some(rng)) = (shots, rng.as_mut()) {
-                        let op_sq = op.matmul(op).expect("square");
-                        let second = rho.expectation(&op_sq, targets).map_err(QrcError::Core)?.re;
-                        let variance = (second - mean * mean).max(0.0);
-                        mean + normal.sample(rng) * (variance / shots as f64).sqrt()
-                    } else {
-                        mean
+                for (k, ((_, op, _), plan)) in self.observables.iter().zip(&plans).enumerate() {
+                    let mean = rho.expectation_prepared(plan, op)?.re;
+                    let value = match noise.as_mut() {
+                        Some((shots, rng, squares)) => {
+                            let second = rho.expectation_prepared(plan, &squares[k])?.re;
+                            let variance = (second - mean * mean).max(0.0);
+                            mean + normal.sample(rng) * (variance / *shots as f64).sqrt()
+                        }
+                        None => mean,
                     };
                     row.push(value);
                 }

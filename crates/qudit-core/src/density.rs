@@ -350,10 +350,27 @@ impl DensityMatrix {
     /// # Errors
     /// Returns an error for invalid targets or operator dimensions.
     pub fn expectation(&self, op: &CMatrix, targets: &[usize]) -> Result<Complex64> {
+        self.expectation_prepared(&ApplyPlan::new(&self.radix, targets)?, op)
+    }
+
+    /// [`DensityMatrix::expectation`] on a prebuilt plan
+    /// (`ApplyPlan::new(rho.radix(), targets)`), so a caller that reads the
+    /// same observables many times builds each plan once. Results are
+    /// bitwise those of `expectation`.
+    ///
+    /// # Errors
+    /// Returns an error if the plan was built for a register of another
+    /// dimension or the operator does not match the plan's subspace.
+    pub fn expectation_prepared(&self, plan: &ApplyPlan, op: &CMatrix) -> Result<Complex64> {
         // Tr(ρ O) = Σ_blocks Σ_{i,j} ρ[base+off_i, base+off_j] · op[j, i]:
         // only the block-diagonal entries of ρ contribute, so there is no
         // need to materialise O ρ.
-        let plan = ApplyPlan::new(&self.radix, targets)?;
+        if plan.total_dim() != self.dim() {
+            return Err(CoreError::ShapeMismatch {
+                expected: format!("plan over a dimension-{} register", self.dim()),
+                found: format!("plan over a dimension-{} register", plan.total_dim()),
+            });
+        }
         let sub_dim = plan.sub_dim();
         if op.rows() != sub_dim || op.cols() != sub_dim {
             return Err(CoreError::ShapeMismatch {
@@ -578,6 +595,10 @@ mod tests {
         assert!((e.re - 2.0).abs() < 1e-12);
         let marg = rho.marginal_probabilities(&[1]).unwrap();
         assert!((marg[1] - 1.0).abs() < 1e-12);
+        // A plan for a register of another dimension is a typed error.
+        let foreign = ApplyPlan::new(&Radix::new(vec![4, 3]).unwrap(), &[0]).unwrap();
+        let err = rho.expectation_prepared(&foreign, &n_op).unwrap_err();
+        assert!(matches!(err, CoreError::ShapeMismatch { .. }), "got {err:?}");
     }
 
     #[test]
