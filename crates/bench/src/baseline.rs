@@ -498,6 +498,33 @@ pub fn ndar_shot_sampling(
         .collect()
 }
 
+/// `lgt::massgap::run_dynamics`' per-sample loop before sampled dynamics
+/// continued from the previous sample: every sample's own Trotter circuit,
+/// built, compiled and run from ρ0. Returns the probe signal, ρ0's value
+/// first.
+pub fn run_dynamics_per_sample(
+    h: &lgt::hamiltonian::LatticeHamiltonian,
+    probe_site: usize,
+    protocol: &lgt::massgap::DynamicsProtocol,
+    noise: &NoiseModel,
+) -> Vec<f64> {
+    use lgt::massgap::{probe_observable, probe_state};
+    let rho0 = DensityMatrix::from_pure(&probe_state(&h.dims, probe_site).expect("valid probe"));
+    let observable = probe_observable(&h.dims, probe_site);
+    let sim = qudit_circuit::sim::DensityMatrixSimulator::new().with_noise(noise.clone());
+    let mut signal = vec![observable.expectation_density(&rho0).expect("valid register")];
+    for k in 1..=protocol.num_samples {
+        let t = protocol.total_time * k as f64 / protocol.num_samples as f64;
+        let steps = ((protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
+        let circuit =
+            lgt::trotter::trotter_circuit(h, t, steps, protocol.order).expect("valid circuit");
+        let plan = sim.compile(&circuit).expect("valid circuit");
+        let (rho, _) = sim.run_compiled(&plan, Some(&rho0)).expect("valid register");
+        signal.push(observable.expectation_density(&rho).expect("valid register"));
+    }
+    signal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -364,6 +364,24 @@ fn density_run_noisy() -> Row {
     row("density_run_noisy", detail, 1, timing, Some(1.5))
 }
 
+fn sqed_sampled_dynamics() -> Row {
+    let (h, noise) = (rows::sqed_chain(), rows::noise());
+    let protocol = lgt::massgap::DynamicsProtocol::default();
+    let timing = paired(
+        1,
+        || baseline::run_dynamics_per_sample(&h, 1, &protocol, &noise),
+        || lgt::massgap::run_dynamics(&h, 1, &protocol, &noise).unwrap(),
+    );
+    let detail = format!(
+        "run_dynamics, sQED {} sites d=3, {} samples to t = {}, depolarizing noise: continue \
+         from the previous sample with one compiled 2-step block vs a fresh circuit per sample",
+        h.num_sites(),
+        protocol.num_samples,
+        protocol.total_time
+    );
+    row("sqed_sampled_dynamics", detail, 1, timing, Some(4.0))
+}
+
 fn superop_sweep_sparse() -> Row {
     let w = rows::loss_sweep();
     let start = w.rho.matrix().as_slice();
@@ -753,6 +771,7 @@ fn main() {
         lindblad_driven_reservoir(),
         density_run_noisy(),
         density_run_noisy_percall(),
+        sqed_sampled_dynamics(),
         superop_sweep_sparse(),
         statevector_run_guarded(),
         density_run_noisy_guarded(),

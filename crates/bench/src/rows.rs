@@ -113,6 +113,18 @@ pub fn sqed() -> Circuit {
     small_sqed_circuit(sites, d, steps)
 }
 
+/// The `sqed_sampled_dynamics` row's chain: 4 sites, `d = 3`, the
+/// `sqed_dynamics` application workload's size, with the default
+/// [`lgt::massgap::DynamicsProtocol`] and [`noise`], probed on site 1.
+pub fn sqed_chain() -> lgt::hamiltonian::LatticeHamiltonian {
+    lgt::hamiltonian::sqed_chain(&lgt::hamiltonian::SqedParams {
+        sites: 4,
+        link_dim: 3,
+        ..Default::default()
+    })
+    .expect("valid chain")
+}
+
 /// Gate-level depolarizing noise of the noisy rows on [`sqed`].
 pub fn noise() -> NoiseModel {
     NoiseModel::depolarizing(1e-3, 1e-2)

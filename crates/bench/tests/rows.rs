@@ -147,3 +147,15 @@ fn ndar_shot_sampling_matches_the_per_shot_baseline_bitwise() {
         assert_eq!(fast, slow, "{shots} shots");
     }
 }
+
+#[test]
+fn sampled_dynamics_is_bitwise_the_per_sample_baseline() {
+    // `sqed_sampled_dynamics`: the default protocol continues at every
+    // sample, and the signal is bitwise the per-sample loop's.
+    let (h, noise) = (rows::sqed_chain(), rows::noise());
+    let protocol = lgt::massgap::DynamicsProtocol::default();
+    let got = lgt::massgap::run_dynamics(&h, 1, &protocol, &noise).unwrap();
+    let want = baseline::run_dynamics_per_sample(&h, 1, &protocol, &noise);
+    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.signal), bits(&want));
+}

@@ -130,24 +130,29 @@ impl LindbladSystem {
     /// Adds a collapse (jump) operator acting on the listed modes with rate
     /// `rate` (the rate multiplies the dissipator, i.e. `γ_k`).
     ///
+    /// The operator and targets are validated before the rate, so a
+    /// wrong-shape operator is an error even at `rate == 0.0`, which then
+    /// adds nothing.
+    ///
     /// # Errors
-    /// Returns an error if targets or dimensions are invalid or the rate is
-    /// negative.
+    /// Returns an error if targets or dimensions are invalid, or
+    /// [`CavityError::InvalidParameter`] if the rate is negative or not
+    /// finite.
     pub fn add_collapse(
         &mut self,
         op: &CMatrix,
         targets: &[usize],
         rate: f64,
     ) -> Result<&mut Self> {
-        if rate < 0.0 {
+        let full = embed_operator(&self.radix, op, targets).map_err(CavityError::Core)?;
+        if !(rate.is_finite() && rate >= 0.0) {
             return Err(CavityError::InvalidParameter(format!(
-                "collapse rate must be non-negative, got {rate}"
+                "collapse rate must be finite and non-negative, got {rate}"
             )));
         }
         if rate == 0.0 {
             return Ok(self);
         }
-        let full = embed_operator(&self.radix, op, targets).map_err(CavityError::Core)?;
         let l_dag = full.dagger();
         let ldag_l = l_dag.matmul(&full).map_err(CavityError::Core)?;
         self.decay.axpy(c64(rate, 0.0), &ldag_l).map_err(CavityError::Core)?;

@@ -109,6 +109,41 @@ fn collapse_operator_rejects_negative_rate() {
 }
 
 #[test]
+fn collapse_operator_rejects_non_finite_rates() {
+    let d = 3;
+    let mut sys = LindbladSystem::new(vec![d]).unwrap();
+    for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = sys.add_collapse(&gates::annihilation(d), &[0], rate).unwrap_err();
+        assert!(matches!(err, CavityError::InvalidParameter(_)), "rate {rate}: got {err:?}");
+    }
+    // Nothing was added: the generator still evolves ρ unitarily (here, not
+    // at all), so a Fock state keeps its populations.
+    let mut rho = DensityMatrix::from_pure(&QuditState::basis(vec![d], &[2]).unwrap());
+    sys.evolve(&mut rho, 0.5, 0.01).unwrap();
+    assert_eq!(rho.matrix()[(2, 2)].re, 1.0);
+}
+
+#[test]
+fn zero_rate_collapse_still_validates_its_operator_and_targets() {
+    let d = 3;
+    let mut sys = LindbladSystem::new(vec![d, d]).unwrap();
+    // A 2x2 operator on a d = 3 mode is a shape error, even at rate 0.
+    let err = sys.add_collapse(&CMatrix::identity(2), &[0], 0.0).unwrap_err();
+    assert!(matches!(err, CavityError::Core(CoreError::ShapeMismatch { .. })), "got {err:?}");
+    // An out-of-range or repeated target is a subsystem error, even at rate 0.
+    let err = sys.add_collapse(&gates::annihilation(d), &[2], 0.0).unwrap_err();
+    assert!(
+        matches!(err, CavityError::Core(CoreError::InvalidSubsystem { index: 2, count: 2 })),
+        "got {err:?}"
+    );
+    let pair = CMatrix::identity(d * d);
+    let err = sys.add_collapse(&pair, &[1, 1], 0.0).unwrap_err();
+    assert!(matches!(err, CavityError::Core(CoreError::InvalidArgument(_))), "got {err:?}");
+    // A valid operator at rate 0 is accepted and adds nothing.
+    sys.add_collapse(&gates::annihilation(d), &[1], 0.0).unwrap();
+}
+
+#[test]
 fn non_hermitian_full_hamiltonian_is_a_typed_error_and_changes_nothing() {
     let d = 3;
     let mut sys = LindbladSystem::new(vec![d]).unwrap();

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::encoding::{encode, EncodedModel, Encoding};
 use crate::error::{LgtError, Result};
 use crate::hamiltonian::{rotor_ladder, sqed_chain, LatticeHamiltonian, RotorParams, SqedParams};
-use crate::massgap::DynamicsProtocol;
+use crate::massgap::{sample_states, DynamicsProtocol};
 use crate::trotter::{trotter_circuit, TrotterOrder};
 
 /// Result of sweeping the gate-error rate for one encoding.
@@ -89,30 +89,26 @@ pub fn noise_sweep(config: &ThresholdConfig, encoding: Encoding) -> Result<Noise
     let encoded = encode(&h, encoding)?;
     let initial = encoded_probe_state(&encoded, &config.model)?;
 
+    let (h, protocol) = (&encoded.hamiltonian, &config.protocol);
     // Noiseless reference states at each sample time.
-    let sv = StatevectorSimulator::new();
-    let mut references: Vec<QuditState> = Vec::with_capacity(config.protocol.num_samples);
-    let mut circuits = Vec::with_capacity(config.protocol.num_samples);
-    for k in 1..=config.protocol.num_samples {
-        let t = config.protocol.total_time * k as f64 / config.protocol.num_samples as f64;
-        let steps = ((config.protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
-        let circuit = trotter_circuit(&encoded.hamiltonian, t, steps, config.protocol.order)?;
-        let reference = sv.run_compiled(&sv.compile(&circuit)?, Some(&initial))?.state;
-        references.push(reference);
-        circuits.push(circuit);
-    }
+    let mut references: Vec<QuditState> = Vec::with_capacity(protocol.num_samples);
+    sample_states(&StatevectorSimulator::new(), h, protocol, &initial, |_, state| {
+        references.push(state.clone());
+        Ok(())
+    })?;
 
     let rho0 = DensityMatrix::from_pure(&initial);
     let mut deviations = Vec::with_capacity(config.error_rates.len());
     for &p in &config.error_rates {
         let sim = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(p, p));
         let mut infidelity_sum = 0.0;
-        for (circuit, reference) in circuits.iter().zip(references.iter()) {
-            let (rho, _) = sim.run_compiled(&sim.compile(circuit)?, Some(&rho0))?;
-            let f = rho.fidelity_with_pure(reference).map_err(LgtError::Core)?;
-            infidelity_sum += 1.0 - f;
-        }
-        deviations.push(infidelity_sum / circuits.len() as f64);
+        let mut reference = references.iter();
+        sample_states(&sim, h, protocol, &rho0, |_, rho| {
+            let reference = reference.next().expect("one reference per sample");
+            infidelity_sum += 1.0 - rho.fidelity_with_pure(reference).map_err(LgtError::Core)?;
+            Ok(())
+        })?;
+        deviations.push(infidelity_sum / references.len() as f64);
     }
     let tolerable = tolerable_error(&config.error_rates, &deviations, config.deviation_criterion);
     Ok(NoiseSweep {
@@ -227,6 +223,63 @@ mod tests {
             error_rates: vec![1e-3, 1e-2, 5e-2, 2e-1],
             deviation_criterion: 0.1,
         }
+    }
+
+    #[test]
+    fn noise_sweep_matches_the_per_sample_loop() {
+        // `noise_sweep` on the per-sample loop it replaced: the density runs
+        // are bitwise equal; the statevector references agree to rounding,
+        // because statevector fusion still reaches across barriers.
+        let config = ThresholdConfig::default();
+        let h = sqed_chain(&config.model).unwrap();
+        let encoded = encode(&h, Encoding::DirectQudit).unwrap();
+        let initial = encoded_probe_state(&encoded, &config.model).unwrap();
+        let rho0 = DensityMatrix::from_pure(&initial);
+        let p = config.protocol;
+        let circuits: Vec<_> = (1..=p.num_samples)
+            .map(|k| {
+                let t = p.total_time * k as f64 / p.num_samples as f64;
+                let steps = ((p.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
+                trotter_circuit(&encoded.hamiltonian, t, steps, p.order).unwrap()
+            })
+            .collect();
+        let sv = StatevectorSimulator::new();
+        let sim = DensityMatrixSimulator::new().with_noise(NoiseModel::depolarizing(1e-2, 1e-2));
+        let mut rhos = Vec::new();
+        sample_states(&sim, &encoded.hamiltonian, &p, &rho0, |_, rho| {
+            rhos.push(rho.clone());
+            Ok(())
+        })
+        .unwrap();
+        let mut refs = Vec::new();
+        sample_states(&sv, &encoded.hamiltonian, &p, &initial, |_, psi| {
+            refs.push(psi.clone());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((rhos.len(), refs.len()), (circuits.len(), circuits.len()));
+        let mut deviation = 0.0;
+        for ((circuit, rho), psi) in circuits.iter().zip(&rhos).zip(&refs) {
+            let (want, _) = sim.run_compiled(&sim.compile(circuit).unwrap(), Some(&rho0)).unwrap();
+            assert!(rho.matrix().as_slice() == want.matrix().as_slice());
+            let want = sv.run_compiled(&sv.compile(circuit).unwrap(), Some(&initial)).unwrap();
+            let diff = psi
+                .amplitudes()
+                .iter()
+                .zip(want.state.amplitudes())
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0, f64::max);
+            assert!(diff < 1e-12, "reference off by {diff}");
+            deviation += 1.0 - rho.fidelity_with_pure(&want.state).unwrap();
+        }
+        let sweep = noise_sweep(
+            &ThresholdConfig { error_rates: vec![1e-2], ..config },
+            Encoding::DirectQudit,
+        )
+        .unwrap();
+        let got = sweep.signal_deviations[0];
+        let want = deviation / circuits.len() as f64;
+        assert!((got - want).abs() < 1e-12, "deviation {got} vs {want}");
     }
 
     #[test]

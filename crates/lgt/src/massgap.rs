@@ -6,8 +6,10 @@
 //! read the gap off the dominant frequency of the resulting oscillation.
 
 use qudit_circuit::noise::NoiseModel;
-use qudit_circuit::sim::DensityMatrixSimulator;
-use qudit_circuit::Observable;
+use qudit_circuit::sim::{
+    CompiledCircuit, CompiledDensityCircuit, DensityMatrixSimulator, StatevectorSimulator,
+};
+use qudit_circuit::{Circuit, Observable};
 use qudit_core::density::DensityMatrix;
 use qudit_core::state::QuditState;
 use serde::{Deserialize, Serialize};
@@ -15,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{LgtError, Result};
 use crate::hamiltonian::LatticeHamiltonian;
 use crate::operators;
-use crate::trotter::{trotter_circuit, TrotterOrder};
+use crate::trotter::{trotter_circuit, trotter_steps, TrotterOrder};
 
 /// A recorded real-time signal and the frequency extracted from it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,12 +84,113 @@ pub fn probe_observable(dims: &[usize], site: usize) -> Observable {
     Observable::single(site, operators::lz_squared(dims[site]))
 }
 
+/// A simulator the sampling loop drives: compile a circuit once, run the
+/// plan from a state.
+pub(crate) trait Evolver {
+    type State;
+    type Plan;
+    fn compile_plan(&self, circuit: &Circuit) -> Result<Self::Plan>;
+    fn evolve(&self, plan: &Self::Plan, from: &Self::State) -> Result<Self::State>;
+}
+
+impl Evolver for DensityMatrixSimulator {
+    type State = DensityMatrix;
+    type Plan = CompiledDensityCircuit;
+    fn compile_plan(&self, circuit: &Circuit) -> Result<Self::Plan> {
+        Ok(self.compile(circuit)?)
+    }
+    fn evolve(&self, plan: &Self::Plan, from: &DensityMatrix) -> Result<DensityMatrix> {
+        Ok(self.run_compiled(plan, Some(from))?.0)
+    }
+}
+
+impl Evolver for StatevectorSimulator {
+    type State = QuditState;
+    type Plan = CompiledCircuit;
+    fn compile_plan(&self, circuit: &Circuit) -> Result<Self::Plan> {
+        Ok(self.compile(circuit)?)
+    }
+    fn evolve(&self, plan: &Self::Plan, from: &QuditState) -> Result<QuditState> {
+        Ok(self.run_compiled(plan, Some(from))?.state)
+    }
+}
+
+/// Evolves `initial` to each of the protocol's sample times and hands every
+/// sample's time and state to `visit`, in order.
+///
+/// Sample `k` is `steps_k` Trotter steps of `dt_k = t_k / steps_k`. When
+/// `dt_k` equals the previous sample's step size bitwise and `steps_k` is
+/// not smaller, the loop continues from the previous sample's state with the
+/// `steps_k − steps_{k−1}` extra steps, compiling one plan per extra-step
+/// count. Otherwise it restarts from `initial` with the sample's own
+/// circuit. Every Trotter step ends with a barrier, and density plans are
+/// prefix-closed at barriers, so on the density simulator a continued
+/// sample is bitwise the state a restart would give. Statevector fusion
+/// still reaches across barriers, so there the two agree to rounding.
+pub(crate) fn sample_states<E: Evolver>(
+    sim: &E,
+    h: &LatticeHamiltonian,
+    protocol: &DynamicsProtocol,
+    initial: &E::State,
+    mut visit: impl FnMut(f64, &E::State) -> Result<()>,
+) -> Result<()> {
+    // (dt, steps, state) of the previous sample, and the continuation
+    // plans compiled for that dt, keyed by extra-step count.
+    let mut last: Option<(f64, usize, E::State)> = None;
+    let mut blocks: Vec<(usize, E::Plan)> = Vec::new();
+    for k in 1..=protocol.num_samples {
+        let t = protocol.total_time * k as f64 / protocol.num_samples as f64;
+        let steps = ((protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
+        let dt = t / steps as f64;
+        let state = match last.take() {
+            Some((prev_dt, prev_steps, prev))
+                if prev_dt.to_bits() == dt.to_bits() && steps >= prev_steps =>
+            {
+                match steps - prev_steps {
+                    0 => prev,
+                    extra => {
+                        let at = match blocks.iter().position(|(n, _)| *n == extra) {
+                            Some(at) => at,
+                            None => {
+                                let block = trotter_steps(h, dt, extra, protocol.order)?;
+                                blocks.push((extra, sim.compile_plan(&block)?));
+                                blocks.len() - 1
+                            }
+                        };
+                        sim.evolve(&blocks[at].1, &prev)?
+                    }
+                }
+            }
+            prev => {
+                if prev.is_some_and(|(prev_dt, ..)| prev_dt.to_bits() != dt.to_bits()) {
+                    blocks.clear();
+                }
+                let circuit = trotter_circuit(h, t, steps, protocol.order)?;
+                sim.evolve(&sim.compile_plan(&circuit)?, initial)?
+            }
+        };
+        visit(t, &state)?;
+        last = Some((dt, steps, state));
+    }
+    Ok(())
+}
+
 /// Runs the Trotterized dynamics of an encoded-or-native lattice Hamiltonian
 /// under a circuit-level noise model and records the probe observable.
 ///
 /// The observable and probe excitation live on `probe_site` expressed in
 /// *hardware carrier* coordinates (for the native qudit encoding that is just
 /// the lattice site).
+///
+/// Sample `k` is `ceil(steps_per_unit_time · t_k)` Trotter steps (at least
+/// one) to `t_k = total_time · k / num_samples`. When consecutive samples
+/// share a bitwise-equal step size (the default protocol: `dt = 0.25`, two
+/// steps per sample), each sample continues from the previous one's ρ with
+/// the extra steps, and the extra-step block compiles once. Other samples
+/// restart from ρ0 with their own circuit. The signal is bitwise the same
+/// as building, compiling and running every sample's circuit from ρ0,
+/// because density plans are prefix-closed at the barrier that ends each
+/// Trotter step.
 ///
 /// # Errors
 /// Returns an error if simulation fails.
@@ -108,14 +211,11 @@ pub fn run_dynamics(
     signal.push(observable.expectation_density(&rho0).map_err(LgtError::Circuit)?);
 
     let sim = DensityMatrixSimulator::new().with_noise(noise.clone());
-    for k in 1..=protocol.num_samples {
-        let t = protocol.total_time * k as f64 / protocol.num_samples as f64;
-        let steps = ((protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
-        let circuit = trotter_circuit(h, t, steps, protocol.order)?;
-        let (rho, _) = sim.run_compiled(&sim.compile(&circuit)?, Some(&rho0))?;
+    sample_states(&sim, h, protocol, &rho0, |t, rho| {
         times.push(t);
-        signal.push(observable.expectation_density(&rho).map_err(LgtError::Circuit)?);
-    }
+        signal.push(observable.expectation_density(rho).map_err(LgtError::Circuit)?);
+        Ok(())
+    })?;
     let extracted_frequency = dominant_frequency(&times, &signal);
     Ok(GapExtraction { times, signal, extracted_frequency })
 }
@@ -168,6 +268,59 @@ mod tests {
             hopping: 0.5,
             mass: 0.2,
             periodic: false,
+        }
+    }
+
+    /// The per-sample loop `run_dynamics` replaced: every sample's own
+    /// circuit, compiled and run from ρ0.
+    fn per_sample_signal(
+        h: &LatticeHamiltonian,
+        probe: usize,
+        protocol: &DynamicsProtocol,
+        noise: &NoiseModel,
+    ) -> Vec<f64> {
+        let rho0 = DensityMatrix::from_pure(&probe_state(&h.dims, probe).unwrap());
+        let observable = probe_observable(&h.dims, probe);
+        let sim = DensityMatrixSimulator::new().with_noise(noise.clone());
+        let mut signal = vec![observable.expectation_density(&rho0).unwrap()];
+        for k in 1..=protocol.num_samples {
+            let t = protocol.total_time * k as f64 / protocol.num_samples as f64;
+            let steps = ((protocol.steps_per_unit_time as f64 * t).ceil() as usize).max(1);
+            let circuit = trotter_circuit(h, t, steps, protocol.order).unwrap();
+            let (rho, _) = sim.run_compiled(&sim.compile(&circuit).unwrap(), Some(&rho0)).unwrap();
+            signal.push(observable.expectation_density(&rho).unwrap());
+        }
+        signal
+    }
+
+    fn bits(signal: &[f64]) -> Vec<u64> {
+        signal.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn sampled_dynamics_is_bitwise_the_per_sample_loop() {
+        let h = sqed_chain(&small_params()).unwrap();
+        // The default protocol continues (dt = 0.25 at every sample); 3 steps
+        // per unit time sampled every 0.5 changes dt at every sample, so it
+        // restarts every time.
+        let restarting = DynamicsProtocol {
+            total_time: 3.0,
+            num_samples: 6,
+            steps_per_unit_time: 3,
+            order: TrotterOrder::Second,
+        };
+        let noises = [
+            NoiseModel::depolarizing(1e-3, 1e-2),
+            NoiseModel::noiseless(),
+            NoiseModel::cavity(0.01, 0.02, 0.05),
+        ];
+        for protocol in [DynamicsProtocol::default(), restarting] {
+            for noise in &noises {
+                let got = run_dynamics(&h, 1, &protocol, noise).unwrap();
+                let want = per_sample_signal(&h, 1, &protocol, noise);
+                assert_eq!(bits(&got.signal), bits(&want), "{protocol:?}, {noise:?}");
+                assert_eq!(got.extracted_frequency, dominant_frequency(&got.times, &want));
+            }
         }
     }
 

@@ -44,7 +44,18 @@ pub fn trotter_circuit(
     if steps == 0 {
         return Err(LgtError::InvalidModel("Trotterisation needs at least one step".into()));
     }
-    let dt = time / steps as f64;
+    trotter_steps(h, time / steps as f64, steps, order)
+}
+
+/// `steps` Trotter steps of size `dt`, each closed by a barrier: the body of
+/// [`trotter_circuit`], and the continuation block of a sampled evolution
+/// (`crate::massgap`), which must match the prefix it extends bitwise.
+pub(crate) fn trotter_steps(
+    h: &LatticeHamiltonian,
+    dt: f64,
+    steps: usize,
+    order: TrotterOrder,
+) -> Result<Circuit> {
     let mut circuit = Circuit::new(h.dims.clone());
     for _ in 0..steps {
         match order {

@@ -9,7 +9,11 @@
 //! runs fold into the same sweep under a fusion-style cost rule. Both
 //! compilation stages flush **wire-locally**: a plan step may be re-ordered
 //! past a disjoint-support measurement or channel (exact, by commutation —
-//! see [`crate::sim::fusion`]). Use
+//! see [`crate::sim::fusion`]). Unlike statevector plans, density plans
+//! never fuse or fold across a barrier: every barrier closes every open
+//! block, so the plan of `C1; barrier; C2` is the plan of `C1; barrier`
+//! followed by the plan of `C2`, and running `C2`'s plan from the state
+//! `C1; barrier` left is bitwise the same as running the whole. Use
 //! [`DensityMatrixSimulator::compile`] to reuse a plan across runs.
 
 use std::collections::HashMap;
@@ -273,7 +277,7 @@ impl DensityMatrixSimulator {
     /// # Errors
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledDensityCircuit> {
-        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?;
+        let kernels = CircuitKernels::with_config(circuit, &self.noise, &self.fusion, true)?;
         Ok(CompiledDensityCircuit {
             topology: Arc::new(DensityKernels::compile(&kernels, &self.superop)?),
             binds: BindBuffers::default(),

@@ -29,8 +29,9 @@
 //! barrier (idle loss decays the whole register). Blocks on disjoint wires
 //! stay open and keep fusing *through* the barrier, which is what gives
 //! syndrome-extraction-style circuits (repeated ancilla measure + reset
-//! rounds) a fusion benefit at all. Noiseless barriers are dropped from the
-//! execution plan, which lets fusion reach across Trotter-step boundaries.
+//! rounds) a fusion benefit at all. In statevector and trajectory plans,
+//! noiseless barriers are dropped from the execution plan, which lets
+//! fusion reach across Trotter-step boundaries.
 //!
 //! ### Why deferring blocks past a barrier is sound
 //!
@@ -53,6 +54,16 @@
 //! bitwise identical, which `tests/flush_props.rs` pins for its seeded
 //! workloads. The frontier `debug_assert`s the disjointness invariant at
 //! every wire-local flush.
+//!
+//! ### Statevector and density plans treat no-op barriers differently
+//!
+//! Statevector and trajectory plans drop no-op barriers, so fusion reaches
+//! across Trotter-step boundaries. Density plans keep every barrier as a
+//! full flush, like a lossy one (`drop_noop_barriers = false`), and the
+//! density compiler closes its folds there too, so a density plan is
+//! prefix-closed at barriers (see `DensityKernels::compile`). A
+//! statevector plan is not: continuing a noiseless run from a prefix's
+//! state agrees with the whole run only to rounding.
 //!
 //! ## Cost rule and budget
 //!
@@ -356,6 +367,7 @@ mod tests {
             c,
             &crate::noise::NoiseModel::noiseless(),
             &FusionConfig::default(),
+            false,
         )
         .unwrap();
         let crate::sim::kernels::ExecStep::Apply { kind, .. } = &kernels.steps[0] else {
@@ -473,6 +485,7 @@ mod tests {
             &c,
             &crate::noise::NoiseModel::noiseless(),
             &FusionConfig::default(),
+            false,
         )
         .unwrap();
         let crate::sim::kernels::ExecStep::Apply { op, .. } = &kernels.steps[0] else {

@@ -339,7 +339,7 @@ pub(crate) struct CircuitKernels {
     /// Source-instruction indices realized by each step, parallel to
     /// `steps`: the absorbed gate indices (program order) for a fused block,
     /// the single instruction index otherwise. Dropped no-op barriers appear
-    /// in no entry. Consumed by `sim::introspect` / `qudit-verify` only —
+    /// in no entry (only statevector and trajectory plans drop them). Consumed by `sim::introspect` / `qudit-verify` only —
     /// the run loops never read it.
     pub origins: Vec<Vec<usize>>,
     /// One photon-loss channel per qudit, used at each `Barrier` when the
@@ -354,10 +354,17 @@ pub(crate) struct CircuitKernels {
 }
 
 impl CircuitKernels {
+    /// Compiles `circuit` under `noise` and `config`. With
+    /// `barriers_close`, every barrier closes every open fusion block, as a
+    /// lossy barrier always does; the density compiler asks for this so its
+    /// plans are prefix-closed at barriers (see [`DensityKernels::compile`]).
+    /// Otherwise a barrier without idle loss is dropped, and fusion reaches
+    /// across it.
     pub(crate) fn with_config(
         circuit: &Circuit,
         noise: &NoiseModel,
         config: &FusionConfig,
+        barriers_close: bool,
     ) -> Result<Self> {
         // Every back-end's compile and sample path comes through here, so
         // the readout flip is validated once for all of them.
@@ -394,7 +401,7 @@ impl CircuitKernels {
             }
         }
 
-        let (fused, stats) = fuse(circuit, &fusable, !lossy_barriers, config)?;
+        let (fused, stats) = fuse(circuit, &fusable, !(lossy_barriers || barriers_close), config)?;
 
         // Operators are materialised through the recipe path even at compile
         // time, so a later in-place rebind reproduces them bitwise. A plan
@@ -958,6 +965,18 @@ impl DensityKernels {
     /// folds with its channel, runs of same-support channels collapse to one
     /// sweep, and a two-qudit channel absorbs the two-qudit gate it follows.
     ///
+    /// ## Barriers are full fold boundaries
+    ///
+    /// Every barrier closes every open block, right after its idle-loss
+    /// items (if the model has idle loss) have been offered. Fusion does the
+    /// same for density plans (`CircuitKernels::with_config` with
+    /// `barriers_close`), so nothing folds across a barrier, and the plan is
+    /// **prefix-closed**: the plan of `C1; barrier; C2` is the plan of
+    /// `C1; barrier` followed by the plan of `C2`, step for step. Running
+    /// the two halves one after the other is therefore bitwise the same as
+    /// running the whole, which is what lets a sampled time evolution
+    /// continue from the previous sample's ρ instead of restarting.
+    ///
     /// ## Parameter dependence
     ///
     /// Items whose operator carries a free parameter are classified
@@ -969,7 +988,7 @@ impl DensityKernels {
     /// compiler used.
     pub(crate) fn compile(kernels: &CircuitKernels, config: &SuperopConfig) -> Result<Self> {
         let radix = Radix::new(kernels.dims.clone()).map_err(CircuitError::Core)?;
-        let (items, item_origins) = collect_density_items(kernels, config, &radix)?;
+        let (items, item_origins, barrier_ends) = collect_density_items(kernels, config, &radix)?;
         let mut pass = DensityPass {
             radix: &radix,
             dims: &kernels.dims,
@@ -982,20 +1001,26 @@ impl DensityKernels {
             stats: SuperopStats::default(),
         };
         let mut frontier = Frontier::new(&kernels.dims);
-        for id in 0..pass.items.len() {
-            let (targets, cost) = pass.price(id)?;
-            match cost {
-                Some(cost) => frontier.offer(id, targets, cost, &mut pass)?,
-                None => {
-                    // Too large to ever join a sweep (an unprofitable or
-                    // over-budget channel, or batching is off): emit
-                    // verbatim, flushing overlaps first.
-                    frontier.flush(Some(&targets), &mut pass)?;
-                    pass.emit_verbatim(id)?;
+        let mut start = 0;
+        // Fold each barrier-delimited segment on its own; the last one runs
+        // to the end of the plan.
+        for end in barrier_ends.into_iter().chain([pass.items.len()]) {
+            for id in start..end {
+                let (targets, cost) = pass.price(id)?;
+                match cost {
+                    Some(cost) => frontier.offer(id, targets, cost, &mut pass)?,
+                    None => {
+                        // Too large to ever join a sweep (an unprofitable or
+                        // over-budget channel, or batching is off): emit
+                        // verbatim, flushing overlaps first.
+                        frontier.flush(Some(&targets), &mut pass)?;
+                        pass.emit_verbatim(id)?;
+                    }
                 }
             }
+            frontier.drain(&mut pass)?;
+            start = end;
         }
-        frontier.drain(&mut pass)?;
         Ok(Self {
             dims: kernels.dims.clone(),
             steps: pass.steps,
@@ -1226,6 +1251,8 @@ impl DensityPass<'_> {
 /// Linearises the shared plan into the density compiler's constituent items:
 /// gate noise inlined after its gate, measurements as full target dephasing,
 /// resets as the `|0⟩⟨i|` channel, barriers as their idle-loss channels.
+/// Also returns, per barrier, the item count after its idle-loss items: the
+/// points at which [`DensityKernels::compile`] closes every open block.
 /// Single-operator channels become unitary items (a one-term Kraus sum *is*
 /// a sandwich), and each multi-operator channel precomputes its
 /// superoperator when within budget and profitable (dense superoperator
@@ -1235,8 +1262,9 @@ fn collect_density_items(
     kernels: &CircuitKernels,
     config: &SuperopConfig,
     radix: &Radix,
-) -> Result<(Vec<DensityItem>, Vec<ItemOrigin>)> {
+) -> Result<(Vec<DensityItem>, Vec<ItemOrigin>, Vec<usize>)> {
     let mut items = Vec::with_capacity(kernels.steps.len());
+    let mut barrier_ends = Vec::new();
     let mut origins: Vec<ItemOrigin> = Vec::with_capacity(kernels.steps.len());
     let push_channel = |items: &mut Vec<DensityItem>, kernel: ChannelKernel| -> Result<()> {
         if kernel.channel.operators().len() == 1 {
@@ -1345,11 +1373,12 @@ fn collect_density_items(
                     });
                     push_channel(&mut items, ch.clone())?;
                 }
+                barrier_ends.push(items.len());
             }
         }
     }
     debug_assert_eq!(items.len(), origins.len());
-    Ok((items, origins))
+    Ok((items, origins, barrier_ends))
 }
 
 /// Kraus operators of the reset-to-`|0⟩` channel: `K_i = |0⟩⟨i|`.

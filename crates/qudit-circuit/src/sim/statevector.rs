@@ -295,7 +295,12 @@ impl StatevectorSimulator {
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit> {
         Ok(CompiledCircuit {
-            topology: Arc::new(CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?),
+            topology: Arc::new(CircuitKernels::with_config(
+                circuit,
+                &self.noise,
+                &self.fusion,
+                false,
+            )?),
             binds: BindBuffers::default(),
             noise: self.noise.clone(),
         })

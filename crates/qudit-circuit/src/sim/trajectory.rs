@@ -187,7 +187,12 @@ impl TrajectorySimulator {
     /// Returns an error for invalid instructions.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit> {
         Ok(CompiledCircuit {
-            topology: Arc::new(CircuitKernels::with_config(circuit, &self.noise, &self.fusion)?),
+            topology: Arc::new(CircuitKernels::with_config(
+                circuit,
+                &self.noise,
+                &self.fusion,
+                false,
+            )?),
             binds: BindBuffers::default(),
             noise: self.noise.clone(),
         })
@@ -583,7 +588,7 @@ mod tests {
                 .with_threads(3)
                 .with_noise(NoiseModel::cavity(0.1, 0.15, 0.05))
                 .with_fusion(fusion.clone());
-            let kernels = CircuitKernels::with_config(&c, &sim.noise, &fusion).unwrap();
+            let kernels = CircuitKernels::with_config(&c, &sim.noise, &fusion, false).unwrap();
             let mut states = Vec::new();
             sim.fold_trajectory_groups(
                 &kernels,
