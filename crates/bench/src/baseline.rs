@@ -21,6 +21,7 @@ use qudit_circuit::circuit::{Circuit, Instruction};
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::{CompiledCircuit, StatevectorSimulator};
 use qudit_circuit::Observable;
+use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::complex::{c64, Complex64};
 use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
@@ -523,6 +524,144 @@ pub fn run_dynamics_per_sample(
         signal.push(observable.expectation_density(&rho).expect("valid register"));
     }
     signal
+}
+
+/// `ApplyPlan`'s private four-accumulator dot product, copied so the
+/// per-block kernels below perform the same per-output arithmetic.
+fn dot4(a: &[Complex64], b: &[Complex64]) -> Complex64 {
+    let mut acc0 = Complex64::ZERO;
+    let mut acc1 = Complex64::ZERO;
+    let mut acc2 = Complex64::ZERO;
+    let mut acc3 = Complex64::ZERO;
+    let mut chunks_a = a.chunks_exact(4);
+    let mut chunks_b = b.chunks_exact(4);
+    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
+        acc0 = ca[0].mul_add(cb[0], acc0);
+        acc1 = ca[1].mul_add(cb[1], acc1);
+        acc2 = ca[2].mul_add(cb[2], acc2);
+        acc3 = ca[3].mul_add(cb[3], acc3);
+    }
+    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder().iter()) {
+        acc0 = x.mul_add(*y, acc0);
+    }
+    (acc0 + acc1) + (acc2 + acc3)
+}
+
+/// `ApplyPlan::apply` as its element-wise arms ran before they walked
+/// spectator runs: one odometer tick and one gather per spectator block,
+/// through the plan's public block enumeration. The uniform-stride dense
+/// panels (`uniform_stride() > Some(1)`) never walked blocks and were not
+/// rewritten, so that case runs the plan's own kernel.
+pub fn apply_per_block(
+    plan: &ApplyPlan,
+    kind: &OpKind,
+    op: &CMatrix,
+    data: &mut [Complex64],
+    scratch: &mut Vec<Complex64>,
+) {
+    let offsets = plan.sub_offsets();
+    scratch.resize(plan.sub_dim(), Complex64::ZERO);
+    match kind {
+        OpKind::Diagonal(diag) => {
+            if let Some(s) = plan.uniform_stride() {
+                plan.for_each_block(|base| {
+                    let mut idx = base;
+                    for d in diag.iter() {
+                        data[idx] *= *d;
+                        idx += s;
+                    }
+                });
+            } else {
+                plan.for_each_block(|base| {
+                    for (j, d) in diag.iter().enumerate() {
+                        data[base + offsets[j]] *= *d;
+                    }
+                });
+            }
+        }
+        OpKind::Monomial { rows, coeffs, .. } => {
+            plan.for_each_block(|base| {
+                for (j, s) in scratch.iter_mut().enumerate() {
+                    let idx = base + offsets[j];
+                    *s = data[idx];
+                    data[idx] = Complex64::ZERO;
+                }
+                for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
+                    if coeff != Complex64::ZERO {
+                        data[base + offsets[r]] += coeff * scratch[c];
+                    }
+                }
+            });
+        }
+        OpKind::Dense => match plan.uniform_stride() {
+            Some(1) => {
+                let sub_dim = plan.sub_dim();
+                plan.for_each_block(|base| {
+                    let block = &mut data[base..base + sub_dim];
+                    scratch.copy_from_slice(block);
+                    for (row, out) in block.iter_mut().enumerate() {
+                        *out = dot4(op.row(row), scratch);
+                    }
+                });
+            }
+            Some(_) => plan.apply(kind, op, data, scratch).expect("valid operator"),
+            None => {
+                plan.for_each_block(|base| {
+                    for (j, slot) in scratch.iter_mut().enumerate() {
+                        *slot = data[base + offsets[j]];
+                    }
+                    for (row, &off) in offsets.iter().enumerate() {
+                        data[base + off] = dot4(op.row(row), scratch);
+                    }
+                });
+            }
+        },
+    }
+}
+
+/// `ApplyPlan::apply_compressed` as it ran before it walked spectator runs:
+/// per block, a gather, one compressed row product per output, a scatter.
+pub fn apply_compressed_per_block(plan: &ApplyPlan, op: &RowCompressed, data: &mut [Complex64]) {
+    let offsets = plan.sub_offsets();
+    let mut scratch = vec![Complex64::ZERO; plan.sub_dim()];
+    plan.for_each_block(|base| {
+        for (j, slot) in scratch.iter_mut().enumerate() {
+            *slot = data[base + offsets[j]];
+        }
+        for (row, &off) in offsets.iter().enumerate() {
+            data[base + off] =
+                op.row(row).iter().fold(Complex64::ZERO, |acc, &(c, a)| a.mul_add(scratch[c], acc));
+        }
+    });
+}
+
+/// `ApplyPlan::marginal_probabilities_into` as it ran before it walked
+/// spectator runs: one running sum per target basis state, one block at a
+/// time.
+pub fn marginal_per_block(
+    plan: &ApplyPlan,
+    data: &[Complex64],
+    weight: impl Fn(Complex64) -> f64,
+    probs: &mut Vec<f64>,
+) {
+    probs.clear();
+    probs.resize(plan.sub_dim(), 0.0);
+    plan.for_each_block(|base| {
+        for (p, &off) in probs.iter_mut().zip(plan.sub_offsets().iter()) {
+            *p += weight(data[base + off]);
+        }
+    });
+}
+
+/// `ApplyPlan::collapse` as it ran before it walked spectator runs.
+pub fn collapse_per_block(plan: &ApplyPlan, amps: &mut [Complex64], outcome: usize) {
+    plan.for_each_block(|base| {
+        for (j, &off) in plan.sub_offsets().iter().enumerate() {
+            if j != outcome {
+                amps[base + off] = Complex64::ZERO;
+            }
+        }
+    });
 }
 
 #[cfg(test)]

@@ -382,6 +382,50 @@ fn sqed_sampled_dynamics() -> Row {
     row("sqed_sampled_dynamics", detail, 1, timing, Some(4.0))
 }
 
+fn small_stride_kernels() -> Row {
+    let mix = rows::kernel_mix();
+    let norm = |z: qudit_core::Complex64| z.norm_sqr();
+    let (mut base_data, mut base_marginals, mut base_scratch) =
+        (mix.amps.clone(), Vec::new(), Vec::new());
+    let (mut opt_data, mut opt_marginals, mut opt_scratch) =
+        (mix.amps.clone(), Vec::new(), Vec::new());
+    let reps = 200;
+    // Each call restarts from the same state, so repeated loss never drives
+    // the amplitudes toward subnormals.
+    let timing = paired(
+        reps,
+        || {
+            base_data.copy_from_slice(&mix.amps);
+            mix.run(
+                &mut base_data,
+                &mut base_marginals,
+                |plan, kind, op, data| {
+                    baseline::apply_per_block(plan, kind, op, data, &mut base_scratch);
+                },
+                |plan, data, probs| baseline::marginal_per_block(plan, data, norm, probs),
+            );
+        },
+        || {
+            opt_data.copy_from_slice(&mix.amps);
+            mix.run(
+                &mut opt_data,
+                &mut opt_marginals,
+                |plan, kind, op, data| plan.apply(kind, op, data, &mut opt_scratch).unwrap(),
+                |plan, data, probs| plan.marginal_probabilities_into(data, norm, probs),
+            );
+        },
+    );
+    let (n, gamma) = rows::SMALL_STRIDE;
+    let detail = format!(
+        "NDAR kernel mix on {n} qutrits (dim {}): per wire a dense Fourier, its marginal and the \
+         3 Kraus operators of photon_loss(3, {gamma}), then a 9x9 diagonal on an adjacent and a \
+         non-adjacent pair; run-form kernels vs the per-block odometer walk \
+         (bench::baseline::apply_per_block, marginal_per_block), 1 thread",
+        mix.amps.len()
+    );
+    row("small_stride_kernels", detail, reps, timing, Some(1.3))
+}
+
 fn superop_sweep_sparse() -> Row {
     let w = rows::loss_sweep();
     let start = w.rho.matrix().as_slice();
@@ -773,6 +817,7 @@ fn main() {
         density_run_noisy_percall(),
         sqed_sampled_dynamics(),
         superop_sweep_sparse(),
+        small_stride_kernels(),
         statevector_run_guarded(),
         density_run_noisy_guarded(),
         qaoa_rebind_sweep(),

@@ -13,7 +13,7 @@ use qudit_circuit::gates::annihilation;
 use qudit_circuit::noise::{KrausChannel, NoiseModel};
 use qudit_circuit::sim::StatevectorSimulator;
 use qudit_circuit::{Circuit, Gate, Param};
-use qudit_core::apply::OpKind;
+use qudit_core::apply::{ApplyPlan, OpKind};
 use qudit_core::complex::{c64, Complex64};
 use qudit_core::density::DensityMatrix;
 use qudit_core::matrix::CMatrix;
@@ -22,6 +22,7 @@ use qudit_core::sparse::RowCompressed;
 use qudit_core::state::QuditState;
 use qudit_core::superop::SuperPlan;
 use qudit_serve::{JobOutcome, JobSpec, ServeConfig, ServeEngine, ServeStats};
+use rand::SeedableRng;
 
 use crate::{small_sqed_circuit, table1_coloring_problem};
 
@@ -105,6 +106,95 @@ pub fn loss_sweep() -> LossSweep {
     }
     let state = QuditState::from_amplitudes(vec![d, d], psi).expect("normalised state");
     LossSweep { plan, sup, kind, compressed, rho: DensityMatrix::from_pure(&state) }
+}
+
+/// Qutrits and photon-loss probability of the `small_stride_kernels` row:
+/// the `ndar_coloring` objective's kernel mix on a dim-729 register.
+pub const SMALL_STRIDE: (usize, f64) = (6, 0.3);
+
+/// The `small_stride_kernels` row's instance: the per-step kernels of a
+/// lossy NDAR-QAOA trajectory on a [`SMALL_STRIDE`] qutrit register.
+pub struct KernelMix {
+    /// Starting amplitudes: a seeded Haar-random state.
+    pub amps: Vec<Complex64>,
+    /// Per wire, in wire order: its plan, then its operators in application
+    /// order (the dense Fourier mixer, then each Kraus operator of
+    /// `photon_loss(3, γ)`: one diagonal and two monomials). The marginal
+    /// over the wire is taken after the mixer, where a channel event reads
+    /// its branch norms.
+    pub wires: Vec<(ApplyPlan, Vec<(OpKind, CMatrix)>)>,
+    /// The 9×9 diagonal cost phase on an adjacent pair and on a
+    /// non-adjacent pair, applied after the wires.
+    pub pairs: Vec<(ApplyPlan, OpKind, CMatrix)>,
+}
+
+impl KernelMix {
+    /// Runs the mix on `data` through `apply` and `marginal`, appending
+    /// each marginal to `marginals` (cleared first), so both sides of the
+    /// row walk the same sequence.
+    pub fn run(
+        &self,
+        data: &mut [Complex64],
+        marginals: &mut Vec<f64>,
+        mut apply: impl FnMut(&ApplyPlan, &OpKind, &CMatrix, &mut [Complex64]),
+        mut marginal: impl FnMut(&ApplyPlan, &[Complex64], &mut Vec<f64>),
+    ) {
+        marginals.clear();
+        let mut probs = Vec::new();
+        for (plan, ops) in &self.wires {
+            for (step, (kind, op)) in ops.iter().enumerate() {
+                apply(plan, kind, op, data);
+                if step == 0 {
+                    marginal(plan, data, &mut probs);
+                    marginals.extend_from_slice(&probs);
+                }
+            }
+        }
+        for (plan, kind, op) in &self.pairs {
+            apply(plan, kind, op, data);
+        }
+    }
+}
+
+/// Builds [`KernelMix`].
+pub fn kernel_mix() -> KernelMix {
+    let (n, gamma) = SMALL_STRIDE;
+    let dims = vec![3; n];
+    let radix = Radix::new(dims.clone()).expect("valid dims");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let amps = qudit_core::random::haar_state(&mut rng, dims).expect("valid dims");
+    let classified = |op: CMatrix| (OpKind::classify(&op), op);
+    let loss = KrausChannel::photon_loss(3, gamma).expect("valid loss probability");
+    let wires = (0..n)
+        .map(|w| {
+            let plan = ApplyPlan::new(&radix, &[w]).expect("valid target");
+            let mut ops = vec![classified(qudit_circuit::gates::fourier(3))];
+            ops.extend(loss.operators().iter().cloned().map(classified));
+            (plan, ops)
+        })
+        .collect();
+    // exp(-iγ) on equal colours, the coloring cost phase of one edge.
+    let phase =
+        CMatrix::diag(
+            &(0..9)
+                .map(|k| {
+                    if k / 3 == k % 3 {
+                        c64(0.6_f64.cos(), -0.6_f64.sin())
+                    } else {
+                        Complex64::ONE
+                    }
+                })
+                .collect::<Vec<_>>(),
+        );
+    let pairs = [[2, 3], [1, 4]]
+        .iter()
+        .map(|targets| {
+            let plan = ApplyPlan::new(&radix, targets).expect("valid targets");
+            let (kind, op) = classified(phase.clone());
+            (plan, kind, op)
+        })
+        .collect();
+    KernelMix { amps: amps.amplitudes().to_vec(), wires, pairs }
 }
 
 /// The common workload: the [`SQED`] chain.

@@ -7,6 +7,10 @@ use bench::{baseline, rows, syndrome_extraction_circuit};
 use qudit_circuit::sim::{
     DensityMatrixSimulator, FusionConfig, GuardConfig, StatevectorSimulator, SuperopConfig,
 };
+use qudit_core::{c64, ApplyPlan, CMatrix, Complex64, OpKind, Radix, RowCompressed};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 fn assert_same_state(a: &qudit_core::QuditState, b: &qudit_core::QuditState, tol: f64) {
     let overlap = a.inner(b).unwrap().abs();
@@ -158,4 +162,189 @@ fn sampled_dynamics_is_bitwise_the_per_sample_baseline() {
     let want = baseline::run_dynamics_per_sample(&h, 1, &protocol, &noise);
     let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&got.signal), bits(&want));
+}
+
+#[test]
+fn small_stride_kernel_mix_is_bitwise_the_per_block_baseline() {
+    // `small_stride_kernels`: both sides walk the same NDAR kernel mix.
+    let mix = rows::kernel_mix();
+    let norm = |z: Complex64| z.norm_sqr();
+    let (mut got, mut got_marginals, mut scratch) = (mix.amps.clone(), Vec::new(), Vec::new());
+    mix.run(
+        &mut got,
+        &mut got_marginals,
+        |plan, kind, op, data| plan.apply(kind, op, data, &mut scratch).unwrap(),
+        |plan, data, probs| plan.marginal_probabilities_into(data, norm, probs),
+    );
+    let (mut want, mut want_marginals, mut scratch) = (mix.amps.clone(), Vec::new(), Vec::new());
+    mix.run(
+        &mut want,
+        &mut want_marginals,
+        |plan, kind, op, data| baseline::apply_per_block(plan, kind, op, data, &mut scratch),
+        |plan, data, probs| baseline::marginal_per_block(plan, data, norm, probs),
+    );
+    assert_eq!(bits(&got), bits(&want));
+    let to_bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(to_bits(&got_marginals), to_bits(&want_marginals));
+    assert_eq!(got_marginals.len(), 6 * 3, "one marginal per wire");
+    let kinds: Vec<&OpKind> =
+        mix.wires.iter().flat_map(|(_, ops)| ops.iter().map(|op| &op.0)).collect();
+    assert!(kinds.contains(&&OpKind::Dense), "the mixer runs the dense arm");
+    assert!(kinds.iter().any(|k| matches!(k, OpKind::Monomial { .. })), "jumps are monomial");
+    assert!(mix.pairs.iter().all(|p| matches!(p.1, OpKind::Diagonal(_))), "pair phases");
+}
+
+/// Bit patterns of a complex slice, so `-0.0` and `0.0` differ.
+fn bits(xs: &[Complex64]) -> Vec<(u64, u64)> {
+    xs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+fn entry(rng: &mut StdRng) -> Complex64 {
+    c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+}
+
+/// Seeded amplitudes with exact (and negative) zeros mixed in, so a kernel
+/// that changed how an output starts its sum would flip a zero's sign.
+fn random_amps(rng: &mut StdRng, n: usize) -> Vec<Complex64> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => c64(0.0, -0.0),
+            1 => c64(-0.0, 0.0),
+            _ => entry(rng),
+        })
+        .collect()
+}
+
+/// The operators of every kernel arm on a `k`-dimensional target subspace:
+/// diagonal, injective monomial, non-injective monomial with a zero column,
+/// and (for `k` small enough to store densely) a dense operator with some
+/// exact zeros.
+fn kernel_operators(rng: &mut StdRng, k: usize) -> Vec<CMatrix> {
+    let diag: Vec<_> = (0..k).map(|_| entry(rng)).collect();
+    let mut ops = vec![CMatrix::diag(&diag)];
+    if k >= 2 {
+        let mut perm: Vec<usize> = (0..k).collect();
+        perm.shuffle(rng);
+        let mut mono = CMatrix::zeros(k, k);
+        for (c, &r) in perm.iter().enumerate() {
+            mono[(r, c)] = entry(rng);
+        }
+        ops.push(mono);
+        // Column 0 stays zero and columns 0 and 1 share row 0.
+        let mut collide = CMatrix::zeros(k, k);
+        for c in 2..k {
+            collide[(rng.gen_range(0..k), c)] = entry(rng);
+        }
+        collide[(0, 1)] = entry(rng);
+        ops.push(collide);
+    }
+    if k <= 150 {
+        ops.push(CMatrix::from_fn(k, k, |_, _| {
+            if rng.gen_range(0..5) == 0 {
+                Complex64::ZERO
+            } else {
+                entry(rng)
+            }
+        }));
+    }
+    ops
+}
+
+/// Target shapes on an `n`-qudit register: every single wire, adjacent
+/// ascending and descending pairs, non-adjacent pairs, a two- and
+/// three-qudit register suffix, and the whole register.
+fn target_shapes(n: usize) -> Vec<Vec<usize>> {
+    let mut shapes: Vec<Vec<usize>> = (0..n).map(|w| vec![w]).collect();
+    for w in 0..n.saturating_sub(1) {
+        shapes.push(vec![w, w + 1]);
+        shapes.push(vec![w + 1, w]);
+    }
+    for w in 0..n.saturating_sub(2) {
+        shapes.push(vec![w, w + 2]);
+        shapes.push(vec![w + 2, w]);
+    }
+    for len in [2, 3] {
+        if n >= len {
+            shapes.push((n - len..n).collect());
+        }
+    }
+    shapes.push((0..n).collect());
+    shapes
+}
+
+/// Checks every run-form `ApplyPlan` kernel on one plan against its
+/// per-block reference in `bench::baseline`, at `threads` pool threads.
+fn check_plan_bitwise(rng: &mut StdRng, radix: &Radix, targets: &[usize], threads: usize) {
+    let plan = ApplyPlan::new(radix, targets).unwrap();
+    let amps = random_amps(rng, radix.total_dim());
+    let case = format!("dims {:?}, targets {targets:?}, {threads} thread(s)", radix.dims());
+    for op in kernel_operators(rng, plan.sub_dim()) {
+        let kind = OpKind::classify(&op);
+        let mut want = amps.clone();
+        baseline::apply_per_block(&plan, &kind, &op, &mut want, &mut Vec::new());
+        let mut got = amps.clone();
+        plan.apply_parallel(&kind, &op, &mut got, threads, &mut Vec::new()).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{case}, {kind:?}");
+        if kind == OpKind::Dense {
+            let rc = RowCompressed::from_dense(&op, Complex64::ONE);
+            let mut want = amps.clone();
+            baseline::apply_compressed_per_block(&plan, &rc, &mut want);
+            let mut got = amps.clone();
+            plan.apply_compressed(&rc, &mut got, threads, &mut Vec::new()).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{case}, compressed");
+        }
+    }
+    let weights: [fn(Complex64) -> f64; 2] = [|z| z.norm_sqr(), |z| z.re];
+    for weight in weights {
+        let mut got = Vec::new();
+        plan.marginal_probabilities_into(&amps, weight, &mut got);
+        let mut want = Vec::new();
+        baseline::marginal_per_block(&plan, &amps, weight, &mut want);
+        let to_bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(to_bits(&got), to_bits(&want), "{case}, marginal");
+    }
+    for outcome in [0, plan.sub_dim() - 1] {
+        let (mut got, mut want) = (amps.clone(), amps.clone());
+        plan.collapse(&mut got, outcome);
+        baseline::collapse_per_block(&plan, &mut want, outcome);
+        assert_eq!(bits(&got), bits(&want), "{case}, collapse to {outcome}");
+    }
+}
+
+#[test]
+fn run_form_kernels_are_bitwise_the_per_block_walk() {
+    // Seeded mixed-radix registers, dims 2–5, 1–6 qudits; every target
+    // shape and every kernel arm, serial.
+    let mut rng = StdRng::seed_from_u64(0x5EED_0A11);
+    for n in 1..=6 {
+        for _ in 0..2 {
+            let dims: Vec<usize> = (0..n).map(|_| rng.gen_range(2..=5)).collect();
+            let radix = Radix::new(dims).unwrap();
+            for targets in target_shapes(n) {
+                check_plan_bitwise(&mut rng, &radix, &targets, 1);
+            }
+        }
+    }
+}
+
+#[test]
+fn parallel_run_form_kernels_split_mid_run_and_stay_bitwise() {
+    // A register large enough that `apply_parallel` dispatches, on targets
+    // whose unit split at 2 and 3 threads cuts through spectator runs, so
+    // those chunks walk one block at a time.
+    let mut rng = StdRng::seed_from_u64(0x0DD_5EED);
+    let radix = Radix::new(vec![5, 5, 5, 4, 4, 3, 3]).unwrap();
+    for targets in [vec![2], vec![1, 3], vec![3, 2], vec![0, 1], vec![3], vec![5, 6]] {
+        let plan = ApplyPlan::new(&radix, &targets).unwrap();
+        let last = targets.iter().copied().max().unwrap();
+        let run: usize = radix.dims()[last + 1..].iter().product();
+        for threads in [2, 3] {
+            let per = plan.spectator_count() / threads;
+            assert!(
+                run == 1 || !per.is_multiple_of(run),
+                "targets {targets:?} split on run boundaries"
+            );
+            check_plan_bitwise(&mut rng, &radix, &targets, threads);
+        }
+    }
 }

@@ -69,11 +69,6 @@ impl Graph {
             .collect()
     }
 
-    /// Degree of a node.
-    pub fn degree(&self, node: usize) -> usize {
-        self.neighbors(node).len()
-    }
-
     /// A cycle graph `C_n`.
     ///
     /// # Errors
@@ -248,7 +243,6 @@ mod tests {
         assert!(Graph::new(3, vec![(0, 1), (1, 0)]).is_err());
         let g = Graph::new(3, vec![(0, 1), (1, 2)]).unwrap();
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(1), 2);
         assert_eq!(g.neighbors(0), vec![1]);
     }
 
@@ -263,10 +257,10 @@ mod tests {
     fn random_regular_has_bounded_degree() {
         let g = Graph::random_regular(12, 3, 7).unwrap();
         for v in 0..12 {
-            assert!(g.degree(v) <= 3);
+            assert!(g.neighbors(v).len() <= 3);
         }
         // Most nodes reach full degree.
-        let full = (0..12).filter(|&v| g.degree(v) == 3).count();
+        let full = (0..12).filter(|&v| g.neighbors(v).len() == 3).count();
         assert!(full >= 8, "only {full} nodes reached degree 3");
         assert!(Graph::random_regular(4, 4, 0).is_err());
     }

@@ -45,7 +45,5 @@ pub use pipeline::{
     Evaluation,
 };
 pub use reservoir::{QuantumReservoir, ReservoirParams};
-pub use tasks::{
-    mackey_glass, memory_task, narma, nmse, sine_square_classification, TimeSeriesTask,
-};
+pub use tasks::{mackey_glass, memory_task, narma, nmse, TimeSeriesTask};
 pub use train::{fit_ridge, LinearReadout};

@@ -83,36 +83,6 @@ pub fn mackey_glass(length: usize, seed: u64) -> TimeSeriesTask {
     }
 }
 
-/// Sine-vs-square waveform classification: the input alternates between sine
-/// and square segments; the target is the segment label (0 or 1).
-pub fn sine_square_classification(
-    segments: usize,
-    samples_per_segment: usize,
-    seed: u64,
-) -> TimeSeriesTask {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut inputs = Vec::with_capacity(segments * samples_per_segment);
-    let mut targets = Vec::with_capacity(segments * samples_per_segment);
-    for _ in 0..segments {
-        let is_square = rng.gen::<bool>();
-        for s in 0..samples_per_segment {
-            let phase = 2.0 * std::f64::consts::PI * s as f64 / samples_per_segment as f64;
-            let value = if is_square {
-                if phase.sin() >= 0.0 {
-                    0.4
-                } else {
-                    -0.4
-                }
-            } else {
-                0.4 * phase.sin()
-            };
-            inputs.push(value);
-            targets.push(if is_square { 1.0 } else { 0.0 });
-        }
-    }
-    TimeSeriesTask { name: "sine-vs-square".into(), inputs, targets }
-}
-
 /// Short-term-memory task: the target is the input delayed by `delay` steps.
 pub fn memory_task(length: usize, delay: usize, seed: u64) -> TimeSeriesTask {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -165,14 +135,6 @@ mod tests {
         assert!(var > 1e-4, "series should fluctuate, var = {var}");
         // One-step-ahead structure.
         assert!((task.targets[0] - task.inputs[1]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn classification_targets_are_binary() {
-        let task = sine_square_classification(6, 10, 2);
-        assert_eq!(task.len(), 60);
-        assert!(task.targets.iter().all(|&t| t == 0.0 || t == 1.0));
-        assert!(task.inputs.iter().all(|&u| u.abs() <= 0.4 + 1e-12));
     }
 
     #[test]

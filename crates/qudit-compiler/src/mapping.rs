@@ -42,11 +42,6 @@ pub struct Mapping {
 }
 
 impl Mapping {
-    /// Physical mode of a logical qudit.
-    pub fn physical(&self, logical: usize) -> usize {
-        self.logical_to_physical[logical]
-    }
-
     /// Number of mapped logical qudits.
     pub fn len(&self) -> usize {
         self.logical_to_physical.len()
@@ -334,7 +329,7 @@ mod tests {
             naive.estimated_fidelity
         );
         // The busy logical qudit should not sit on the worst physical mode.
-        assert_ne!(aware.physical(3), 3);
+        assert_ne!(aware.logical_to_physical[3], 3);
     }
 
     #[test]
@@ -371,8 +366,8 @@ mod tests {
         }
         let dev = Device::forecast();
         let m = map_circuit(&c, &dev, MappingStrategy::NoiseAware).unwrap();
-        let (mod_a, _) = dev.module_of(m.physical(0)).unwrap();
-        let (mod_b, _) = dev.module_of(m.physical(1)).unwrap();
+        let (mod_a, _) = dev.module_of(m.logical_to_physical[0]).unwrap();
+        let (mod_b, _) = dev.module_of(m.logical_to_physical[1]).unwrap();
         assert!(mod_a.abs_diff(mod_b) <= 1, "interacting pair should stay within reach");
     }
 }

@@ -33,6 +33,31 @@
 //! The same plan drives measurement-side kernels: marginal probabilities,
 //! collapse, expectation values, reduced density matrices and Kraus-branch
 //! norms, all without the per-amplitude digit decompositions the seed used.
+//!
+//! # Spectator runs
+//!
+//! The spectators after the last target are the fastest odometer digits and
+//! sit at strides `1, d, …`, so `run_len` (their dimension product, the
+//! smallest target stride) consecutive spectator configurations have
+//! consecutive base indices. The element-wise kernels — the diagonal,
+//! monomial and dense gather arms of [`ApplyPlan::apply`] and
+//! [`ApplyPlan::apply_compressed`], [`ApplyPlan::marginal_probabilities_into`]
+//! and [`ApplyPlan::collapse`] — walk the register as such runs
+//! `(base, len)`, ticking the odometer once per run instead of once per
+//! `sub_dim`-amplitude block. Every amplitude still
+//! sees the arithmetic of the block walk (one `*=` per diagonal entry, a zero
+//! then `+= coeff · x` in ascending column order per monomial output, one
+//! dot product per dense output), and each marginal outcome still sums its
+//! spectators in ascending order, so results are bitwise those of a
+//! block-at-a-time walk.
+//!
+//! The kernels with one accumulator across blocks and sub-indices —
+//! [`ApplyPlan::norm_sqr_after`], [`ApplyPlan::expectation`],
+//! [`ApplyPlan::reduced_density`] and
+//! [`DensityMatrix::expectation_prepared`](crate::density::DensityMatrix::expectation_prepared)
+//! — stay on the per-block odometer ([`ApplyPlan::for_each_block`]): their
+//! summation order interleaves blocks and sub-indices, and that order is
+//! part of the bitwise contract.
 
 use crate::complex::Complex64;
 use crate::error::{CoreError, Result};
@@ -228,6 +253,80 @@ enum Sweep<'a> {
     Compressed(&'a RowCompressed),
 }
 
+/// Tile of the gather kernels, in amplitudes (1 KiB): blocks of up to this
+/// `sub_dim` are gathered on the stack, larger ones in the caller's
+/// `scratch`; the uniform-stride dense panels are walked in column tiles of
+/// this width.
+const TILE: usize = 64;
+
+/// The tile buffer for blocks of `sub_dim` amplitudes: the stack tile when
+/// one block fits, else `scratch` resized to exactly one block (the size the
+/// block kernels have always used).
+fn tile_buffer<'a>(
+    stack: &'a mut [Complex64; TILE],
+    scratch: &'a mut Vec<Complex64>,
+    sub_dim: usize,
+) -> &'a mut [Complex64] {
+    if sub_dim <= TILE {
+        stack
+    } else {
+        scratch.resize(sub_dim, Complex64::ZERO);
+        scratch
+    }
+}
+
+/// Invokes `f(base)` for the flat indices `start..end` of a mixed-radix
+/// digit string with the given digit dimensions and strides, in odometer
+/// order (the last digit fastest), where `base = Σ digit · stride`. No
+/// digits at all enumerate the single index 0. It stops after the last
+/// configuration, so an `end` past the configuration count walks to the end.
+#[inline]
+fn odometer(dims: &[usize], strides: &[usize], start: usize, end: usize, mut f: impl FnMut(usize)) {
+    let k = dims.len();
+    if k == 0 {
+        if start == 0 && end > 0 {
+            f(0);
+        }
+        return;
+    }
+    // Registers this workspace simulates stay far below 32 qudits, so the
+    // odometer runs on a stack buffer instead of a per-call allocation.
+    let mut stack = [0usize; 32];
+    let mut heap;
+    let digits: &mut [usize] = if k <= 32 {
+        &mut stack[..k]
+    } else {
+        heap = vec![0usize; k];
+        &mut heap
+    };
+    // Seed the odometer at index `start` (digit k-1 is the least
+    // significant).
+    let mut rem = start;
+    for pos in (0..k).rev() {
+        digits[pos] = rem % dims[pos];
+        rem /= dims[pos];
+    }
+    let mut base: usize = digits.iter().zip(strides.iter()).map(|(&d, &s)| d * s).sum();
+    for _ in start..end {
+        f(base);
+        // Odometer increment, updating `base` incrementally.
+        let mut pos = k;
+        loop {
+            if pos == 0 {
+                return;
+            }
+            pos -= 1;
+            digits[pos] += 1;
+            base += strides[pos];
+            if digits[pos] < dims[pos] {
+                break;
+            }
+            base -= dims[pos] * strides[pos];
+            digits[pos] = 0;
+        }
+    }
+}
+
 /// A reusable stride plan for one `(register, targets)` pair (see module
 /// docs). Plans are immutable after construction and `Sync`, so one plan can
 /// serve many threads; per-thread mutable scratch is passed into the kernels.
@@ -241,13 +340,23 @@ pub struct ApplyPlan {
     spectator_dims: Vec<usize>,
     spectator_strides: Vec<usize>,
     spectator_count: usize,
+    /// Length of one spectator run: the product of the dimensions of the
+    /// spectators after the last target, which is the smallest target
+    /// stride. Those spectators are the odometer's fastest digits and have
+    /// strides `1, d, …`, so `run_len` consecutive spectator configurations
+    /// have consecutive base indices.
+    run_len: usize,
+    /// Number of spectator digits before the run (the odometer digits that
+    /// [`ApplyPlan::for_each_run`] still ticks).
+    outer_spectators: usize,
     /// `Some(s)` when `sub_offsets[j] == j * s` for every `j` — i.e. the
     /// targets are consecutive register qudits in ascending order, so the
-    /// target subspace is laid out at a single constant stride. The dense and
-    /// diagonal kernels then index arithmetically instead of through the
-    /// offset table, and at `s == 1` (a contiguous register suffix) the dense
-    /// kernel degenerates to a tight matrix–panel product on contiguous
-    /// memory.
+    /// target subspace is laid out at a single constant stride. At `s > 1`
+    /// the dense kernel reshapes the register into contiguous `sub_dim × s`
+    /// panels; at `s == 1` (a contiguous register suffix, where every run
+    /// has length 1) the blocks themselves are the contiguous
+    /// `sub_dim`-chunks of the register. Short panels (`sub_dim · s` up to
+    /// [`TILE`]) are walked whole by the diagonal and monomial arms.
     uniform_stride: Option<usize>,
 }
 
@@ -285,6 +394,10 @@ impl ApplyPlan {
         let spectator_strides: Vec<usize> =
             spectators.iter().map(|&k| radix.stride(k).expect("validated")).collect();
         let spectator_count = spectator_dims.iter().product::<usize>().max(1);
+        let last_target = targets.iter().copied().max().unwrap_or(0);
+        let trailing = spectators.iter().filter(|&&k| k > last_target).count();
+        let outer_spectators = spectators.len() - trailing;
+        let run_len = spectator_dims[outer_spectators..].iter().product::<usize>();
 
         let uniform_stride = if sub_dim >= 2 {
             let s = sub_offsets[1];
@@ -300,6 +413,8 @@ impl ApplyPlan {
             spectator_dims,
             spectator_strides,
             spectator_count,
+            run_len,
+            outer_spectators,
             uniform_stride,
         })
     }
@@ -348,51 +463,70 @@ impl ApplyPlan {
     /// indices in `start..end`, in odometer order (the last spectator digit
     /// fastest); [`ApplyPlan::for_each_block`] is this method at `0..count`.
     #[inline]
-    pub fn for_each_block_range(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
-        let k = self.spectator_dims.len();
-        if k == 0 {
-            if start == 0 && end > 0 {
-                f(0);
-            }
+    pub fn for_each_block_range(&self, start: usize, end: usize, f: impl FnMut(usize)) {
+        odometer(&self.spectator_dims, &self.spectator_strides, start, end, f);
+    }
+
+    /// Invokes `f(base, len)` for the spectator configurations `start..end`
+    /// as contiguous runs: the configurations `base + t` for `t < len` are
+    /// consecutive in [`ApplyPlan::for_each_block`] order, so a kernel
+    /// touches `data[base + off .. base + off + len]` per sub-offset `off`
+    /// instead of ticking the odometer once per block. A run is `run_len`
+    /// long; when `start..end` splits a run (see
+    /// [`ApplyPlan::splits_runs`]), every block is its own run of length 1.
+    #[inline]
+    fn for_each_run(&self, start: usize, end: usize, mut f: impl FnMut(usize, usize)) {
+        let run = self.run_len;
+        if run == 1 || self.splits_runs(start, end) {
+            // A constant length lets the kernel body compile to its
+            // per-block form.
+            self.for_each_block_range(start, end, |base| f(base, 1));
             return;
         }
-        // Registers this workspace simulates stay far below 32 qudits, so the
-        // odometer runs on a stack buffer instead of a per-call allocation.
-        let mut stack = [0usize; 32];
-        let mut heap;
-        let digits: &mut [usize] = if k <= 32 {
-            &mut stack[..k]
+        // The outer odometer stops after its last configuration, so the
+        // whole range needs no division (which small registers would pay on
+        // every call).
+        let (first, last) = if start == 0 && end == self.spectator_count {
+            (0, usize::MAX)
         } else {
-            heap = vec![0usize; k];
-            &mut heap
+            (start / run, end / run)
         };
-        // Seed the odometer at spectator index `start` (digit k-1 is the
-        // least significant).
-        let mut rem = start;
-        for pos in (0..k).rev() {
-            digits[pos] = rem % self.spectator_dims[pos];
-            rem /= self.spectator_dims[pos];
-        }
-        let mut base: usize =
-            digits.iter().zip(self.spectator_strides.iter()).map(|(&d, &s)| d * s).sum();
-        for _ in start..end {
-            f(base);
-            // Odometer increment, updating `base` incrementally.
-            let mut pos = k;
-            loop {
-                if pos == 0 {
-                    return;
-                }
-                pos -= 1;
-                digits[pos] += 1;
-                base += self.spectator_strides[pos];
-                if digits[pos] < self.spectator_dims[pos] {
-                    break;
-                }
-                base -= self.spectator_dims[pos] * self.spectator_strides[pos];
-                digits[pos] = 0;
-            }
-        }
+        let outer = self.outer_spectators;
+        odometer(
+            &self.spectator_dims[..outer],
+            &self.spectator_strides[..outer],
+            first,
+            last,
+            |base| f(base, run),
+        );
+    }
+
+    /// Whether the spectator configurations `start..end` begin or end
+    /// inside a run, which only a parallel split of the units produces.
+    #[inline]
+    fn splits_runs(&self, start: usize, end: usize) -> bool {
+        let whole = start == 0 && end == self.spectator_count;
+        !(whole || start.is_multiple_of(self.run_len) && end.is_multiple_of(self.run_len))
+    }
+
+    /// For a uniform-stride plan whose panels are short, the spectator
+    /// configurations `units` as the contiguous slice of whole panels they
+    /// cover, with the stride `s` (a panel is `sub_dim · s` long). Panel `i` is
+    /// `data[i·sub_dim·s..(i + 1)·sub_dim·s]` and holds sub-index `j` at
+    /// `j·s..(j + 1)·s`, one run per sub-index; at `s == 1` (a register
+    /// suffix) the panels are the blocks themselves. `None` when the plan is
+    /// not uniform-stride, a panel exceeds [`TILE`] (its runs are long enough
+    /// to walk one by one) or `units` splits a panel.
+    #[inline]
+    fn short_panels(
+        &self,
+        units: &std::ops::Range<usize>,
+    ) -> Option<(std::ops::Range<usize>, usize)> {
+        // A uniform stride `s` is also the run length.
+        let s = self.uniform_stride?;
+        let panel = self.sub_dim * s;
+        (panel <= TILE && !self.splits_runs(units.start, units.end))
+            .then(|| (units.start * self.sub_dim..units.end * self.sub_dim, s))
     }
 
     /// Number of independently-updatable work units the apply kernels
@@ -413,6 +547,15 @@ impl ApplyPlan {
     /// kernel body. Each unit's update reads and writes only that unit's
     /// indices, so any partition of the unit range reproduces the serial
     /// result (which runs all units) bitwise.
+    ///
+    /// Every arm but the uniform-stride dense panels walks spectator runs
+    /// ([`ApplyPlan::for_each_run`]) or, for a register suffix, contiguous
+    /// blocks. Each amplitude still sees exactly the arithmetic of a
+    /// one-block-at-a-time walk: one `*=` per diagonal entry, a zero then
+    /// `+= coeff * x` in ascending column order per monomial output, one
+    /// [`dot4`] (or compressed row product) per dense output. Blocks are
+    /// gathered on the stack (`scratch` only once `sub_dim` exceeds
+    /// [`TILE`]), so the result is bitwise that of the block walk.
     fn apply_units(
         &self,
         sweep: Sweep<'_>,
@@ -423,71 +566,85 @@ impl ApplyPlan {
         let (kind, op) = match sweep {
             Sweep::Classified(kind, op) => (kind, op),
             Sweep::Compressed(op) => {
-                scratch.resize(self.sub_dim, Complex64::ZERO);
-                self.for_each_block_range(units.start, units.end, |base| {
-                    for (j, slot) in scratch.iter_mut().enumerate() {
-                        *slot = data[base + self.sub_offsets[j]];
-                    }
-                    for (row, &off) in self.sub_offsets.iter().enumerate() {
-                        data[base + off] = op.row_dot(row, scratch);
-                    }
-                });
+                self.gather_apply(data, units, scratch, |row, x| op.row_dot(row, x));
                 return;
             }
         };
         match kind {
             OpKind::Diagonal(diag) => {
-                if let Some(s) = self.uniform_stride {
-                    self.for_each_block_range(units.start, units.end, |base| {
-                        let mut idx = base;
-                        for d in diag.iter() {
-                            data[idx] *= *d;
-                            idx += s;
+                if let Some((region, s)) = self.short_panels(&units) {
+                    // Per sub-index `j` and offset `t` in its run, one
+                    // multiply loop over the panels at panel stride.
+                    let (panels, panel) = (&mut data[region], self.sub_dim * s);
+                    for (j, d) in diag.iter().enumerate() {
+                        for t in 0..s {
+                            for x in panels[j * s + t..].iter_mut().step_by(panel) {
+                                *x *= *d;
+                            }
                         }
-                    });
-                } else {
-                    self.for_each_block_range(units.start, units.end, |base| {
-                        for (j, d) in diag.iter().enumerate() {
-                            data[base + self.sub_offsets[j]] *= *d;
-                        }
-                    });
+                    }
+                    return;
                 }
+                self.for_each_run(units.start, units.end, |base, len| {
+                    for (d, &off) in diag.iter().zip(&self.sub_offsets) {
+                        for x in &mut data[base + off..base + off + len] {
+                            *x *= *d;
+                        }
+                    }
+                });
             }
             OpKind::Monomial { rows, coeffs, .. } => {
-                scratch.resize(self.sub_dim, Complex64::ZERO);
-                self.for_each_block_range(units.start, units.end, |base| {
-                    for (j, s) in scratch.iter_mut().enumerate() {
-                        let idx = base + self.sub_offsets[j];
-                        *s = data[idx];
-                        data[idx] = Complex64::ZERO;
+                let mut stack = [Complex64::ZERO; TILE];
+                if let Some((region, s)) = self.short_panels(&units) {
+                    // Whole panels a tile at a time: copy and zero the
+                    // tile, then per nonzero column, in ascending column
+                    // order, one axpy over the tile's panels at panel
+                    // stride. Panels are independent, so every output still
+                    // sums its columns in ascending order.
+                    let panel = self.sub_dim * s;
+                    for chunk in data[region].chunks_mut(TILE / panel * panel) {
+                        let src = &mut stack[..chunk.len()];
+                        for (x, a) in src.iter_mut().zip(chunk.iter_mut()) {
+                            *x = std::mem::replace(a, Complex64::ZERO);
+                        }
+                        for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
+                            if coeff == Complex64::ZERO {
+                                continue;
+                            }
+                            for t in 0..s {
+                                let dst = chunk[r * s + t..].iter_mut().step_by(panel);
+                                for (o, &x) in dst.zip(src[c * s + t..].iter().step_by(panel)) {
+                                    *o += coeff * x;
+                                }
+                            }
+                        }
                     }
-                    for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
-                        if coeff != Complex64::ZERO {
-                            data[base + self.sub_offsets[r]] += coeff * scratch[c];
+                    return;
+                }
+                let buf = tile_buffer(&mut stack, scratch, self.sub_dim);
+                // Per block of a run: gather and zero its amplitudes, then
+                // one `+= coeff * x` per nonzero column in ascending order.
+                self.for_each_run(units.start, units.end, |base, len| {
+                    for block in base..base + len {
+                        for (x, &off) in buf.iter_mut().zip(&self.sub_offsets) {
+                            *x = std::mem::replace(&mut data[block + off], Complex64::ZERO);
+                        }
+                        for (c, (&r, &coeff)) in rows.iter().zip(coeffs.iter()).enumerate() {
+                            if coeff != Complex64::ZERO {
+                                data[block + self.sub_offsets[r]] += coeff * buf[c];
+                            }
                         }
                     }
                 });
             }
             OpKind::Dense => match self.uniform_stride {
-                // Consecutive ascending targets: the register reshapes into
-                // contiguous `sub_dim × s` panels (`s` = product of the
-                // trailing spectator dimensions), and the block application
-                // becomes a tight matrix–panel product on sequential memory.
-                Some(1) => {
-                    scratch.resize(self.sub_dim, Complex64::ZERO);
-                    self.for_each_block_range(units.start, units.end, |base| {
-                        let block = &mut data[base..base + self.sub_dim];
-                        scratch.copy_from_slice(block);
-                        for (row, out) in block.iter_mut().enumerate() {
-                            *out = dot4(op.row(row), scratch);
-                        }
-                    });
-                }
-                Some(s) => {
-                    // Panels are walked in column tiles of at most `TILE`,
-                    // so the scratch stays `sub_dim × TILE` however wide the
-                    // panel (on the density row side `s` spans whole rows).
-                    const TILE: usize = 64;
+                Some(s) if s > 1 => {
+                    // Consecutive ascending targets: the register reshapes
+                    // into contiguous `sub_dim × s` panels (`s` = product of
+                    // the trailing spectator dimensions), walked in column
+                    // tiles of at most `TILE`, so the scratch stays
+                    // `sub_dim × TILE` however wide the panel (on the density
+                    // row side `s` spans whole rows).
                     let chunk = self.sub_dim * s;
                     for hi in units {
                         let block = &mut data[hi * chunk..(hi + 1) * chunk];
@@ -514,19 +671,52 @@ impl ApplyPlan {
                         }
                     }
                 }
-                None => {
-                    scratch.resize(self.sub_dim, Complex64::ZERO);
-                    self.for_each_block_range(units.start, units.end, |base| {
-                        for (j, slot) in scratch.iter_mut().enumerate() {
-                            *slot = data[base + self.sub_offsets[j]];
-                        }
-                        for (row, &off) in self.sub_offsets.iter().enumerate() {
-                            data[base + off] = dot4(op.row(row), scratch);
-                        }
-                    });
-                }
+                _ => self.gather_apply(data, units, scratch, |row, x| dot4(op.row(row), x)),
             },
         }
+    }
+
+    /// The gather kernel of the dense and compressed arms: for every block
+    /// in `units`, writes `row_op(row, x)` to each sub-index `row`, where
+    /// `x` holds the block's `sub_dim` amplitudes in sub-index order. A
+    /// register suffix's contiguous blocks are copied a tile at a time;
+    /// otherwise the blocks of each run are gathered one by one.
+    fn gather_apply(
+        &self,
+        data: &mut [Complex64],
+        units: std::ops::Range<usize>,
+        scratch: &mut Vec<Complex64>,
+        row_op: impl Fn(usize, &[Complex64]) -> Complex64,
+    ) {
+        let sub_dim = self.sub_dim;
+        let mut stack = [Complex64::ZERO; TILE];
+        let buf = tile_buffer(&mut stack, scratch, sub_dim);
+        if self.uniform_stride == Some(1) {
+            // A register suffix: the blocks are contiguous, so a tile of
+            // them is gathered with one copy.
+            let region = units.start * sub_dim..units.end * sub_dim;
+            for chunk in data[region].chunks_mut(buf.len() / sub_dim * sub_dim) {
+                let src = &mut buf[..chunk.len()];
+                src.copy_from_slice(chunk);
+                for (out, x) in chunk.chunks_exact_mut(sub_dim).zip(src.chunks_exact(sub_dim)) {
+                    for (row, o) in out.iter_mut().enumerate() {
+                        *o = row_op(row, x);
+                    }
+                }
+            }
+            return;
+        }
+        let x = &mut buf[..sub_dim];
+        self.for_each_run(units.start, units.end, |base, len| {
+            for block in base..base + len {
+                for (slot, &off) in x.iter_mut().zip(&self.sub_offsets) {
+                    *slot = data[block + off];
+                }
+                for (row, &off) in self.sub_offsets.iter().enumerate() {
+                    data[block + off] = row_op(row, x);
+                }
+            }
+        });
     }
 
     /// Parallel variant of [`ApplyPlan::apply`]: the independent work units
@@ -805,9 +995,11 @@ impl ApplyPlan {
     /// Marginal accumulation into a caller-owned buffer (cleared and resized
     /// to `sub_dim`), so per-event callers stay allocation-free. `weight`
     /// maps a stored entry to its probability mass (`|z|²` for amplitudes,
-    /// `re` for a gathered density-matrix diagonal). Spectator blocks are
-    /// visited in [`ApplyPlan::for_each_block`] order with one running sum
-    /// per target basis state, so equal masses give bitwise-equal marginals.
+    /// `re` for a gathered density-matrix diagonal). Each target basis state
+    /// keeps one running sum over the spectator configurations in
+    /// [`ApplyPlan::for_each_block`] order (walked as runs, or as contiguous
+    /// blocks for a register suffix), so equal masses give bitwise-equal
+    /// marginals.
     pub fn marginal_probabilities_into(
         &self,
         data: &[Complex64],
@@ -816,9 +1008,20 @@ impl ApplyPlan {
     ) {
         probs.clear();
         probs.resize(self.sub_dim, 0.0);
-        self.for_each_block(|base| {
+        if self.uniform_stride == Some(1) {
+            // A register suffix: the blocks are the contiguous chunks.
+            for block in data[..self.total_dim].chunks_exact(self.sub_dim) {
+                for (p, &z) in probs.iter_mut().zip(block) {
+                    *p += weight(z);
+                }
+            }
+            return;
+        }
+        self.for_each_run(0, self.spectator_count, |base, len| {
             for (p, &off) in probs.iter_mut().zip(self.sub_offsets.iter()) {
-                *p += weight(data[base + off]);
+                for &z in &data[base + off..base + off + len] {
+                    *p += weight(z);
+                }
             }
         });
     }
@@ -827,10 +1030,10 @@ impl ApplyPlan {
     /// (projective collapse; renormalisation is the caller's business).
     pub fn collapse(&self, amps: &mut [Complex64], outcome: usize) {
         debug_assert!(outcome < self.sub_dim);
-        self.for_each_block(|base| {
+        self.for_each_run(0, self.spectator_count, |base, len| {
             for (j, &off) in self.sub_offsets.iter().enumerate() {
                 if j != outcome {
-                    amps[base + off] = Complex64::ZERO;
+                    amps[base + off..base + off + len].fill(Complex64::ZERO);
                 }
             }
         });

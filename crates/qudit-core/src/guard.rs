@@ -547,11 +547,6 @@ pub mod inject {
         CAPTURE.with(|c| c.borrow_mut().take())
     }
 
-    /// Number of faults currently armed on this thread.
-    pub fn armed() -> usize {
-        FAULTS.with(|f| f.borrow().len())
-    }
-
     /// Applies every armed state fault addressed to `step` to the flat state
     /// data (statevector amplitudes or vectorised density matrix).
     pub fn apply_state_faults(step: usize, data: &mut [Complex64]) {

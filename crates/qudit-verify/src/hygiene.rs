@@ -14,9 +14,11 @@
 //!   hot paths must not grow beyond the recorded per-file budgets, and
 //!   every budgeted file must still exist.
 //! * **No test-only public surface** (`test-only-pub`) — a `pub fn` in a
-//!   library crate (`crates/*/src`) that no other file names, and that its
-//!   own file's code before `#[cfg(test)]` names only at the definition, is
-//!   surface only its unit tests use. It is a finding unless the reviewed
+//!   library crate (`crates/*/src`) that no other file calls, and that its
+//!   own file's code before `#[cfg(test)]` does not call, is surface only
+//!   its unit tests use. A call is the name in call or path position
+//!   (`name(`, `name::<…>(`, `::name`, `.name`), so a local, field or
+//!   parameter of the same name does not count. It is a finding unless the reviewed
 //!   `TEST_ONLY_KEEP` table lists it with a reason; a keep entry whose
 //!   function no longer exists is a finding too.
 //! * **Shims-only dependencies** — every dependency in every manifest
@@ -120,6 +122,13 @@ const TEST_ONLY_KEEP: &[(&str, &str)] = &[
     // code that gives meaning to the `DispersiveParams` every device module
     // carries.
     ("crates/cavity-sim/src/dispersive.rs", "dispersive_hamiltonian"),
+    // The complex type's reciprocal, the one arithmetic operation a caller
+    // cannot get from an operator; its tests check it against `Div`.
+    ("crates/qudit-core/src/complex.rs", "inv"),
+    // The only mixed-state fidelity (Uhlmann, through a Hermitian matrix
+    // square root), re-exported at the crate root beside the pure-state,
+    // process and gate fidelities and the trace distance.
+    ("crates/qudit-core/src/metrics.rs", "density_fidelity"),
 ];
 
 /// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
@@ -506,27 +515,75 @@ fn pub_fns(code: &str) -> Vec<(usize, &str)> {
     out
 }
 
-/// Flags every `pub fn` in a `crates/*/src` file that no other file names
-/// and that its own shipping code names only at the definition, unless
-/// `keep` lists it; flags every `keep` entry whose function is gone.
-/// `sources` holds `(repo-relative path, masked code)` for every walked
-/// `.rs` file, so doc comments and strings never count as a use.
+/// The identifiers masked `code` uses as a function: in call position
+/// (followed by `(`, optionally after a `::<…>` turbofish) or in path
+/// position (preceded by `::` or `.`). A definition (`fn name`) is not a use,
+/// nor is a local, a field declaration or a parameter of the same name.
+fn called_idents(code: &str) -> HashSet<&str> {
+    let bytes = code.as_bytes();
+    let mut out = HashSet::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        if !is_ident_byte(bytes[pos]) || (pos > 0 && is_ident_byte(bytes[pos - 1])) {
+            pos += 1;
+            continue;
+        }
+        let end = pos + bytes[pos..].iter().take_while(|&&b| is_ident_byte(b)).count();
+        let ident = &code[pos..end];
+        let head = code[..pos].trim_end();
+        let is_definition = head.ends_with("fn")
+            && !head[..head.len() - 2].bytes().next_back().is_some_and(is_ident_byte);
+        let in_path = head.ends_with("::") || head.ends_with('.');
+        if !is_definition && (in_path || followed_by_call(&code[end..])) {
+            out.insert(ident);
+        }
+        pos = end;
+    }
+    out
+}
+
+/// Whether `rest` (the code after an identifier) opens a call: `(`,
+/// optionally after a `::<…>` turbofish.
+fn followed_by_call(rest: &str) -> bool {
+    let mut rest = rest.trim_start();
+    if let Some(generic) = rest.strip_prefix("::").map(str::trim_start) {
+        let Some(args) = generic.strip_prefix('<') else { return false };
+        let mut depth = 1usize;
+        let Some(close) = args.bytes().position(|b| {
+            match b {
+                b'<' => depth += 1,
+                b'>' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        }) else {
+            return false;
+        };
+        rest = args[close + 1..].trim_start();
+    }
+    rest.starts_with('(')
+}
+
+/// Flags every `pub fn` in a `crates/*/src` file that no other file calls
+/// and that its own shipping code does not call, unless `keep` lists it;
+/// flags every `keep` entry whose function is gone. A call is an identifier
+/// in call or path position ([`called_idents`]), so a local or parameter
+/// that shares the function's name does not hide it. `sources` holds
+/// `(repo-relative path, masked code)` for every walked `.rs` file, so doc
+/// comments and strings never count as a use.
 fn check_test_only_pub(
     sources: &[(String, String)],
     keep: &[(&str, &str)],
     out: &mut Vec<Violation>,
 ) {
-    // Number of files whose code names each identifier.
-    let mut files_naming: HashMap<&str, usize> = HashMap::new();
-    for (_, code) in sources {
-        let idents: HashSet<&str> =
-            code.split(|c: char| !c.is_ascii() || !is_ident_byte(c as u8)).collect();
-        for ident in idents {
-            *files_naming.entry(ident).or_default() += 1;
-        }
+    let calls: Vec<HashSet<&str>> = sources.iter().map(|(_, code)| called_idents(code)).collect();
+    // Number of files whose code calls each identifier.
+    let mut files_calling: HashMap<&str, usize> = HashMap::new();
+    for ident in calls.iter().flatten() {
+        *files_calling.entry(ident).or_default() += 1;
     }
     let mut defined: HashSet<(&str, &str)> = HashSet::new();
-    for (path, code) in sources {
+    for ((path, code), own_calls) in sources.iter().zip(&calls) {
         let mut parts = path.split('/');
         let in_library =
             parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src");
@@ -534,10 +591,12 @@ fn check_test_only_pub(
             continue;
         }
         let shipping = before_tests(code);
+        let shipping_calls = called_idents(shipping);
         for (pos, name) in pub_fns(shipping) {
             defined.insert((path.as_str(), name));
-            let test_only =
-                files_naming.get(name) == Some(&1) && find_tokens(shipping, name).len() == 1;
+            let other_files = files_calling.get(name).copied().unwrap_or(0)
+                - usize::from(own_calls.contains(name));
+            let test_only = other_files == 0 && !shipping_calls.contains(name);
             if test_only && !keep.contains(&(path.as_str(), name)) {
                 out.push(Violation {
                     rule: HygieneRule::TestOnlyPub,
@@ -1019,6 +1078,31 @@ mod tests {
         let mut out = Vec::new();
         check_test_only_pub(&files, &[], &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn test_only_pub_is_not_hidden_by_a_parameter_of_the_same_name() {
+        let files = sources(&[
+            ("crates/a/src/lib.rs", "pub fn mode_dims() -> usize { 3 }\n"),
+            (
+                "crates/b/src/lib.rs",
+                "pub fn total(mode_dims: &[usize]) -> usize { let n = mode_dims.len(); n }\n",
+            ),
+        ]);
+        let mut out = Vec::new();
+        check_test_only_pub(&files, &[], &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].message.contains("`pub fn mode_dims`"), "{out:?}");
+        assert!(out[1].message.contains("`pub fn total`"), "{out:?}");
+    }
+
+    #[test]
+    fn called_idents_takes_call_and_path_positions_only() {
+        let code = "fn def(x: u8) { let local = 1; a::path; v.method(); call (1); \
+                    turbo::<Vec<u8>>(); field: local; generic<T>(); }";
+        let mut got: Vec<&str> = called_idents(code).into_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, ["call", "method", "path", "turbo"]);
     }
 
     #[test]
